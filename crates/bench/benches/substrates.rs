@@ -8,7 +8,7 @@ use tso_model::{litmus, Machine, MemoryModel, ThreadId};
 
 /// Raw machine operations: buffered write + forwarded read + commit.
 fn bench_tso_ops(bench: &mut Bencher) {
-    let mut m: Machine<u32, u32> = Machine::new(2, MemoryModel::Tso);
+    let mut m: Machine<u8, u8> = Machine::new(2, MemoryModel::Tso);
     m.initialize(0, 0);
     let t = ThreadId::new(0);
     bench.iter(|| {

@@ -52,7 +52,7 @@ fn main() {
                     .entry((
                         sys.ghost_gc_phase.to_string(),
                         ms.ghost_hs_phase.to_string(),
-                        sys.hs_pending[m],
+                        sys.pending(m),
                     ))
                     .or_insert(0) += 1;
                 // "Early observation": the committed phase is already Mark or

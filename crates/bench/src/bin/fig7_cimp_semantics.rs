@@ -12,7 +12,7 @@ use cimp::Program;
 type P = Program<u32, u32, u32>;
 
 fn drive(p: &P, mut state: u32) -> (Vec<&'static str>, u32) {
-    let mut stack = vec![p.entry()];
+    let mut stack = cimp::Stack::from(p.entry());
     let mut labels = Vec::new();
     loop {
         let steps = enabled_steps(p, &stack, &state);
@@ -47,7 +47,7 @@ fn main() {
     let mut p = P::new();
     let op = p.local_op("nondet", |s| vec![s + 1, s + 10]);
     p.set_entry(op);
-    let n = enabled_steps(&p, &vec![p.entry()], &0).len();
+    let n = enabled_steps(&p, &p.entry().into(), &0).len();
     println!("LOCALOP: one command, {n} enabled successors (data non-determinism)");
 
     // Seq via frame stack: c1 ;; c2.
@@ -67,8 +67,8 @@ fn main() {
     p.set_entry(c);
     println!(
         "IF:      state 0 -> at {:?}; state 1 -> at {:?}",
-        at_labels(&p, &vec![p.entry()], &0),
-        at_labels(&p, &vec![p.entry()], &1)
+        at_labels(&p, &p.entry().into(), &0),
+        at_labels(&p, &p.entry().into(), &1)
     );
 
     // While iterates.
@@ -87,15 +87,15 @@ fn main() {
     p.set_entry(c);
     println!(
         "CHOOSE:  state 0 offers {:?}; state 1 offers {:?}",
-        at_labels(&p, &vec![p.entry()], &0),
-        at_labels(&p, &vec![p.entry()], &1)
+        at_labels(&p, &p.entry().into(), &0),
+        at_labels(&p, &p.entry().into(), &1)
     );
 
     // Request blocks without a partner.
     let mut p = P::new();
-    let req = p.request("ask", |s| *s, |s, beta| vec![s + beta]);
+    let req = p.request("ask", |s| *s, |s, beta| s + beta);
     p.set_entry(req);
-    let steps = enabled_steps(&p, &vec![p.entry()], &5);
+    let steps = enabled_steps(&p, &p.entry().into(), &5);
     println!(
         "REQUEST: a lone process offers {:?} — it can only fire as a rendezvous (see fig8)",
         steps

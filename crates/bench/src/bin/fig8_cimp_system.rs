@@ -14,7 +14,7 @@ type P = Program<u32, u32, u32>;
 
 struct Wrap(System<u32, u32, u32>);
 impl TransitionSystem for Wrap {
-    type State = cimp::SystemState<u32>;
+    type State = cimp::UniformState<u32>;
     type Action = Event<u32, u32>;
     fn initial_states(&self) -> Vec<Self::State> {
         vec![self.0.initial_state()]
@@ -45,23 +45,23 @@ fn main() {
 
     // Rendezvous: client asks with α = its state, server doubles it.
     let mut client = P::new();
-    let ask = client.request("ask", |s| *s, |_, beta| vec![*beta]);
+    let ask = client.request("ask", |s| *s, |_, beta| *beta);
     client.set_entry(ask);
     let mut server = P::new();
-    let answer = server.response("answer", |alpha, s| vec![(s + 1, alpha * 2)]);
+    let answer = server.response("answer", |alpha, s| Some((s + 1, alpha * 2)));
     server.set_entry(answer);
     let sys = System::new(vec![("client", client, 21), ("server", server, 100)]);
     let succs = sys.successors(&sys.initial_state());
     println!("\nrendezvous: {} global successor(s)", succs.len());
     for (ev, next) in &succs {
-        println!("  {ev}   -> locals {:?}", next.locals());
+        println!("  {ev}   -> locals {:?}", &next.locals()[..next.len()]);
     }
-    assert_eq!(*succs[0].1.local(0), 42);
-    assert_eq!(*succs[0].1.local(1), 101);
+    assert_eq!(succs[0].1.local(0), 42);
+    assert_eq!(succs[0].1.local(1), 101);
 
     // No self-rendezvous: a lone requester is stuck.
     let mut lonely = P::new();
-    let ask = lonely.request("ask", |s| *s, |s, _| vec![*s]);
+    let ask = lonely.request("ask", |s| *s, |s, _| *s);
     lonely.set_entry(ask);
     let sys = System::new(vec![("lonely", lonely, 0)]);
     println!(
@@ -73,14 +73,14 @@ fn main() {
     // model's system process dispatches on request shapes).
     let mk = |v: u32| {
         let mut c = P::new();
-        let ask = c.request("ask", |s| *s, |s, _| vec![*s]);
+        let ask = c.request("ask", |s| *s, |s, _| *s);
         c.set_entry(ask);
         let mut srv = P::new();
         let ans = srv.response("even-only", |alpha, s| {
             if alpha % 2 == 0 {
-                vec![(*s, 0)]
+                Some((*s, 0))
             } else {
-                vec![]
+                None
             }
         });
         srv.set_entry(ans);

@@ -38,12 +38,12 @@
 //! let ask = client.request(
 //!     "ask",
 //!     |s| *s,                              // α = current counter
-//!     |s, beta| vec![s + beta],            // add the response
+//!     |s, beta| s + beta,                  // add the response
 //! );
 //! client.set_entry(ask);
 //!
 //! let mut server: Program<u32, u32, u32> = Program::new();
-//! let answer = server.response("answer", |alpha, s| vec![(*s, alpha * 2)]);
+//! let answer = server.response("answer", |alpha, s| Some((*s, alpha * 2)));
 //! server.set_entry(answer);
 //!
 //! let sys = System::new(vec![("client", client, 21), ("server", server, 0)]);
@@ -51,7 +51,7 @@
 //! let succs = sys.successors(&init);
 //! assert_eq!(succs.len(), 1); // exactly one rendezvous possible
 //! let (_event, next) = &succs[0];
-//! assert_eq!(*next.local(0), 21 + 42);
+//! assert_eq!(next.local(0), 21 + 42);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,5 +63,5 @@ pub mod step;
 pub mod system;
 
 pub use program::{AbsLoc, Com, ComId, Label, MemEffect, Program};
-pub use step::{PendingStep, Stack};
-pub use system::{Event, ProcId, System, SystemState};
+pub use step::{PendingStep, Stack, MAX_STACK_DEPTH};
+pub use system::{Event, Locals, ProcId, System, SystemState, UniformState, MAX_PROCESSES};

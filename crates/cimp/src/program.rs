@@ -12,23 +12,23 @@ pub type Label = &'static str;
 
 /// Index of a command within its [`Program`]'s arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ComId(u32);
+pub struct ComId(u16);
 
 impl ComId {
     pub(crate) fn index(self) -> usize {
-        self.0 as usize
+        usize::from(self.0)
     }
 
     /// The raw arena index, for external state serialization (e.g. the
     /// model checker's compact frontier encoding).
-    pub fn raw(self) -> u32 {
+    pub fn raw(self) -> u16 {
         self.0
     }
 
     /// Rebuilds a `ComId` from [`ComId::raw`]. The caller is responsible
     /// for only feeding back values obtained from `raw` on the *same*
     /// program; a stale or foreign index is not dereferenceable.
-    pub fn from_raw(raw: u32) -> ComId {
+    pub fn from_raw(raw: u16) -> ComId {
         ComId(raw)
     }
 
@@ -36,31 +36,35 @@ impl ComId {
     /// control structure; must never be dereferenced.
     #[cfg(test)]
     pub(crate) fn dummy_for_test() -> ComId {
-        ComId(u32::MAX)
+        ComId(u16::MAX)
     }
 }
 
-/// Non-deterministic local operation: maps a local state to the set of
-/// possible successor local states. Returning an empty vector means the
-/// operation is *disabled* in that state (the process blocks), which is how
-/// guards/awaits are modelled.
-pub type OpFn<S> = Arc<dyn Fn(&S) -> Vec<S> + Send + Sync>;
+/// Non-deterministic local operation: hands each possible successor of a
+/// local state to the sink. Handing over none means the operation is
+/// *disabled* in that state (the process blocks), which is how guards/awaits
+/// are modelled.
+///
+/// The four relations of an atomic command are stored in this sink-passing
+/// form so that stepping allocates nothing for the (overwhelmingly common)
+/// commands with at most one outcome; the builder methods of [`Program`]
+/// accept plain functions returning one value, an `Option` or a `Vec`.
+pub type OpFn<S> = Arc<dyn Fn(&S, &mut dyn FnMut(S)) + Send + Sync>;
 
-/// Computes the set of request values α the sender offers (data
-/// non-determinism: each α is offered as a separate potential rendezvous;
-/// an empty vector disables the request).
-pub type ActFn<S, Req> = Arc<dyn Fn(&S) -> Vec<Req> + Send + Sync>;
+/// Offers the request values α of the sender (data non-determinism: each α
+/// is a separate potential rendezvous; offering none disables the request).
+pub type ActFn<S, Req> = Arc<dyn Fn(&S, &mut dyn FnMut(Req)) + Send + Sync>;
 
 /// Applies the chosen request α and the response value β to the sender's
 /// local state, non-deterministically.
-pub type RecvFn<S, Req, Resp> = Arc<dyn Fn(&S, &Req, &Resp) -> Vec<S> + Send + Sync>;
+pub type RecvFn<S, Req, Resp> = Arc<dyn Fn(&S, &Req, &Resp, &mut dyn FnMut(S)) + Send + Sync>;
 
 /// The receiver's side of a rendezvous: given the request α and the
-/// receiver's local state, the set of (successor state, response β) pairs.
-/// An empty vector means the receiver cannot answer this particular request
-/// (no rendezvous forms), which is how the system process pattern-matches on
+/// receiver's local state, the possible (successor state, response β)
+/// pairs. None means the receiver cannot answer this particular request (no
+/// rendezvous forms), which is how the system process pattern-matches on
 /// request shapes.
-pub type RespFn<S, Req, Resp> = Arc<dyn Fn(&Req, &S) -> Vec<(S, Resp)> + Send + Sync>;
+pub type RespFn<S, Req, Resp> = Arc<dyn Fn(&Req, &S, &mut dyn FnMut(S, Resp)) + Send + Sync>;
 
 /// Evaluates a branch condition on the local state.
 pub type CondFn<S> = Arc<dyn Fn(&S) -> bool + Send + Sync>;
@@ -254,7 +258,7 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
     }
 
     fn push(&mut self, com: Com<S, Req, Resp>) -> ComId {
-        let id = ComId(u32::try_from(self.coms.len()).expect("program too large"));
+        let id = ComId(u16::try_from(self.coms.len()).expect("program too large"));
         self.coms.push(com);
         self.effects.push(None);
         id
@@ -290,7 +294,7 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
     ) -> ComId {
         self.push(Com::LocalOp {
             label,
-            op: Arc::new(op),
+            op: Arc::new(move |s, sink| op(s).into_iter().for_each(sink)),
         })
     }
 
@@ -300,10 +304,13 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
     where
         S: Clone,
     {
-        self.local_op(label, move |s| {
-            let mut s2 = s.clone();
-            f(&mut s2);
-            vec![s2]
+        self.push(Com::LocalOp {
+            label,
+            op: Arc::new(move |s, sink| {
+                let mut s2 = s.clone();
+                f(&mut s2);
+                sink(s2);
+            }),
         })
     }
 
@@ -317,10 +324,14 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
     where
         S: Clone,
     {
-        self.local_op(
+        self.push(Com::LocalOp {
             label,
-            move |s| if cond(s) { vec![s.clone()] } else { Vec::new() },
-        )
+            op: Arc::new(move |s, sink| {
+                if cond(s) {
+                    sink(s.clone());
+                }
+            }),
+        })
     }
 
     /// Adds a no-op step (useful as a visible program point).
@@ -328,21 +339,21 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
     where
         S: Clone,
     {
-        self.local_op(label, |s| vec![s.clone()])
+        self.guard(label, |_| true)
     }
 
-    /// Adds a `Request` command with a single (deterministic) request value
-    /// — the paper's `REQUEST act val`.
+    /// Adds a `Request` command with a single request value and a
+    /// deterministic update on completion — the paper's `REQUEST act val`.
     pub fn request(
         &mut self,
         label: Label,
         act: impl Fn(&S) -> Req + Send + Sync + 'static,
-        recv: impl Fn(&S, &Resp) -> Vec<S> + Send + Sync + 'static,
+        recv: impl Fn(&S, &Resp) -> S + Send + Sync + 'static,
     ) -> ComId {
         self.push(Com::Request {
             label,
-            act: Arc::new(move |s| vec![act(s)]),
-            recv: Arc::new(move |s, _req, beta| recv(s, beta)),
+            act: Arc::new(move |s, sink| sink(act(s))),
+            recv: Arc::new(move |s, _req, beta, sink| sink(recv(s, beta))),
         })
     }
 
@@ -358,8 +369,8 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
     ) -> ComId {
         self.push(Com::Request {
             label,
-            act: Arc::new(act),
-            recv: Arc::new(recv),
+            act: Arc::new(move |s, sink| act(s).into_iter().for_each(sink)),
+            recv: Arc::new(move |s, req, beta, sink| recv(s, req, beta).into_iter().for_each(sink)),
         })
     }
 
@@ -373,18 +384,40 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
     where
         S: Clone,
     {
-        self.request(label, act, |s, _| vec![s.clone()])
+        self.request(label, act, |s, _| s.clone())
     }
 
-    /// Adds a `Response` command.
+    /// Adds a `Response` command that answers a request in at most one way:
+    /// `None` means this request cannot be answered in this state.
     pub fn response(
+        &mut self,
+        label: Label,
+        resp: impl Fn(&Req, &S) -> Option<(S, Resp)> + Send + Sync + 'static,
+    ) -> ComId {
+        self.push(Com::Response {
+            label,
+            resp: Arc::new(move |req, s, sink| {
+                if let Some((s2, beta)) = resp(req, s) {
+                    sink(s2, beta);
+                }
+            }),
+        })
+    }
+
+    /// Adds a `Response` command whose answer is chosen non-deterministically
+    /// among the returned (successor state, response β) pairs.
+    pub fn response_nd(
         &mut self,
         label: Label,
         resp: impl Fn(&Req, &S) -> Vec<(S, Resp)> + Send + Sync + 'static,
     ) -> ComId {
         self.push(Com::Response {
             label,
-            resp: Arc::new(resp),
+            resp: Arc::new(move |req, s, sink| {
+                for (s2, beta) in resp(req, s) {
+                    sink(s2, beta);
+                }
+            }),
         })
     }
 
@@ -463,7 +496,7 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
     /// All command ids in the arena, in allocation order. Static analyses
     /// use this to sweep for commands not reachable from the entry point.
     pub fn com_ids(&self) -> impl Iterator<Item = ComId> {
-        (0..self.coms.len()).map(|i| ComId(i as u32))
+        (0..self.coms.len()).map(|i| ComId(i as u16))
     }
 
     /// The label of an atomic command, if `id` refers to one.

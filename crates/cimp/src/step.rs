@@ -1,7 +1,7 @@
 //! CIMP process semantics: the local small-step relation `→γ` of Figure 7.
 //!
 //! A process's control state is a [`Stack`] of command ids (a frame stack,
-//! top at the end of the vector). Control structure — `Seq`, `If`, `While`,
+//! top at the end). Control structure — `Seq`, `If`, `While`,
 //! `Loop`, `Choose` — is resolved *structurally* while computing the enabled
 //! steps; only the atomic commands (`LocalOp`, `Request`, `Response`)
 //! produce [`PendingStep`]s. Because branch conditions read only the
@@ -9,15 +9,120 @@
 //! their evaluation into the next atomic action preserves the reachable
 //! state set while removing needless interleaving points.
 
+use std::fmt;
+use std::hash::{Hash, Hasher};
+
 use crate::program::{Com, ComId, Label, Program, RecvFn, RespFn};
+
+/// Frames a [`Stack`] can hold. Entering a sequence pushes one frame per
+/// command in it, and every enclosing loop or sequence keeps one, so this
+/// bounds a program's longest sequence plus the nesting around it.
+pub const MAX_STACK_DEPTH: usize = 24;
 
 /// A process's control state: a frame stack of commands, **top at the end**.
 /// An empty stack means the process has terminated.
-pub type Stack = Vec<ComId>;
+///
+/// The frames live inline (at most [`MAX_STACK_DEPTH`]), so control states
+/// copy, compare and hash without touching the heap; only the live frames
+/// take part in `==` and `Hash`.
+#[derive(Clone, Copy)]
+pub struct Stack {
+    len: u8,
+    frames: [ComId; MAX_STACK_DEPTH],
+}
+
+impl Stack {
+    /// The empty stack: a terminated process.
+    pub fn new() -> Self {
+        Stack {
+            len: 0,
+            frames: [ComId::from_raw(0); MAX_STACK_DEPTH],
+        }
+    }
+
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether the process has terminated.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The frames, bottom first.
+    pub fn frames(&self) -> &[ComId] {
+        &self.frames[..self.len()]
+    }
+
+    /// Pushes a frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stack already holds [`MAX_STACK_DEPTH`] frames.
+    pub fn push(&mut self, com: ComId) {
+        assert!(
+            self.len() < MAX_STACK_DEPTH,
+            "control stack holds at most {MAX_STACK_DEPTH} frames"
+        );
+        self.frames[self.len()] = com;
+        self.len += 1;
+    }
+
+    /// Pops the top frame.
+    pub fn pop(&mut self) -> Option<ComId> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.frames[self.len()])
+    }
+}
+
+impl Default for Stack {
+    fn default() -> Self {
+        Stack::new()
+    }
+}
+
+/// The stack a process starts with: its program's entry command.
+impl From<ComId> for Stack {
+    fn from(entry: ComId) -> Self {
+        let mut stack = Stack::new();
+        stack.push(entry);
+        stack
+    }
+}
+
+impl PartialEq for Stack {
+    fn eq(&self, other: &Self) -> bool {
+        self.frames() == other.frames()
+    }
+}
+
+impl Eq for Stack {}
+
+impl Hash for Stack {
+    /// Feeds the depth and then the frames as 16-bit values in one write,
+    /// zero-padded to whole words (the depth makes the padding
+    /// unambiguous): hashers take one aligned run faster than many values.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut bytes = [0u8; (2 * (1 + MAX_STACK_DEPTH)).next_multiple_of(8)];
+        let values =
+            std::iter::once(u16::from(self.len)).chain(self.frames().iter().map(|c| c.raw()));
+        for (slot, value) in bytes.chunks_exact_mut(2).zip(values) {
+            slot.copy_from_slice(&value.to_le_bytes());
+        }
+        state.write(&bytes[..(2 * (1 + self.len())).next_multiple_of(8)]);
+    }
+}
+
+impl fmt::Debug for Stack {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.frames()).finish()
+    }
+}
 
 /// An enabled atomic step of a single process, before any system-level
 /// pairing. The embedded `stack` is the control state *after* the step.
-pub enum PendingStep<S, Req, Resp> {
+pub enum PendingStep<'p, S, Req, Resp> {
     /// A `τ` step: local computation.
     Tau {
         /// Label of the `LocalOp` taken.
@@ -39,7 +144,7 @@ pub enum PendingStep<S, Req, Resp> {
         stack: Stack,
         /// Applies the chosen α and the eventual response β to the sender's
         /// state.
-        recv: RecvFn<S, Req, Resp>,
+        recv: &'p RecvFn<S, Req, Resp>,
     },
     /// An offered `Response`.
     Recv {
@@ -48,12 +153,12 @@ pub enum PendingStep<S, Req, Resp> {
         /// Control state after the rendezvous.
         stack: Stack,
         /// The response relation, applied to the incoming α.
-        resp: RespFn<S, Req, Resp>,
+        resp: &'p RespFn<S, Req, Resp>,
     },
 }
 
-impl<S, Req: std::fmt::Debug, Resp> std::fmt::Debug for PendingStep<S, Req, Resp> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl<S, Req: fmt::Debug, Resp> fmt::Debug for PendingStep<'_, S, Req, Resp> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PendingStep::Tau { label, .. } => write!(f, "Tau({label})"),
             PendingStep::Send { label, req, .. } => write!(f, "Send({label}, {req:?})"),
@@ -75,16 +180,30 @@ const MAX_STRUCTURAL_DEPTH: usize = 10_000;
 ///
 /// Panics if structural unfolding exceeds an internal bound, which indicates
 /// a control loop containing no atomic command.
-pub fn enabled_steps<S, Req, Resp>(
-    program: &Program<S, Req, Resp>,
+pub fn enabled_steps<'p, S, Req, Resp>(
+    program: &'p Program<S, Req, Resp>,
     stack: &Stack,
     state: &S,
-) -> Vec<PendingStep<S, Req, Resp>>
-where
-    S: Clone,
-{
+) -> Vec<PendingStep<'p, S, Req, Resp>> {
     let mut out = Vec::new();
-    let mut work: Vec<Stack> = vec![stack.clone()];
+    for_each_enabled_step(program, stack, state, &mut Vec::new(), |step| {
+        out.push(step)
+    });
+    out
+}
+
+/// Hands each enabled atomic step of a process to `found`, in the order
+/// [`enabled_steps`] lists them. `work` is scratch space for the
+/// unfolding (left empty), so that a caller stepping many processes
+/// reuses one allocation.
+pub(crate) fn for_each_enabled_step<'p, S, Req, Resp>(
+    program: &'p Program<S, Req, Resp>,
+    stack: &Stack,
+    state: &S,
+    work: &mut Vec<Stack>,
+    mut found: impl FnMut(PendingStep<'p, S, Req, Resp>),
+) {
+    work.push(*stack);
     let mut expansions = 0usize;
     while let Some(mut stack) = work.pop() {
         expansions += 1;
@@ -96,32 +215,22 @@ where
             continue; // terminated process: no steps
         };
         match program.com(top) {
-            Com::LocalOp { label, op } => {
-                for s2 in op(state) {
-                    out.push(PendingStep::Tau {
-                        label,
-                        stack: stack.clone(),
-                        state: s2,
-                    });
-                }
-            }
-            Com::Request { label, act, recv } => {
-                for req in act(state) {
-                    out.push(PendingStep::Send {
-                        label,
-                        req,
-                        stack: stack.clone(),
-                        recv: recv.clone(),
-                    });
-                }
-            }
-            Com::Response { label, resp } => {
-                out.push(PendingStep::Recv {
+            Com::LocalOp { label, op } => op(state, &mut |state| {
+                found(PendingStep::Tau {
                     label,
                     stack,
-                    resp: resp.clone(),
-                });
-            }
+                    state,
+                })
+            }),
+            Com::Request { label, act, recv } => act(state, &mut |req| {
+                found(PendingStep::Send {
+                    label,
+                    req,
+                    stack,
+                    recv,
+                })
+            }),
+            Com::Response { label, resp } => found(PendingStep::Recv { label, stack, resp }),
             Com::Seq(a, b) => {
                 stack.push(*b);
                 stack.push(*a);
@@ -153,14 +262,13 @@ where
             }
             Com::Choose(branches) => {
                 for &branch in branches {
-                    let mut s = stack.clone();
+                    let mut s = stack;
                     s.push(branch);
                     work.push(s);
                 }
             }
         }
     }
-    out
 }
 
 /// The labels of the atomic commands that could execute next from `stack`
@@ -173,10 +281,7 @@ pub fn at_labels<S, Req, Resp>(
     program: &Program<S, Req, Resp>,
     stack: &Stack,
     state: &S,
-) -> Vec<Label>
-where
-    S: Clone,
-{
+) -> Vec<Label> {
     enabled_steps(program, stack, state)
         .iter()
         .map(|s| match s {
@@ -195,7 +300,46 @@ mod tests {
     type P = Program<u32, u32, u32>;
 
     fn initial(p: &P) -> Stack {
-        vec![p.entry()]
+        Stack::from(p.entry())
+    }
+
+    #[test]
+    fn popped_frames_leave_no_trace_in_equality_or_hash() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let hash = |s: &Stack| {
+            BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(s)
+        };
+        let ids = |n: u16| (0..n).map(ComId::from_raw);
+        let mut stack = Stack::new();
+        let mut fresh: Vec<Stack> = Vec::new();
+        // Grow to the full depth, remembering a freshly built stack of
+        // each depth, then shrink back and compare at every depth.
+        for com in ids(MAX_STACK_DEPTH as u16) {
+            fresh.push(stack);
+            stack.push(com);
+        }
+        while let Some(top) = stack.pop() {
+            let built = fresh.pop().expect("one per depth");
+            assert_eq!(usize::from(top.raw()), built.len());
+            assert_eq!(stack, built);
+            assert_eq!(hash(&stack), hash(&built));
+            assert!(stack.frames().iter().copied().eq(ids(built.len() as u16)));
+        }
+        // Depth is part of the identity even when every frame is command 0.
+        let (mut one, mut two) = (Stack::new(), Stack::new());
+        one.push(ComId::from_raw(0));
+        two.push(ComId::from_raw(0));
+        two.push(ComId::from_raw(0));
+        assert_ne!(one, two);
+        assert_ne!(hash(&one), hash(&two));
+        assert_ne!(hash(&one), hash(&Stack::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 24 frames")]
+    fn a_stack_deeper_than_its_bound_panics() {
+        let mut stack = Stack::new();
+        (0..=MAX_STACK_DEPTH as u16).for_each(|i| stack.push(ComId::from_raw(i)));
     }
 
     #[test]
@@ -303,7 +447,7 @@ mod tests {
                 panic!()
             };
             labels.push(*label);
-            stack = s2.clone();
+            stack = *s2;
             state = *st2;
         }
         assert_eq!(labels, vec!["inc", "inc", "inc", "done"]);
@@ -329,7 +473,7 @@ mod tests {
             else {
                 panic!()
             };
-            stack = s2.clone();
+            stack = *s2;
             state = *st2;
         }
         assert_eq!(state, 100);
@@ -351,20 +495,22 @@ mod tests {
     #[test]
     fn request_carries_computed_alpha() {
         let mut p = P::new();
-        let r = p.request("ask", |s| s * 2, |s, beta| vec![s + beta]);
+        let r = p.request("ask", |s| s * 2, |s, beta| s + beta);
         p.set_entry(r);
         let steps = enabled_steps(&p, &initial(&p), &21);
         let PendingStep::Send { req, recv, .. } = &steps[0] else {
             panic!()
         };
         assert_eq!(*req, 42);
-        assert_eq!(recv(&21, req, &1), vec![22]);
+        let mut got = Vec::new();
+        recv(&21, req, &1, &mut |s| got.push(s));
+        assert_eq!(got, vec![22]);
     }
 
     #[test]
     fn terminated_process_has_no_steps() {
         let p = P::new();
-        assert!(enabled_steps(&p, &Vec::new(), &0).is_empty());
+        assert!(enabled_steps(&p, &Stack::new(), &0).is_empty());
     }
 
     #[test]
@@ -376,6 +522,6 @@ mod tests {
         let inner = p.while_do(|_| false, crate::program::ComId::dummy_for_test());
         let outer = p.while_do(|_| true, inner);
         p.set_entry(outer);
-        let _ = enabled_steps(&p, &vec![p.entry()], &0);
+        let _ = enabled_steps(&p, &Stack::from(p.entry()), &0);
     }
 }

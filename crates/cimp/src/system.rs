@@ -13,10 +13,12 @@
 //! an enum over the per-role states) and one request/response vocabulary.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::program::{Label, Program};
-use crate::step::{at_labels, enabled_steps, PendingStep, Stack};
+use crate::step::{at_labels, for_each_enabled_step, PendingStep, Stack};
 
 /// Index of a process within a [`System`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -74,26 +76,119 @@ impl<Req: fmt::Debug, Resp: fmt::Debug> fmt::Display for Event<Req, Resp> {
     }
 }
 
-/// A global state: the control stack and local data state of every process.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SystemState<S> {
-    controls: Vec<Stack>,
-    locals: Vec<S>,
+/// Processes a [`System`] can compose.
+pub const MAX_PROCESSES: usize = 9;
+
+/// Where a system keeps the local states of its processes: an inline layout
+/// that hands out and takes back one process's state at a time.
+///
+/// The uniform layout is an array, `[S; MAX_PROCESSES]`, and is what
+/// [`System::new`] uses. A model whose processes differ widely in size — a
+/// large shared-memory process among small threads — pays the largest
+/// state once per slot that way, and can instead lay its roles out side by
+/// side and implement this trait for the layout
+/// ([`System::with_layout`]).
+pub trait Locals: Copy {
+    /// A process's local state, as its program sees it.
+    type Local: Copy;
+
+    /// The layout holding `locals`, one per process in index order.
+    fn new(locals: &[Self::Local]) -> Self;
+
+    /// The local state of process `p`.
+    fn get(&self, p: usize) -> Self::Local;
+
+    /// Replaces the local state of process `p`.
+    fn set(&mut self, p: usize, local: Self::Local);
 }
 
-impl<S> SystemState<S> {
+impl<S: Copy> Locals for [S; MAX_PROCESSES] {
+    type Local = S;
+
+    /// Slots past the last process are never read; they repeat it.
+    fn new(locals: &[S]) -> Self {
+        std::array::from_fn(|p| locals[p.min(locals.len() - 1)])
+    }
+
+    fn get(&self, p: usize) -> S {
+        self[p]
+    }
+
+    fn set(&mut self, p: usize, local: S) {
+        self[p] = local;
+    }
+}
+
+/// A global state: the control stack and local data state of every process.
+///
+/// Both live inline — control stacks one slot per process up to
+/// [`MAX_PROCESSES`], local states in the layout `L` — so that a state whose
+/// local states are plain data is plain data itself: cloning one is a
+/// `memcpy`, and a successor is a copy with the stepped processes' slots
+/// overwritten. `==` and `Hash` read the processes that exist and nothing
+/// else.
+#[derive(Debug, Clone, Copy)]
+pub struct SystemState<L> {
+    len: u8,
+    controls: [Stack; MAX_PROCESSES],
+    locals: L,
+}
+
+/// A global state in the uniform layout: what [`System::new`]'s systems
+/// step.
+pub type UniformState<S> = SystemState<[S; MAX_PROCESSES]>;
+
+impl<L: Locals> SystemState<L> {
+    /// Builds a state directly from parts (for decoding, tests and
+    /// invariant satisfiability witnesses).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one control stack per local state, at least
+    /// one and at most [`MAX_PROCESSES`] of them.
+    pub fn from_parts(controls: &[Stack], locals: &[L::Local]) -> Self {
+        assert_eq!(controls.len(), locals.len());
+        assert!(
+            (1..=MAX_PROCESSES).contains(&locals.len()),
+            "a system has 1 to {MAX_PROCESSES} processes"
+        );
+        SystemState {
+            len: locals.len() as u8,
+            // Slots past the last process are never read; they repeat it.
+            controls: std::array::from_fn(|p| controls[p.min(controls.len() - 1)]),
+            locals: L::new(locals),
+        }
+    }
+
+    /// Number of processes.
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether there are no processes (never true for a constructed state).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
     /// The local data state of process `p`.
     ///
     /// # Panics
     ///
     /// Panics if `p` is out of range.
-    pub fn local(&self, p: usize) -> &S {
-        &self.locals[p]
+    pub fn local(&self, p: usize) -> L::Local {
+        assert!(p < self.len(), "process {p} out of range");
+        self.locals.get(p)
     }
 
-    /// All local data states, indexed by process.
-    pub fn locals(&self) -> &[S] {
+    /// The local data states in their layout.
+    pub fn locals(&self) -> &L {
         &self.locals
+    }
+
+    /// Mutable access to the local data states in their layout (for
+    /// canonicalization, tests and invariant satisfiability witnesses).
+    pub fn locals_mut(&mut self) -> &mut L {
+        &mut self.locals
     }
 
     /// The control stack of process `p`.
@@ -102,19 +197,46 @@ impl<S> SystemState<S> {
     ///
     /// Panics if `p` is out of range.
     pub fn control(&self, p: usize) -> &Stack {
-        &self.controls[p]
+        &self.controls()[p]
+    }
+
+    /// All control stacks, indexed by process.
+    pub fn controls(&self) -> &[Stack] {
+        &self.controls[..self.len()]
     }
 
     /// Whether process `p` has terminated (empty control stack).
     pub fn terminated(&self, p: usize) -> bool {
-        self.controls[p].is_empty()
+        self.control(p).is_empty()
     }
 
-    /// Builds a state directly from parts (for tests and invariant
-    /// satisfiability witnesses).
-    pub fn from_parts(controls: Vec<Stack>, locals: Vec<S>) -> Self {
-        assert_eq!(controls.len(), locals.len());
-        SystemState { controls, locals }
+    /// Replaces process `p`'s control stack and local state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    pub fn set(&mut self, p: usize, control: Stack, local: L::Local) {
+        assert!(p < self.len(), "process {p} out of range");
+        self.controls[p] = control;
+        self.locals.set(p, local);
+    }
+}
+
+impl<L: Locals<Local: PartialEq>> PartialEq for SystemState<L> {
+    fn eq(&self, other: &Self) -> bool {
+        self.controls() == other.controls()
+            && (0..self.len()).all(|p| self.locals.get(p) == other.locals.get(p))
+    }
+}
+
+impl<L: Locals<Local: Eq>> Eq for SystemState<L> {}
+
+impl<L: Locals<Local: Hash>> Hash for SystemState<L> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for (p, control) in self.controls().iter().enumerate() {
+            control.hash(state);
+            self.locals.get(p).hash(state);
+        }
     }
 }
 
@@ -124,12 +246,14 @@ struct Process<S, Req, Resp> {
     initial: S,
 }
 
-/// A flat parallel composition of CIMP processes.
-pub struct System<S, Req, Resp> {
+/// A flat parallel composition of CIMP processes, whose states keep their
+/// local states in the layout `L`.
+pub struct System<S, Req, Resp, L = [S; MAX_PROCESSES]> {
     procs: Vec<Process<S, Req, Resp>>,
+    layout: PhantomData<fn() -> L>,
 }
 
-impl<S, Req, Resp> fmt::Debug for System<S, Req, Resp> {
+impl<S, Req, Resp, L> fmt::Debug for System<S, Req, Resp, L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
             .field(
@@ -140,19 +264,38 @@ impl<S, Req, Resp> fmt::Debug for System<S, Req, Resp> {
     }
 }
 
-impl<S, Req, Resp> System<S, Req, Resp>
-where
-    S: Clone,
-    Req: Clone,
-    Resp: Clone,
-{
-    /// Creates a system from `(name, program, initial local state)` triples.
+impl<S: Copy, Req: Clone, Resp: Clone> System<S, Req, Resp> {
+    /// Creates a system from `(name, program, initial local state)` triples,
+    /// with the uniform layout of local states.
     ///
     /// # Panics
     ///
-    /// Panics if `procs` is empty or any program lacks an entry point.
+    /// Panics if `procs` is empty or holds more than [`MAX_PROCESSES`], or
+    /// if any program lacks an entry point.
     pub fn new(procs: Vec<(&'static str, Program<S, Req, Resp>, S)>) -> Self {
-        assert!(!procs.is_empty(), "system of zero processes");
+        System::with_layout(procs)
+    }
+}
+
+impl<S, Req, Resp, L> System<S, Req, Resp, L>
+where
+    L: Locals<Local = S>,
+    S: Copy,
+    Req: Clone,
+    Resp: Clone,
+{
+    /// Creates a system from `(name, program, initial local state)` triples
+    /// whose states keep their local states in the layout `L`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `procs` is empty or holds more than [`MAX_PROCESSES`], or
+    /// if any program lacks an entry point.
+    pub fn with_layout(procs: Vec<(&'static str, Program<S, Req, Resp>, S)>) -> Self {
+        assert!(
+            (1..=MAX_PROCESSES).contains(&procs.len()),
+            "a system has 1 to {MAX_PROCESSES} processes"
+        );
         System {
             procs: procs
                 .into_iter()
@@ -165,6 +308,7 @@ where
                     }
                 })
                 .collect(),
+            layout: PhantomData,
         }
     }
 
@@ -194,26 +338,29 @@ where
     }
 
     /// The initial global state.
-    pub fn initial_state(&self) -> SystemState<S> {
-        SystemState {
-            controls: self.procs.iter().map(|p| vec![p.program.entry()]).collect(),
-            locals: self.procs.iter().map(|p| p.initial.clone()).collect(),
-        }
+    pub fn initial_state(&self) -> SystemState<L> {
+        let controls: Vec<Stack> = self
+            .procs
+            .iter()
+            .map(|p| p.program.entry().into())
+            .collect();
+        let locals: Vec<S> = self.procs.iter().map(|p| p.initial).collect();
+        SystemState::from_parts(&controls, &locals)
     }
 
     /// The executable `at p ℓ` predicate: the labels process `p` may execute
     /// next from `state`.
-    pub fn at(&self, state: &SystemState<S>, p: ProcId) -> Vec<Label> {
+    pub fn at(&self, state: &SystemState<L>, p: ProcId) -> Vec<Label> {
         at_labels(
             &self.procs[p.0].program,
-            &state.controls[p.0],
-            &state.locals[p.0],
+            state.control(p.0),
+            &state.local(p.0),
         )
     }
 
     /// All global successor states with the events that produce them — the
     /// `⇒` relation of Figure 8.
-    pub fn successors(&self, state: &SystemState<S>) -> Vec<(Event<Req, Resp>, SystemState<S>)> {
+    pub fn successors(&self, state: &SystemState<L>) -> Vec<(Event<Req, Resp>, SystemState<L>)> {
         let mut out = Vec::new();
         self.successors_into(state, &mut out);
         out
@@ -222,89 +369,74 @@ where
     /// Like [`System::successors`], but appends into a caller-provided
     /// buffer instead of allocating a fresh `Vec` — the hot path for the
     /// model checker's per-worker scratch buffers.
+    ///
+    /// Each successor is one copy of `state` with the slots of the stepped
+    /// process(es) overwritten. τ successors are appended while the
+    /// processes' enabled steps are enumerated; the offered requests and
+    /// responses are kept aside and paired afterwards.
     pub fn successors_into(
         &self,
-        state: &SystemState<S>,
-        out: &mut Vec<(Event<Req, Resp>, SystemState<S>)>,
+        state: &SystemState<L>,
+        out: &mut Vec<(Event<Req, Resp>, SystemState<L>)>,
     ) {
-        // Per-process enabled steps, computed once.
-        let steps: Vec<Vec<PendingStep<S, Req, Resp>>> = self
-            .procs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| enabled_steps(&p.program, &state.controls[i], &state.locals[i]))
-            .collect();
+        let mut push = |event, stepped: &[(usize, Stack, S)]| {
+            out.push((event, *state));
+            let next = &mut out.last_mut().expect("just pushed").1;
+            for &(p, control, local) in stepped {
+                next.set(p, control, local);
+            }
+        };
+        // Each process's local state, taken out of the layout once (the
+        // slots past the last process repeat the first and are never read).
+        let locals: [S; MAX_PROCESSES] =
+            std::array::from_fn(|p| state.locals.get(if p < state.len() { p } else { 0 }));
 
-        // Interleaved τ steps.
-        for (i, proc_steps) in steps.iter().enumerate() {
-            for s in proc_steps {
-                if let PendingStep::Tau {
+        // Interleaved τ steps, and each process's offers.
+        let mut sends = Vec::with_capacity(16);
+        let mut recvs = Vec::with_capacity(16);
+        let mut work = Vec::with_capacity(16);
+        for (i, p) in self.procs.iter().enumerate() {
+            let (control, local) = (state.control(i), &locals[i]);
+            for_each_enabled_step(&p.program, control, local, &mut work, |step| match step {
+                PendingStep::Tau {
                     label,
                     stack,
                     state: local,
-                } = s
-                {
-                    let mut next = state.clone();
-                    next.controls[i] = stack.clone();
-                    next.locals[i] = local.clone();
-                    out.push((
-                        Event::Tau {
-                            proc: ProcId(i),
-                            label,
-                        },
-                        next,
-                    ));
+                } => {
+                    let proc = ProcId(i);
+                    push(Event::Tau { proc, label }, &[(i, stack, local)]);
                 }
-            }
+                PendingStep::Send {
+                    label,
+                    req,
+                    stack,
+                    recv,
+                } => sends.push((i, label, req, stack, recv)),
+                PendingStep::Recv { label, stack, resp } => recvs.push((i, label, stack, resp)),
+            });
         }
 
         // Rendezvous: sender i, receiver j, i ≠ j.
-        for (i, sender_steps) in steps.iter().enumerate() {
-            for send in sender_steps {
-                let PendingStep::Send {
-                    label: send_label,
-                    req,
-                    stack: send_stack,
-                    recv,
-                } = send
-                else {
+        for (i, send_label, req, send_stack, recv) in &sends {
+            for (j, recv_label, recv_stack, resp) in &recvs {
+                if i == j {
                     continue;
-                };
-                for (j, recv_steps) in steps.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    for rc in recv_steps {
-                        let PendingStep::Recv {
-                            label: recv_label,
-                            stack: recv_stack,
-                            resp,
-                        } = rc
-                        else {
-                            continue;
-                        };
-                        for (recv_local, beta) in resp(req, &state.locals[j]) {
-                            for send_local in recv(&state.locals[i], req, &beta) {
-                                let mut next = state.clone();
-                                next.controls[i] = send_stack.clone();
-                                next.locals[i] = send_local.clone();
-                                next.controls[j] = recv_stack.clone();
-                                next.locals[j] = recv_local.clone();
-                                out.push((
-                                    Event::Comm {
-                                        sender: ProcId(i),
-                                        receiver: ProcId(j),
-                                        send_label,
-                                        recv_label,
-                                        req: req.clone(),
-                                        resp: beta.clone(),
-                                    },
-                                    next,
-                                ));
-                            }
-                        }
-                    }
                 }
+                resp(req, &locals[*j], &mut |recv_local, beta| {
+                    recv(&locals[*i], req, &beta, &mut |send_local| {
+                        let event = Event::Comm {
+                            sender: ProcId(*i),
+                            receiver: ProcId(*j),
+                            send_label,
+                            recv_label,
+                            req: req.clone(),
+                            resp: beta.clone(),
+                        };
+                        let stepped =
+                            [(*i, *send_stack, send_local), (*j, *recv_stack, recv_local)];
+                        push(event, &stepped);
+                    });
+                });
             }
         }
     }
@@ -331,17 +463,17 @@ mod tests {
         assert_eq!(succs.len(), 2);
         // One step leaves the other process untouched.
         let (_, s0) = &succs[0];
-        assert_eq!(s0.locals(), &[1, 0]);
+        assert_eq!(s0.locals()[..2], [1, 0]);
     }
 
     #[test]
     fn rendezvous_updates_both_parties() {
         let mut client = P::new();
-        let ask = client.request("ask", |s| *s, |s, beta| vec![s + beta]);
+        let ask = client.request("ask", |s| *s, |s, beta| s + beta);
         client.set_entry(ask);
 
         let mut server = P::new();
-        let ans = server.response("answer", |alpha, s| vec![(s + 1, alpha * 2)]);
+        let ans = server.response("answer", |alpha, s| Some((s + 1, alpha * 2)));
         server.set_entry(ans);
 
         let sys = System::new(vec![("client", client, 10), ("server", server, 100)]);
@@ -363,7 +495,7 @@ mod tests {
             }
             other => panic!("expected Comm, got {other:?}"),
         }
-        assert_eq!(next.locals(), &[30, 101]);
+        assert_eq!(next.locals()[..2], [30, 101]);
         // Both processes have terminated.
         assert!(next.terminated(0));
         assert!(next.terminated(1));
@@ -374,7 +506,7 @@ mod tests {
         // A single process offering both a Request and (next) a Response
         // cannot synchronise with itself.
         let mut p = P::new();
-        let ask = p.request("ask", |s| *s, |s, _| vec![*s]);
+        let ask = p.request("ask", |s| *s, |s, _| *s);
         p.set_entry(ask);
         let sys = System::new(vec![("lonely", p, 0)]);
         assert!(sys.successors(&sys.initial_state()).is_empty());
@@ -385,16 +517,19 @@ mod tests {
         // The server only answers even requests: odd client blocks forever.
         let build = |init: u32| {
             let mut client = P::new();
-            let ask = client.request("ask", |s| *s, |s, _| vec![*s]);
+            let ask = client.request("ask", |s| *s, |s, _| *s);
             client.set_entry(ask);
             let mut server = P::new();
-            let ans = server.response("answer", |alpha, s| {
-                if alpha % 2 == 0 {
-                    vec![(*s, 0)]
-                } else {
-                    vec![]
-                }
-            });
+            let ans = server.response(
+                "answer",
+                |alpha, s| {
+                    if alpha % 2 == 0 {
+                        Some((*s, 0))
+                    } else {
+                        None
+                    }
+                },
+            );
             server.set_entry(ans);
             System::new(vec![("client", client, init), ("server", server, 0)])
         };
@@ -405,15 +540,15 @@ mod tests {
     #[test]
     fn nondeterministic_response_fans_out() {
         let mut client = P::new();
-        let ask = client.request("ask", |s| *s, |_, beta| vec![*beta]);
+        let ask = client.request("ask", |s| *s, |_, beta| *beta);
         client.set_entry(ask);
         let mut server = P::new();
-        let ans = server.response("answer", |_, s| vec![(*s, 7), (*s, 8)]);
+        let ans = server.response_nd("answer", |_, s| vec![(*s, 7), (*s, 8)]);
         server.set_entry(ans);
         let sys = System::new(vec![("client", client, 0), ("server", server, 0)]);
         let succs = sys.successors(&sys.initial_state());
         assert_eq!(succs.len(), 2);
-        let mut finals: Vec<u32> = succs.iter().map(|(_, s)| *s.local(0)).collect();
+        let mut finals: Vec<u32> = succs.iter().map(|(_, s)| s.local(0)).collect();
         finals.sort_unstable();
         assert_eq!(finals, vec![7, 8]);
     }

@@ -5,7 +5,7 @@
 //! objects with mark flags and reference fields, a partial-map heap in the
 //! time-honored manner of the paper's §3.1, path reachability, Dijkstra's
 //! tricolor abstraction with the paper's refined color interpretation
-//! (§3.2), and disjoint work-lists.
+//! (§3.2), word-sized reference sets and disjoint work-lists.
 //!
 //! Everything here is deliberately small, canonical and hashable: heaps are
 //! embedded wholesale into model-checker states.
@@ -31,9 +31,11 @@
 mod color;
 mod heap;
 mod refs;
+mod refset;
 mod worklist;
 
 pub use color::{Color, Tricolor};
 pub use heap::{AbstractHeap, Object};
 pub use refs::{Field, MutId, Ref};
+pub use refset::RefSet;
 pub use worklist::{disjoint, WorkList};

@@ -8,19 +8,18 @@
 //! Disjointness is what justifies Schism's intrusive representation, where
 //! each object header holds a single next-pointer.
 
-use std::collections::BTreeSet;
+use std::fmt;
 
 use crate::refs::Ref;
+use crate::refset::{self, RefSet};
 
 /// A work-list of grey references.
 ///
-/// Represented as an ordered set: insertion order is irrelevant to the
-/// model (the collector picks an arbitrary element), and a canonical order
-/// keeps model states hashable.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct WorkList {
-    refs: BTreeSet<Ref>,
-}
+/// Represented as a set: insertion order is irrelevant to the model (the
+/// collector picks an arbitrary element), and a [`RefSet`] is canonical and
+/// `Copy`, which keeps the model states that embed work-lists flat.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct WorkList(RefSet);
 
 impl WorkList {
     /// Creates an empty work-list.
@@ -30,90 +29,97 @@ impl WorkList {
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.refs.is_empty()
+        self.0.is_empty()
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.refs.len()
+        self.0.len()
     }
 
     /// Whether `r` is on the list.
     pub fn contains(&self, r: Ref) -> bool {
-        self.refs.contains(&r)
+        self.0.contains(r)
     }
 
     /// Inserts `r`; returns `false` if it was already present (which the
     /// disjointness discipline should make impossible across lists, and the
     /// CAS-winner rule within one list).
     pub fn insert(&mut self, r: Ref) -> bool {
-        self.refs.insert(r)
+        self.0.insert(r)
     }
 
     /// Removes `r`; returns whether it was present.
     pub fn remove(&mut self, r: Ref) -> bool {
-        self.refs.remove(&r)
+        self.0.remove(r)
     }
 
     /// Removes and returns an arbitrary element (the lowest, for canonical
     /// exploration; the model separately enumerates all choices when that
     /// matters).
     pub fn pop(&mut self) -> Option<Ref> {
-        let r = self.refs.iter().next().copied()?;
-        self.refs.remove(&r);
-        Some(r)
+        self.0.pop_first()
     }
 
     /// Moves every entry of `other` into `self`, leaving `other` empty —
     /// the atomic `W ← W ∪ W_m; W_m ← ∅` transfer of Figure 2.
     pub fn absorb(&mut self, other: &mut WorkList) {
-        self.refs.append(&mut other.refs);
+        self.0 = self.0.union(std::mem::take(&mut other.0));
     }
 
     /// Iterates over the entries in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = Ref> + '_ {
-        self.refs.iter().copied()
+    pub fn iter(&self) -> refset::Iter {
+        self.0.iter()
     }
 
-    /// The underlying set.
-    pub fn as_set(&self) -> &BTreeSet<Ref> {
-        &self.refs
+    /// The entries as a set.
+    pub fn as_set(&self) -> RefSet {
+        self.0
+    }
+}
+
+impl fmt::Debug for WorkList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WorkList").field("refs", &self.0).finish()
+    }
+}
+
+impl From<RefSet> for WorkList {
+    fn from(refs: RefSet) -> Self {
+        WorkList(refs)
     }
 }
 
 impl FromIterator<Ref> for WorkList {
     fn from_iter<T: IntoIterator<Item = Ref>>(iter: T) -> Self {
-        WorkList {
-            refs: iter.into_iter().collect(),
-        }
+        WorkList(iter.into_iter().collect())
     }
 }
 
 impl Extend<Ref> for WorkList {
     fn extend<T: IntoIterator<Item = Ref>>(&mut self, iter: T) {
-        self.refs.extend(iter);
+        self.0.extend(iter);
     }
 }
 
-impl<'a> IntoIterator for &'a WorkList {
+impl IntoIterator for &WorkList {
     type Item = Ref;
-    type IntoIter = std::iter::Copied<std::collections::btree_set::Iter<'a, Ref>>;
+    type IntoIter = refset::Iter;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.refs.iter().copied()
+        self.0.iter()
     }
 }
 
 /// Whether the given work-lists are pairwise disjoint (part of the paper's
 /// `valid_W_inv`).
 pub fn disjoint<'a>(lists: impl IntoIterator<Item = &'a WorkList>) -> bool {
-    let mut seen: BTreeSet<Ref> = BTreeSet::new();
+    let mut seen = RefSet::new();
     for list in lists {
-        for r in list {
-            if !seen.insert(r) {
-                return false;
-            }
+        if !seen.is_disjoint(list.0) {
+            return false;
         }
+        seen = seen.union(list.0);
     }
     true
 }

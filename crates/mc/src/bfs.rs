@@ -46,18 +46,26 @@
 //! deterministic order) and read back block-by-block by the workers of the
 //! next level, each through its own file handle. Ids within a level are
 //! consecutive, so the file stores only states.
+//!
+//! # State size
+//!
+//! A state may be a few words or a few kilobytes of inline data. Between its
+//! discovery and its expansion a state lives in one `Box`: the pending
+//! tables, the drain's sort and the in-memory frontier move the pointer, so
+//! a level in flight costs each of its states once, whatever their size.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::hash::{BuildHasher, Hash};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::Path;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::config::{CheckerConfig, Reduction};
-use crate::hash::FxBuild;
+use crate::hash::{Fingerprint, FxBuild};
 use crate::outcome::{Bound, Outcome, Stats, Trace};
 use crate::property::{first_violation, Property};
 use crate::telemetry::Telemetry;
@@ -121,11 +129,20 @@ impl<TS: TransitionSystem> Mode<TS> for Exact {
     }
 }
 
-/// Hash-compact dedup: the seen-set stores 128-bit fingerprints drawn from
-/// two independently-seeded hashers.
+/// Hash-compact dedup: the seen-set stores 128-bit fingerprints, two
+/// independently keyed lanes filled by one pass over the state.
 struct Compact {
-    h1: std::collections::hash_map::RandomState,
-    h2: std::collections::hash_map::RandomState,
+    keys: [u64; 2],
+}
+
+impl Compact {
+    /// Lane keys drawn from the process's hash randomness.
+    fn new() -> Self {
+        let random = || std::collections::hash_map::RandomState::new().hash_one(0u8);
+        Compact {
+            keys: [random(), random()],
+        }
+    }
 }
 
 impl<TS: TransitionSystem> Mode<TS> for Compact {
@@ -133,7 +150,9 @@ impl<TS: TransitionSystem> Mode<TS> for Compact {
     type Probe = u128;
 
     fn probe(&self, s: &TS::State) -> u128 {
-        (u128::from(self.h1.hash_one(s)) << 64) | u128::from(self.h2.hash_one(s))
+        let mut fingerprint = Fingerprint::keyed(self.keys);
+        s.hash(&mut fingerprint);
+        fingerprint.finish128()
     }
 
     fn route(p: u128) -> u64 {
@@ -165,7 +184,7 @@ struct Pending<TS: TransitionSystem> {
     order: u64,
     parent: u32,
     action: TS::Action,
-    state: TS::State,
+    state: Box<TS::State>,
 }
 
 struct Shard<K, TS: TransitionSystem> {
@@ -201,13 +220,37 @@ fn pack(pos: usize, ord: usize) -> u64 {
     ((pos as u64) << 32) | ord as u64
 }
 
+/// Parent links for trace reconstruction, indexed by state id: one per
+/// visited state, for the whole run. Kept in equal blocks rather than one
+/// growing vector, so that growth never copies the links (briefly holding
+/// them twice) nor strands the outgrown buffer in the allocator — which is
+/// what peak memory is made of once states themselves are small.
+struct Links<A> {
+    blocks: Vec<Vec<Option<(u32, A)>>>,
+}
+
+impl<A> Links<A> {
+    const BLOCK: usize = 1 << 12;
+
+    fn push(&mut self, link: Option<(u32, A)>) {
+        if self.blocks.last().is_none_or(|b| b.len() == Self::BLOCK) {
+            self.blocks.push(Vec::with_capacity(Self::BLOCK));
+        }
+        self.blocks.last_mut().expect("just ensured").push(link);
+    }
+
+    fn get(&self, id: u32) -> &Option<(u32, A)> {
+        &self.blocks[id as usize / Self::BLOCK][id as usize % Self::BLOCK]
+    }
+}
+
 fn rebuild_trace<TS: TransitionSystem>(
-    parents: &[Option<(u32, TS::Action)>],
+    parents: &Links<TS::Action>,
     mut at: u32,
     state: TS::State,
 ) -> Trace<TS> {
     let mut actions = Vec::new();
-    while let Some((p, a)) = &parents[at as usize] {
+    while let Some((p, a)) = parents.get(at) {
         actions.push(a.clone());
         at = *p;
     }
@@ -221,7 +264,7 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 /// One BFS level. Ids within a level are consecutive, so a spilled level
 /// stores only encoded states and reconstructs ids from its base.
 enum Frontier<TS: TransitionSystem> {
-    Mem(Vec<(u32, TS::State)>),
+    Mem(Vec<(u32, Box<TS::State>)>),
     Disk(DiskLevel),
 }
 
@@ -241,11 +284,11 @@ impl<TS: TransitionSystem> Frontier<TS> {
     /// reconstruction (deadlocks), never on the hot path.
     fn fetch(&self, ts: &TS, pos: usize) -> (u32, TS::State) {
         match self {
-            Frontier::Mem(v) => v[pos].clone(),
+            Frontier::Mem(v) => (v[pos].0, (*v[pos].1).clone()),
             Frontier::Disk(d) => {
                 let mut buf = Vec::new();
                 let block = pos / BLOCK * BLOCK;
-                d.read_block(ts, block, pos + 1, &mut buf);
+                d.reader().read_block(ts, d, block, pos + 1, &mut buf);
                 (d.first_id + pos as u32, buf.pop().expect("spilled entry"))
             }
         }
@@ -264,32 +307,60 @@ struct DiskLevel {
 }
 
 impl DiskLevel {
-    /// Decodes entries `[start, end)` into `out`; `start` must be
-    /// block-aligned (it is the offset granularity). Returns the bytes
+    /// A handle of its own on the level's file: one per worker per level.
+    fn reader(&self) -> DiskReader {
+        DiskReader::open(&self.path)
+    }
+}
+
+/// One worker's handle on a spilled level: the open file behind a buffer,
+/// and the scratch an encoded state is read into, both kept across blocks.
+struct DiskReader {
+    file: BufReader<File>,
+    bytes: Vec<u8>,
+}
+
+impl DiskReader {
+    fn open(path: &Path) -> DiskReader {
+        DiskReader {
+            file: BufReader::new(File::open(path).expect("open spill file")),
+            bytes: Vec::new(),
+        }
+    }
+
+    /// Decodes entries `[start, end)` of `level` into `out`; `start` must
+    /// be block-aligned (it is the offset granularity). Returns the bytes
     /// read back from disk (for the spill-read telemetry counter).
     fn read_block<TS: TransitionSystem>(
-        &self,
+        &mut self,
         ts: &TS,
+        level: &DiskLevel,
         start: usize,
         end: usize,
         out: &mut Vec<TS::State>,
     ) -> u64 {
         debug_assert_eq!(start % BLOCK, 0);
-        let file = File::open(&self.path).expect("open spill file");
-        let mut reader = BufReader::new(file);
-        reader
-            .seek(SeekFrom::Start(self.block_offsets[start / BLOCK]))
-            .expect("seek spill file");
+        // A worker mostly claims consecutive blocks: seek (and drop what is
+        // buffered) only when the next one is elsewhere.
+        let offset = level.block_offsets[start / BLOCK];
+        if self.file.stream_position().expect("spill file position") != offset {
+            self.file
+                .seek(SeekFrom::Start(offset))
+                .expect("seek spill file");
+        }
         let mut len_buf = [0u8; 4];
-        let mut bytes = Vec::new();
         let mut read = 0u64;
         for _ in start..end {
-            reader.read_exact(&mut len_buf).expect("read spill length");
+            self.file
+                .read_exact(&mut len_buf)
+                .expect("read spill length");
             let n = u32::from_le_bytes(len_buf) as usize;
-            bytes.resize(n, 0);
-            reader.read_exact(&mut bytes).expect("read spill state");
+            self.bytes.resize(n, 0);
+            self.file
+                .read_exact(&mut self.bytes)
+                .expect("read spill state");
             read += 4 + n as u64;
-            out.push(ts.decode_state(&bytes).expect("decode spilled state"));
+            out.push(ts.decode_state(&self.bytes).expect("decode spilled state"));
         }
         read
     }
@@ -384,11 +455,7 @@ where
     TS: TransitionSystem,
 {
     if config.hash_compact {
-        let mode = Compact {
-            h1: std::collections::hash_map::RandomState::new(),
-            h2: std::collections::hash_map::RandomState::new(),
-        };
-        level_bfs(config, properties, ts, threads, &mode)
+        level_bfs(config, properties, ts, threads, &Compact::new())
     } else {
         level_bfs(config, properties, ts, threads, &Exact)
     }
@@ -556,7 +623,7 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
                             order,
                             parent: parent_id,
                             action,
-                            state: succ,
+                            state: Box::new(succ),
                         },
                     );
                     true
@@ -590,6 +657,10 @@ where
     let mut out = WorkerOut::default();
     let mut scratch: Vec<(TS::Action, TS::State)> = Vec::new();
     let mut disk_buf: Vec<TS::State> = Vec::new();
+    let mut disk = match frontier {
+        Frontier::Mem(_) => None,
+        Frontier::Disk(d) => Some(d.reader()),
+    };
     'grab: loop {
         let start = cursor.fetch_add(BLOCK, Ordering::Relaxed);
         if start >= frontier.len() {
@@ -606,7 +677,8 @@ where
             }
             Frontier::Disk(d) => {
                 disk_buf.clear();
-                let read = d.read_block(ctx.ts, start, end, &mut disk_buf);
+                let reader = disk.as_mut().expect("opened for a spilled level");
+                let read = reader.read_block(ctx.ts, d, start, end, &mut disk_buf);
                 ctx.telemetry.spill_read(read);
                 for (i, state) in disk_buf.iter().enumerate() {
                     let pos = start + i;
@@ -639,13 +711,12 @@ where
 
     let mut shards: Vec<Mutex<Shard<M::Key, TS>>> =
         (0..NSHARDS).map(|_| Mutex::new(Shard::default())).collect();
-    // Parent links for trace reconstruction, indexed by state id.
-    let mut parents: Vec<Option<(u32, TS::Action)>> = Vec::new();
+    let mut parents: Links<TS::Action> = Links { blocks: Vec::new() };
     let mut states_count: usize = 0;
     let mut transitions: usize = 0;
 
     // Seed level 0 with the deduplicated (canonical) initial states.
-    let mut seed: Vec<(u32, TS::State)> = Vec::new();
+    let mut seed: Vec<(u32, Box<TS::State>)> = Vec::new();
     for init in ts.initial_states() {
         let init = if canon {
             ts.canonicalize(&init, &config.reduction)
@@ -663,15 +734,20 @@ where
         let id = states_count as u32;
         parents.push(None);
         states_count += 1;
-        seed.push((id, init));
+        seed.push((id, Box::new(init)));
     }
+    // Levels can only spill if the system has a codec; ask once.
+    let can_spill = config.spill_threshold.is_some()
+        && seed
+            .first()
+            .is_some_and(|(_, init)| ts.encode_state(init, &mut Vec::new()));
 
     // Check properties on initial states.
     for (id, state) in &seed {
         if let Some(property) = first_violation(properties, state) {
             return Outcome::Violated {
                 property,
-                trace: rebuild_trace(&parents, *id, state.clone()),
+                trace: rebuild_trace(&parents, *id, (**state).clone()),
                 stats: Stats {
                     states: states_count,
                     transitions,
@@ -772,15 +848,10 @@ where
         }
         entries.sort_unstable_by_key(|(_, _, p)| p.order);
 
-        // Spill the next level when it exceeds the threshold and the
-        // system has a codec (probed on the first entry; systems without
-        // one keep frontiers in memory).
-        let spill = config.spill_threshold.is_some_and(|t| entries.len() > t)
-            && entries.first().is_some_and(|(_, _, p)| {
-                let mut probe_bytes = Vec::new();
-                ts.encode_state(&p.state, &mut probe_bytes)
-            });
-        let mut next_mem: Vec<(u32, TS::State)> = Vec::new();
+        // Spill the next level when it exceeds the threshold (systems
+        // without a codec keep frontiers in memory).
+        let spill = can_spill && config.spill_threshold.is_some_and(|t| entries.len() > t);
+        let mut next_mem: Vec<(u32, Box<TS::State>)> = Vec::new();
         let mut next_disk: Option<DiskWriter> = if spill {
             Some(DiskWriter::create().expect("create spill file"))
         } else {
@@ -820,7 +891,7 @@ where
             if let Some(&property) = viol_map.get(&key) {
                 return Outcome::Violated {
                     property,
-                    trace: rebuild_trace(&parents, id, pending.state),
+                    trace: rebuild_trace(&parents, id, *pending.state),
                     stats: Stats {
                         states: states_count,
                         transitions,

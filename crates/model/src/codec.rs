@@ -1,529 +1,180 @@
-//! A compact, deterministic byte codec for [`ModelState`].
+//! A byte view of a [`ModelState`], for spilling BFS frontier levels to disk
+//! ([`mc::CheckerConfig::spill_threshold`]).
 //!
-//! The checker uses this for two things: spilling oversized BFS frontier
-//! levels to disk ([`mc::CheckerConfig::spill_threshold`]) and comparing
-//! symmetry-orbit candidates by their canonical byte form (the orbit
-//! representative is the lexicographically smallest encoding, so no `Ord`
-//! instances are needed across crates).
-//!
-//! The format is hand-rolled little-endian bytes — the workspace is
-//! dependency-free, so there is no serde. Determinism comes for free from
-//! the model's ordered containers (`BTreeMap`/`BTreeSet`): equal states
-//! always encode to equal bytes. The encoding is versioned only by the
-//! code itself; spill files never outlive the process that wrote them.
+//! The state is already a handful of words and byte tables (see
+//! [`state`](crate::state)), so there is nothing to derive: per process the
+//! control stack's frames, then the local state's words with their leading
+//! zero bytes dropped, then — for the system process — the TSO machine's own
+//! encoding. Equal states give equal bytes; spill files never outlive the
+//! process that wrote them, so the layout is versioned only by this code.
 
-use std::collections::{BTreeMap, BTreeSet};
+use cimp::{ComId, Stack, SystemState, MAX_PROCESSES};
+use tso_model::Machine;
 
-use cimp::{ComId, Stack, SystemState};
-use gc_types::{Ref, WorkList};
-use tso_model::{Machine, MemoryModel, StoreBuffer, ThreadId};
-
-use crate::state::{GcState, Local, MarkScratch, MutState, SysState};
-use crate::vocab::{Addr, HsPhase, HsType, Phase, Val};
+use crate::state::{GcState, Local, MutState, SysState};
 use crate::ModelState;
 
 /// Serializes `state` into `out` (appending).
 pub fn encode(state: &ModelState, out: &mut Vec<u8>) {
-    let n = state.locals().len();
-    out.push(u8::try_from(n).expect("≤ 255 processes"));
-    for p in 0..n {
-        let stack = state.control(p);
-        put_u16(out, stack.len());
-        for com in stack {
+    out.push(state.len() as u8);
+    for (p, control) in state.controls().iter().enumerate() {
+        out.push(control.len() as u8);
+        for com in control.frames() {
             out.extend_from_slice(&com.raw().to_le_bytes());
         }
+        match state.local(p) {
+            Local::Gc(g) => put_words(out, 0, &g.words()),
+            Local::Mut(m) => put_words(out, 1, &m.words()),
+            Local::Sys(s) => {
+                put_words(out, 2, &s.words());
+                s.mem.encode(out);
+            }
+        }
     }
-    for local in state.locals() {
-        encode_local(local, out);
+}
+
+/// A role tag, then each word as its count of significant bytes and those
+/// bytes: reference sets over a handful of slots are one byte, not eight.
+fn put_words(out: &mut Vec<u8>, role: u8, words: &[u64]) {
+    out.push(role);
+    for word in words {
+        let significant = (u64::BITS - word.leading_zeros()).div_ceil(8) as usize;
+        out.push(significant as u8);
+        out.extend_from_slice(&word.to_le_bytes()[..significant]);
     }
 }
 
 /// Deserializes a state produced by [`encode`]. Returns `None` on any
 /// malformed input.
 pub fn decode(bytes: &[u8]) -> Option<ModelState> {
-    let mut d = Dec { bytes, at: 0 };
-    let n = d.u8()? as usize;
-    let mut controls: Vec<Stack> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = d.u16()? as usize;
-        let mut stack = Vec::with_capacity(len);
-        for _ in 0..len {
-            stack.push(ComId::from_raw(d.u32()?));
-        }
-        controls.push(stack);
+    let mut d = Dec(bytes);
+    let n = usize::from(d.u8()?);
+    if !(1..=MAX_PROCESSES).contains(&n) {
+        return None;
     }
+    let mut controls = [Stack::new(); MAX_PROCESSES];
     let mut locals = Vec::with_capacity(n);
-    for _ in 0..n {
-        locals.push(decode_local(&mut d)?);
-    }
-    if d.at != d.bytes.len() {
-        return None; // trailing garbage
-    }
-    Some(SystemState::from_parts(controls, locals))
-}
-
-// --- primitive writers ---------------------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&u16::try_from(v).expect("length fits u16").to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&u32::try_from(v).expect("length fits u32").to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    out.push(u8::from(b));
-}
-
-fn put_opt_bool(out: &mut Vec<u8>, b: Option<bool>) {
-    out.push(match b {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    });
-}
-
-fn put_ref(out: &mut Vec<u8>, r: Ref) {
-    out.push(u8::try_from(r.index()).expect("Ref is a u8 index"));
-}
-
-fn put_opt_ref(out: &mut Vec<u8>, r: Option<Ref>) {
-    match r {
-        None => out.push(0),
-        Some(r) => {
-            out.push(1);
-            put_ref(out, r);
+    for control in &mut controls[..n] {
+        let depth = usize::from(d.u8()?);
+        if depth > cimp::MAX_STACK_DEPTH {
+            return None;
         }
-    }
-}
-
-fn put_ref_set(out: &mut Vec<u8>, set: &BTreeSet<Ref>) {
-    put_u16(out, set.len());
-    for &r in set {
-        put_ref(out, r);
-    }
-}
-
-fn put_worklist(out: &mut Vec<u8>, wl: &WorkList) {
-    put_ref_set(out, wl.as_set());
-}
-
-fn put_phase(out: &mut Vec<u8>, p: Phase) {
-    out.push(match p {
-        Phase::Idle => 0,
-        Phase::Init => 1,
-        Phase::Mark => 2,
-        Phase::Sweep => 3,
-    });
-}
-
-fn put_hs_type(out: &mut Vec<u8>, h: HsType) {
-    out.push(match h {
-        HsType::Noop => 0,
-        HsType::GetRoots => 1,
-        HsType::GetWork => 2,
-    });
-}
-
-fn put_hs_phase(out: &mut Vec<u8>, h: HsPhase) {
-    out.push(match h {
-        HsPhase::Idle => 0,
-        HsPhase::IdleInit => 1,
-        HsPhase::InitMark => 2,
-        HsPhase::IdleMarkSweep => 3,
-    });
-}
-
-fn put_mark(out: &mut Vec<u8>, m: &MarkScratch) {
-    put_opt_ref(out, m.target);
-    put_bool(out, m.fm);
-    put_bool(out, m.expected);
-    put_opt_bool(out, m.flag);
-    put_bool(out, m.phase_ok);
-    put_bool(out, m.winner);
-}
-
-fn put_addr(out: &mut Vec<u8>, a: &Addr) {
-    match a {
-        Addr::FA => out.push(0),
-        Addr::FM => out.push(1),
-        Addr::Phase => out.push(2),
-        Addr::Flag(r) => {
-            out.push(3);
-            put_ref(out, *r);
+        for _ in 0..depth {
+            control.push(ComId::from_raw(u16::from_le_bytes(d.take()?)));
         }
-        Addr::Field(r, f) => {
-            out.push(4);
-            put_ref(out, *r);
-            out.push(*f);
-        }
-    }
-}
-
-fn put_val(out: &mut Vec<u8>, v: &Val) {
-    match v {
-        Val::Bool(b) => {
-            out.push(0);
-            put_bool(out, *b);
-        }
-        Val::Phase(p) => {
-            out.push(1);
-            put_phase(out, *p);
-        }
-        Val::Ref(r) => {
-            out.push(2);
-            put_opt_ref(out, *r);
-        }
-    }
-}
-
-fn put_machine(out: &mut Vec<u8>, m: &Machine<Addr, Val>) {
-    out.push(match m.model() {
-        MemoryModel::Tso => 0,
-        MemoryModel::Sc => 1,
-    });
-    out.push(u8::try_from(m.threads()).expect("≤ 255 threads"));
-    put_u32(out, m.memory_iter().count());
-    for (a, v) in m.memory_iter() {
-        put_addr(out, a);
-        put_val(out, v);
-    }
-    for t in 0..m.threads() {
-        let buf = m.buffer(ThreadId::new(t));
-        put_u16(out, buf.len());
-        for (a, v) in buf.iter() {
-            put_addr(out, a);
-            put_val(out, v);
-        }
-    }
-    match m.lock_holder() {
-        None => out.push(0),
-        Some(t) => {
-            out.push(1);
-            out.push(u8::try_from(t.index()).expect("≤ 255 threads"));
-        }
-    }
-}
-
-fn encode_local(local: &Local, out: &mut Vec<u8>) {
-    match local {
-        Local::Gc(g) => {
-            out.push(0);
-            put_bool(out, g.fm);
-            put_worklist(out, &g.wl);
-            put_opt_ref(out, g.ghost_honorary_grey);
-            put_mark(out, &g.mark);
-            out.push(g.hs_idx);
-            put_opt_ref(out, g.scan_src);
-            out.push(g.scan_fld);
-            put_ref_set(out, &g.sweep_refs);
-            put_opt_ref(out, g.sweep_cur);
-            put_opt_bool(out, g.sweep_flag);
-        }
-        Local::Mut(m) => {
-            out.push(1);
-            out.push(m.idx);
-            put_ref_set(out, &m.roots);
-            put_worklist(out, &m.wl);
-            put_opt_ref(out, m.ghost_honorary_grey);
-            put_hs_phase(out, m.ghost_hs_phase);
-            put_bool(out, m.ghost_roots_done);
-            put_mark(out, &m.mark);
-            put_opt_ref(out, m.st_dst);
-            put_opt_ref(out, m.st_src);
-            out.push(m.st_fld);
-            put_opt_ref(out, m.st_deleted);
-            put_bool(out, m.st_active);
-            match m.hs_type {
-                None => out.push(0),
-                Some(h) => {
-                    out.push(1);
-                    put_hs_type(out, h);
-                }
+        locals.push(match d.u8()? {
+            0 => Local::Gc(GcState::from_words(d.words()?)?),
+            1 => Local::Mut(MutState::from_words(d.words()?)?),
+            2 => {
+                let words = d.words()?;
+                let (mem, rest) = Machine::decode(d.0)?;
+                d.0 = rest;
+                Local::Sys(SysState::from_words(words, mem)?)
             }
-            put_ref_set(out, &m.roots_to_mark);
-        }
-        Local::Sys(s) => {
-            out.push(2);
-            put_machine(out, &s.mem);
-            put_ref_set(out, &s.heap);
-            put_hs_type(out, s.hs_type);
-            out.push(u8::try_from(s.hs_pending.len()).expect("≤ 255 mutators"));
-            for &b in &s.hs_pending {
-                put_bool(out, b);
-            }
-            out.push(u8::try_from(s.ghost_hs_flagged.len()).expect("≤ 255 mutators"));
-            for &b in &s.ghost_hs_flagged {
-                put_bool(out, b);
-            }
-            put_worklist(out, &s.w_staged);
-            put_hs_phase(out, s.ghost_gc_phase);
-            put_hs_phase(out, s.ghost_gc_prev_phase);
-            put_bool(out, s.ghost_roots_phase);
-        }
+            _ => return None,
+        });
     }
+    // Trailing garbage is malformed too.
+    d.0.is_empty()
+        .then(|| SystemState::from_parts(&controls[..n], &locals))
 }
 
-// --- primitive readers ---------------------------------------------------
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
+/// The bytes not yet read.
+struct Dec<'a>(&'a [u8]);
 
 impl Dec<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (front, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*front)
+    }
+
     fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.at)?;
-        self.at += 1;
-        Some(b)
+        self.take::<1>().map(|[b]| b)
     }
 
-    fn u16(&mut self) -> Option<u16> {
-        let lo = self.u8()?;
-        let hi = self.u8()?;
-        Some(u16::from_le_bytes([lo, hi]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let a = self.u8()?;
-        let b = self.u8()?;
-        let c = self.u8()?;
-        let d = self.u8()?;
-        Some(u32::from_le_bytes([a, b, c, d]))
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
+    fn words<const N: usize>(&mut self) -> Option<[u64; N]> {
+        let mut words = [0u64; N];
+        for word in &mut words {
+            let significant = usize::from(self.u8()?);
+            let mut bytes = [0u8; 8];
+            let (front, rest) = self.0.split_at_checked(significant)?;
+            bytes.get_mut(..significant)?.copy_from_slice(front);
+            self.0 = rest;
+            *word = u64::from_le_bytes(bytes);
         }
+        Some(words)
     }
-
-    fn opt_bool(&mut self) -> Option<Option<bool>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(false)),
-            2 => Some(Some(true)),
-            _ => None,
-        }
-    }
-
-    fn r#ref(&mut self) -> Option<Ref> {
-        Some(Ref::new(self.u8()?))
-    }
-
-    fn opt_ref(&mut self) -> Option<Option<Ref>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.r#ref()?)),
-            _ => None,
-        }
-    }
-
-    fn ref_set(&mut self) -> Option<BTreeSet<Ref>> {
-        let len = self.u16()? as usize;
-        let mut set = BTreeSet::new();
-        for _ in 0..len {
-            set.insert(self.r#ref()?);
-        }
-        Some(set)
-    }
-
-    fn worklist(&mut self) -> Option<WorkList> {
-        let mut wl = WorkList::new();
-        for r in self.ref_set()? {
-            wl.insert(r);
-        }
-        Some(wl)
-    }
-
-    fn phase(&mut self) -> Option<Phase> {
-        Some(match self.u8()? {
-            0 => Phase::Idle,
-            1 => Phase::Init,
-            2 => Phase::Mark,
-            3 => Phase::Sweep,
-            _ => return None,
-        })
-    }
-
-    fn hs_type(&mut self) -> Option<HsType> {
-        Some(match self.u8()? {
-            0 => HsType::Noop,
-            1 => HsType::GetRoots,
-            2 => HsType::GetWork,
-            _ => return None,
-        })
-    }
-
-    fn hs_phase(&mut self) -> Option<HsPhase> {
-        Some(match self.u8()? {
-            0 => HsPhase::Idle,
-            1 => HsPhase::IdleInit,
-            2 => HsPhase::InitMark,
-            3 => HsPhase::IdleMarkSweep,
-            _ => return None,
-        })
-    }
-
-    fn mark(&mut self) -> Option<MarkScratch> {
-        Some(MarkScratch {
-            target: self.opt_ref()?,
-            fm: self.bool()?,
-            expected: self.bool()?,
-            flag: self.opt_bool()?,
-            phase_ok: self.bool()?,
-            winner: self.bool()?,
-        })
-    }
-
-    fn addr(&mut self) -> Option<Addr> {
-        Some(match self.u8()? {
-            0 => Addr::FA,
-            1 => Addr::FM,
-            2 => Addr::Phase,
-            3 => Addr::Flag(self.r#ref()?),
-            4 => Addr::Field(self.r#ref()?, self.u8()?),
-            _ => return None,
-        })
-    }
-
-    fn val(&mut self) -> Option<Val> {
-        Some(match self.u8()? {
-            0 => Val::Bool(self.bool()?),
-            1 => Val::Phase(self.phase()?),
-            2 => Val::Ref(self.opt_ref()?),
-            _ => return None,
-        })
-    }
-
-    fn machine(&mut self) -> Option<Machine<Addr, Val>> {
-        let model = match self.u8()? {
-            0 => MemoryModel::Tso,
-            1 => MemoryModel::Sc,
-            _ => return None,
-        };
-        let threads = self.u8()? as usize;
-        let mem_len = self.u32()? as usize;
-        let mut memory = BTreeMap::new();
-        for _ in 0..mem_len {
-            let a = self.addr()?;
-            let v = self.val()?;
-            memory.insert(a, v);
-        }
-        let mut buffers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let len = self.u16()? as usize;
-            let mut entries = Vec::with_capacity(len);
-            for _ in 0..len {
-                entries.push((self.addr()?, self.val()?));
-            }
-            buffers.push(StoreBuffer::from_entries(entries));
-        }
-        let lock = match self.u8()? {
-            0 => None,
-            1 => Some(ThreadId::new(self.u8()? as usize)),
-            _ => return None,
-        };
-        Some(Machine::from_raw_parts(model, memory, buffers, lock))
-    }
-}
-
-fn decode_local(d: &mut Dec<'_>) -> Option<Local> {
-    Some(match d.u8()? {
-        0 => Local::Gc(GcState {
-            fm: d.bool()?,
-            wl: d.worklist()?,
-            ghost_honorary_grey: d.opt_ref()?,
-            mark: d.mark()?,
-            hs_idx: d.u8()?,
-            scan_src: d.opt_ref()?,
-            scan_fld: d.u8()?,
-            sweep_refs: d.ref_set()?,
-            sweep_cur: d.opt_ref()?,
-            sweep_flag: d.opt_bool()?,
-        }),
-        1 => Local::Mut(MutState {
-            idx: d.u8()?,
-            roots: d.ref_set()?,
-            wl: d.worklist()?,
-            ghost_honorary_grey: d.opt_ref()?,
-            ghost_hs_phase: d.hs_phase()?,
-            ghost_roots_done: d.bool()?,
-            mark: d.mark()?,
-            st_dst: d.opt_ref()?,
-            st_src: d.opt_ref()?,
-            st_fld: d.u8()?,
-            st_deleted: d.opt_ref()?,
-            st_active: d.bool()?,
-            hs_type: match d.u8()? {
-                0 => None,
-                1 => Some(d.hs_type()?),
-                _ => return None,
-            },
-            roots_to_mark: d.ref_set()?,
-        }),
-        2 => {
-            let mem = d.machine()?;
-            let heap = d.ref_set()?;
-            let hs_type = d.hs_type()?;
-            let pend_len = d.u8()? as usize;
-            let mut hs_pending = Vec::with_capacity(pend_len);
-            for _ in 0..pend_len {
-                hs_pending.push(d.bool()?);
-            }
-            let flag_len = d.u8()? as usize;
-            let mut ghost_hs_flagged = Vec::with_capacity(flag_len);
-            for _ in 0..flag_len {
-                ghost_hs_flagged.push(d.bool()?);
-            }
-            Local::Sys(SysState {
-                mem,
-                heap,
-                hs_type,
-                hs_pending,
-                ghost_hs_flagged,
-                w_staged: d.worklist()?,
-                ghost_gc_phase: d.hs_phase()?,
-                ghost_gc_prev_phase: d.hs_phase()?,
-                ghost_roots_phase: d.bool()?,
-            })
-        }
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::ModelConfig;
-    use crate::model::GcModel;
-    use mc::TransitionSystem;
+    use std::hash::{BuildHasher, BuildHasherDefault};
 
-    /// Round-trips every state within a BFS prefix of the faithful model.
-    #[test]
-    fn codec_round_trips_reachable_states() {
-        let model = GcModel::new(ModelConfig::default());
-        let mut frontier = model.initial_states();
+    use super::*;
+    use crate::config::{InitialHeap, ModelConfig};
+    use crate::model::GcModel;
+    use mc::{Reduction, TransitionSystem};
+
+    fn encoded(s: &ModelState) -> Vec<u8> {
         let mut bytes = Vec::new();
-        let mut visited = 0usize;
-        for _ in 0..4 {
-            let mut next = Vec::new();
-            for s in &frontier {
-                bytes.clear();
-                encode(s, &mut bytes);
-                let back = decode(&bytes).expect("decode");
-                assert_eq!(&back, s, "state must round-trip bit-for-bit");
-                // Round-tripped states must also hash identically (the
-                // spill path feeds them back into the seen-set).
-                visited += 1;
-                next.extend(model.successors(s).into_iter().map(|(_, s)| s));
+        encode(s, &mut bytes);
+        bytes
+    }
+
+    fn hashed(s: &ModelState) -> u64 {
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(s)
+    }
+
+    /// Along seeded random walks of three configurations — deep buffers
+    /// with every canonicalization applied, two fields with allocation, and
+    /// three mutators — every state round-trips through the codec, and for
+    /// each pair of a state with a recent one, with its decoded copy (which
+    /// was built afresh and has never popped a stack frame or committed a
+    /// store) and with its canonical form: `a == b`, `encode(a) ==
+    /// encode(b)` and `hash(a) == hash(b)` all agree. A slot left behind in
+    /// an inline stack, buffer or memory table would break one of the three.
+    #[test]
+    fn equality_encoding_and_hash_agree_along_random_walks() {
+        let mut deep = ModelConfig::small(2, 2);
+        deep.initial = InitialHeap::shared_object(2, 1);
+        deep.buffer_cap = 6;
+        let mut wide = ModelConfig::small(2, 3);
+        wide.fields = 2;
+        wide.initial = InitialHeap::shared_object(2, 2);
+        let mut compared = 0usize;
+        for cfg in [deep, wide, ModelConfig::small(3, 5)] {
+            let model = GcModel::new(cfg);
+            for seed in 0..4u64 {
+                let mut rng = seed;
+                let mut state = model.initial_states()[0];
+                let mut recent: Vec<ModelState> = Vec::new();
+                for _ in 0..1_500 {
+                    let bytes = encoded(&state);
+                    let back = decode(&bytes).expect("decodes");
+                    let canonical = model.canonicalize(&state, &Reduction::all());
+                    for other in recent.iter().chain([&back, &canonical]) {
+                        let same = state == *other;
+                        assert_eq!(same, bytes == encoded(other));
+                        // Distinct states may share a 64-bit hash, but not
+                        // among the few thousand pairs compared here.
+                        assert_eq!(same, hashed(&state) == hashed(other));
+                        compared += 1;
+                    }
+                    assert_eq!(back, state, "round trip");
+                    recent.push(state);
+                    if recent.len() > 8 {
+                        recent.remove(0);
+                    }
+                    let succs = model.successors(&state);
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    state = succs[(rng >> 33) as usize % succs.len()].1;
+                }
             }
-            frontier = next;
         }
-        assert!(visited > 50, "the prefix must exercise real states");
+        assert!(compared > 100_000);
     }
 
     #[test]
@@ -531,10 +182,11 @@ mod tests {
         assert!(decode(&[]).is_none());
         assert!(decode(&[7]).is_none());
         let model = GcModel::new(ModelConfig::default());
-        let mut bytes = Vec::new();
-        encode(&model.initial_states()[0], &mut bytes);
+        let bytes = encoded(&model.initial_states()[0]);
         // Truncations and trailing garbage both fail cleanly.
-        assert!(decode(&bytes[..bytes.len() - 1]).is_none());
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode(&padded).is_none());

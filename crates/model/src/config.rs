@@ -1,7 +1,10 @@
 //! Model configuration: instance bounds, initial heap shapes, and the
 //! ablation knobs that drive the paper's negative-result experiments.
 
+use gc_types::RefSet;
 use tso_model::MemoryModel;
+
+use crate::vocab::MAX_FIELDS;
 
 /// Which mutator operations (Figure 6) are enabled. Trimming the operation
 /// mix shrinks the state space for targeted experiments (e.g. the Figure 1
@@ -178,14 +181,50 @@ impl ModelConfig {
         1 + self.mutators
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency, and that the instance fits the
+    /// inline state: reference sets are one word, per-mutator flags one
+    /// byte, and the TSO machine's tables are fixed-size. An instance past
+    /// a bound is refused here, by name, rather than truncated later.
     ///
     /// # Panics
     ///
-    /// Panics if the initial heap does not fit the declared bounds.
+    /// Panics if the initial heap does not fit the declared bounds, or the
+    /// declared bounds do not fit the state.
     pub fn validate(&self) {
         assert!(self.mutators >= 1, "at least one mutator required");
-        assert!(self.heap_capacity <= 256);
+        assert!(
+            self.threads() <= tso_model::MAX_THREADS,
+            "{} mutators: at most {} fit the machine's {} hardware threads",
+            self.mutators,
+            tso_model::MAX_THREADS - 1,
+            tso_model::MAX_THREADS
+        );
+        assert!(
+            self.heap_capacity <= RefSet::CAPACITY,
+            "heap_capacity {}: a RefSet holds references 0..{}",
+            self.heap_capacity,
+            RefSet::CAPACITY
+        );
+        assert!(
+            self.fields <= MAX_FIELDS,
+            "fields {}: addresses are bytes, leaving {MAX_FIELDS} fields per object",
+            self.fields
+        );
+        assert!(
+            self.buffer_cap <= tso_model::BUFFER_CAPACITY,
+            "buffer_cap {}: a store buffer holds at most {} writes",
+            self.buffer_cap,
+            tso_model::BUFFER_CAPACITY
+        );
+        let cells = 3 + self.heap_capacity * (1 + self.fields);
+        assert!(
+            cells <= tso_model::MEMORY_CELLS,
+            "3 control variables + {} objects x (flag + {} fields) = {cells} locations: \
+             the machine's memory holds {}",
+            self.heap_capacity,
+            self.fields,
+            tso_model::MEMORY_CELLS
+        );
         assert!(
             self.initial.objects.len() <= self.heap_capacity,
             "initial objects exceed heap capacity"
@@ -236,6 +275,52 @@ mod tests {
         assert_eq!(h.objects[1][0], Some(2));
         assert_eq!(h.objects[2][0], None);
         assert_eq!(h.roots, vec![vec![0]]);
+    }
+
+    #[test]
+    fn instances_past_an_inline_bound_are_refused_by_name() {
+        let refused = |cfg: ModelConfig, why: &str| {
+            let panic = std::panic::catch_unwind(|| cfg.validate()).expect_err(why);
+            let message = panic.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains(why), "{message:?} should name {why:?}");
+        };
+        let base = ModelConfig::default();
+        let mut eight = ModelConfig::small(8, 8);
+        eight.heap_capacity = 8;
+        refused(eight, "at most 7 fit");
+        refused(
+            ModelConfig {
+                heap_capacity: 65,
+                ..base.clone()
+            },
+            "RefSet holds references 0..64",
+        );
+        let mut three_fields = base.clone();
+        three_fields.fields = 3;
+        three_fields.initial = InitialHeap::one_object_each(1, 3);
+        refused(three_fields, "leaving 2 fields per object");
+        refused(
+            ModelConfig {
+                buffer_cap: 9,
+                ..base.clone()
+            },
+            "holds at most 8 writes",
+        );
+        refused(
+            ModelConfig {
+                heap_capacity: 15,
+                ..base.clone()
+            },
+            "33 locations",
+        );
+        // The largest instances on the near side of each bound are fine.
+        ModelConfig {
+            heap_capacity: 14,
+            buffer_cap: 8,
+            ..base
+        }
+        .validate();
+        ModelConfig::small(7, 7).validate();
     }
 
     #[test]

@@ -28,9 +28,9 @@ fn build_handshake(p: &mut Prog, cfg: &ModelConfig, ty: HsType) -> ComId {
             kind: ReqKind::HsBegin(ty),
         },
         |l: &Local, _beta: &Resp| {
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             l2.gc_mut().hs_idx = 0;
-            vec![l2]
+            l2
         },
     );
     p.annotate(
@@ -49,9 +49,9 @@ fn build_handshake(p: &mut Prog, cfg: &ModelConfig, ty: HsType) -> ComId {
             kind: ReqKind::HsPend(l.gc().hs_idx),
         },
         |l: &Local, _beta: &Resp| {
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             l2.gc_mut().hs_idx += 1;
-            vec![l2]
+            l2
         },
     );
     p.annotate(pend, MemEffect::Pure);
@@ -66,13 +66,12 @@ fn build_handshake(p: &mut Prog, cfg: &ModelConfig, ty: HsType) -> ComId {
             kind: ReqKind::HsAwait,
         },
         |l: &Local, beta: &Resp| {
-            let Resp::Work(w) = beta else {
+            let Resp::Work(mut w) = *beta else {
                 panic!("HsAwait answers with Work");
             };
-            let mut l2 = l.clone();
-            let mut w = w.clone();
+            let mut l2 = *l;
             l2.gc_mut().wl.absorb(&mut w);
-            vec![l2]
+            l2
         },
     );
     p.annotate(awaited, MemEffect::Pure);
@@ -101,9 +100,9 @@ fn build_ctrl_write(
             }
         },
         move |l: &Local, _beta: &Resp| {
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             update(&mut l2);
-            vec![l2]
+            l2
         },
     );
     p.annotate(w, effect)
@@ -139,10 +138,10 @@ fn build_scan(p: &mut Prog, cfg: &ModelConfig) -> ComId {
                 .loaded()
                 .expect("scanned objects are grey, hence allocated")
                 .as_ref_val();
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             l2.gc_mut().scan_fld += 1;
             l2.mark_mut().target = loaded;
-            vec![l2]
+            l2
         },
     );
     p.annotate(load_field, MemEffect::Load(FIELD));
@@ -177,9 +176,9 @@ fn build_sweep(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             let Resp::Domain(refs) = beta else {
                 panic!("HeapSnapshot answers with Domain");
             };
-            let mut l2 = l.clone();
-            l2.gc_mut().sweep_refs = refs.iter().copied().collect();
-            vec![l2]
+            let mut l2 = *l;
+            l2.gc_mut().sweep_refs = *refs;
+            l2
         },
     );
     p.annotate(snapshot, MemEffect::Pure);
@@ -189,19 +188,18 @@ fn build_sweep(p: &mut Prog, cfg: &ModelConfig) -> ComId {
     let load_flag = p.request(
         "gc-sweep-load-flag",
         move |l: &Local| {
-            let r = *l.gc().sweep_refs.iter().next().expect("sweep loop guard");
+            let r = l.gc().sweep_refs.first().expect("sweep loop guard");
             Req {
                 tid,
                 kind: ReqKind::Read(Addr::Flag(r)),
             }
         },
         |l: &Local, beta: &Resp| {
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             let g = l2.gc_mut();
-            let r = *g.sweep_refs.iter().next().expect("sweep loop guard");
-            g.sweep_cur = Some(r);
+            g.sweep_cur = Some(g.sweep_refs.first().expect("sweep loop guard"));
             g.sweep_flag = beta.loaded().map(|v| v.as_bool());
-            vec![l2]
+            l2
         },
     );
     p.annotate(load_flag, MemEffect::Load(FLAG));
@@ -213,12 +211,12 @@ fn build_sweep(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             kind: ReqKind::Free(l.gc().sweep_cur.expect("sweeping")),
         },
         |l: &Local, _beta: &Resp| {
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             let g = l2.gc_mut();
             let r = g.sweep_cur.take().expect("sweeping");
-            g.sweep_refs.remove(&r);
+            g.sweep_refs.remove(r);
             g.sweep_flag = None;
-            vec![l2]
+            l2
         },
     );
     // Reclamation is axiomatised as atomic, like allocation.
@@ -226,7 +224,7 @@ fn build_sweep(p: &mut Prog, cfg: &ModelConfig) -> ComId {
     let retain = p.assign("gc-sweep-retain", |l: &mut Local| {
         let g = l.gc_mut();
         let r = g.sweep_cur.take().expect("sweeping");
-        g.sweep_refs.remove(&r);
+        g.sweep_refs.remove(r);
         g.sweep_flag = None;
     });
     p.annotate(retain, MemEffect::Pure);
@@ -326,7 +324,7 @@ pub fn gc_program(cfg: &ModelConfig) -> Prog {
 /// The collector's extra grey witnesses beyond its work-list: the object it
 /// is currently scanning remains grey, and its honorary grey covers the CAS
 /// window. (Used by the invariant checker.)
-pub fn gc_grey_extras(l: &Local) -> impl Iterator<Item = Ref> + '_ {
+pub fn gc_grey_extras(l: &Local) -> impl Iterator<Item = Ref> {
     let g = l.gc();
     g.ghost_honorary_grey.into_iter().chain(g.scan_src)
 }
@@ -341,7 +339,7 @@ mod tests {
     fn collector_starts_with_idle_handshake() {
         let cfg = ModelConfig::default();
         let p = gc_program(&cfg);
-        let labels = at_labels(&p, &vec![p.entry()], &Local::Gc(GcState::initial()));
+        let labels = at_labels(&p, &p.entry().into(), &Local::Gc(GcState::initial()));
         assert_eq!(labels, vec!["gc-hs-begin"]);
     }
 

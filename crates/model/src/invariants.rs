@@ -6,6 +6,7 @@
 //! supporting structure the paper's proof rests on, checked here as
 //! additional invariants of the same exploration.
 
+use gc_types::RefSet;
 use mc::Property;
 
 use crate::config::ModelConfig;
@@ -19,23 +20,21 @@ use crate::ModelState;
 ///
 /// `GC ∥ M₁ ∥ … ∥ Sys ⊨ □(∀r. reachable r → valid_ref r)`
 pub fn valid_refs_inv(v: &View) -> bool {
-    v.heap().valid_refs(v.all_roots())
+    v.valid_refs(v.all_roots())
 }
 
 /// The **strong tricolor invariant** on the committed heap: no black
 /// object points to a white object. The insertion barrier plus the
 /// handshake structure maintain this throughout the cycle (§2.1, §3.2).
 pub fn strong_tricolor_inv(v: &View) -> bool {
-    let heap = v.heap();
-    v.tricolor(&heap).strong_invariant()
+    v.strong_tricolor()
 }
 
 /// The **weak tricolor invariant**: every white object referenced by a
 /// black object is grey-protected. Implied by the strong invariant; checked
 /// separately because the deletion-barrier ablation breaks it first.
 pub fn weak_tricolor_inv(v: &View) -> bool {
-    let heap = v.heap();
-    v.tricolor(&heap).weak_invariant()
+    v.weak_tricolor()
 }
 
 /// `valid_W_inv`: work-list sanity (§3.2).
@@ -48,69 +47,53 @@ pub fn weak_tricolor_inv(v: &View) -> bool {
 /// * Any pending flag write uses the current `f_M`.
 /// * Pending flag writes only sit in the buffer of the lock holder.
 pub fn valid_w_inv(v: &View) -> bool {
-    let heap = v.heap();
+    let marked = v.marked();
     let fm = v.fm();
     let sys = v.sys();
+    let cfg = v.config();
     let lock = sys.mem.lock_holder().map(|t| t.index());
 
     if !gc_types::disjoint(v.work_lists()) {
         return false;
     }
 
-    // Honorary greys are disjoint from every work-list.
-    let cfg = v.config();
-    let mut honorary = Vec::new();
-    honorary.push((cfg.gc_tid(), v.gc().ghost_honorary_grey));
-    for m in 0..cfg.mutators {
-        honorary.push((cfg.mut_tid(m), v.mutator(m).ghost_honorary_grey));
-    }
-    for &(_, hg) in &honorary {
-        if let Some(r) = hg {
-            if v.work_lists().iter().any(|w| w.contains(r)) {
-                return false;
-            }
+    // Each hardware thread's own greys: its work-list and honorary grey.
+    let owned = |tid: usize| {
+        if tid == cfg.gc_tid() {
+            (v.gc().wl.as_set(), v.gc().ghost_honorary_grey)
+        } else {
+            let m = v.mutator(tid - 1);
+            (m.wl.as_set(), m.ghost_honorary_grey)
         }
+    };
+
+    // Honorary greys are disjoint from every work-list.
+    let on_lists = v
+        .work_lists()
+        .fold(RefSet::new(), |all, w| all.union(w.as_set()));
+    let honorary: RefSet = (0..cfg.threads()).filter_map(|tid| owned(tid).1).collect();
+    if !honorary.is_disjoint(on_lists) {
+        return false;
     }
 
     // Marked-on-heap for unlocked owners.
-    let owner_entries = |tid: usize| -> Vec<gc_types::Ref> {
-        let mut refs: Vec<gc_types::Ref> = Vec::new();
-        if tid == cfg.gc_tid() {
-            refs.extend(v.gc().wl.iter());
-            refs.extend(v.gc().ghost_honorary_grey);
-        } else {
-            let m = tid - 1;
-            refs.extend(v.mutator(m).wl.iter());
-            refs.extend(v.mutator(m).ghost_honorary_grey);
-        }
-        refs
-    };
-    for tid in 0..cfg.threads() {
-        if lock == Some(tid) {
-            continue;
-        }
-        for r in owner_entries(tid) {
-            if heap.flag(r) != Some(fm) {
-                return false;
-            }
+    for tid in (0..cfg.threads()).filter(|&tid| lock != Some(tid)) {
+        let (wl, honorary) = owned(tid);
+        if !wl.is_subset(marked) || honorary.is_some_and(|r| !marked.contains(r)) {
+            return false;
         }
     }
     // The staged list belongs to no hardware thread; its entries were
     // published (buffer drained) before transfer, so they must be marked.
-    for r in &sys.w_staged {
-        if heap.flag(r) != Some(fm) {
-            return false;
-        }
+    if !sys.w_staged.as_set().is_subset(marked) {
+        return false;
     }
 
     // Pending flag writes: correct sense, and only under the lock.
     for tid in 0..cfg.threads() {
         for (a, val) in sys.mem.buffer(tso_model::ThreadId::new(tid)).iter() {
             if let Addr::Flag(_) = a {
-                if *val != Val::Bool(fm) {
-                    return false;
-                }
-                if lock != Some(tid) {
+                if val != Val::Bool(fm) || lock != Some(tid) {
                     return false;
                 }
             }
@@ -122,26 +105,19 @@ pub fn valid_w_inv(v: &View) -> bool {
 /// Every grey reference is allocated (a freed object on a work-list would
 /// be dereferenced by the collector's scan).
 pub fn greys_allocated(v: &View) -> bool {
-    let heap = v.heap();
-    v.greys().iter().all(|&r| heap.contains(r))
+    v.greys().is_subset(v.domain())
 }
 
 /// `marked_insertions(m)`: every reference being written into an object by
 /// a write pending in `m`'s store buffer targets a marked object.
 pub fn marked_insertions(v: &View, m: usize) -> bool {
-    let heap = v.heap();
-    v.insertions(v.config().mut_tid(m))
-        .iter()
-        .all(|&r| v.marked(&heap, r))
+    v.insertions(v.config().mut_tid(m)).is_subset(v.marked())
 }
 
 /// `marked_deletions(m)`: every reference about to be overwritten by a
 /// write pending in `m`'s store buffer targets a marked object.
 pub fn marked_deletions(v: &View, m: usize) -> bool {
-    let heap = v.heap();
-    v.deletions(v.config().mut_tid(m))
-        .iter()
-        .all(|&r| v.marked(&heap, r))
+    v.deletions(v.config().mut_tid(m)).is_subset(v.marked())
 }
 
 /// `reachable_snapshot_inv(m)`: every reference reachable from `m`'s
@@ -149,12 +125,8 @@ pub fn marked_deletions(v: &View, m: usize) -> bool {
 /// `m` completes the root-marking handshake ("`m` is black") until the
 /// cycle ends.
 pub fn reachable_snapshot_inv(v: &View, m: usize) -> bool {
-    let heap = v.heap();
-    let tri = v.tricolor(&heap);
-    let protected = tri.grey_protected();
-    heap.reachable(v.mutator_roots(m))
-        .iter()
-        .all(|&r| tri.is_black(r) || tri.is_grey(r) || protected.contains(&r))
+    let safe = v.blacks().union(v.greys()).union(v.grey_protected());
+    v.reachable(v.mutator_roots(m)).is_subset(safe)
 }
 
 /// `mutator_phase_inv`: the per-mutator barrier obligations, keyed by the
@@ -201,36 +173,26 @@ pub fn mutator_phase_inv(v: &View) -> bool {
 ///   `f_A ≠ f_M`), no black references.
 pub fn sys_phase_inv(v: &View) -> bool {
     let sys = v.sys();
-    let heap = v.heap();
-    let tri = v.tricolor(&heap);
-    let fa = sys.committed_fa();
-    let fm = sys.committed_fm();
+    let flags_agree = sys.committed_fa() == sys.committed_fm();
+    let all_black = || v.blacks() == v.domain();
     match sys.ghost_gc_phase {
         HsPhase::Idle => {
-            if !v.greys().is_empty() {
-                return false;
-            }
-            if fa == fm {
-                heap.refs().all(|r| tri.is_black(r))
-            } else {
-                heap.refs().all(|r| tri.is_white(r))
-            }
+            v.greys().is_empty()
+                && if flags_agree {
+                    all_black()
+                } else {
+                    v.whites() == v.domain()
+                }
         }
         HsPhase::IdleInit => {
-            if fa == fm {
+            if flags_agree {
                 // The f_M flip is still pending in the collector's buffer.
-                v.greys().is_empty() && heap.refs().all(|r| tri.is_black(r))
+                v.greys().is_empty() && all_black()
             } else {
-                heap.refs().all(|r| !tri.is_black(r))
+                v.blacks().is_empty()
             }
         }
-        HsPhase::InitMark => {
-            if fa != fm {
-                heap.refs().all(|r| !tri.is_black(r))
-            } else {
-                true
-            }
-        }
+        HsPhase::InitMark => flags_agree || v.blacks().is_empty(),
         HsPhase::IdleMarkSweep => true,
     }
 }
@@ -244,7 +206,7 @@ pub fn handshake_phase_rel(v: &View) -> bool {
     let sys = v.sys();
     for m in 0..v.config().mutators {
         let ms = v.mutator(m);
-        let expect = if sys.ghost_hs_flagged[m] && !sys.hs_pending[m] {
+        let expect = if sys.flagged(m) && !sys.pending(m) {
             sys.ghost_gc_phase
         } else {
             sys.ghost_gc_prev_phase
@@ -253,7 +215,7 @@ pub fn handshake_phase_rel(v: &View) -> bool {
             return false;
         }
         // An unflagged mutator can have no pending bit.
-        if !sys.ghost_hs_flagged[m] && sys.hs_pending[m] {
+        if !sys.flagged(m) && sys.pending(m) {
             return false;
         }
     }
@@ -272,7 +234,7 @@ pub fn gc_w_empty_mut_inv(v: &View) -> bool {
         return true;
     }
     // Round in progress: some mutator is still pending.
-    if !sys.hs_pending.iter().any(|&b| b) {
+    if sys.hs_pending == 0 {
         return true;
     }
     let collector_has_work =
@@ -285,9 +247,9 @@ pub fn gc_w_empty_mut_inv(v: &View) -> bool {
         !ms.wl.is_empty() || ms.ghost_honorary_grey.is_some()
     };
     for m in 0..v.config().mutators {
-        let completed = sys.ghost_hs_flagged[m] && !sys.hs_pending[m];
+        let completed = sys.flagged(m) && !sys.pending(m);
         if completed && has_grey(m) {
-            let witness = (0..v.config().mutators).any(|m2| sys.hs_pending[m2] && has_grey(m2));
+            let witness = (0..v.config().mutators).any(|m2| sys.pending(m2) && has_grey(m2));
             if !witness {
                 return false;
             }
@@ -312,12 +274,12 @@ pub fn ctrl_writes_gc_only(v: &View) -> bool {
     true
 }
 
-/// Evaluates the full §3.2 invariant suite on one state, sharing the
-/// expensive derived data (committed heap, tricolor view, grey-protection
-/// closure) across all checks. Returns the name of the first violated
-/// invariant, or `None` if all hold. This is what the experiment drivers
-/// run; the individual predicates above are the readable reference
-/// versions (and are exercised against this one in tests).
+/// Evaluates the full §3.2 invariant suite on one state, in a fixed order,
+/// sharing the derived sets (marked, greys, blacks, the grey-protection
+/// closure) across the checks that read them. Returns the name of the
+/// first violated invariant, or `None` if all hold. This is what the
+/// experiment drivers run; the individual predicates above are the readable
+/// reference versions (and are exercised against this one in tests).
 pub fn check_all(v: &View) -> Option<&'static str> {
     // Cheap structural checks first.
     if !ctrl_writes_gc_only(v) {
@@ -329,84 +291,51 @@ pub fn check_all(v: &View) -> Option<&'static str> {
     if !gc_w_empty_mut_inv(v) {
         return Some("gc_W_empty_mut_inv");
     }
-    // Shared heavy artifacts.
-    let heap = v.heap();
-    let tri = v.tricolor(&heap);
-    let fm = v.fm();
-    let sys = v.sys();
-
-    if !v.greys().iter().all(|&r| heap.contains(r)) {
+    if !greys_allocated(v) {
         return Some("greys_allocated");
     }
     if !valid_w_inv(v) {
         return Some("valid_W_inv");
     }
-
-    // sys_phase_inv, with the shared tricolor.
-    let fa = sys.committed_fa();
-    let sys_phase_ok = match sys.ghost_gc_phase {
-        HsPhase::Idle => {
-            v.greys().is_empty()
-                && if fa == fm {
-                    heap.refs().all(|r| tri.is_black(r))
-                } else {
-                    heap.refs().all(|r| tri.is_white(r))
-                }
-        }
-        HsPhase::IdleInit => {
-            if fa == fm {
-                v.greys().is_empty() && heap.refs().all(|r| tri.is_black(r))
-            } else {
-                heap.refs().all(|r| !tri.is_black(r))
-            }
-        }
-        HsPhase::InitMark => fa == fm || heap.refs().all(|r| !tri.is_black(r)),
-        HsPhase::IdleMarkSweep => true,
-    };
-    if !sys_phase_ok {
+    if !sys_phase_inv(v) {
         return Some("sys_phase_inv");
     }
 
-    // mutator_phase_inv, sharing the grey-protection closure.
-    let protected = tri.grey_protected();
+    // mutator_phase_inv, naming the obligation that failed and sharing the
+    // grey-protection closure between mutators.
+    let marked = v.marked();
+    let mut snapshot_safe = None;
     for m in 0..v.config().mutators {
         let ms = v.mutator(m);
-        match ms.ghost_hs_phase {
-            HsPhase::Idle | HsPhase::IdleInit => {}
-            HsPhase::InitMark => {
-                let tid = v.config().mut_tid(m);
-                if !v.insertions(tid).iter().all(|&r| heap.flag(r) == Some(fm)) {
-                    return Some("mutator_phase_inv (marked_insertions)");
-                }
+        let tid = v.config().mut_tid(m);
+        let barriers_on = matches!(
+            ms.ghost_hs_phase,
+            HsPhase::InitMark | HsPhase::IdleMarkSweep
+        );
+        if barriers_on && !v.insertions(tid).is_subset(marked) {
+            return Some("mutator_phase_inv (marked_insertions)");
+        }
+        if ms.ghost_hs_phase == HsPhase::IdleMarkSweep {
+            if !v.deletions(tid).is_subset(marked) {
+                return Some("mutator_phase_inv (marked_deletions)");
             }
-            HsPhase::IdleMarkSweep => {
-                let tid = v.config().mut_tid(m);
-                if !v.insertions(tid).iter().all(|&r| heap.flag(r) == Some(fm)) {
-                    return Some("mutator_phase_inv (marked_insertions)");
-                }
-                if !v.deletions(tid).iter().all(|&r| heap.flag(r) == Some(fm)) {
-                    return Some("mutator_phase_inv (marked_deletions)");
-                }
-                if ms.ghost_roots_done {
-                    let snapshot_ok = heap
-                        .reachable(v.mutator_roots(m))
-                        .iter()
-                        .all(|&r| tri.is_black(r) || tri.is_grey(r) || protected.contains(&r));
-                    if !snapshot_ok {
-                        return Some("reachable_snapshot_inv");
-                    }
+            if ms.ghost_roots_done {
+                let safe = *snapshot_safe
+                    .get_or_insert_with(|| v.blacks().union(v.greys()).union(v.grey_protected()));
+                if !v.reachable(v.mutator_roots(m)).is_subset(safe) {
+                    return Some("reachable_snapshot_inv");
                 }
             }
         }
     }
 
-    if !tri.strong_invariant() {
+    if !v.strong_tricolor() {
         return Some("strong_tricolor_inv");
     }
-    if !tri.weak_invariant() {
+    if !v.weak_tricolor() {
         return Some("weak_tricolor_inv");
     }
-    if !heap.valid_refs(v.all_roots()) {
+    if !valid_refs_inv(v) {
         return Some("valid_refs_inv");
     }
     None

@@ -67,14 +67,14 @@ pub mod vocab;
 
 pub use config::{InitialHeap, ModelConfig, MutatorOps};
 pub use model::GcModel;
-pub use state::{GcState, Local, MutState, SysState};
+pub use state::{GcState, Local, MutState, Roles, SysState};
 pub use vocab::{Addr, HsPhase, HsType, Phase, Req, ReqKind, Resp, Val};
 
 /// The CIMP program type instantiated for this model.
 pub type Prog = cimp::Program<Local, Req, Resp>;
 
 /// A global model state (what the checker stores and deduplicates).
-pub type ModelState = cimp::SystemState<Local>;
+pub type ModelState = cimp::SystemState<Roles>;
 
 /// A trace event of the model.
 pub type ModelEvent = cimp::Event<Req, Resp>;

@@ -68,11 +68,11 @@ pub fn build_mark(p: &mut Prog, cfg: &ModelConfig) -> ComId {
         },
         |l: &Local, beta: &Resp| {
             let fm = beta.loaded().expect("fM is always mapped").as_bool();
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             let m = l2.mark_mut();
             m.fm = fm;
             m.expected = !fm;
-            vec![l2]
+            l2
         },
     );
     p.annotate(load_fm, MemEffect::Load(FM));
@@ -87,14 +87,14 @@ pub fn build_mark(p: &mut Prog, cfg: &ModelConfig) -> ComId {
         },
         |l: &Local, beta: &Resp| {
             let flag = beta.loaded().map(|v| v.as_bool());
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             let m = l2.mark_mut();
             if flag == Some(m.expected) {
                 m.flag = flag;
             } else {
                 *m = MarkScratch::default(); // already marked (or unmapped): done
             }
-            vec![l2]
+            l2
         },
     );
     p.annotate(load_flag, MemEffect::Load(FLAG));
@@ -108,14 +108,14 @@ pub fn build_mark(p: &mut Prog, cfg: &ModelConfig) -> ComId {
         },
         |l: &Local, beta: &Resp| {
             let phase = beta.loaded().expect("phase is always mapped").as_phase();
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             let m = l2.mark_mut();
             if phase == Phase::Idle {
                 *m = MarkScratch::default();
             } else {
                 m.phase_ok = true;
             }
-            vec![l2]
+            l2
         },
     );
     p.annotate(load_phase, MemEffect::Load(PHASE));
@@ -135,10 +135,10 @@ pub fn build_mark(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             }
         },
         |l: &Local, _beta: &Resp| {
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             let target = l2.mark().target;
             *l2.ghg_mut() = target;
-            vec![l2]
+            l2
         },
     );
     p.annotate(set_flag, MemEffect::Store(FLAG));
@@ -148,15 +148,13 @@ pub fn build_mark(p: &mut Prog, cfg: &ModelConfig) -> ComId {
     // reference can appear on a work-list; the winner's work-list insert
     // and honorary-grey clear ride on the same rendezvous (Figure 5
     // lines 12–14).
-    let finish = |l: &Local| -> Vec<Local> {
-        let mut l2 = l.clone();
-        if l2.mark().winner {
-            let target = l2.mark().target.expect("winner has a target");
-            l2.wl_mut().insert(target);
-            *l2.ghg_mut() = None;
+    let finish = |l: &mut Local| {
+        if l.mark().winner {
+            let target = l.mark().target.expect("winner has a target");
+            l.wl_mut().insert(target);
+            *l.ghg_mut() = None;
         }
-        *l2.mark_mut() = MarkScratch::default();
-        vec![l2]
+        *l.mark_mut() = MarkScratch::default();
     };
 
     let cas_body = if cfg.mark_cas {
@@ -172,11 +170,11 @@ pub fn build_mark(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             },
             |l: &Local, beta: &Resp| {
                 let flag = beta.loaded().map(|v| v.as_bool());
-                let mut l2 = l.clone();
+                let mut l2 = *l;
                 let m = l2.mark_mut();
                 // Some other thread may have marked it since step 2: we lose.
                 m.winner = flag == Some(m.expected);
-                vec![l2]
+                l2
             },
         );
         p.annotate(recheck, MemEffect::Load(FLAG));
@@ -192,7 +190,11 @@ pub fn build_mark(p: &mut Prog, cfg: &ModelConfig) -> ComId {
                 tid: l.tid(),
                 kind: ReqKind::Unlock,
             },
-            move |l: &Local, _beta: &Resp| finish(l),
+            move |l: &Local, _beta: &Resp| {
+                let mut l2 = *l;
+                finish(&mut l2);
+                l2
+            },
         );
         // The unlock is enabled only once this thread's buffer has drained
         // (§3.2): it publishes the mark exactly like an mfence would.
@@ -207,7 +209,7 @@ pub fn build_mark(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             l.mark_mut().winner = true;
         });
         p.annotate(claim, MemEffect::Pure);
-        let racy_finish = p.local_op("mark-racy-finish", move |l: &Local| finish(l));
+        let racy_finish = p.assign("mark-racy-finish", finish);
         p.annotate(racy_finish, MemEffect::Pure);
         p.seq([claim, set_flag, racy_finish])
     };
@@ -243,7 +245,7 @@ mod tests {
         p.set_entry(m);
         // With no target the whole sub-program falls through: as the only
         // command on the stack, the process simply terminates — zero steps.
-        let labels = at_labels(&p, &vec![p.entry()], &gc_local(None));
+        let labels = at_labels(&p, &p.entry().into(), &gc_local(None));
         assert!(labels.is_empty());
     }
 
@@ -253,7 +255,11 @@ mod tests {
         let mut p = Prog::new();
         let m = build_mark(&mut p, &cfg);
         p.set_entry(m);
-        let labels = at_labels(&p, &vec![p.entry()], &gc_local(Some(gc_types::Ref::new(0))));
+        let labels = at_labels(
+            &p,
+            &p.entry().into(),
+            &gc_local(Some(gc_types::Ref::new(0))),
+        );
         assert_eq!(labels, vec!["mark-load-fM"]);
     }
 
@@ -274,7 +280,11 @@ mod tests {
         let m2 = build_mark(&mut p2, &ModelConfig::default());
         p2.set_entry(m2);
         assert!(p.len() < p2.len());
-        let steps = enabled_steps(&p, &vec![p.entry()], &gc_local(Some(gc_types::Ref::new(0))));
+        let steps = enabled_steps(
+            &p,
+            &p.entry().into(),
+            &gc_local(Some(gc_types::Ref::new(0))),
+        );
         assert_eq!(steps.len(), 1);
     }
 }

@@ -1,13 +1,13 @@
 //! Assembly of the full model: `GC ∥ M₁ ∥ … ∥ M_n ∥ Sys`, wrapped as an
 //! [`mc::TransitionSystem`] so the explicit-state checker can explore it.
 
-use cimp::{Event, Stack, System, SystemState};
+use cimp::{Event, System, SystemState};
 use mc::{Reduction, TransitionSystem};
 
 use crate::config::ModelConfig;
 use crate::gc::gc_program;
 use crate::mutator::{initial_mut_state, mutator_program};
-use crate::state::{GcState, Local};
+use crate::state::{GcState, Local, Roles};
 use crate::sys::{initial_sys_state, sys_program};
 use crate::vocab::{Req, Resp};
 use crate::{codec, reduction};
@@ -21,7 +21,7 @@ pub const GC_PROC: usize = 0;
 /// is the system.
 pub struct GcModel {
     cfg: ModelConfig,
-    system: System<Local, Req, Resp>,
+    system: System<Local, Req, Resp, Roles>,
     /// Whether the configuration is invariant under mutator permutation:
     /// at least two mutators, all running the same program (always true —
     /// `mutator_program` ignores the index) from identical initial root
@@ -66,7 +66,7 @@ impl GcModel {
         ));
         let symmetric = cfg.mutators >= 2 && cfg.initial.roots.windows(2).all(|w| w[0] == w[1]);
         GcModel {
-            system: System::new(procs),
+            system: System::with_layout(procs),
             cfg,
             symmetric,
         }
@@ -83,7 +83,7 @@ impl GcModel {
     }
 
     /// The underlying CIMP system.
-    pub fn system(&self) -> &System<Local, Req, Resp> {
+    pub fn system(&self) -> &System<Local, Req, Resp, Roles> {
         &self.system
     }
 
@@ -129,7 +129,7 @@ impl GcModel {
 }
 
 impl TransitionSystem for GcModel {
-    type State = SystemState<Local>;
+    type State = SystemState<Roles>;
     type Action = Event<Req, Resp>;
 
     fn initial_states(&self) -> Vec<Self::State> {
@@ -162,21 +162,12 @@ impl TransitionSystem for GcModel {
         // Buffer canonicalization first: mutator permutation commutes with
         // per-buffer coalescing, and comparing symmetry-orbit candidates
         // on already-normalized buffers keeps the representative stable.
-        let mut state = if reduction.sb_canon {
-            let n = self.system.len();
-            let controls: Vec<Stack> = (0..n).map(|p| state.control(p).clone()).collect();
-            let mut locals = state.locals().to_vec();
-            locals[self.sys_proc()].sys_mut().mem.canonicalize_buffers();
-            SystemState::from_parts(controls, locals)
-        } else {
-            state.clone()
-        };
+        let mut state = *state;
+        if reduction.sb_canon {
+            state.locals_mut().sys.mem.canonicalize_buffers();
+        }
         if reduction.symmetry && self.symmetric {
-            state = reduction::canonical_under_mutator_symmetry(
-                &state,
-                self.cfg.mutators,
-                self.sys_proc(),
-            );
+            state = reduction::canonical_under_mutator_symmetry(&state);
         }
         state
     }

@@ -31,7 +31,7 @@ fn build_load(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             let m = l.mutator();
             let tid = 1 + m.idx as usize;
             let mut reqs = Vec::new();
-            for &src in &m.roots {
+            for src in m.roots {
                 for fld in 0..fields {
                     reqs.push(Req {
                         tid,
@@ -46,7 +46,7 @@ fn build_load(p: &mut Prog, cfg: &ModelConfig) -> ComId {
                 .loaded()
                 .expect("rooted objects are allocated")
                 .as_ref_val();
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             if let Some(r) = loaded {
                 l2.mutator_mut().roots.insert(r);
             }
@@ -78,7 +78,7 @@ fn build_store(p: &mut Prog, cfg: &ModelConfig) -> ComId {
                 let m = l.mutator();
                 let tid = 1 + m.idx as usize;
                 let mut reqs = Vec::new();
-                for &src in &m.roots {
+                for src in m.roots {
                     for fld in 0..fields {
                         reqs.push(Req {
                             tid,
@@ -100,8 +100,8 @@ fn build_store(p: &mut Prog, cfg: &ModelConfig) -> ComId {
                 // Fan out over the choice of dst.
                 m.roots
                     .iter()
-                    .map(|&dst| {
-                        let mut l2 = l.clone();
+                    .map(|dst| {
+                        let mut l2 = *l;
                         let m2 = l2.mutator_mut();
                         m2.st_active = true;
                         m2.st_dst = Some(dst);
@@ -120,10 +120,10 @@ fn build_store(p: &mut Prog, cfg: &ModelConfig) -> ComId {
         let b = p.local_op("mut-store-begin-unbarriered", move |l: &Local| {
             let m = l.mutator();
             let mut out = Vec::new();
-            for &src in &m.roots {
+            for src in m.roots {
                 for fld in 0..fields {
-                    for &dst in &m.roots {
-                        let mut l2 = l.clone();
+                    for dst in m.roots {
+                        let mut l2 = *l;
                         let m2 = l2.mutator_mut();
                         m2.st_active = true;
                         m2.st_dst = Some(dst);
@@ -167,14 +167,14 @@ fn build_store(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             }
         },
         |l: &Local, _beta: &Resp| {
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             let m2 = l2.mutator_mut();
             m2.st_active = false;
             m2.st_dst = None;
             m2.st_src = None;
             m2.st_fld = 0;
             m2.st_deleted = None;
-            vec![l2]
+            l2
         },
     );
     p.annotate(write, MemEffect::Store(FIELD));
@@ -194,9 +194,9 @@ fn build_alloc(p: &mut Prog) -> ComId {
             let Resp::Allocated(r) = beta else {
                 panic!("Alloc answers with Allocated");
             };
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             l2.mutator_mut().roots.insert(*r);
-            vec![l2]
+            l2
         },
     );
     // Allocation is axiomatised as atomic (§3.1): the fresh object's flag
@@ -210,9 +210,9 @@ fn build_discard(p: &mut Prog) -> ComId {
         let m = l.mutator();
         m.roots
             .iter()
-            .map(|&r| {
-                let mut l2 = l.clone();
-                l2.mutator_mut().roots.remove(&r);
+            .map(|r| {
+                let mut l2 = *l;
+                l2.mutator_mut().roots.remove(r);
                 l2
             })
             .collect()
@@ -242,22 +242,20 @@ fn build_handshake(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             let Resp::Handshake(ty) = beta else {
                 panic!("HsPoll answers with Handshake");
             };
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             let m = l2.mutator_mut();
             m.hs_type = Some(*ty);
             if *ty == HsType::GetRoots {
-                m.roots_to_mark = m.roots.clone();
+                m.roots_to_mark = m.roots;
             }
-            vec![l2]
+            l2
         },
     );
     p.annotate(poll, hs_effect);
 
     let pick_root = p.assign("mut-hs-pick-root", |l: &mut Local| {
         let m = l.mutator_mut();
-        let r = *m.roots_to_mark.iter().next().expect("roots loop guard");
-        m.roots_to_mark.remove(&r);
-        m.mark.target = Some(r);
+        m.mark.target = Some(m.roots_to_mark.pop_first().expect("roots loop guard"));
     });
     p.annotate(pick_root, MemEffect::Pure);
     let mark = build_mark(p, cfg);
@@ -274,7 +272,7 @@ fn build_handshake(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             let wl = if m.hs_type == Some(HsType::Noop) {
                 gc_types::WorkList::new()
             } else {
-                m.wl.clone()
+                m.wl
             };
             Req {
                 tid: 1 + m.idx as usize,
@@ -282,7 +280,7 @@ fn build_handshake(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             }
         },
         |l: &Local, _beta: &Resp| {
-            let mut l2 = l.clone();
+            let mut l2 = *l;
             let m = l2.mutator_mut();
             let ty = m.hs_type.take().expect("handshake in flight");
             if ty != HsType::Noop {
@@ -299,7 +297,7 @@ fn build_handshake(p: &mut Prog, cfg: &ModelConfig) -> ComId {
                 }
                 HsType::GetWork => {}
             }
-            vec![l2]
+            l2
         },
     );
     p.annotate(complete, hs_effect);
@@ -346,7 +344,6 @@ pub fn mutator_program(cfg: &ModelConfig, _m: usize) -> Prog {
 mod tests {
     use super::*;
     use cimp::step::at_labels;
-    use std::collections::BTreeSet;
 
     fn local(cfg: &ModelConfig) -> Local {
         Local::Mut(initial_mut_state(cfg, 0))
@@ -357,14 +354,14 @@ mod tests {
         let cfg = ModelConfig::small(2, 4);
         let m = initial_mut_state(&cfg, 1);
         assert_eq!(m.idx, 1);
-        assert!(m.roots.contains(&Ref::new(1)));
+        assert!(m.roots.contains(Ref::new(1)));
     }
 
     #[test]
     fn op_menu_offers_enabled_ops() {
         let cfg = ModelConfig::default();
         let p = mutator_program(&cfg, 0);
-        let mut labels = at_labels(&p, &vec![p.entry()], &local(&cfg));
+        let mut labels = at_labels(&p, &p.entry().into(), &local(&cfg));
         labels.sort_unstable();
         labels.dedup();
         // Load/store/alloc/discard plus the handshake poll; no pending
@@ -381,8 +378,8 @@ mod tests {
         let cfg = ModelConfig::default();
         let p = mutator_program(&cfg, 0);
         let mut st = initial_mut_state(&cfg, 0);
-        st.roots = BTreeSet::new();
-        let labels = at_labels(&p, &vec![p.entry()], &Local::Mut(st));
+        st.roots = gc_types::RefSet::new();
+        let labels = at_labels(&p, &p.entry().into(), &Local::Mut(st));
         assert!(!labels.contains(&"mut-load"));
         assert!(!labels.contains(&"mut-discard"));
         assert!(labels.contains(&"mut-alloc"));

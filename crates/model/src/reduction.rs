@@ -34,10 +34,13 @@
 //!    exact sequence of distinct memory commits every other thread can
 //!    observe.
 
-use cimp::{Event, SystemState};
+use std::cmp::Ordering;
 
-use crate::codec;
-use crate::state::Local;
+use cimp::Event;
+use gc_types::RefSet;
+use tso_model::{Cell, ThreadId};
+
+use crate::state::MutState;
 use crate::vocab::{Req, Resp};
 use crate::{ModelEvent, ModelState};
 
@@ -112,40 +115,94 @@ pub fn ample_filter(nprocs: usize, succs: &mut Vec<(ModelEvent, ModelState)>) ->
 /// right after `HsBegin` (nothing pended yet), all true once the loop
 /// finished (and in the initial state) — and no mutator is still pending,
 /// so any permutation maps the handshake bookkeeping onto itself.
-pub fn symmetry_applicable(state: &ModelState, sys_proc: usize) -> bool {
-    let sys = state.local(sys_proc).sys();
-    sys.hs_pending.iter().all(|&p| !p) && sys.ghost_hs_flagged.windows(2).all(|w| w[0] == w[1])
+pub fn symmetry_applicable(state: &ModelState) -> bool {
+    let sys = &state.locals().sys;
+    let all = (1u8 << state.locals().mutators().len()) - 1;
+    sys.hs_pending == 0 && (sys.ghost_hs_flagged == 0 || sys.ghost_hs_flagged == all)
 }
 
 /// The canonical representative of `state`'s orbit under mutator
-/// permutation: the candidate with the lexicographically-least
-/// [`codec`] encoding. The identity permutation is always a candidate,
-/// so the result is a well-defined idempotent choice function over each
-/// orbit. States where permutation is not [applicable](symmetry_applicable)
-/// are returned unchanged (their orbit is taken to be the singleton).
+/// permutation: the member whose mutators are in ascending
+/// `mutator_order`. Sorting is a well-defined idempotent choice function
+/// over each orbit: mutators that compare equal are interchangeable, so
+/// every sorting permutation yields the same state. States where
+/// permutation is not [applicable](symmetry_applicable) are returned
+/// unchanged (their orbit is taken to be the singleton).
 ///
 /// Callers must only use this on *symmetric* configurations — identical
 /// programs and identical initial roots for every mutator —
 /// ([`GcModel`](crate::model::GcModel) gates on exactly that).
-pub fn canonical_under_mutator_symmetry(
-    state: &ModelState,
-    mutators: usize,
-    sys_proc: usize,
-) -> ModelState {
-    if mutators < 2 || !symmetry_applicable(state, sys_proc) {
-        return state.clone();
+pub fn canonical_under_mutator_symmetry(state: &ModelState) -> ModelState {
+    let mutators = state.locals().mutators().len();
+    if mutators < 2 || !symmetry_applicable(state) {
+        return *state;
     }
-    let mut best: Option<(Vec<u8>, ModelState)> = None;
-    let mut bytes = Vec::new();
-    for perm in permutations(mutators) {
-        let candidate = apply_perm(state, &perm, sys_proc);
-        bytes.clear();
-        codec::encode(&candidate, &mut bytes);
-        if best.as_ref().is_none_or(|(b, _)| bytes < *b) {
-            best = Some((bytes.clone(), candidate));
-        }
+    let mut perm = [0usize; tso_model::MAX_THREADS];
+    let perm = &mut perm[..mutators];
+    for (i, slot) in perm.iter_mut().enumerate() {
+        *slot = i;
     }
-    best.expect("at least the identity permutation").1
+    // Stable, so an already canonical state keeps the identity permutation.
+    perm.sort_by(|&a, &b| mutator_order(state, a, b));
+    if perm.iter().enumerate().all(|(i, &m)| i == m) {
+        return *state;
+    }
+    apply_perm(state, perm)
+}
+
+/// The order symmetry reduction sorts a state's mutators by: control stack,
+/// then local state, then store buffer, read as the words the state holds.
+///
+/// Which member of an orbit represents it does not affect soundness, but
+/// with partial-order reduction on it does affect *which* reduced state
+/// space is explored (the ample set goes to the lowest-indexed eligible
+/// process), so the order is pinned: it is the byte order of the PR 9
+/// state encoding, in which orbit representatives were first chosen —
+/// lengths before contents, sets as ascending lists, stack frames by their
+/// little-endian bytes, `idx` ignored (it is rewritten to the position).
+/// The reduced state counts recorded in `EXPERIMENTS.md` depend on it.
+fn mutator_order(state: &ModelState, a: usize, b: usize) -> Ordering {
+    let listed = |x: RefSet, y: RefSet| x.len().cmp(&y.len()).then_with(|| x.iter().cmp(y.iter()));
+    let frames = |m: usize| {
+        let stack = state.control(1 + m);
+        (
+            stack.len(),
+            stack.frames().iter().map(|c| c.raw().swap_bytes()),
+        )
+    };
+    let ((len_a, frames_a), (len_b, frames_b)) = (frames(a), frames(b));
+    let muts = state.locals().mutators();
+    let (x, y) = (&muts[a], &muts[b]);
+    let mem = &state.locals().sys.mem;
+    let buffer = |m: usize| {
+        let pending = mem.buffer(ThreadId::new(1 + m));
+        (
+            pending.len(),
+            pending.iter().map(|(a, v)| (a.to_byte(), v.to_byte())),
+        )
+    };
+    let ((pending_a, writes_a), (pending_b, writes_b)) = (buffer(a), buffer(b));
+    let holds_lock = |m: usize| mem.lock_holder() == Some(ThreadId::new(1 + m));
+    len_a
+        .cmp(&len_b)
+        .then_with(|| frames_a.cmp(frames_b))
+        .then_with(|| listed(x.roots, y.roots))
+        .then_with(|| listed(x.wl.as_set(), y.wl.as_set()))
+        .then_with(|| {
+            let scalars = |m: &MutState| {
+                (
+                    (m.ghost_honorary_grey, m.ghost_hs_phase, m.ghost_roots_done),
+                    m.mark,
+                    (m.st_dst, m.st_src, m.st_fld, m.st_deleted, m.st_active),
+                    m.hs_type,
+                )
+            };
+            scalars(x).cmp(&scalars(y))
+        })
+        .then_with(|| listed(x.roots_to_mark, y.roots_to_mark))
+        .then_with(|| pending_a.cmp(&pending_b))
+        .then_with(|| writes_a.cmp(writes_b))
+        .then_with(|| holds_lock(b).cmp(&holds_lock(a)))
 }
 
 /// Applies mutator permutation `perm` (new index `i` takes old mutator
@@ -154,63 +211,30 @@ pub fn canonical_under_mutator_symmetry(
 /// * mutator process `1 + i` receives old process `1 + perm[i]`'s control
 ///   stack and local state, with the local `idx` rewritten to `i` (the
 ///   `idx` is what the mutator puts in its request `tid`s);
-/// * the system's per-mutator `hs_pending` / `ghost_hs_flagged` rows are
+/// * the system's per-mutator `hs_pending` / `ghost_hs_flagged` bits are
 ///   reindexed the same way;
 /// * the TSO machine's store buffers are permuted via
 ///   [`tso_model::Machine::permute_threads`] (hardware thread `0` is the
 ///   collector and stays put; thread `1 + i` is mutator `i`).
-fn apply_perm(state: &ModelState, perm: &[usize], sys_proc: usize) -> ModelState {
-    let k = perm.len();
-    let mut controls = Vec::with_capacity(sys_proc + 1);
-    let mut locals: Vec<Local> = Vec::with_capacity(sys_proc + 1);
-
-    controls.push(state.control(0).clone());
-    locals.push(state.local(0).clone());
-    for (i, &old) in perm.iter().enumerate() {
-        controls.push(state.control(1 + old).clone());
-        let mut l = state.local(1 + old).clone();
-        l.mutator_mut().idx = u8::try_from(i).expect("≤ 255 mutators");
-        locals.push(l);
-    }
-    controls.push(state.control(sys_proc).clone());
-    let old_sys = state.local(sys_proc).sys();
-    let mut sys = old_sys.clone();
-    sys.hs_pending = perm.iter().map(|&m| old_sys.hs_pending[m]).collect();
-    sys.ghost_hs_flagged = perm.iter().map(|&m| old_sys.ghost_hs_flagged[m]).collect();
+fn apply_perm(state: &ModelState, perm: &[usize]) -> ModelState {
+    let mut next = *state;
+    let old_sys = &state.locals().sys;
+    let sys = &mut next.locals_mut().sys;
+    (sys.hs_pending, sys.ghost_hs_flagged) = (0, 0);
     // Machine::permute_threads takes map[new] = old.
-    let mut tmap = vec![0usize; 1 + k];
-    for (i, &m) in perm.iter().enumerate() {
-        tmap[1 + i] = 1 + m;
+    let mut tmap = [0usize; tso_model::MAX_THREADS];
+    for (i, &old) in perm.iter().enumerate() {
+        sys.hs_pending |= u8::from(old_sys.pending(old)) << i;
+        sys.ghost_hs_flagged |= u8::from(old_sys.flagged(old)) << i;
+        tmap[1 + i] = 1 + old;
     }
-    sys.mem.permute_threads(&tmap);
-    locals.push(Local::Sys(sys));
-
-    SystemState::from_parts(controls, locals)
-}
-
-/// All permutations of `0..k` (plain recursive generation; the model
-/// bounds `k` to a handful of mutators, so `k! ≤ 24` in practice).
-fn permutations(k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut current = Vec::with_capacity(k);
-    let mut used = vec![false; k];
-    fn rec(k: usize, used: &mut [bool], current: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if current.len() == k {
-            out.push(current.clone());
-            return;
-        }
-        for m in 0..k {
-            if !used[m] {
-                used[m] = true;
-                current.push(m);
-                rec(k, used, current, out);
-                current.pop();
-                used[m] = false;
-            }
-        }
+    sys.mem.permute_threads(&tmap[..=perm.len()]);
+    for (i, &old) in perm.iter().enumerate() {
+        let mut local = state.local(1 + old);
+        local.mutator_mut().idx = i as u8;
+        next.set(1 + i, *state.control(1 + old), local);
     }
-    rec(k, &mut used, &mut current, &mut out);
-    out
+    next
 }
 
 // Quiet the unused-import lint when the event alias is only used in docs.
@@ -219,6 +243,7 @@ const _: fn(&ModelEvent) = |_: &Event<Req, Resp>| {};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use crate::config::ModelConfig;
     use crate::model::GcModel;
     use mc::TransitionSystem;
@@ -231,33 +256,23 @@ mod tests {
     }
 
     #[test]
-    fn permutations_enumerate_k_factorial() {
-        assert_eq!(permutations(1), vec![vec![0]]);
-        assert_eq!(permutations(3).len(), 6);
-        let mut perms = permutations(2);
-        perms.sort();
-        assert_eq!(perms, vec![vec![0, 1], vec![1, 0]]);
-    }
-
-    #[test]
     fn canonicalization_is_idempotent_and_orbit_invariant() {
         let model = two_mutator_model();
-        let sys_proc = model.sys_proc();
         let init = &model.initial_states()[0];
         // Walk a few levels, canonicalizing everything reachable; the
         // representative must be a fixed point, and explicitly swapping
         // the two mutators must not change it.
-        let mut frontier = vec![init.clone()];
+        let mut frontier = vec![*init];
         let mut checked = 0usize;
         for _ in 0..4 {
             let mut next = Vec::new();
             for s in &frontier {
-                let canon = canonical_under_mutator_symmetry(s, 2, sys_proc);
-                let again = canonical_under_mutator_symmetry(&canon, 2, sys_proc);
+                let canon = canonical_under_mutator_symmetry(s);
+                let again = canonical_under_mutator_symmetry(&canon);
                 assert_eq!(canon, again, "canonicalization must be idempotent");
-                if symmetry_applicable(s, sys_proc) {
-                    let swapped = apply_perm(s, &[1, 0], sys_proc);
-                    let canon_swapped = canonical_under_mutator_symmetry(&swapped, 2, sys_proc);
+                if symmetry_applicable(s) {
+                    let swapped = apply_perm(s, &[1, 0]);
+                    let canon_swapped = canonical_under_mutator_symmetry(&swapped);
                     assert_eq!(
                         canon, canon_swapped,
                         "orbit members must share a representative"
@@ -276,10 +291,9 @@ mod tests {
         // Bisimulation smoke test: from a swapped state, the successor
         // set is the swap of the original successor set.
         let model = two_mutator_model();
-        let sys_proc = model.sys_proc();
         let init = &model.initial_states()[0];
-        assert!(symmetry_applicable(init, sys_proc));
-        let swapped = apply_perm(init, &[1, 0], sys_proc);
+        assert!(symmetry_applicable(init));
+        let swapped = apply_perm(init, &[1, 0]);
         let of = |s: &crate::ModelState| {
             let mut v: Vec<crate::ModelState> =
                 model.successors(s).into_iter().map(|(_, s)| s).collect();
@@ -292,10 +306,8 @@ mod tests {
             v
         };
         let direct = of(&swapped);
-        let mut mirrored: Vec<crate::ModelState> = of(init)
-            .iter()
-            .map(|s| apply_perm(s, &[1, 0], sys_proc))
-            .collect();
+        let mut mirrored: Vec<crate::ModelState> =
+            of(init).iter().map(|s| apply_perm(s, &[1, 0])).collect();
         mirrored.sort_by(|a, b| {
             let (mut ba, mut bb) = (Vec::new(), Vec::new());
             codec::encode(a, &mut ba);
@@ -312,7 +324,7 @@ mod tests {
         let init = &model.initial_states()[0];
         // Scan a BFS prefix for at least one state where the filter
         // fires, and check it always leaves a single-process tau set.
-        let mut frontier = vec![init.clone()];
+        let mut frontier = vec![*init];
         let mut fired = 0usize;
         for _ in 0..8 {
             let mut next = Vec::new();

@@ -1,17 +1,147 @@
 //! Local states of the three process roles, and the shared `Local` enum
 //! that CIMP processes carry.
+//!
+//! Every state here is plain `Copy` data — reference sets are words
+//! ([`RefSet`]), per-mutator booleans are bit masks, the TSO machine is
+//! inline — so a global state is cloned with a `memcpy`. Each role's state
+//! also folds into a few words (`words`): sets as they are, every scalar
+//! field bit-packed into one more. Those words are what `Hash` feeds the
+//! hasher and what [`codec`](crate::codec) writes, so the fingerprint of a
+//! state and its spilled form are two readings of one thing.
 
-use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
-use gc_types::{Ref, WorkList};
+use gc_types::{Ref, RefSet, WorkList};
 use tso_model::Machine;
 
 use crate::vocab::{Addr, HsPhase, HsType, Phase, Val};
 
+/// Feeds a role's (at most four) words to a hasher in one write: hashers
+/// take one aligned run faster than a call per word.
+fn feed<H: Hasher>(state: &mut H, words: &[u64]) {
+    let mut bytes = [0u8; 32];
+    for (slot, word) in bytes.chunks_exact_mut(8).zip(words) {
+        slot.copy_from_slice(&word.to_le_bytes());
+    }
+    state.write(&bytes[..8 * words.len()]);
+}
+
+/// Bit-packs small fields into a word, lowest bits first.
+struct Pack {
+    word: u64,
+    used: u32,
+    /// The bits of any field beyond its width.
+    overflow: u64,
+}
+
+impl Pack {
+    fn new() -> Self {
+        Pack {
+            word: 0,
+            used: 0,
+            overflow: 0,
+        }
+    }
+
+    /// Appends the low `width` bits of `value`, which must have no others.
+    fn bits(mut self, width: u32, value: u64) -> Self {
+        self.overflow |= value >> width;
+        self.word |= value << self.used;
+        self.used += width;
+        self
+    }
+
+    /// The packed word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a field outgrew its width (or the fields the word): that
+    /// would make distinct states hash and encode alike.
+    /// [`ModelConfig::validate`](crate::ModelConfig::validate) keeps every
+    /// counter within its bits.
+    fn word(self) -> u64 {
+        assert!(
+            self.overflow == 0 && self.used <= u64::BITS,
+            "a state field does not fit its bits"
+        );
+        self.word
+    }
+
+    fn flag(self, b: bool) -> Self {
+        self.bits(1, u64::from(b))
+    }
+
+    /// `None`, or one of the 64 references a [`RefSet`] can hold.
+    fn opt_ref(self, r: Option<Ref>) -> Self {
+        self.bits(7, r.map_or(0, |r| 1 + r.index() as u64))
+    }
+
+    fn opt_flag(self, b: Option<bool>) -> Self {
+        self.bits(2, b.map_or(0, |b| 1 + u64::from(b)))
+    }
+
+    fn mark(self, m: &MarkScratch) -> Self {
+        self.opt_ref(m.target)
+            .flag(m.fm)
+            .flag(m.expected)
+            .opt_flag(m.flag)
+            .flag(m.phase_ok)
+            .flag(m.winner)
+    }
+}
+
+/// Reads back what [`Pack`] wrote, in the same order. Each reader returns
+/// `None` on a bit pattern no field value packs to.
+struct Unpack(u64);
+
+impl Unpack {
+    fn bits(&mut self, width: u32) -> u64 {
+        let value = self.0 & ((1 << width) - 1);
+        self.0 >>= width;
+        value
+    }
+
+    fn flag(&mut self) -> bool {
+        self.bits(1) == 1
+    }
+
+    fn opt_ref(&mut self) -> Option<Option<Ref>> {
+        match self.bits(7) {
+            0 => Some(None),
+            n if n <= RefSet::CAPACITY as u64 => Some(Some(Ref::new(n as u8 - 1))),
+            _ => None,
+        }
+    }
+
+    fn opt_flag(&mut self) -> Option<Option<bool>> {
+        match self.bits(2) {
+            0 => Some(None),
+            n @ (1 | 2) => Some(Some(n == 2)),
+            _ => None,
+        }
+    }
+
+    fn mark(&mut self) -> Option<MarkScratch> {
+        Some(MarkScratch {
+            target: self.opt_ref()?,
+            fm: self.flag(),
+            expected: self.flag(),
+            flag: self.opt_flag()?,
+            phase_ok: self.flag(),
+            winner: self.flag(),
+        })
+    }
+
+    /// All bits read: nothing but zeroes may be left.
+    fn done(self) -> Option<()> {
+        (self.0 == 0).then_some(())
+    }
+}
+
 /// Scratch registers for an in-flight `mark` operation (Figure 5), shared
 /// between the collector and mutator state shapes so a single sub-program
 /// implements marking for both.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct MarkScratch {
     /// The reference being marked; `None` when no mark is in flight (a
     /// `mark(NULL)` is skipped outright). While set, this register is a
@@ -32,7 +162,7 @@ pub struct MarkScratch {
 }
 
 /// The collector's local state (Figure 2's locals plus scratch).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcState {
     /// The collector's exact knowledge of `f_M` (it is the sole writer).
     pub fm: bool,
@@ -50,7 +180,7 @@ pub struct GcState {
     /// Field index within the scan of `scan_src`.
     pub scan_fld: u8,
     /// Sweep: the snapshot of the heap domain still to visit.
-    pub sweep_refs: BTreeSet<Ref>,
+    pub sweep_refs: RefSet,
     /// Sweep: the reference currently under test.
     pub sweep_cur: Option<Ref>,
     /// Sweep: the loaded flag of `sweep_cur`.
@@ -68,20 +198,63 @@ impl GcState {
             hs_idx: 0,
             scan_src: None,
             scan_fld: 0,
-            sweep_refs: BTreeSet::new(),
+            sweep_refs: RefSet::new(),
             sweep_cur: None,
             sweep_flag: None,
         }
     }
+
+    /// The state as words: the two sets, then every other field packed.
+    pub(crate) fn words(&self) -> [u64; 3] {
+        let scalars = Pack::new()
+            .flag(self.fm)
+            .opt_ref(self.ghost_honorary_grey)
+            .mark(&self.mark)
+            .bits(3, u64::from(self.hs_idx))
+            .opt_ref(self.scan_src)
+            .bits(3, u64::from(self.scan_fld))
+            .opt_ref(self.sweep_cur)
+            .opt_flag(self.sweep_flag);
+        [
+            self.wl.as_set().bits(),
+            self.sweep_refs.bits(),
+            scalars.word(),
+        ]
+    }
+
+    /// The state [`words`](GcState::words) made `words` from.
+    pub(crate) fn from_words([wl, sweep_refs, scalars]: [u64; 3]) -> Option<Self> {
+        let mut u = Unpack(scalars);
+        let state = GcState {
+            fm: u.flag(),
+            wl: RefSet::from_bits(wl).into(),
+            ghost_honorary_grey: u.opt_ref()?,
+            mark: u.mark()?,
+            hs_idx: u.bits(3) as u8,
+            scan_src: u.opt_ref()?,
+            scan_fld: u.bits(3) as u8,
+            sweep_refs: RefSet::from_bits(sweep_refs),
+            sweep_cur: u.opt_ref()?,
+            sweep_flag: u.opt_flag()?,
+        };
+        u.done()?;
+        Some(state)
+    }
+}
+
+impl Hash for GcState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        feed(state, &self.words());
+    }
 }
 
 /// A mutator's local state (Figure 6's locals plus scratch).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MutState {
     /// This mutator's index (hardware thread id is `1 + idx`).
     pub idx: u8,
     /// The mutator roots (stack/register references).
-    pub roots: BTreeSet<Ref>,
+    pub roots: RefSet,
     /// The private work-list `W_m`.
     pub wl: WorkList,
     /// Ghost: the reference inside the CAS window.
@@ -106,12 +279,12 @@ pub struct MutState {
     /// Handshake: the polled handshake type.
     pub hs_type: Option<HsType>,
     /// Handshake: roots still to mark during a get-roots handshake.
-    pub roots_to_mark: BTreeSet<Ref>,
+    pub roots_to_mark: RefSet,
 }
 
 impl MutState {
     /// Mutator `idx` with the given initial roots, between cycles.
-    pub fn initial(idx: u8, roots: BTreeSet<Ref>) -> Self {
+    pub fn initial(idx: u8, roots: RefSet) -> Self {
         MutState {
             idx,
             roots,
@@ -126,38 +299,90 @@ impl MutState {
             st_deleted: None,
             st_active: false,
             hs_type: None,
-            roots_to_mark: BTreeSet::new(),
+            roots_to_mark: RefSet::new(),
         }
     }
 
     /// The references this mutator contributes as roots beyond `roots`
     /// itself: in-flight store operands and the in-flight mark target
     /// (§3.2's extra roots).
-    pub fn scratch_roots(&self) -> impl Iterator<Item = Ref> + '_ {
-        self.mark
-            .target
-            .into_iter()
-            .chain(self.st_dst)
-            .chain(self.st_src)
-            .chain(self.st_deleted)
-            .chain(self.ghost_honorary_grey)
+    pub fn scratch_roots(&self) -> RefSet {
+        let scratch = [
+            self.mark.target,
+            self.st_dst,
+            self.st_src,
+            self.st_deleted,
+            self.ghost_honorary_grey,
+        ];
+        scratch.into_iter().flatten().collect()
+    }
+
+    /// The state as words: the three sets, then every other field packed.
+    pub(crate) fn words(&self) -> [u64; 4] {
+        let scalars = Pack::new()
+            .bits(3, u64::from(self.idx))
+            .opt_ref(self.ghost_honorary_grey)
+            .bits(2, self.ghost_hs_phase as u64)
+            .flag(self.ghost_roots_done)
+            .mark(&self.mark)
+            .opt_ref(self.st_dst)
+            .opt_ref(self.st_src)
+            .bits(3, u64::from(self.st_fld))
+            .opt_ref(self.st_deleted)
+            .flag(self.st_active)
+            .bits(2, self.hs_type.map_or(0, |ty| 1 + ty as u64));
+        [
+            self.roots.bits(),
+            self.wl.as_set().bits(),
+            self.roots_to_mark.bits(),
+            scalars.word(),
+        ]
+    }
+
+    /// The state [`words`](MutState::words) made `words` from.
+    pub(crate) fn from_words([roots, wl, roots_to_mark, scalars]: [u64; 4]) -> Option<Self> {
+        let mut u = Unpack(scalars);
+        let state = MutState {
+            idx: u.bits(3) as u8,
+            roots: RefSet::from_bits(roots),
+            wl: RefSet::from_bits(wl).into(),
+            ghost_honorary_grey: u.opt_ref()?,
+            ghost_hs_phase: HsPhase::ALL[u.bits(2) as usize],
+            ghost_roots_done: u.flag(),
+            mark: u.mark()?,
+            st_dst: u.opt_ref()?,
+            st_src: u.opt_ref()?,
+            st_fld: u.bits(3) as u8,
+            st_deleted: u.opt_ref()?,
+            st_active: u.flag(),
+            hs_type: u.bits(2).checked_sub(1).map(|ty| HsType::ALL[ty as usize]),
+            roots_to_mark: RefSet::from_bits(roots_to_mark),
+        };
+        u.done()?;
+        Some(state)
+    }
+}
+
+impl Hash for MutState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        feed(state, &self.words());
     }
 }
 
 /// The system process's local state: the TSO machine, the heap domain, the
 /// handshake apparatus and the staged work-list (§3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SysState {
     /// The TSO memory shared by collector and mutators.
     pub mem: Machine<Addr, Val>,
     /// The heap domain: which references are allocated.
-    pub heap: BTreeSet<Ref>,
+    pub heap: RefSet,
     /// The current handshake type.
     pub hs_type: HsType,
-    /// Per-mutator pending bits.
-    pub hs_pending: Vec<bool>,
+    /// Per-mutator pending bits (bit `m` ↔ mutator `m`).
+    pub hs_pending: u8,
     /// Per-mutator "flagged this round" bits (ghost; reset at `HsBegin`).
-    pub ghost_hs_flagged: Vec<bool>,
+    pub ghost_hs_flagged: u8,
     /// The staged work-list mutators transfer into.
     pub w_staged: WorkList,
     /// Ghost: the handshake phase the collector has initiated up to.
@@ -171,6 +396,55 @@ pub struct SysState {
 }
 
 impl SysState {
+    /// Whether mutator `m` has a handshake pending.
+    pub fn pending(&self, m: usize) -> bool {
+        self.hs_pending & (1 << m) != 0
+    }
+
+    /// Whether the collector has flagged mutator `m` this round.
+    pub fn flagged(&self, m: usize) -> bool {
+        self.ghost_hs_flagged & (1 << m) != 0
+    }
+
+    /// The state apart from the machine as words: the two sets, then every
+    /// other field packed.
+    pub(crate) fn words(&self) -> [u64; 3] {
+        let scalars = Pack::new()
+            .bits(2, self.hs_type as u64)
+            .bits(8, u64::from(self.hs_pending))
+            .bits(8, u64::from(self.ghost_hs_flagged))
+            .bits(2, self.ghost_gc_phase as u64)
+            .bits(2, self.ghost_gc_prev_phase as u64)
+            .flag(self.ghost_roots_phase);
+        [
+            self.heap.bits(),
+            self.w_staged.as_set().bits(),
+            scalars.word(),
+        ]
+    }
+
+    /// The state [`words`](SysState::words) made `words` from, around
+    /// `mem`.
+    pub(crate) fn from_words(
+        [heap, w_staged, scalars]: [u64; 3],
+        mem: Machine<Addr, Val>,
+    ) -> Option<Self> {
+        let mut u = Unpack(scalars);
+        let state = SysState {
+            mem,
+            heap: RefSet::from_bits(heap),
+            hs_type: *HsType::ALL.get(u.bits(2) as usize)?,
+            hs_pending: u.bits(8) as u8,
+            ghost_hs_flagged: u.bits(8) as u8,
+            w_staged: RefSet::from_bits(w_staged).into(),
+            ghost_gc_phase: HsPhase::ALL[u.bits(2) as usize],
+            ghost_gc_prev_phase: HsPhase::ALL[u.bits(2) as usize],
+            ghost_roots_phase: u.flag(),
+        };
+        u.done()?;
+        Some(state)
+    }
+
     /// Whether hardware thread `tid` may read memory / commit stores.
     pub fn not_blocked(&self, tid: usize) -> bool {
         self.mem.not_blocked(tso_model::ThreadId::new(tid))
@@ -179,31 +453,31 @@ impl SysState {
     /// The committed (memory) value of `f_M`; pending collector writes are
     /// not visible here.
     pub fn committed_fm(&self) -> bool {
-        self.mem
-            .memory(&Addr::FM)
-            .map(Val::as_bool)
-            .unwrap_or(false)
+        self.mem.memory(&Addr::FM).is_some_and(|v| v.as_bool())
     }
 
     /// The committed value of `f_A`.
     pub fn committed_fa(&self) -> bool {
-        self.mem
-            .memory(&Addr::FA)
-            .map(Val::as_bool)
-            .unwrap_or(false)
+        self.mem.memory(&Addr::FA).is_some_and(|v| v.as_bool())
     }
 
     /// The committed value of `phase`.
     pub fn committed_phase(&self) -> Phase {
         self.mem
             .memory(&Addr::Phase)
-            .map(Val::as_phase)
-            .unwrap_or(Phase::Idle)
+            .map_or(Phase::Idle, |v| v.as_phase())
+    }
+}
+
+impl Hash for SysState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        feed(state, &self.words());
+        self.mem.hash(state);
     }
 }
 
 /// The shared local-state type carried by every CIMP process in the model.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Local {
     /// The collector.
     Gc(GcState),
@@ -211,6 +485,90 @@ pub enum Local {
     Mut(MutState),
     /// The system (TSO memory + handshakes + allocator).
     Sys(SysState),
+}
+
+/// Mutators a model can have: each is a hardware thread of the TSO
+/// machine, beside the collector's.
+pub const MAX_MUTATORS: usize = tso_model::MAX_THREADS - 1;
+
+/// The local states of a global model state, by role: the collector, the
+/// mutators, the system. Process `0` is the collector, `1..=n` the mutators,
+/// `n + 1` the system.
+///
+/// Side by side, each role takes its own size; as an array of [`Local`]
+/// every slot would be as large as the system's state (the TSO machine),
+/// eight times over.
+#[derive(Debug, Clone, Copy)]
+pub struct Roles {
+    /// The collector's state.
+    pub gc: GcState,
+    mutators: u8,
+    muts: [MutState; MAX_MUTATORS],
+    /// The system's state.
+    pub sys: SysState,
+}
+
+impl Roles {
+    /// The mutators' states, in index order.
+    pub fn mutators(&self) -> &[MutState] {
+        &self.muts[..usize::from(self.mutators)]
+    }
+
+    /// Mutable access to the mutators' states.
+    pub fn mutators_mut(&mut self) -> &mut [MutState] {
+        &mut self.muts[..usize::from(self.mutators)]
+    }
+}
+
+impl cimp::Locals for Roles {
+    type Local = Local;
+
+    /// # Panics
+    ///
+    /// Panics unless `locals` is a collector, one to [`MAX_MUTATORS`]
+    /// mutators and a system, in that order.
+    fn new(locals: &[Local]) -> Self {
+        let [Local::Gc(gc), muts @ .., Local::Sys(sys)] = locals else {
+            panic!("a model state is a collector, mutators and a system");
+        };
+        assert!((1..=MAX_MUTATORS).contains(&muts.len()));
+        Roles {
+            gc: *gc,
+            mutators: muts.len() as u8,
+            // Slots past the last mutator are never read; they repeat it.
+            muts: std::array::from_fn(|m| *muts[m.min(muts.len() - 1)].mutator()),
+            sys: *sys,
+        }
+    }
+
+    fn get(&self, p: usize) -> Local {
+        match p.checked_sub(1) {
+            None => Local::Gc(self.gc),
+            Some(m) if m < usize::from(self.mutators) => Local::Mut(self.muts[m]),
+            Some(_) => Local::Sys(self.sys),
+        }
+    }
+
+    fn set(&mut self, p: usize, local: Local) {
+        match (p.checked_sub(1), local) {
+            (None, Local::Gc(gc)) => self.gc = gc,
+            (Some(m), Local::Mut(state)) => self.mutators_mut()[m] = state,
+            (Some(m), Local::Sys(sys)) if m == usize::from(self.mutators) => self.sys = sys,
+            (_, local) => panic!("process {p} is not a {local:?}"),
+        }
+    }
+}
+
+/// The role's own words and nothing else: a process never changes role, so
+/// the variant is not worth a word of every fingerprint.
+impl Hash for Local {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Local::Gc(g) => g.hash(state),
+            Local::Mut(m) => m.hash(state),
+            Local::Sys(s) => s.hash(state),
+        }
+    }
 }
 
 impl Local {
@@ -378,11 +736,11 @@ mod tests {
 
     #[test]
     fn scratch_roots_collects_inflight_refs() {
-        let mut m = MutState::initial(0, BTreeSet::new());
-        assert_eq!(m.scratch_roots().count(), 0);
+        let mut m = MutState::initial(0, RefSet::new());
+        assert!(m.scratch_roots().is_empty());
         m.st_dst = Some(Ref::new(1));
         m.mark.target = Some(Ref::new(2));
-        let roots: BTreeSet<Ref> = m.scratch_roots().collect();
-        assert!(roots.contains(&Ref::new(1)) && roots.contains(&Ref::new(2)));
+        let roots = m.scratch_roots();
+        assert!(roots.contains(Ref::new(1)) && roots.contains(Ref::new(2)));
     }
 }

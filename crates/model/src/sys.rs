@@ -6,7 +6,7 @@
 //! single internal transition that commits the oldest pending store-buffer
 //! entry of some thread — exactly the shape of the paper's `mem-TSO`.
 
-use gc_types::{Ref, WorkList};
+use gc_types::{Ref, RefSet, WorkList};
 use tso_model::ThreadId;
 
 use crate::config::ModelConfig;
@@ -20,7 +20,7 @@ pub fn initial_sys_state(cfg: &ModelConfig) -> SysState {
     mem.initialize(Addr::FA, Val::Bool(false));
     mem.initialize(Addr::FM, Val::Bool(false));
     mem.initialize(Addr::Phase, Val::Phase(Phase::Idle));
-    let mut heap = std::collections::BTreeSet::new();
+    let mut heap = RefSet::new();
     for (i, fields) in cfg.initial.objects.iter().enumerate() {
         let r = Ref::new(i as u8);
         heap.insert(r);
@@ -34,13 +34,18 @@ pub fn initial_sys_state(cfg: &ModelConfig) -> SysState {
         mem,
         heap,
         hs_type: HsType::Noop,
-        hs_pending: vec![false; cfg.mutators],
-        ghost_hs_flagged: vec![true; cfg.mutators],
+        hs_pending: 0,
+        ghost_hs_flagged: all_mutators(cfg),
         w_staged: WorkList::new(),
         ghost_gc_phase: crate::vocab::HsPhase::IdleMarkSweep,
         ghost_gc_prev_phase: crate::vocab::HsPhase::IdleMarkSweep,
         ghost_roots_phase: false,
     }
+}
+
+/// The per-mutator bit mask with every mutator's bit set.
+fn all_mutators(cfg: &ModelConfig) -> u8 {
+    (1 << cfg.mutators) - 1
 }
 
 /// Builds the system process's CIMP program.
@@ -55,63 +60,51 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
 
     let read = p.response("sys-read", |req: &Req, l: &Local| {
         let ReqKind::Read(addr) = &req.kind else {
-            return vec![];
+            return None;
         };
-        let s = l.sys();
-        match s.mem.read(ThreadId::new(req.tid), addr) {
-            Ok(v) => vec![(l.clone(), Resp::Loaded(v))],
-            Err(_) => vec![], // blocked: no rendezvous
-        }
+        // Blocked: no rendezvous.
+        let v = l.sys().mem.read(ThreadId::new(req.tid), addr).ok()?;
+        Some((*l, Resp::Loaded(v)))
     });
 
     let write = p.response("sys-write", move |req: &Req, l: &Local| {
         let ReqKind::Write(addr, val) = &req.kind else {
-            return vec![];
+            return None;
         };
         let s = l.sys();
         // Finite hardware store buffers: a full buffer delays the store.
         if s.mem.buffer(ThreadId::new(req.tid)).len() >= buffer_cap {
-            return vec![];
+            return None;
         }
-        let mut l2 = l.clone();
+        let mut l2 = *l;
         l2.sys_mut()
             .mem
             .write(ThreadId::new(req.tid), *addr, *val)
-            .expect("write is always enabled");
-        vec![(l2, Resp::Void)]
+            .expect("buffer_cap is within the machine's capacity");
+        Some((l2, Resp::Void))
     });
 
     let mfence = p.response("sys-mfence", |req: &Req, l: &Local| {
-        if req.kind != ReqKind::MFence {
-            return vec![];
-        }
-        if l.sys().mem.can_mfence(ThreadId::new(req.tid)) {
-            vec![(l.clone(), Resp::Void)]
-        } else {
-            vec![]
-        }
+        let enabled = req.kind == ReqKind::MFence && l.sys().mem.can_mfence(ThreadId::new(req.tid));
+        enabled.then_some((*l, Resp::Void))
     });
 
     let lock = p.response("sys-lock", |req: &Req, l: &Local| {
         if req.kind != ReqKind::Lock {
-            return vec![];
+            return None;
         }
-        let mut l2 = l.clone();
-        match l2.sys_mut().mem.lock(ThreadId::new(req.tid)) {
-            Ok(()) => vec![(l2, Resp::Void)],
-            Err(_) => vec![],
-        }
+        let mut l2 = *l;
+        l2.sys_mut().mem.lock(ThreadId::new(req.tid)).ok()?;
+        Some((l2, Resp::Void))
     });
 
     let unlock = p.response("sys-unlock", |req: &Req, l: &Local| {
         if req.kind != ReqKind::Unlock {
-            return vec![];
+            return None;
         }
-        let mut l2 = l.clone();
-        match l2.sys_mut().mem.unlock(ThreadId::new(req.tid)) {
-            Ok(()) => vec![(l2, Resp::Void)],
-            Err(_) => vec![],
-        }
+        let mut l2 = *l;
+        l2.sys_mut().mem.unlock(ThreadId::new(req.tid)).ok()?;
+        Some((l2, Resp::Void))
     });
 
     // The only internal transition: commit the oldest pending write of an
@@ -121,7 +114,7 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
         let mut out = Vec::new();
         for t in s.mem.threads_with_pending() {
             if s.mem.not_blocked(t) {
-                let mut l2 = l.clone();
+                let mut l2 = *l;
                 l2.sys_mut().mem.commit(t).expect("commit enabled");
                 out.push(l2);
             }
@@ -132,82 +125,68 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
     // -- Allocation and reclamation (§3.1: axiomatised as atomic) ------
 
     let alloc = p.response("sys-alloc", move |req: &Req, l: &Local| {
-        if req.kind != ReqKind::Alloc {
-            return vec![];
-        }
         let s = l.sys();
-        if !s.not_blocked(req.tid) {
-            return vec![];
+        if req.kind != ReqKind::Alloc || !s.not_blocked(req.tid) {
+            return None;
         }
         // Lowest free slot (a deterministic refinement of "an arbitrary
-        // free reference"; slot identity is symmetric).
-        let Some(slot) = (0..heap_capacity as u8)
+        // free reference"; slot identity is symmetric). A full heap blocks
+        // the allocation.
+        let slot = (0..heap_capacity as u8)
             .map(Ref::new)
-            .find(|r| !s.heap.contains(r))
-        else {
-            return vec![]; // heap full: allocation blocks
-        };
+            .find(|&r| !s.heap.contains(r))?;
         let fa = s.committed_fa();
-        let mut l2 = l.clone();
+        let mut l2 = *l;
         let s2 = l2.sys_mut();
         s2.heap.insert(slot);
         s2.mem.initialize(Addr::Flag(slot), Val::Bool(fa));
         for f in 0..fields as u8 {
             s2.mem.initialize(Addr::Field(slot, f), Val::Ref(None));
         }
-        vec![(l2, Resp::Allocated(slot))]
+        Some((l2, Resp::Allocated(slot)))
     });
 
     let free = p.response("sys-free", move |req: &Req, l: &Local| {
         let ReqKind::Free(r) = req.kind else {
-            return vec![];
+            return None;
         };
         let s = l.sys();
-        if !s.not_blocked(req.tid) || !s.heap.contains(&r) {
-            return vec![];
+        if !s.not_blocked(req.tid) || !s.heap.contains(r) {
+            return None;
         }
-        let mut l2 = l.clone();
+        let mut l2 = *l;
         let s2 = l2.sys_mut();
-        s2.heap.remove(&r);
+        s2.heap.remove(r);
         s2.mem.remove(&Addr::Flag(r));
         for f in 0..fields as u8 {
             s2.mem.remove(&Addr::Field(r, f));
         }
-        vec![(l2, Resp::Void)]
+        Some((l2, Resp::Void))
     });
 
     let snapshot = p.response("sys-heap-snapshot", |req: &Req, l: &Local| {
-        if req.kind != ReqKind::HeapSnapshot {
-            return vec![];
-        }
-        let domain: Vec<Ref> = l.sys().heap.iter().copied().collect();
-        vec![(l.clone(), Resp::Domain(domain))]
+        (req.kind == ReqKind::HeapSnapshot).then(|| (*l, Resp::Domain(l.sys().heap)))
     });
 
     // -- Handshakes (§3.1) ---------------------------------------------
 
     let hs_begin = p.response("sys-hs-begin", move |req: &Req, l: &Local| {
         let ReqKind::HsBegin(ty) = req.kind else {
-            return vec![];
+            return None;
         };
         // The collector's store fence when initiating a round (§2.4): the
         // round does not begin until the collector's control-variable
         // writes have drained. Dropped by the fence ablation.
         if fences && !l.sys().mem.buffer(ThreadId::new(req.tid)).is_empty() {
-            return vec![];
+            return None;
         }
-        let mut l2 = l.clone();
+        let mut l2 = *l;
         let s2 = l2.sys_mut();
-        debug_assert!(
-            s2.hs_pending.iter().all(|b| !b),
-            "handshake rounds never overlap"
-        );
+        debug_assert_eq!(s2.hs_pending, 0, "handshake rounds never overlap");
         s2.hs_type = ty;
         s2.ghost_gc_prev_phase = s2.ghost_gc_phase;
         s2.ghost_gc_phase = s2.ghost_gc_phase.step(ty);
-        for f in &mut s2.ghost_hs_flagged {
-            *f = false;
-        }
+        s2.ghost_hs_flagged = 0;
         match ty {
             HsType::GetRoots => s2.ghost_roots_phase = true,
             HsType::Noop => {
@@ -217,73 +196,68 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
             }
             HsType::GetWork => {}
         }
-        vec![(l2, Resp::Void)]
+        Some((l2, Resp::Void))
     });
 
     let hs_pend = p.response("sys-hs-pend", |req: &Req, l: &Local| {
         let ReqKind::HsPend(m) = req.kind else {
-            return vec![];
+            return None;
         };
-        let mut l2 = l.clone();
+        let mut l2 = *l;
         let s2 = l2.sys_mut();
-        s2.hs_pending[m as usize] = true;
-        s2.ghost_hs_flagged[m as usize] = true;
-        vec![(l2, Resp::Void)]
+        s2.hs_pending |= 1 << m;
+        s2.ghost_hs_flagged |= 1 << m;
+        Some((l2, Resp::Void))
     });
 
     let hs_await = p.response("sys-hs-await", |req: &Req, l: &Local| {
-        if req.kind != ReqKind::HsAwait {
-            return vec![];
-        }
-        if l.sys().hs_pending.iter().any(|b| *b) {
-            return vec![]; // block until all mutators have responded
+        // Block until all mutators have responded.
+        if req.kind != ReqKind::HsAwait || l.sys().hs_pending != 0 {
+            return None;
         }
         // Hand the staged work-list to the collector in the same step (the
         // concluding load fence is vacuous here: the collector has issued
         // no stores during the round).
-        let mut l2 = l.clone();
-        let s2 = l2.sys_mut();
-        let mut w = WorkList::new();
-        w.absorb(&mut s2.w_staged);
-        vec![(l2, Resp::Work(w))]
+        let mut l2 = *l;
+        let w = std::mem::take(&mut l2.sys_mut().w_staged);
+        Some((l2, Resp::Work(w)))
     });
 
     let hs_poll = p.response("sys-hs-poll", move |req: &Req, l: &Local| {
         let ReqKind::HsPoll(m) = req.kind else {
-            return vec![];
+            return None;
         };
         let s = l.sys();
-        if !s.hs_pending[m as usize] {
-            return vec![]; // no handshake pending for this mutator
+        if !s.pending(usize::from(m)) {
+            return None; // no handshake pending for this mutator
         }
         // The accepting fence (§2.4): the mutator takes the handshake only
         // once its own buffer has drained. Dropped by the fence ablation.
         if fences && !s.mem.buffer(ThreadId::new(req.tid)).is_empty() {
-            return vec![];
+            return None;
         }
-        vec![(l.clone(), Resp::Handshake(s.hs_type))]
+        Some((*l, Resp::Handshake(s.hs_type)))
     });
 
     let hs_complete = p.response("sys-hs-complete", move |req: &Req, l: &Local| {
-        let ReqKind::HsComplete(m, wl) = &req.kind else {
-            return vec![];
+        let ReqKind::HsComplete(m, mut wl) = req.kind else {
+            return None;
         };
         let s = l.sys();
-        if !s.hs_pending[*m as usize] {
-            return vec![];
+        if !s.pending(usize::from(m)) {
+            return None;
         }
         // The completing store fence: the mutator's buffer must be drained
         // before it signals completion (§2.4). Dropped by the fence
         // ablation.
         if fences && !s.mem.buffer(ThreadId::new(req.tid)).is_empty() {
-            return vec![];
+            return None;
         }
-        let mut l2 = l.clone();
+        let mut l2 = *l;
         let s2 = l2.sys_mut();
-        let mut wl = wl.clone();
         s2.w_staged.absorb(&mut wl);
-        s2.hs_pending[*m as usize] = false;
-        vec![(l2, Resp::Void)]
+        s2.hs_pending &= !(1 << m);
+        Some((l2, Resp::Void))
     });
 
     let branches = [
@@ -327,14 +301,14 @@ mod tests {
         assert!(!s.committed_fa());
         assert!(!s.committed_fm());
         assert_eq!(s.committed_phase(), Phase::Idle);
-        assert_eq!(s.hs_pending, vec![false, false]);
+        assert_eq!((s.hs_pending, s.ghost_hs_flagged), (0b00, 0b11));
         assert_eq!(
             s.mem.memory(&Addr::Flag(Ref::new(0))),
-            Some(&Val::Bool(false))
+            Some(Val::Bool(false))
         );
         assert_eq!(
             s.mem.memory(&Addr::Field(Ref::new(1), 0)),
-            Some(&Val::Ref(None))
+            Some(Val::Ref(None))
         );
     }
 
@@ -346,11 +320,11 @@ mod tests {
         let s = initial_sys_state(&cfg);
         assert_eq!(
             s.mem.memory(&Addr::Field(Ref::new(0), 0)),
-            Some(&Val::Ref(Some(Ref::new(1))))
+            Some(Val::Ref(Some(Ref::new(1))))
         );
         assert_eq!(
             s.mem.memory(&Addr::Field(Ref::new(2), 0)),
-            Some(&Val::Ref(None))
+            Some(Val::Ref(None))
         );
     }
 

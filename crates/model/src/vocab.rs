@@ -4,7 +4,13 @@
 
 use std::fmt;
 
-use gc_types::{Ref, WorkList};
+use gc_types::{Ref, RefSet, WorkList};
+use tso_model::Cell;
+
+/// Reference fields an object can have: with 64 references, three control
+/// variables, a flag and this many fields per object, every [`Addr`] has a
+/// byte of its own.
+pub const MAX_FIELDS: usize = 2;
 
 /// A shared-memory address, all of which are subject to TSO (§3.1: "We make
 /// all of the garbage collector's control variables (fA, fM, phase) subject
@@ -22,6 +28,36 @@ pub enum Addr {
     /// A reference field of the object at the given reference.
     Field(Ref, u8),
 }
+
+/// Control variables first, then flags, then fields — the order of `Ord`.
+impl Cell for Addr {
+    fn to_byte(self) -> u8 {
+        match self {
+            Addr::FA => 0,
+            Addr::FM => 1,
+            Addr::Phase => 2,
+            Addr::Flag(r) => 3 + r.index() as u8,
+            Addr::Field(r, f) => FIELD_BASE + r.index() as u8 * MAX_FIELDS as u8 + f,
+        }
+    }
+
+    fn from_byte(byte: u8) -> Self {
+        match byte {
+            0 => Addr::FA,
+            1 => Addr::FM,
+            2 => Addr::Phase,
+            3..FIELD_BASE => Addr::Flag(Ref::new(byte - 3)),
+            _ => {
+                let at = byte - FIELD_BASE;
+                Addr::Field(Ref::new(at / MAX_FIELDS as u8), at % MAX_FIELDS as u8)
+            }
+        }
+    }
+}
+
+/// The byte of `Addr::Field(r0, 0)`: three control variables and one flag
+/// per representable reference come before it.
+const FIELD_BASE: u8 = 3 + RefSet::CAPACITY as u8;
 
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -44,6 +80,26 @@ pub enum Val {
     Phase(Phase),
     /// A reference or `NULL` (an object field).
     Ref(Option<Ref>),
+}
+
+impl Cell for Val {
+    fn to_byte(self) -> u8 {
+        match self {
+            Val::Bool(b) => u8::from(b),
+            Val::Phase(p) => 2 + p as u8,
+            Val::Ref(None) => 6,
+            Val::Ref(Some(r)) => 7 + r.index() as u8,
+        }
+    }
+
+    fn from_byte(byte: u8) -> Self {
+        match byte {
+            0 | 1 => Val::Bool(byte == 1),
+            2..6 => Val::Phase(Phase::ALL[usize::from(byte - 2)]),
+            6 => Val::Ref(None),
+            _ => Val::Ref(Some(Ref::new(byte - 7))),
+        }
+    }
 }
 
 impl Val {
@@ -98,6 +154,11 @@ pub enum Phase {
     Sweep,
 }
 
+impl Phase {
+    /// Every phase, in declaration order (`ALL[p as usize] == p`).
+    pub const ALL: [Phase; 4] = [Phase::Idle, Phase::Init, Phase::Mark, Phase::Sweep];
+}
+
 impl fmt::Display for Phase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -112,7 +173,7 @@ impl fmt::Display for Phase {
 
 /// The type of a soft handshake (§3.2 "Handshakes": noop, mark roots, mark
 /// loop termination).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum HsType {
     /// Acknowledge a control-state change; no work.
     #[default]
@@ -121,6 +182,11 @@ pub enum HsType {
     GetRoots,
     /// Transfer `W_m` (mark-loop termination polling).
     GetWork,
+}
+
+impl HsType {
+    /// Every handshake type, in declaration order (`ALL[h as usize] == h`).
+    pub const ALL: [HsType; 3] = [HsType::Noop, HsType::GetRoots, HsType::GetWork];
 }
 
 impl fmt::Display for HsType {
@@ -137,7 +203,7 @@ impl fmt::Display for HsType {
 /// The handshake phase (bottom row of Figure 3): a coarse system-wide
 /// program counter derived from how many handshakes a participant has
 /// initiated (collector) or completed (mutator) in the current cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HsPhase {
     /// Completed the idle (cycle-start) noop handshake.
     Idle,
@@ -151,6 +217,14 @@ pub enum HsPhase {
 }
 
 impl HsPhase {
+    /// Every handshake phase, in declaration order (`ALL[h as usize] == h`).
+    pub const ALL: [HsPhase; 4] = [
+        HsPhase::Idle,
+        HsPhase::IdleInit,
+        HsPhase::InitMark,
+        HsPhase::IdleMarkSweep,
+    ];
+
     /// The handshake phase entered by completing (mutator) or initiating
     /// (collector) a handshake of type `hs` while in `self`.
     ///
@@ -187,7 +261,7 @@ impl fmt::Display for HsPhase {
 /// A request α sent to the system process: the issuing hardware thread plus
 /// the operation (Figure 9, extended with the handshake and allocation
 /// operations of §3.1).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Req {
     /// The issuing hardware thread (0 = collector, 1+i = mutator i).
     pub tid: usize,
@@ -196,7 +270,7 @@ pub struct Req {
 }
 
 /// The operation requested of the system.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReqKind {
     /// A TSO load.
     Read(Addr),
@@ -253,7 +327,7 @@ impl fmt::Display for Req {
 }
 
 /// A response β from the system process.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resp {
     /// No payload.
     Void,
@@ -262,11 +336,31 @@ pub enum Resp {
     /// A freshly allocated reference.
     Allocated(Ref),
     /// The heap domain.
-    Domain(Vec<Ref>),
+    Domain(RefSet),
     /// The staged work-list.
     Work(WorkList),
     /// The pending handshake's type.
     Handshake(HsType),
+}
+
+/// As derived, except that the heap domain prints as the list it used to
+/// be (`Domain([Ref(0), Ref(1)])`): counterexample traces print responses
+/// this way and are compared byte for byte against recorded ones.
+impl fmt::Debug for Resp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Resp::Void => f.write_str("Void"),
+            Resp::Loaded(v) => f.debug_tuple("Loaded").field(v).finish(),
+            Resp::Allocated(r) => f.debug_tuple("Allocated").field(r).finish(),
+            Resp::Domain(refs) => {
+                f.write_str("Domain(")?;
+                f.debug_list().entries(refs.iter()).finish()?;
+                f.write_str(")")
+            }
+            Resp::Work(w) => f.debug_tuple("Work").field(w).finish(),
+            Resp::Handshake(ty) => f.debug_tuple("Handshake").field(ty).finish(),
+        }
+    }
 }
 
 impl Resp {
@@ -311,6 +405,51 @@ mod tests {
         assert_eq!(
             HsPhase::IdleInit.step(HsType::GetWork),
             HsPhase::IdleMarkSweep
+        );
+    }
+
+    #[test]
+    fn every_address_and_value_has_its_own_byte() {
+        let refs = (0..RefSet::CAPACITY as u8).map(Ref::new);
+        let mut addrs = vec![Addr::FA, Addr::FM, Addr::Phase];
+        addrs.extend(refs.clone().map(Addr::Flag));
+        addrs.extend(
+            refs.clone()
+                .flat_map(|r| (0..MAX_FIELDS as u8).map(move |f| Addr::Field(r, f))),
+        );
+        // `Ord` on `Addr` and on its bytes agree, and the bytes are dense.
+        assert!(addrs.is_sorted());
+        for (byte, a) in addrs.iter().enumerate() {
+            assert_eq!(usize::from(a.to_byte()), byte);
+            assert_eq!(Addr::from_byte(byte as u8), *a);
+        }
+        let mut vals = vec![Val::Bool(false), Val::Bool(true)];
+        vals.extend(Phase::ALL.map(Val::Phase));
+        vals.push(Val::Ref(None));
+        vals.extend(refs.map(|r| Val::Ref(Some(r))));
+        for (byte, v) in vals.iter().enumerate() {
+            assert_eq!(usize::from(v.to_byte()), byte);
+            assert_eq!(Val::from_byte(byte as u8), *v);
+        }
+    }
+
+    #[test]
+    fn responses_print_as_the_recorded_traces_have_them() {
+        let refs: RefSet = [Ref::new(0), Ref::new(1)].into_iter().collect();
+        assert_eq!(
+            format!("{:?}", Resp::Domain(refs)),
+            "Domain([Ref(0), Ref(1)])"
+        );
+        let work = Resp::Work(refs.iter().collect());
+        assert_eq!(
+            format!("{work:?}"),
+            "Work(WorkList { refs: {Ref(0), Ref(1)} })"
+        );
+        let loaded = Resp::Loaded(Some(Val::Ref(None)));
+        assert_eq!(format!("{loaded:?}"), "Loaded(Some(Ref(None)))");
+        assert_eq!(
+            format!("{:?}", Resp::Handshake(HsType::Noop)),
+            "Handshake(Noop)"
         );
     }
 

@@ -1,0 +1,119 @@
+//! The checker's hot path stays off the heap.
+//!
+//! On the benchmark's `check-raw` instance — two mutators sharing one
+//! object, no allocation, `buffer_cap = 2` — the first 100,000 states are
+//! expanded breadth-first under a counting allocator. Before the state was
+//! packed (PR 11) this measured 46.2 allocations per successor in
+//! `successors_into`, 14.2 per `ModelState::clone` and 15.6 per evaluation
+//! of the §3.2 suite; the budgets below are what an inline state leaves:
+//! the scratch vectors of one expansion and the `Vec`s the handful of
+//! genuinely non-deterministic steps (`mut-load`, `mut-store-begin`,
+//! `mut-discard`, `sys-dequeue`) return.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashSet;
+use std::hash::{BuildHasher, RandomState};
+
+use gc_model::invariants::combined_property;
+use gc_model::{GcModel, InitialHeap, ModelConfig, ModelState};
+use mc::TransitionSystem;
+
+struct Counting;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a plain thread-local `Cell` with no
+// destructor and no allocation of its own.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+#[test]
+fn successors_clone_and_invariants_stay_within_their_allocation_budgets() {
+    const STATES: usize = 100_000;
+    let mut cfg = ModelConfig::small(2, 2);
+    cfg.initial = InitialHeap::shared_object(2, 1);
+    cfg.ops.alloc = false;
+    cfg.buffer_cap = 2;
+    let model = GcModel::new(cfg.clone());
+    let property = combined_property(&cfg);
+
+    // Fingerprints, not states: the search is scaffolding, not the subject.
+    let fingerprints = RandomState::new();
+    let mut frontier: Vec<ModelState> = model.initial_states();
+    let mut seen: HashSet<u64> = frontier.iter().map(|s| fingerprints.hash_one(s)).collect();
+    let mut scratch = Vec::with_capacity(64);
+    let (mut expanded, mut successors) = (0u64, 0u64);
+    let (mut in_successors, mut in_clone, mut in_invariants) = (0u64, 0u64, 0u64);
+    'search: while !frontier.is_empty() {
+        let mut next = Vec::new();
+        for state in &frontier {
+            scratch.clear();
+            let (n, ()) = allocations(|| model.successors_into(state, &mut scratch));
+            in_successors += n;
+            expanded += 1;
+            successors += scratch.len() as u64;
+            #[allow(clippy::clone_on_copy)] // `clone` is the call being measured
+            let (n, copy) = allocations(|| state.clone());
+            in_clone += n;
+            let (n, violation) = allocations(|| property.violation(&copy));
+            in_invariants += n;
+            assert_eq!(violation, None);
+            for (_, succ) in scratch.drain(..) {
+                if seen.insert(fingerprints.hash_one(succ)) {
+                    next.push(succ);
+                }
+            }
+            if expanded as usize == STATES {
+                break 'search;
+            }
+        }
+        frontier = next;
+    }
+    assert_eq!(expanded as usize, STATES, "the instance has 584,854 states");
+
+    let per_successor = in_successors as f64 / successors as f64;
+    println!(
+        "{expanded} states expanded, {successors} successors: \
+         {per_successor:.2} allocations per successor in successors_into \
+         ({:.2} per expanded state), {in_clone} in ModelState::clone, \
+         {in_invariants} in combined_property",
+        in_successors as f64 / expanded as f64
+    );
+    assert!(
+        per_successor <= 4.0,
+        "{per_successor} allocations per successor"
+    );
+    assert_eq!(in_clone, 0);
+    assert_eq!(in_invariants, 0);
+}

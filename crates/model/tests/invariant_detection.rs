@@ -3,54 +3,39 @@
 //! *detects* it. (The model itself never reaches these states — that is
 //! the theorem — so the detectors need their own direct evidence.)
 
-use cimp::SystemState;
 use gc_model::invariants;
 use gc_model::view::View;
-use gc_model::{GcModel, Local, ModelConfig};
+use gc_model::{GcModel, ModelConfig, ModelState};
 use gc_types::Ref;
 use mc::TransitionSystem;
 
-/// A mutable copy of the initial state's locals, re-assembled on demand.
+/// A copy of the initial state to operate on.
 struct Surgeon {
     cfg: ModelConfig,
-    controls: Vec<cimp::Stack>,
-    locals: Vec<Local>,
+    state: ModelState,
 }
 
 impl Surgeon {
     fn new(cfg: ModelConfig) -> Self {
         let model = GcModel::new(cfg.clone());
-        let st = model.initial_states().remove(0);
-        Surgeon {
-            controls: (0..cfg.mutators + 2)
-                .map(|p| st.control(p).clone())
-                .collect(),
-            locals: st.locals().to_vec(),
-            cfg,
-        }
+        let state = model.initial_states().remove(0);
+        Surgeon { cfg, state }
     }
 
     fn gc_mut(&mut self) -> &mut gc_model::GcState {
-        self.locals[0].gc_mut()
+        &mut self.state.locals_mut().gc
     }
 
     fn mut_mut(&mut self, m: usize) -> &mut gc_model::MutState {
-        self.locals[1 + m].mutator_mut()
+        &mut self.state.locals_mut().mutators_mut()[m]
     }
 
     fn sys_mut(&mut self) -> &mut gc_model::SysState {
-        let n = self.locals.len();
-        self.locals[n - 1].sys_mut()
-    }
-
-    fn state(&self) -> SystemState<Local> {
-        SystemState::from_parts(self.controls.clone(), self.locals.clone())
+        &mut self.state.locals_mut().sys
     }
 
     fn check<R>(&self, f: impl FnOnce(&View) -> R) -> R {
-        let st = self.state();
-        let v = View::new(&self.cfg, &st);
-        f(&v)
+        f(&View::new(&self.cfg, &self.state))
     }
 }
 
@@ -237,8 +222,8 @@ fn gc_w_empty_detects_silent_grey_holder() {
     {
         let sys = s.sys_mut();
         sys.hs_type = gc_model::HsType::GetWork;
-        sys.ghost_hs_flagged = vec![true, true];
-        sys.hs_pending = vec![false, true];
+        sys.ghost_hs_flagged = 0b11;
+        sys.hs_pending = 0b10;
     }
     s.mut_mut(0).wl.insert(r(0));
     assert!(!s.check(invariants::gc_w_empty_mut_inv));

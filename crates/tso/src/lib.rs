@@ -23,9 +23,13 @@
 //! * releasing the bus lock likewise requires an empty buffer, which gives
 //!   locked instructions their implicit flushing/fence behaviour.
 //!
-//! The machine is generic over address and value types so that it can serve
-//! both as a stand-alone litmus-test playground ([`litmus`]) and as the
-//! memory component of the garbage collector model in the `gc-model` crate.
+//! The machine is generic over address and value types — anything that
+//! round-trips through a byte ([`Cell`]) — so that it can serve both as a
+//! stand-alone litmus-test playground ([`litmus`]) and as the memory
+//! component of the garbage collector model in the `gc-model` crate. It is
+//! bounded and inline ([`MAX_THREADS`], [`BUFFER_CAPACITY`],
+//! [`MEMORY_CELLS`]): a model checker copies, compares and hashes millions
+//! of machines, so one is a few dozen bytes of plain `Copy` data.
 //!
 //! # Example
 //!
@@ -39,20 +43,21 @@
 //!
 //! let t0 = ThreadId::new(0);
 //! let t1 = ThreadId::new(1);
-//! let mut m: Machine<&str, u32> = Machine::new(2, MemoryModel::Tso);
-//! m.initialize("x", 0);
-//! m.initialize("y", 0);
+//! let (x, y) = (0u8, 1u8);
+//! let mut m: Machine<u8, u8> = Machine::new(2, MemoryModel::Tso);
+//! m.initialize(x, 0);
+//! m.initialize(y, 0);
 //!
-//! m.write(t0, "x", 1)?; // buffered
-//! m.write(t1, "y", 1)?; // buffered
+//! m.write(t0, x, 1)?; // buffered
+//! m.write(t1, y, 1)?; // buffered
 //!
 //! // Neither store has committed, so both threads read 0 from memory:
-//! assert_eq!(m.read(t0, &"y")?, Some(0));
-//! assert_eq!(m.read(t1, &"x")?, Some(0));
+//! assert_eq!(m.read(t0, &y)?, Some(0));
+//! assert_eq!(m.read(t1, &x)?, Some(0));
 //!
 //! // ... yet each thread sees its *own* store via buffer forwarding:
-//! assert_eq!(m.read(t0, &"x")?, Some(1));
-//! assert_eq!(m.read(t1, &"y")?, Some(1));
+//! assert_eq!(m.read(t0, &x)?, Some(1));
+//! assert_eq!(m.read(t1, &y)?, Some(1));
 //! # Ok::<(), tso_model::TsoError>(())
 //! ```
 
@@ -62,4 +67,7 @@
 pub mod litmus;
 mod machine;
 
-pub use machine::{Machine, MemoryModel, StoreBuffer, ThreadId, TsoError};
+pub use machine::{
+    Cell, Machine, MemoryModel, StoreBuffer, ThreadId, TsoError, BUFFER_CAPACITY, MAX_THREADS,
+    MEMORY_CELLS,
+};

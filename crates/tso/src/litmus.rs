@@ -88,9 +88,11 @@ pub struct LitmusTest {
     threads: Vec<Vec<Instr>>,
 }
 
+/// The machine stores bytes: a location is its rank among the test's
+/// sorted location names, and values must fit a byte.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ExplState {
-    machine: Machine<&'static str, u32>,
+    machine: Machine<u8, u8>,
     pcs: Vec<usize>,
     regs: Vec<Vec<u32>>,
 }
@@ -145,10 +147,27 @@ impl LitmusTest {
             .unwrap_or(0)
     }
 
-    fn initial_state(&self, model: MemoryModel) -> ExplState {
+    /// Every location the test names, sorted: a location's machine address
+    /// is its index here, so the machine's address order is name order.
+    fn locations(&self) -> Vec<&'static str> {
+        let mut names: Vec<&'static str> = self.init.iter().map(|&(a, _)| a).collect();
+        for instr in self.threads.iter().flatten() {
+            match *instr {
+                Instr::Write(a, _) | Instr::Read(a, _) | Instr::Cas { addr: a, .. } => {
+                    names.push(a);
+                }
+                Instr::MFence => {}
+            }
+        }
+        names.sort_unstable();
+        names.dedup();
+        names
+    }
+
+    fn initial_state(&self, model: MemoryModel, locations: &[&'static str]) -> ExplState {
         let mut machine = Machine::new(self.threads.len(), model);
         for &(a, v) in &self.init {
-            machine.initialize(a, v);
+            machine.initialize(address(locations, a), byte(v));
         }
         ExplState {
             machine,
@@ -168,7 +187,14 @@ impl LitmusTest {
     /// by coalescing adjacent duplicate writes
     /// ([`Machine::canonicalize_buffers`]) so observationally-equivalent
     /// buffer contents dedup to one state.
-    fn successors_into(&self, s: &ExplState, canonicalize: bool, out: &mut Vec<ExplState>) {
+    fn successors_into(
+        &self,
+        s: &ExplState,
+        locations: &[&'static str],
+        canonicalize: bool,
+        out: &mut Vec<ExplState>,
+    ) {
+        let at = |name| address(locations, name);
         let base = out.len();
         for (ti, program) in self.threads.iter().enumerate() {
             let t = ThreadId::new(ti);
@@ -177,10 +203,10 @@ impl LitmusTest {
                 let mut next = s.clone();
                 next.pcs[ti] += 1;
                 let ok = match instr {
-                    Instr::Write(a, v) => next.machine.write(t, a, v).is_ok(),
-                    Instr::Read(a, r) => match next.machine.read(t, &a) {
+                    Instr::Write(a, v) => next.machine.write(t, at(a), byte(v)).is_ok(),
+                    Instr::Read(a, r) => match next.machine.read(t, &at(a)) {
                         Ok(v) => {
-                            next.regs[ti][r] = v.unwrap_or(u32::MAX);
+                            next.regs[ti][r] = v.map_or(u32::MAX, u32::from);
                             true
                         }
                         Err(_) => false,
@@ -191,7 +217,10 @@ impl LitmusTest {
                         expected,
                         new,
                         reg,
-                    } => match next.machine.locked_cmpxchg(t, addr, &expected, new) {
+                    } => match next
+                        .machine
+                        .locked_cmpxchg(t, at(addr), &byte(expected), byte(new))
+                    {
                         Ok(won) => {
                             next.regs[ti][reg] = u32::from(won);
                             true
@@ -225,10 +254,11 @@ impl LitmusTest {
         &self,
         model: MemoryModel,
         canonicalize: bool,
-        mut on_final: impl FnMut(&ExplState),
+        mut on_final: impl FnMut(&ExplState, &[&'static str]),
     ) -> usize {
+        let locations = self.locations();
         let mut seen: HashSet<ExplState> = HashSet::new();
-        let mut stack = vec![self.initial_state(model)];
+        let mut stack = vec![self.initial_state(model, &locations)];
         let mut scratch: Vec<ExplState> = Vec::new();
         while let Some(s) = stack.pop() {
             if !seen.insert(s.clone()) {
@@ -241,10 +271,10 @@ impl LitmusTest {
                 .all(|(t, &pc)| pc == self.threads[t].len())
                 && s.machine.threads_with_pending().next().is_none();
             if done {
-                on_final(&s);
+                on_final(&s, &locations);
             }
             scratch.clear();
-            self.successors_into(&s, canonicalize, &mut scratch);
+            self.successors_into(&s, &locations, canonicalize, &mut scratch);
             stack.append(&mut scratch);
         }
         seen.len()
@@ -269,7 +299,7 @@ impl LitmusTest {
     /// only the number of distinct explored states shrinks.
     pub fn outcomes_with(&self, model: MemoryModel, canonicalize: bool) -> BTreeSet<Outcome> {
         let mut finals = BTreeSet::new();
-        self.explore(model, canonicalize, |s| {
+        self.explore(model, canonicalize, |s, _| {
             finals.insert(Outcome::new(s.regs.clone()));
         });
         finals
@@ -281,11 +311,11 @@ impl LitmusTest {
     /// registers (e.g. `2+2W`).
     pub fn final_memories(&self, model: MemoryModel) -> BTreeSet<Vec<(&'static str, u32)>> {
         let mut finals = BTreeSet::new();
-        self.explore(model, false, |s| {
+        self.explore(model, false, |s, locations| {
             finals.insert(
                 s.machine
                     .memory_iter()
-                    .map(|(a, v)| (*a, *v))
+                    .map(|(a, v)| (locations[usize::from(a)], u32::from(v)))
                     .collect::<Vec<_>>(),
             );
         });
@@ -302,8 +332,17 @@ impl LitmusTest {
     /// canonicalization optionally enabled, for measuring the per-test
     /// savings of the normalization.
     pub fn state_count_with(&self, model: MemoryModel, canonicalize: bool) -> usize {
-        self.explore(model, canonicalize, |_| {})
+        self.explore(model, canonicalize, |_, _| {})
     }
+}
+
+fn address(locations: &[&'static str], name: &'static str) -> u8 {
+    let rank = locations.iter().position(|&l| l == name);
+    rank.expect("every named location is in the table") as u8
+}
+
+fn byte(value: u32) -> u8 {
+    u8::try_from(value).expect("litmus values fit a byte")
 }
 
 /// The store-buffering litmus test (`SB`): the signature TSO relaxation.
@@ -636,5 +675,56 @@ mod tests {
         let outs = t.outcomes(MemoryModel::Tso);
         assert_eq!(outs.len(), 1);
         assert!(outs.contains(&outcome(vec![vec![u32::MAX]])));
+    }
+
+    /// Explored state counts (plain, then buffer-canonical) and outcome
+    /// sets of every suite test, as the `BTreeMap`/`VecDeque` machine of
+    /// PR 11 (541c051) produced them.
+    #[test]
+    fn suite_outcomes_and_state_counts_match_the_recorded_ones() {
+        use MemoryModel::{Sc, Tso};
+        #[rustfmt::skip]
+        let recorded: [(&str, MemoryModel, usize, usize, &str); 20] = [
+            ("SB", Tso, 34, 34, "[[[0], [0]], [[0], [1]], [[1], [0]], [[1], [1]]]"),
+            ("SB", Sc, 13, 13, "[[[0], [1]], [[1], [0]], [[1], [1]]]"),
+            ("SB+mfences", Tso, 31, 31, "[[[0], [1]], [[1], [0]], [[1], [1]]]"),
+            ("SB+mfences", Sc, 22, 22, "[[[0], [1]], [[1], [0]], [[1], [1]]]"),
+            ("MP", Tso, 23, 23, "[[[], [0, 0]], [[], [0, 1]], [[], [1, 1]]]"),
+            ("MP", Sc, 13, 13, "[[[], [0, 0]], [[], [0, 1]], [[], [1, 1]]]"),
+            ("LB", Tso, 22, 22, "[[[0], [0]], [[0], [1]], [[1], [0]]]"),
+            ("LB", Sc, 13, 13, "[[[0], [0]], [[0], [1]], [[1], [0]]]"),
+            ("n6", Tso, 54, 54, "[[[1, 0], []], [[1, 2], []], [[2, 2], []]]"),
+            ("n6", Sc, 19, 19, "[[[1, 0], []], [[1, 2], []], [[2, 2], []]]"),
+            ("IRIW", Tso, 284, 284, "[[[], [], [0, 0], [0, 0]], [[], [], [0, 0], [0, 1]], [[], [], [0, 0], [1, 0]], [[], [], [0, 0], [1, 1]], [[], [], [0, 1], [0, 0]], [[], [], [0, 1], [0, 1]], [[], [], [0, 1], [1, 0]], [[], [], [0, 1], [1, 1]], [[], [], [1, 0], [0, 0]], [[], [], [1, 0], [0, 1]], [[], [], [1, 0], [1, 1]], [[], [], [1, 1], [0, 0]], [[], [], [1, 1], [0, 1]], [[], [], [1, 1], [1, 0]], [[], [], [1, 1], [1, 1]]]"),
+            ("IRIW", Sc, 166, 166, "[[[], [], [0, 0], [0, 0]], [[], [], [0, 0], [0, 1]], [[], [], [0, 0], [1, 0]], [[], [], [0, 0], [1, 1]], [[], [], [0, 1], [0, 0]], [[], [], [0, 1], [0, 1]], [[], [], [0, 1], [1, 0]], [[], [], [0, 1], [1, 1]], [[], [], [1, 0], [0, 0]], [[], [], [1, 0], [0, 1]], [[], [], [1, 0], [1, 1]], [[], [], [1, 1], [0, 0]], [[], [], [1, 1], [0, 1]], [[], [], [1, 1], [1, 0]], [[], [], [1, 1], [1, 1]]]"),
+            ("R", Tso, 39, 39, "[[[], [0]], [[], [1]]]"),
+            ("R", Sc, 13, 13, "[[[], [0]], [[], [1]]]"),
+            ("2+2W", Tso, 42, 42, "[[[], []]]"),
+            ("2+2W", Sc, 13, 13, "[[[], []]]"),
+            ("CAS-race", Tso, 5, 5, "[[[0], [1]], [[1], [0]]]"),
+            ("CAS-race", Sc, 5, 5, "[[[0], [1]], [[1], [0]]]"),
+            ("SB+dups", Tso, 277, 189, "[[[0], [0]], [[0], [1]], [[1], [0]], [[1], [1]]]"),
+            ("SB+dups", Sc, 33, 33, "[[[0], [1]], [[1], [0]], [[1], [1]]]"),
+        ];
+        let mut rows = recorded.iter();
+        for t in suite().into_iter().chain([sb_dups()]) {
+            for model in [Tso, Sc] {
+                let &(name, m, states, canonical, outcomes) = rows.next().expect("a row per run");
+                assert_eq!((name, m), (t.name(), model));
+                assert_eq!(t.state_count(model), states, "{name} {model:?}");
+                assert_eq!(
+                    t.state_count_with(model, true),
+                    canonical,
+                    "{name} {model:?}"
+                );
+                let got: Vec<_> = t
+                    .outcomes(model)
+                    .iter()
+                    .map(|o| o.regs().to_vec())
+                    .collect();
+                assert_eq!(format!("{got:?}"), outcomes, "{name} {model:?}");
+            }
+        }
+        assert!(rows.next().is_none());
     }
 }
