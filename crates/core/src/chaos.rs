@@ -124,13 +124,25 @@ impl ChaosSite {
     }
 }
 
-/// SplitMix64: the full avalanche of a 64-bit counter. Tiny, statistically
-/// fine for fault scheduling, and dependency-free.
+/// One step of the SplitMix64 generator (Steele et al.): advances `state`
+/// by the generator's increment and returns the full avalanche of the new
+/// state. Tiny, statistically fine for fault scheduling and load
+/// generation, and dependency-free; `gc_serve::SplitMix64` is this function
+/// over a stored state.
+#[inline]
+pub fn splitmix64_next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The first draw of the SplitMix64 stream seeded with `x`: a pure hash of
+/// a 64-bit counter, which is how the fault sites use it.
+#[inline]
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    splitmix64_next(&mut x)
 }
 
 /// A seeded, deterministic fault-injection plan.

@@ -24,19 +24,13 @@ pub type MutId = u32;
 /// Samples the segmented heap's gauge series onto the calling thread's
 /// trace track: one `segment-<n>-occupancy` counter per segment plus the
 /// free-segment-stack depth. No-op on the slab layout (the single global
-/// occupancy counter covers it), in trace-less builds, and while tracing
-/// is runtime-disabled — the bitmap pass must not run when nobody is
-/// listening, so instrumented-but-quiet runs keep their timing.
+/// occupancy counter covers it) and while tracing is disabled — the
+/// bitmap pass must not run when nobody is listening, so
+/// instrumented-but-quiet runs keep their timing.
 fn emit_segment_gauges(heap: &Heap) {
-    #[cfg(not(feature = "trace"))]
-    {
-        let _ = heap;
-    }
-    #[cfg(feature = "trace")]
     if !gc_trace::enabled() {
         return;
     }
-    #[cfg(feature = "trace")]
     if let Some(g) = heap.segment_gauges() {
         for (i, &busy) in g.busy.iter().enumerate() {
             trace_event!(SegmentOccupancy {
@@ -911,7 +905,6 @@ mod tests {
         assert_eq!(b2, b);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn segmented_cycle_emits_per_segment_gauges() {
         use crate::config::HeapLayout;

@@ -86,27 +86,12 @@
 #![deny(unsafe_code)]
 
 /// Emits a [`gc_trace::EventKind`] variant on the calling thread's trace
-/// track. With the `trace` feature off the expansion is empty — the
-/// argument tokens are never even type-checked — so instrumented hot paths
-/// carry zero cost in trace-less builds.
-#[cfg(feature = "trace")]
+/// track. While tracing is disabled ([`gc_trace::disable`], the default)
+/// a site costs one relaxed atomic load.
 macro_rules! trace_event {
     ($variant:ident $($rest:tt)*) => {
         gc_trace::emit(gc_trace::EventKind::$variant $($rest)*)
     };
-}
-
-#[cfg(not(feature = "trace"))]
-macro_rules! trace_event {
-    // Discard the (side-effect-free) field expressions so variables that
-    // exist only to feed the tracer don't warn in trace-less builds.
-    ($variant:ident { $($field:ident : $value:expr),* $(,)? }) => {
-        { $(let _ = &$value;)* }
-    };
-    ($variant:ident { $($field:ident),* $(,)? }) => {
-        { $(let _ = &$field;)* }
-    };
-    ($variant:ident) => {};
 }
 
 pub mod chaos;

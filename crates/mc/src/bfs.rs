@@ -772,7 +772,6 @@ where
         deepest = level;
         let expanding = level < config.max_depth;
         telemetry.level_begin(level, frontier.len());
-        #[cfg(feature = "trace")]
         gc_trace::emit(gc_trace::EventKind::LevelBegin {
             level: level as u32,
             frontier: frontier.len() as u64,
@@ -940,26 +939,23 @@ where
         // telemetry are observation only — they never influence exploration
         // order, so the deterministic-drain guarantee is untouched.
         telemetry.level_done(states_count, next_disk.as_ref().map_or(0, |w| w.bytes));
-        #[cfg(feature = "trace")]
-        {
-            let discovered = next_disk.as_ref().map_or(next_mem.len(), |w| w.len) as u64;
-            gc_trace::emit(gc_trace::EventKind::LevelEnd {
-                level: level as u32,
-                discovered,
-                states_total: states_count as u64,
-            });
-            let mut occ_max = 0u64;
-            let mut occ_total = 0u64;
-            for shard in shards.iter_mut() {
-                let n = shard.get_mut().expect("shard lock").seen.len() as u64;
-                occ_max = occ_max.max(n);
-                occ_total += n;
-            }
-            gc_trace::emit(gc_trace::EventKind::ShardOccupancy {
-                max: occ_max,
-                total: occ_total,
-            });
+        let discovered = next_disk.as_ref().map_or(next_mem.len(), |w| w.len) as u64;
+        gc_trace::emit(gc_trace::EventKind::LevelEnd {
+            level: level as u32,
+            discovered,
+            states_total: states_count as u64,
+        });
+        let mut occ_max = 0u64;
+        let mut occ_total = 0u64;
+        for shard in shards.iter_mut() {
+            let n = shard.get_mut().expect("shard lock").seen.len() as u64;
+            occ_max = occ_max.max(n);
+            occ_total += n;
         }
+        gc_trace::emit(gc_trace::EventKind::ShardOccupancy {
+            max: occ_max,
+            total: occ_total,
+        });
 
         frontier = match next_disk {
             Some(w) => Frontier::Disk(w.finish()),

@@ -141,7 +141,6 @@ pub struct CheckerConfig {
     /// with a `gc_trace::MetricsServer` makes a long check scrapable in
     /// flight. `None` (default) publishes nothing; telemetry never affects
     /// verdicts or state counts either way.
-    #[cfg(feature = "trace")]
     pub metrics: Option<Arc<gc_trace::Registry>>,
 }
 
@@ -156,7 +155,6 @@ impl CheckerConfig {
 
     /// Returns `self` publishing live telemetry into `registry` (see the
     /// [`metrics`](CheckerConfig::metrics) field).
-    #[cfg(feature = "trace")]
     #[must_use]
     pub fn metrics(mut self, registry: Arc<gc_trace::Registry>) -> Self {
         self.metrics = Some(registry);
@@ -178,7 +176,6 @@ impl fmt::Debug for CheckerConfig {
             )
             .field("reduction", &self.reduction)
             .field("spill_threshold", &self.spill_threshold);
-        #[cfg(feature = "trace")]
         d.field("metrics", &self.metrics.as_ref().map(|_| "<registry>"));
         d.finish()
     }
@@ -193,14 +190,11 @@ impl PartialEq for CheckerConfig {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
-        #[cfg(feature = "trace")]
         let metrics_eq = match (&self.metrics, &other.metrics) {
             (None, None) => true,
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
-        #[cfg(not(feature = "trace"))]
-        let metrics_eq = true;
         self.max_states == other.max_states
             && self.max_depth == other.max_depth
             && self.time_limit == other.time_limit
@@ -228,7 +222,6 @@ impl Default for CheckerConfig {
             static_precheck: None,
             reduction: Reduction::default(),
             spill_threshold: None,
-            #[cfg(feature = "trace")]
             metrics: None,
         }
     }

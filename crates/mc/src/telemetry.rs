@@ -3,8 +3,8 @@
 //!
 //! A long reduction run was previously a black box — a stalled overnight
 //! check was indistinguishable from a dead one. When
-//! [`CheckerConfig::metrics`](crate::CheckerConfig) carries a registry
-//! (and the `trace` feature is on), the BFS engine publishes:
+//! [`CheckerConfig::metrics`](crate::CheckerConfig) carries a registry,
+//! the BFS engine publishes:
 //!
 //! * `mc_states_total`, `mc_states_per_sec`, `mc_bfs_level`,
 //!   `mc_frontier_len` — gauges updated at every level boundary;
@@ -25,191 +25,155 @@
 //! byte-identical with telemetry on or off. That attribution is the one
 //! non-trivial cost, and it is skipped entirely unless a registry is
 //! attached.
-//!
-//! Without the `trace` feature the module collapses to a zero-sized
-//! no-op with the same API, so `bfs.rs` call sites carry no `cfg` noise.
 
-#[cfg(feature = "trace")]
-mod imp {
-    use std::time::Instant;
+use std::time::Instant;
 
-    use gc_trace::{Counter, Gauge};
+use gc_trace::{Counter, Gauge};
 
-    use crate::config::CheckerConfig;
+use crate::config::CheckerConfig;
 
-    /// Handles into the attached registry (see the module docs); a
-    /// disabled instance (no registry) makes every call a no-op.
-    pub(crate) struct Telemetry {
-        enabled: bool,
-        start: Instant,
-        states_total: Option<Gauge>,
-        states_per_sec: Option<Gauge>,
-        bfs_level: Option<Gauge>,
-        frontier_len: Option<Gauge>,
-        spill_frontier_bytes: Option<Gauge>,
-        spill_written: Option<Counter>,
-        spill_read: Option<Counter>,
-        por_ample: Option<Counter>,
-        por_fallback: Option<Counter>,
-        symmetry_merge: Option<Counter>,
-        sb_coalesce: Option<Counter>,
-    }
+/// Handles into the attached registry (see the module docs); a
+/// disabled instance (no registry) makes every call a no-op.
+pub(crate) struct Telemetry {
+    enabled: bool,
+    start: Instant,
+    states_total: Option<Gauge>,
+    states_per_sec: Option<Gauge>,
+    bfs_level: Option<Gauge>,
+    frontier_len: Option<Gauge>,
+    spill_frontier_bytes: Option<Gauge>,
+    spill_written: Option<Counter>,
+    spill_read: Option<Counter>,
+    por_ample: Option<Counter>,
+    por_fallback: Option<Counter>,
+    symmetry_merge: Option<Counter>,
+    sb_coalesce: Option<Counter>,
+}
 
-    impl Telemetry {
-        pub(crate) fn new(config: &CheckerConfig) -> Telemetry {
-            let Some(registry) = config.metrics.as_deref() else {
-                return Telemetry {
-                    enabled: false,
-                    start: Instant::now(),
-                    states_total: None,
-                    states_per_sec: None,
-                    bfs_level: None,
-                    frontier_len: None,
-                    spill_frontier_bytes: None,
-                    spill_written: None,
-                    spill_read: None,
-                    por_ample: None,
-                    por_fallback: None,
-                    symmetry_merge: None,
-                    sb_coalesce: None,
-                };
-            };
-            registry.describe("mc_states_total", "Distinct states visited by the BFS");
-            registry.describe("mc_states_per_sec", "Cumulative exploration rate");
-            registry.describe("mc_bfs_level", "Current BFS level (depth)");
-            registry.describe("mc_frontier_len", "States in the current frontier");
-            registry.describe(
-                "mc_spill_frontier_bytes",
-                "Bytes of the current spilled frontier level (0 = memory-resident)",
-            );
-            registry.describe(
-                "mc_reduction_hits_total",
-                "Reduction-technique applications, by technique label",
-            );
-            let technique =
-                |t| registry.counter_with("mc_reduction_hits_total", &[("technique", t)]);
-            Telemetry {
-                enabled: true,
+impl Telemetry {
+    pub(crate) fn new(config: &CheckerConfig) -> Telemetry {
+        let Some(registry) = config.metrics.as_deref() else {
+            return Telemetry {
+                enabled: false,
                 start: Instant::now(),
-                states_total: Some(registry.gauge("mc_states_total")),
-                states_per_sec: Some(registry.gauge("mc_states_per_sec")),
-                bfs_level: Some(registry.gauge("mc_bfs_level")),
-                frontier_len: Some(registry.gauge("mc_frontier_len")),
-                spill_frontier_bytes: Some(registry.gauge("mc_spill_frontier_bytes")),
-                spill_written: Some(registry.counter("mc_spill_bytes_written_total")),
-                spill_read: Some(registry.counter("mc_spill_bytes_read_total")),
-                por_ample: Some(technique("por_ample")),
-                por_fallback: Some(technique("por_fallback")),
-                symmetry_merge: Some(technique("symmetry_merge")),
-                sb_coalesce: Some(technique("sb_canon_coalesce")),
-            }
+                states_total: None,
+                states_per_sec: None,
+                bfs_level: None,
+                frontier_len: None,
+                spill_frontier_bytes: None,
+                spill_written: None,
+                spill_read: None,
+                por_ample: None,
+                por_fallback: None,
+                symmetry_merge: None,
+                sb_coalesce: None,
+            };
+        };
+        registry.describe("mc_states_total", "Distinct states visited by the BFS");
+        registry.describe("mc_states_per_sec", "Cumulative exploration rate");
+        registry.describe("mc_bfs_level", "Current BFS level (depth)");
+        registry.describe("mc_frontier_len", "States in the current frontier");
+        registry.describe(
+            "mc_spill_frontier_bytes",
+            "Bytes of the current spilled frontier level (0 = memory-resident)",
+        );
+        registry.describe(
+            "mc_reduction_hits_total",
+            "Reduction-technique applications, by technique label",
+        );
+        let technique = |t| registry.counter_with("mc_reduction_hits_total", &[("technique", t)]);
+        Telemetry {
+            enabled: true,
+            start: Instant::now(),
+            states_total: Some(registry.gauge("mc_states_total")),
+            states_per_sec: Some(registry.gauge("mc_states_per_sec")),
+            bfs_level: Some(registry.gauge("mc_bfs_level")),
+            frontier_len: Some(registry.gauge("mc_frontier_len")),
+            spill_frontier_bytes: Some(registry.gauge("mc_spill_frontier_bytes")),
+            spill_written: Some(registry.counter("mc_spill_bytes_written_total")),
+            spill_read: Some(registry.counter("mc_spill_bytes_read_total")),
+            por_ample: Some(technique("por_ample")),
+            por_fallback: Some(technique("por_fallback")),
+            symmetry_merge: Some(technique("symmetry_merge")),
+            sb_coalesce: Some(technique("sb_canon_coalesce")),
         }
+    }
 
-        /// Whether per-successor canonicalization attribution (the only
-        /// telemetry with non-trivial cost) should run.
-        pub(crate) fn attributing(&self) -> bool {
-            self.enabled
+    /// Whether per-successor canonicalization attribution (the only
+    /// telemetry with non-trivial cost) should run.
+    pub(crate) fn attributing(&self) -> bool {
+        self.enabled
+    }
+
+    pub(crate) fn seeded(&self, states: usize) {
+        if let Some(g) = &self.states_total {
+            g.set(states as i64);
         }
+    }
 
-        pub(crate) fn seeded(&self, states: usize) {
-            if let Some(g) = &self.states_total {
-                g.set(states as i64);
-            }
+    pub(crate) fn level_begin(&self, level: usize, frontier: usize) {
+        if !self.enabled {
+            return;
         }
+        self.bfs_level.as_ref().expect("enabled").set(level as i64);
+        self.frontier_len
+            .as_ref()
+            .expect("enabled")
+            .set(frontier as i64);
+    }
 
-        pub(crate) fn level_begin(&self, level: usize, frontier: usize) {
-            if !self.enabled {
-                return;
-            }
-            self.bfs_level.as_ref().expect("enabled").set(level as i64);
-            self.frontier_len
+    pub(crate) fn level_done(&self, states_total: usize, spilled_bytes: u64) {
+        if !self.enabled {
+            return;
+        }
+        self.states_total
+            .as_ref()
+            .expect("enabled")
+            .set(states_total as i64);
+        let secs = self.start.elapsed().as_secs_f64().max(1e-9);
+        self.states_per_sec
+            .as_ref()
+            .expect("enabled")
+            .set((states_total as f64 / secs) as i64);
+        self.spill_frontier_bytes
+            .as_ref()
+            .expect("enabled")
+            .set(spilled_bytes as i64);
+        if spilled_bytes > 0 {
+            self.spill_written
                 .as_ref()
                 .expect("enabled")
-                .set(frontier as i64);
+                .add(spilled_bytes);
         }
+    }
 
-        pub(crate) fn level_done(&self, states_total: usize, spilled_bytes: u64) {
-            if !self.enabled {
-                return;
-            }
-            self.states_total
-                .as_ref()
-                .expect("enabled")
-                .set(states_total as i64);
-            let secs = self.start.elapsed().as_secs_f64().max(1e-9);
-            self.states_per_sec
-                .as_ref()
-                .expect("enabled")
-                .set((states_total as f64 / secs) as i64);
-            self.spill_frontier_bytes
-                .as_ref()
-                .expect("enabled")
-                .set(spilled_bytes as i64);
-            if spilled_bytes > 0 {
-                self.spill_written
-                    .as_ref()
-                    .expect("enabled")
-                    .add(spilled_bytes);
-            }
+    pub(crate) fn spill_read(&self, bytes: u64) {
+        if let Some(c) = &self.spill_read {
+            c.add(bytes);
         }
+    }
 
-        pub(crate) fn spill_read(&self, bytes: u64) {
-            if let Some(c) = &self.spill_read {
-                c.add(bytes);
-            }
+    pub(crate) fn por_ample(&self) {
+        if let Some(c) = &self.por_ample {
+            c.inc();
         }
+    }
 
-        pub(crate) fn por_ample(&self) {
-            if let Some(c) = &self.por_ample {
-                c.inc();
-            }
+    pub(crate) fn por_fallback(&self) {
+        if let Some(c) = &self.por_fallback {
+            c.inc();
         }
+    }
 
-        pub(crate) fn por_fallback(&self) {
-            if let Some(c) = &self.por_fallback {
-                c.inc();
-            }
+    pub(crate) fn symmetry_merge(&self) {
+        if let Some(c) = &self.symmetry_merge {
+            c.inc();
         }
+    }
 
-        pub(crate) fn symmetry_merge(&self) {
-            if let Some(c) = &self.symmetry_merge {
-                c.inc();
-            }
-        }
-
-        pub(crate) fn sb_coalesce(&self) {
-            if let Some(c) = &self.sb_coalesce {
-                c.inc();
-            }
+    pub(crate) fn sb_coalesce(&self) {
+        if let Some(c) = &self.sb_coalesce {
+            c.inc();
         }
     }
 }
-
-#[cfg(not(feature = "trace"))]
-mod imp {
-    use crate::config::CheckerConfig;
-
-    /// The `trace`-less stand-in: zero-sized, every method a no-op.
-    pub(crate) struct Telemetry;
-
-    impl Telemetry {
-        pub(crate) fn new(_config: &CheckerConfig) -> Telemetry {
-            Telemetry
-        }
-
-        pub(crate) fn attributing(&self) -> bool {
-            false
-        }
-
-        pub(crate) fn seeded(&self, _states: usize) {}
-        pub(crate) fn level_begin(&self, _level: usize, _frontier: usize) {}
-        pub(crate) fn level_done(&self, _states_total: usize, _spilled_bytes: u64) {}
-        pub(crate) fn spill_read(&self, _bytes: u64) {}
-        pub(crate) fn por_ample(&self) {}
-        pub(crate) fn por_fallback(&self) {}
-        pub(crate) fn symmetry_merge(&self) {}
-        pub(crate) fn sb_coalesce(&self) {}
-    }
-}
-
-pub(crate) use imp::Telemetry;

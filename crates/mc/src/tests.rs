@@ -745,7 +745,6 @@ fn config_equality_is_precheck_identity() {
     assert_ne!(a, CheckerConfig::default());
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn telemetry_registry_observes_without_perturbing() {
     use std::sync::Arc;

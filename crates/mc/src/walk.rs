@@ -5,7 +5,9 @@ use crate::property::{first_violation, Property};
 use crate::TransitionSystem;
 
 /// A tiny SplitMix64 stream; good enough for picking successors and fully
-/// reproducible from the seed.
+/// reproducible from the seed. The checker keeps its own copy rather than
+/// sharing `otf_gc::chaos::splitmix64_next`: `mc` depends on no crate of
+/// the runtime pipeline by design (only on the leaf `gc-trace`).
 pub(crate) struct SplitMix64(u64);
 
 impl SplitMix64 {

@@ -5,9 +5,11 @@
 //! sequence. Both pieces here are dependency-free and fully determined by
 //! their inputs.
 
-/// The SplitMix64 generator (Steele et al.) — the same mixer the chaos
-/// engine uses, kept separate so the load stream and the fault streams
-/// never interleave draws.
+use otf_gc::chaos::splitmix64_next;
+
+/// The SplitMix64 generator (Steele et al.): the chaos engine's
+/// [`splitmix64_next`] over a state of its own, so the load stream and the
+/// fault streams never interleave draws.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
@@ -21,11 +23,7 @@ impl SplitMix64 {
 
     /// The next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64_next(&mut self.state)
     }
 
     /// A uniform draw in `[0, 1)` with 53 bits of precision.

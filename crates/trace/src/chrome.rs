@@ -1,134 +1,73 @@
 //! Exporters: Chrome trace-event JSON (loadable in Perfetto / `chrome://
 //! tracing`) and a flat JSONL stream.
 //!
-//! Each [`TrackDump`] becomes one Chrome thread track (`tid` = track id,
-//! named via `thread_name` metadata). Span-shaped events become balanced
-//! `B`/`E` pairs: cycles with the mark/sweep phases and handshakes nested
+//! Both render an event's [`Record`](crate::event::Record) — its name,
+//! category, role and fields — so the two views cannot disagree. Each
+//! [`TrackDump`] becomes one Chrome thread track (`tid` = track id, named
+//! via `thread_name` metadata). Events that open and close spans become
+//! balanced `B`/`E` pairs: cycles with the phases and handshakes nested
 //! under them on the collector track, BFS levels on the checker track.
-//! Point events render as thread-scoped instants. The exporter enforces
-//! span balance itself — stray closes are dropped and spans still open at
-//! the end of a dump are closed at the last timestamp — so the emitted
-//! trace always passes [`validate_chrome_trace`].
+//! Point events render as thread-scoped instants, samples (and a level's
+//! frontier size) as counter tracks. The exporter enforces span balance itself — stray closes are
+//! dropped and spans still open at the end of a dump are closed at the last
+//! timestamp — so the emitted trace always passes [`validate_chrome_trace`].
 
-use crate::event::{Event, EventKind, HANDSHAKE_NAMES, PHASE_NAMES};
+use crate::event::{Event, Record, Role, Span};
 use crate::json::Json;
 use crate::tracer::TrackDump;
 
 /// The process id used for every emitted event (single-process trace).
 const PID: u64 = 1;
 
-/// Names for the well-known [`EventKind::Counter`] ids, rendered as Chrome
-/// counter tracks (`ph:"C"`). Ids beyond the table render as
-/// `counter-<id>`.
-pub const COUNTER_NAMES: [&str; 3] = ["heap_occupancy_permille", "frontier", "queue_depth"];
-
-fn counter_name(id: u8) -> String {
-    COUNTER_NAMES
-        .get(id as usize)
-        .map(|s| (*s).to_owned())
-        .unwrap_or_else(|| format!("counter-{id}"))
-}
-
-/// What kind of span an open `B` belongs to, for matching closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SpanTag {
-    Cycle,
-    Phase,
-    Handshake,
-    Level,
-    Generic(u32),
-}
-
-fn handshake_name(ty: u8) -> &'static str {
-    HANDSHAKE_NAMES.get(ty as usize).copied().unwrap_or("?")
-}
-
-fn phase_name(phase: u8) -> &'static str {
-    PHASE_NAMES.get(phase as usize).copied().unwrap_or("?")
-}
-
-/// Names for [`EventKind::ServeRequest`] outcomes.
-fn serve_outcome_name(outcome: u8) -> &'static str {
-    match outcome {
-        0 => "ok",
-        1 => "shed",
-        2 => "rejected",
-        3 => "timeout",
-        _ => "error",
-    }
-}
-
-/// Microseconds (Chrome's `ts` unit) from our nanosecond stamps.
-fn us(ts_ns: u64) -> Json {
-    Json::Num(ts_ns as f64 / 1_000.0)
-}
-
 fn base(ph: &str, name: &str, cat: &str, ts_ns: u64, tid: u32) -> Json {
     Json::obj()
         .set("name", name)
         .set("cat", cat)
         .set("ph", ph)
-        .set("ts", us(ts_ns))
+        // Chrome's `ts` is in microseconds.
+        .set("ts", Json::Num(ts_ns as f64 / 1_000.0))
         .set("pid", PID)
         .set("tid", u64::from(tid))
 }
 
-fn instant(name: &str, cat: &str, ts_ns: u64, tid: u32, args: Json) -> Json {
-    base("i", name, cat, ts_ns, tid)
-        .set("s", "t")
-        .set("args", args)
-}
-
-/// One track's open-span stack entry.
-struct Open {
-    tag: SpanTag,
+fn metadata(name: &str, tid: u32, value: &str) -> Json {
+    Json::obj()
+        .set("name", name)
+        .set("ph", "M")
+        .set("pid", PID)
+        .set("tid", u64::from(tid))
+        .set("args", Json::obj().set("name", value))
 }
 
 /// Converts drained tracks into a complete Chrome trace-event document:
 /// `{"traceEvents": [...], "displayTimeUnit": "ms", ...}`.
 pub fn chrome_trace(dumps: &[TrackDump]) -> Json {
-    let mut events: Vec<Json> = Vec::new();
-    events.push(
-        Json::obj()
-            .set("name", "process_name")
-            .set("ph", "M")
-            .set("pid", PID)
-            .set("tid", 0u64)
-            .set("args", Json::obj().set("name", "gc-trace")),
-    );
-    let mut total_dropped = 0u64;
+    let mut events = vec![metadata("process_name", 0, "gc-trace")];
     for dump in dumps {
-        total_dropped += dump.dropped;
-        events.push(
-            Json::obj()
-                .set("name", "thread_name")
-                .set("ph", "M")
-                .set("pid", PID)
-                .set("tid", u64::from(dump.id))
-                .set("args", Json::obj().set("name", dump.name.as_str())),
-        );
+        events.push(metadata("thread_name", dump.id, &dump.name));
         export_track(dump, &mut events);
     }
+    let dropped: u64 = dumps.iter().map(|d| d.dropped).sum();
     Json::obj()
         .set("traceEvents", Json::Arr(events))
         .set("displayTimeUnit", "ms")
-        .set("otherData", Json::obj().set("droppedEvents", total_dropped))
+        .set("otherData", Json::obj().set("droppedEvents", dropped))
 }
 
 fn export_track(dump: &TrackDump, out: &mut Vec<Json>) {
     let tid = dump.id;
-    let mut stack: Vec<Open> = Vec::new();
+    let mut stack: Vec<Span> = Vec::new();
     let mut last_ts = 0u64;
 
-    // Pops spans down to (and including) the topmost `tag`, emitting `E`
+    // Pops spans down to (and including) the topmost `span`, emitting `E`
     // events; a close with no matching open is dropped to keep balance.
-    let close = |stack: &mut Vec<Open>, out: &mut Vec<Json>, tag: SpanTag, ts: u64| -> bool {
-        let Some(depth) = stack.iter().rposition(|o| o.tag == tag) else {
+    let close = |stack: &mut Vec<Span>, out: &mut Vec<Json>, span: Span, cat: &str, ts: u64| {
+        let Some(depth) = stack.iter().rposition(|open| *open == span) else {
             return false;
         };
         while stack.len() > depth {
             stack.pop();
-            out.push(base("E", "", "gc", ts, tid));
+            out.push(base("E", "", cat, ts, tid));
         }
         true
     };
@@ -136,216 +75,52 @@ fn export_track(dump: &TrackDump, out: &mut Vec<Json>) {
     for e in &dump.events {
         last_ts = last_ts.max(e.ts_ns);
         let ts = e.ts_ns;
-        match e.kind {
-            EventKind::CycleBegin { cycle } => {
-                stack.push(Open {
-                    tag: SpanTag::Cycle,
-                });
-                out.push(
-                    base("B", &format!("cycle {cycle}"), "gc", ts, tid)
-                        .set("args", Json::obj().set("cycle", cycle)),
-                );
+        let Record {
+            name,
+            cat,
+            role,
+            fields,
+            sampled,
+        } = e.record();
+        let args = |skip: usize| {
+            let fields = fields.iter().skip(skip);
+            Json::Obj(fields.map(|(k, v)| ((*k).to_owned(), v.clone())).collect())
+        };
+        match &role {
+            Role::Open(span, label) | Role::Next(span, label) => {
+                if matches!(role, Role::Next(..)) {
+                    close(&mut stack, out, *span, cat, ts);
+                }
+                stack.push(*span);
+                out.push(base("B", label, cat, ts, tid).set("args", args(0)));
             }
-            EventKind::CycleEnd { freed, traced, .. } => {
-                // Close any phase/handshake still nested under the cycle,
-                // then stamp the cycle's own E with its result args.
-                if close(&mut stack, out, SpanTag::Cycle, ts) {
-                    if let Some(last) = out.last_mut() {
-                        *last = last.clone().set(
-                            "args",
-                            Json::obj().set("freed", freed).set("traced", traced),
-                        );
-                    }
+            // Everything still nested under the span closes with it; the
+            // span's own `E` carries the closing event's fields.
+            Role::Close(span) => {
+                if close(&mut stack, out, *span, cat, ts) {
+                    let end = out.pop().expect("close emitted an E");
+                    out.push(end.set("args", args(0)));
                 }
             }
-            EventKind::PhaseEnter { phase } => {
-                // A new phase ends the previous one (and any handshake
-                // still open inside it); idle (0) just closes.
-                close(&mut stack, out, SpanTag::Phase, ts);
-                if phase != 0 {
-                    stack.push(Open {
-                        tag: SpanTag::Phase,
-                    });
-                    out.push(base("B", phase_name(phase), "gc", ts, tid));
-                }
-            }
-            EventKind::HandshakeBegin { generation, ty } => {
-                stack.push(Open {
-                    tag: SpanTag::Handshake,
-                });
+            Role::Instant => {
                 out.push(
-                    base(
-                        "B",
-                        &format!("handshake {}", handshake_name(ty)),
-                        "gc",
-                        ts,
-                        tid,
-                    )
-                    .set("args", Json::obj().set("generation", generation)),
+                    base("i", name, cat, ts, tid)
+                        .set("s", "t")
+                        .set("args", args(0)),
                 );
             }
-            EventKind::HandshakeEnd { outcome, .. } => {
-                if close(&mut stack, out, SpanTag::Handshake, ts) {
-                    if let Some(last) = out.last_mut() {
-                        *last = last.clone().set(
-                            "args",
-                            Json::obj().set(
-                                "outcome",
-                                match outcome {
-                                    0 => "done",
-                                    1 => "stopped",
-                                    _ => "timeout",
-                                },
-                            ),
-                        );
-                    }
-                }
+            Role::Counter(label, track_fields) => {
+                out.push(base("C", label, cat, ts, tid).set("args", args(*track_fields)));
             }
-            EventKind::LevelBegin { level, frontier } => {
-                stack.push(Open {
-                    tag: SpanTag::Level,
-                });
-                out.push(
-                    base("B", &format!("level {level}"), "mc", ts, tid)
-                        .set("args", Json::obj().set("frontier", frontier)),
-                );
-                // The frontier size doubles as a counter track so its
-                // growth curve is visible at a glance in the timeline.
-                out.push(
-                    base("C", &counter_name(1), "mc", ts, tid)
-                        .set("args", Json::obj().set("value", frontier)),
-                );
-            }
-            EventKind::LevelEnd {
-                discovered,
-                states_total,
-                ..
-            } => {
-                if close(&mut stack, out, SpanTag::Level, ts) {
-                    if let Some(last) = out.last_mut() {
-                        *last = last.clone().set(
-                            "args",
-                            Json::obj()
-                                .set("discovered", discovered)
-                                .set("states_total", states_total),
-                        );
-                    }
-                }
-            }
-            EventKind::SpanBegin { id } => {
-                stack.push(Open {
-                    tag: SpanTag::Generic(id),
-                });
-                out.push(base("B", &format!("span-{id}"), "app", ts, tid));
-            }
-            EventKind::SpanEnd { id } => {
-                close(&mut stack, out, SpanTag::Generic(id), ts);
-            }
-            EventKind::MarkCas { won } => out.push(instant(
-                "mark_cas",
-                "gc",
-                ts,
-                tid,
-                Json::obj().set("won", won),
-            )),
-            EventKind::BarrierHit { deletion } => out.push(instant(
-                "barrier_hit",
-                "gc",
-                ts,
-                tid,
-                Json::obj().set("kind", if deletion { "deletion" } else { "insertion" }),
-            )),
-            EventKind::AllocColor { slot, color } => out.push(instant(
-                "alloc",
-                "gc",
-                ts,
-                tid,
-                Json::obj().set("slot", slot).set("color", color),
-            )),
-            EventKind::PoolRefill { got } => out.push(instant(
-                "pool_refill",
-                "gc",
-                ts,
-                tid,
-                Json::obj().set("got", got),
-            )),
-            EventKind::TlabRefill { got } => out.push(instant(
-                "tlab_refill",
-                "gc",
-                ts,
-                tid,
-                Json::obj().set("got", got),
-            )),
-            EventKind::SegmentClaimed { segment } => out.push(instant(
-                "segment_claimed",
-                "gc",
-                ts,
-                tid,
-                Json::obj().set("segment", segment),
-            )),
-            EventKind::LazySweepSegment { segment, freed } => out.push(instant(
-                "lazy_sweep_segment",
-                "gc",
-                ts,
-                tid,
-                Json::obj().set("segment", segment).set("freed", freed),
-            )),
-            EventKind::ChaosFired { site } => out.push(instant(
-                "chaos_fired",
-                "chaos",
-                ts,
-                tid,
-                Json::obj().set("site", u64::from(site)),
-            )),
-            EventKind::ShardOccupancy { max, total } => out.push(instant(
-                "shard_occupancy",
-                "mc",
-                ts,
-                tid,
-                Json::obj().set("max", max).set("total", total),
-            )),
-            EventKind::Instant { id, value } => out.push(instant(
-                &format!("instant-{id}"),
-                "app",
-                ts,
-                tid,
-                Json::obj().set("value", value),
-            )),
-            EventKind::Counter { id, value } => out.push(
-                base("C", &counter_name(id), "app", ts, tid)
-                    .set("args", Json::obj().set("value", value)),
-            ),
-            EventKind::ServeRequest {
-                id,
-                outcome,
-                latency_us,
-            } => out.push(instant(
-                "serve_request",
-                "serve",
-                ts,
-                tid,
-                Json::obj()
-                    .set("id", id)
-                    .set("outcome", serve_outcome_name(outcome))
-                    .set("latency_us", latency_us),
-            )),
-            EventKind::SegmentOccupancy {
-                segment,
-                busy,
-                slots,
-            } => out.push(
-                base("C", &format!("segment-{segment}-occupancy"), "gc", ts, tid)
-                    .set("args", Json::obj().set("busy", busy).set("slots", slots)),
-            ),
-            EventKind::FreeSegments { free, total } => out.push(
-                base("C", "free_segments", "gc", ts, tid)
-                    .set("args", Json::obj().set("free", free).set("total", total)),
-            ),
+        }
+        if let Some((key, value)) = fields.iter().find(|(k, _)| Some(*k) == sampled) {
+            let args = Json::obj().set("value", value.clone());
+            out.push(base("C", key, cat, ts, tid).set("args", args));
         }
     }
     // Close anything left open at the track's last timestamp so the trace
     // is always balanced (e.g. a workload stopped mid-cycle).
-    while stack.pop().is_some() {
+    for _ in stack {
         out.push(base("E", "", "gc", last_ts, tid));
     }
 }
@@ -366,77 +141,15 @@ pub fn jsonl(dumps: &[TrackDump]) -> String {
 
 /// One event as a flat JSON object (the JSONL record shape).
 pub fn event_json(track: u32, track_name: &str, e: &Event) -> Json {
+    let r = e.record();
     let mut j = Json::obj()
         .set("ts_ns", e.ts_ns)
         .set("track", u64::from(track))
         .set("track_name", track_name)
-        .set("event", e.kind.name());
-    j = match e.kind {
-        EventKind::CycleBegin { cycle } => j.set("cycle", cycle),
-        EventKind::CycleEnd {
-            cycle,
-            freed,
-            traced,
-        } => j
-            .set("cycle", cycle)
-            .set("freed", freed)
-            .set("traced", traced),
-        EventKind::PhaseEnter { phase } => j.set("phase", phase_name(phase)),
-        EventKind::HandshakeBegin { generation, ty } => j
-            .set("generation", generation)
-            .set("type", handshake_name(ty)),
-        EventKind::HandshakeEnd {
-            generation,
-            ty,
-            outcome,
-        } => j
-            .set("generation", generation)
-            .set("type", handshake_name(ty))
-            .set("outcome", u64::from(outcome)),
-        EventKind::MarkCas { won } => j.set("won", won),
-        EventKind::BarrierHit { deletion } => j.set("deletion", deletion),
-        EventKind::AllocColor { slot, color } => j.set("slot", slot).set("color", color),
-        EventKind::PoolRefill { got } => j.set("got", got),
-        EventKind::TlabRefill { got } => j.set("got", got),
-        EventKind::SegmentClaimed { segment } => j.set("segment", segment),
-        EventKind::LazySweepSegment { segment, freed } => {
-            j.set("segment", segment).set("freed", freed)
-        }
-        EventKind::ChaosFired { site } => j.set("site", u64::from(site)),
-        EventKind::LevelBegin { level, frontier } => {
-            j.set("level", level).set("frontier", frontier)
-        }
-        EventKind::LevelEnd {
-            level,
-            discovered,
-            states_total,
-        } => j
-            .set("level", level)
-            .set("discovered", discovered)
-            .set("states_total", states_total),
-        EventKind::ShardOccupancy { max, total } => j.set("max", max).set("total", total),
-        EventKind::SpanBegin { id } => j.set("id", id),
-        EventKind::SpanEnd { id } => j.set("id", id),
-        EventKind::Instant { id, value } => j.set("id", id).set("value", value),
-        EventKind::Counter { id, value } => j.set("counter", counter_name(id)).set("value", value),
-        EventKind::ServeRequest {
-            id,
-            outcome,
-            latency_us,
-        } => j
-            .set("id", id)
-            .set("outcome", serve_outcome_name(outcome))
-            .set("latency_us", latency_us),
-        EventKind::SegmentOccupancy {
-            segment,
-            busy,
-            slots,
-        } => j
-            .set("segment", segment)
-            .set("busy", busy)
-            .set("slots", slots),
-        EventKind::FreeSegments { free, total } => j.set("free", free).set("total", total),
-    };
+        .set("event", r.name);
+    for (key, value) in r.fields {
+        j = j.set(key, value);
+    }
     j
 }
 
@@ -540,6 +253,7 @@ pub fn validate_chrome_trace(trace: &Json) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
 
     fn dump(id: u32, name: &str, events: Vec<(u64, EventKind)>) -> TrackDump {
         TrackDump {
@@ -710,9 +424,21 @@ mod tests {
                 ),
             ],
         );
-        let summary = validate_chrome_trace(&chrome_trace(&[lvl])).expect("valid");
+        let trace = chrome_trace(&[lvl]);
+        let summary = validate_chrome_trace(&trace).expect("valid");
         assert_eq!(summary.counters, 1);
         assert_eq!(summary.spans, 1);
+        let events = trace.get("traceEvents").unwrap().as_arr().unwrap();
+        let sample = events
+            .iter()
+            .find(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
+            .unwrap();
+        assert_eq!(
+            sample.get("name").and_then(Json::as_str),
+            Some(crate::event::COUNTER_NAMES[1])
+        );
+        assert_eq!(sample.get("cat").and_then(Json::as_str), Some("mc"));
+        assert_eq!(sample.get("args"), Some(&Json::obj().set("value", 42u64)));
         // A counter without args must be rejected.
         let bad = Json::obj().set(
             "traceEvents",

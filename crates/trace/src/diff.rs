@@ -2,12 +2,14 @@
 //! shapes under configurable thresholds — the regression gate behind
 //! `gc-trace diff` and the CI `trace-diff` job.
 //!
-//! A [`TraceShape`] distils a `trace.jsonl` (flat event records, the
-//! [`crate::chrome::event_json`] shape) or `trace.json` (Chrome
-//! trace-event document) into per-cycle shape records: handshake latency
-//! per type, cycle/mark/sweep durations, barrier-hit and alloc-color
-//! mixes, serve-request outcome/latency distributions, and checker level
-//! progress. [`diff_shapes`] then compares two shapes:
+//! A [`TraceShape`] distils a run — a live drain ([`TraceShape::from_dumps`])
+//! or a `trace.jsonl` file ([`TraceShape::from_jsonl`], the
+//! [`crate::chrome::event_json`] shape) — into per-cycle shape records:
+//! handshake latency per type, cycle/mark/sweep durations, barrier-hit and
+//! alloc-color mixes, serve-request outcome/latency distributions, and
+//! checker level progress. Both front-ends feed one builder step, which is
+//! also where the run's trace-derived metrics come from
+//! ([`TraceShape::publish`]). [`diff_shapes`] then compares two shapes:
 //!
 //! * **latency families** (quantiles of durations) regress one-sided —
 //!   only when the current run is *slower* than `1 + latency_rel` times
@@ -28,9 +30,11 @@
 //! for JSONL inputs): truncated or corrupt files report, never panic.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::json::Json;
-use crate::metrics::Histogram;
+use crate::metrics::{Histogram, Registry};
+use crate::tracer::TrackDump;
 
 /// A structured ingestion failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,15 +150,15 @@ pub struct TraceShape {
     pub peak_frontier: u64,
 }
 
-/// Streaming accumulator: feeds decoded records into histograms, then
-/// freezes into a [`TraceShape`].
+/// Streaming accumulator: feeds events into histograms, then freezes into
+/// a [`TraceShape`].
 #[derive(Default)]
 struct ShapeBuilder {
     shape: TraceShape,
-    cycle_h: Histogram,
+    cycle_h: Arc<Histogram>,
     mark_h: Histogram,
     sweep_h: Histogram,
-    hs_all: Histogram,
+    hs_all: Arc<Histogram>,
     hs_by_type: BTreeMap<String, Histogram>,
     serve_h: Histogram,
     /// Open handshakes keyed by (track, generation) → (start ts, type).
@@ -166,53 +170,78 @@ struct ShapeBuilder {
 }
 
 impl ShapeBuilder {
-    fn cycle_begin(&mut self, track: u64, cycle: u64, ts: u64) {
-        self.cycle_open.insert((track, cycle), ts);
-    }
-
-    fn cycle_end(&mut self, track: u64, cycle: u64, ts: u64, freed: u64, traced: u64) {
-        self.shape.freed_total += freed;
-        self.shape.traced_total += traced;
-        if let Some(t0) = self.cycle_open.remove(&(track, cycle)) {
-            self.shape.cycles += 1;
-            self.cycle_h.record(ts.saturating_sub(t0));
-        }
-    }
-
-    fn phase_enter(&mut self, track: u64, phase: &str, ts: u64) {
-        if let Some((prev, t0)) = self.phase_open.remove(&track) {
-            let d = ts.saturating_sub(t0);
-            match prev.as_str() {
-                "mark" => self.mark_h.record(d),
-                "sweep" => self.sweep_h.record(d),
-                _ => {}
+    /// The one place an event's name is dispatched on: folds the event
+    /// `name` seen on `track` at `ts` (ns) into the shape, reading its
+    /// fields through `get`. A missing field reads as 0 / false / `"?"`.
+    fn step<'a>(
+        &mut self,
+        track: u64,
+        ts: u64,
+        name: &str,
+        get: impl Fn(&str) -> Option<&'a Json>,
+    ) {
+        let num = |key| get(key).and_then(Json::as_f64).map_or(0, |v| v as u64);
+        let flag = |key| get(key) == Some(&Json::Bool(true));
+        let word = |key| get(key).and_then(Json::as_str).unwrap_or("?").to_owned();
+        let shape = &mut self.shape;
+        match name {
+            "cycle_begin" => {
+                self.cycle_open.insert((track, num("cycle")), ts);
+            }
+            "cycle_end" => {
+                shape.freed_total += num("freed");
+                shape.traced_total += num("traced");
+                if let Some(t0) = self.cycle_open.remove(&(track, num("cycle"))) {
+                    shape.cycles += 1;
+                    self.cycle_h.record(ts.saturating_sub(t0));
+                }
+            }
+            "phase_enter" => {
+                if let Some((prev, t0)) = self.phase_open.remove(&track) {
+                    match prev.as_str() {
+                        "mark" => self.mark_h.record(ts.saturating_sub(t0)),
+                        "sweep" => self.sweep_h.record(ts.saturating_sub(t0)),
+                        _ => {}
+                    }
+                }
+                let phase = word("phase");
+                if phase != "idle" {
+                    self.phase_open.insert(track, (phase, ts));
+                }
+            }
+            "handshake_begin" => {
+                let open = (ts, word("type"));
+                self.hs_open.insert((track, num("generation")), open);
+            }
+            "handshake_end" => {
+                if let Some((t0, ty)) = self.hs_open.remove(&(track, num("generation"))) {
+                    let d = ts.saturating_sub(t0);
+                    self.hs_all.record(d);
+                    self.hs_by_type.entry(ty).or_default().record(d);
+                }
+            }
+            "barrier_hit" if flag("deletion") => shape.barrier_deletion += 1,
+            "barrier_hit" => shape.barrier_insertion += 1,
+            "alloc_color" if flag("color") => shape.alloc_black += 1,
+            "alloc_color" => shape.alloc_white += 1,
+            "mark_cas" if flag("won") => shape.mark_cas_won += 1,
+            "mark_cas" => shape.mark_cas_lost += 1,
+            "chaos_fired" => shape.chaos_fired += 1,
+            "serve_request" => {
+                *shape.serve_outcomes.entry(word("outcome")).or_default() += 1;
+                self.serve_h.record(num("latency_us"));
+            }
+            "level_begin" => shape.peak_frontier = shape.peak_frontier.max(num("frontier")),
+            "level_end" => {
+                shape.checker_levels += 1;
+                shape.checker_states = shape.checker_states.max(num("states_total"));
+            }
+            _ => {
+                shape.skipped += 1;
+                return;
             }
         }
-        if phase != "idle" {
-            self.phase_open.insert(track, (phase.to_owned(), ts));
-        }
-    }
-
-    fn handshake_begin(&mut self, track: u64, generation: u64, ty: &str, ts: u64) {
-        self.hs_open
-            .insert((track, generation), (ts, ty.to_owned()));
-    }
-
-    fn handshake_end(&mut self, track: u64, generation: u64, ts: u64) {
-        if let Some((t0, ty)) = self.hs_open.remove(&(track, generation)) {
-            let d = ts.saturating_sub(t0);
-            self.hs_all.record(d);
-            self.hs_by_type.entry(ty).or_default().record(d);
-        }
-    }
-
-    fn serve_request(&mut self, outcome: &str, latency_us: u64) {
-        *self
-            .shape
-            .serve_outcomes
-            .entry(outcome.to_owned())
-            .or_default() += 1;
-        self.serve_h.record(latency_us);
+        shape.events += 1;
     }
 
     fn finish(mut self) -> TraceShape {
@@ -232,30 +261,46 @@ impl ShapeBuilder {
     }
 }
 
-fn get_u64(j: &Json, key: &str) -> Option<u64> {
-    j.get(key).and_then(Json::as_f64).map(|v| v as u64)
-}
-
-fn get_bool(j: &Json, key: &str) -> Option<bool> {
-    match j.get(key) {
-        Some(Json::Bool(b)) => Some(*b),
-        _ => None,
-    }
-}
-
 impl TraceShape {
-    /// Ingests a trace from text: a Chrome trace-event document when the
-    /// whole input parses as a JSON object with `traceEvents`, flat JSONL
-    /// otherwise.
-    pub fn from_text(text: &str) -> Result<TraceShape, DiffError> {
-        if text.trim_start().starts_with('{') {
-            if let Ok(doc) = Json::parse(text) {
-                if doc.get("traceEvents").is_some() {
-                    return Self::from_chrome(&doc);
-                }
+    /// The shape of a live drain.
+    pub fn from_dumps(dumps: &[TrackDump]) -> TraceShape {
+        TraceShape::publish(dumps, &Registry::new())
+    }
+
+    /// [`TraceShape::from_dumps`], measuring into `registry` so the run's
+    /// trace-derived metrics appear there: the `gc_handshake_latency_ns`
+    /// and `gc_cycle_duration_ns` histograms (which the shape's `all`
+    /// handshake and cycle summaries then describe, earlier samples
+    /// included), the `gc_mark_cas_*` and `gc_*_barrier_hits` counters, and
+    /// the drain's own `trace_events_drained` / `trace_events_dropped`.
+    pub fn publish(dumps: &[TrackDump], registry: &Registry) -> TraceShape {
+        let mut b = ShapeBuilder {
+            hs_all: registry.histogram("gc_handshake_latency_ns"),
+            cycle_h: registry.histogram("gc_cycle_duration_ns"),
+            ..ShapeBuilder::default()
+        };
+        for dump in dumps {
+            for e in &dump.events {
+                let r = e.record();
+                b.step(u64::from(dump.id), e.ts_ns, r.name, |key| {
+                    let value = r.get(key);
+                    debug_assert!(value.is_some(), "{} has no field {key}", r.name);
+                    value
+                });
             }
         }
-        Self::from_jsonl(text)
+        let dropped = dumps.iter().map(|d| d.dropped).sum();
+        for (name, n) in [
+            ("gc_mark_cas_won", b.shape.mark_cas_won),
+            ("gc_mark_cas_lost", b.shape.mark_cas_lost),
+            ("gc_deletion_barrier_hits", b.shape.barrier_deletion),
+            ("gc_insertion_barrier_hits", b.shape.barrier_insertion),
+            ("trace_events_drained", b.shape.events + b.shape.skipped),
+            ("trace_events_dropped", dropped),
+        ] {
+            registry.counter(name).add(n);
+        }
+        b.finish()
     }
 
     /// Ingests flat JSONL records (the `trace.jsonl` /
@@ -271,220 +316,21 @@ impl TraceShape {
             }
             let record = Json::parse(line)
                 .map_err(|e| err(Some(idx + 1), format!("corrupt JSONL record: {e}")))?;
-            if record.get("trace_footer").is_some() {
-                b.shape.skipped += 1;
-                continue;
-            }
             let Some(event) = record.get("event").and_then(Json::as_str) else {
                 b.shape.skipped += 1;
                 continue;
             };
-            let event = event.to_owned();
-            let track = get_u64(&record, "track").unwrap_or(0);
-            let ts = get_u64(&record, "ts_ns").unwrap_or(0);
-            b.shape.events += 1;
-            match event.as_str() {
-                "cycle_begin" => {
-                    b.cycle_begin(track, get_u64(&record, "cycle").unwrap_or(0), ts);
-                }
-                "cycle_end" => b.cycle_end(
-                    track,
-                    get_u64(&record, "cycle").unwrap_or(0),
-                    ts,
-                    get_u64(&record, "freed").unwrap_or(0),
-                    get_u64(&record, "traced").unwrap_or(0),
-                ),
-                "phase_enter" => {
-                    let phase = record
-                        .get("phase")
-                        .and_then(Json::as_str)
-                        .unwrap_or("idle")
-                        .to_owned();
-                    b.phase_enter(track, &phase, ts);
-                }
-                "handshake_begin" => {
-                    let ty = record
-                        .get("type")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_owned();
-                    b.handshake_begin(track, get_u64(&record, "generation").unwrap_or(0), &ty, ts);
-                }
-                "handshake_end" => {
-                    b.handshake_end(track, get_u64(&record, "generation").unwrap_or(0), ts);
-                }
-                "barrier_hit" => {
-                    if get_bool(&record, "deletion").unwrap_or(false) {
-                        b.shape.barrier_deletion += 1;
-                    } else {
-                        b.shape.barrier_insertion += 1;
-                    }
-                }
-                "alloc_color" => {
-                    if get_bool(&record, "color").unwrap_or(false) {
-                        b.shape.alloc_black += 1;
-                    } else {
-                        b.shape.alloc_white += 1;
-                    }
-                }
-                "mark_cas" => {
-                    if get_bool(&record, "won").unwrap_or(false) {
-                        b.shape.mark_cas_won += 1;
-                    } else {
-                        b.shape.mark_cas_lost += 1;
-                    }
-                }
-                "chaos_fired" => b.shape.chaos_fired += 1,
-                "serve_request" => {
-                    let outcome = record
-                        .get("outcome")
-                        .and_then(Json::as_str)
-                        .unwrap_or("?")
-                        .to_owned();
-                    b.serve_request(&outcome, get_u64(&record, "latency_us").unwrap_or(0));
-                }
-                "level_begin" => {
-                    let frontier = get_u64(&record, "frontier").unwrap_or(0);
-                    b.shape.peak_frontier = b.shape.peak_frontier.max(frontier);
-                }
-                "level_end" => {
-                    b.shape.checker_levels += 1;
-                    let total = get_u64(&record, "states_total").unwrap_or(0);
-                    b.shape.checker_states = b.shape.checker_states.max(total);
-                }
-                _ => {
-                    b.shape.events -= 1;
-                    b.shape.skipped += 1;
-                }
-            }
+            let num = |key| {
+                record
+                    .get(key)
+                    .and_then(Json::as_f64)
+                    .map_or(0, |v| v as u64)
+            };
+            b.step(num("track"), num("ts_ns"), event, |key| record.get(key));
         }
         let shape = b.finish();
         if shape.events == 0 {
             return Err(err(None, "no recognizable trace events in input"));
-        }
-        Ok(shape)
-    }
-
-    /// Ingests a Chrome trace-event document (the `trace.json` shape):
-    /// spans reconstructed from per-track `B`/`E` stacks, instants and
-    /// counters from their names and args. Timestamps are in µs.
-    pub fn from_chrome(doc: &Json) -> Result<TraceShape, DiffError> {
-        let events = doc
-            .get("traceEvents")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err(None, "missing traceEvents array"))?;
-        let mut b = ShapeBuilder::default();
-        // Per-track span stacks: (name, begin ts_ns, args).
-        let mut stacks: HashMap<u64, Vec<(String, u64, Json)>> = HashMap::new();
-        let mut hs_gen: u64 = 0; // synthetic generation pairing per stack order
-        for (idx, e) in events.iter().enumerate() {
-            let ph = e.get("ph").and_then(Json::as_str).unwrap_or("");
-            if matches!(ph, "M" | "C") {
-                continue;
-            }
-            let tid = get_u64(e, "tid").unwrap_or(0);
-            let ts_ns = e
-                .get("ts")
-                .and_then(Json::as_f64)
-                .map(|us| (us * 1_000.0) as u64)
-                .ok_or_else(|| err(None, format!("traceEvents[{idx}]: missing ts")))?;
-            let name = e.get("name").and_then(Json::as_str).unwrap_or("");
-            let empty = Json::obj();
-            let args = e.get("args").cloned().unwrap_or(empty);
-            match ph {
-                "B" => {
-                    b.shape.events += 1;
-                    stacks
-                        .entry(tid)
-                        .or_default()
-                        .push((name.to_owned(), ts_ns, args));
-                }
-                "E" => {
-                    b.shape.events += 1;
-                    let Some((open_name, t0, open_args)) = stacks.entry(tid).or_default().pop()
-                    else {
-                        return Err(err(
-                            None,
-                            format!("traceEvents[{idx}]: E without matching B on tid {tid}"),
-                        ));
-                    };
-                    // E carries the close args (cycle freed/traced).
-                    let close_args = e.get("args").cloned().unwrap_or(Json::obj());
-                    if let Some(cycle) = open_name.strip_prefix("cycle ") {
-                        let id = cycle.parse().unwrap_or(0);
-                        b.cycle_begin(tid, id, t0);
-                        b.cycle_end(
-                            tid,
-                            id,
-                            ts_ns,
-                            get_u64(&close_args, "freed").unwrap_or(0),
-                            get_u64(&close_args, "traced").unwrap_or(0),
-                        );
-                    } else if let Some(ty) = open_name.strip_prefix("handshake ") {
-                        hs_gen += 1;
-                        let generation =
-                            get_u64(&open_args, "generation").unwrap_or(u64::MAX - hs_gen);
-                        b.handshake_begin(tid, generation, ty, t0);
-                        b.handshake_end(tid, generation, ts_ns);
-                    } else if open_name == "mark" {
-                        b.mark_h.record(ts_ns.saturating_sub(t0));
-                    } else if open_name == "sweep" {
-                        b.sweep_h.record(ts_ns.saturating_sub(t0));
-                    } else if let Some(level) = open_name.strip_prefix("level ") {
-                        let _ = level;
-                        b.shape.checker_levels += 1;
-                        let total = get_u64(&close_args, "states_total").unwrap_or(0);
-                        b.shape.checker_states = b.shape.checker_states.max(total);
-                        let frontier = get_u64(&open_args, "frontier").unwrap_or(0);
-                        b.shape.peak_frontier = b.shape.peak_frontier.max(frontier);
-                    }
-                }
-                "i" | "I" => {
-                    b.shape.events += 1;
-                    match name {
-                        "barrier_hit" => {
-                            let deletion = args
-                                .get("kind")
-                                .and_then(Json::as_str)
-                                .is_some_and(|k| k == "deletion");
-                            if deletion {
-                                b.shape.barrier_deletion += 1;
-                            } else {
-                                b.shape.barrier_insertion += 1;
-                            }
-                        }
-                        "alloc" => {
-                            if get_bool(&args, "color").unwrap_or(false) {
-                                b.shape.alloc_black += 1;
-                            } else {
-                                b.shape.alloc_white += 1;
-                            }
-                        }
-                        "mark_cas" => {
-                            if get_bool(&args, "won").unwrap_or(false) {
-                                b.shape.mark_cas_won += 1;
-                            } else {
-                                b.shape.mark_cas_lost += 1;
-                            }
-                        }
-                        "chaos_fired" => b.shape.chaos_fired += 1,
-                        "serve_request" => {
-                            let outcome = args
-                                .get("outcome")
-                                .and_then(Json::as_str)
-                                .unwrap_or("?")
-                                .to_owned();
-                            b.serve_request(&outcome, get_u64(&args, "latency_us").unwrap_or(0));
-                        }
-                        _ => b.shape.skipped += 1,
-                    }
-                }
-                _ => b.shape.skipped += 1,
-            }
-        }
-        let shape = b.finish();
-        if shape.events == 0 {
-            return Err(err(None, "no recognizable trace events in traceEvents"));
         }
         Ok(shape)
     }
@@ -939,8 +785,8 @@ mod tests {
     #[test]
     fn identical_traces_diff_clean() {
         let text = synth(40, 80_000);
-        let a = TraceShape::from_text(&text).unwrap();
-        let b = TraceShape::from_text(&text).unwrap();
+        let a = TraceShape::from_jsonl(&text).unwrap();
+        let b = TraceShape::from_jsonl(&text).unwrap();
         assert_eq!(a.cycles, 40);
         assert_eq!(a.handshake_ns["get-roots"].count, 40);
         let report = diff_shapes(&a, &b, &Thresholds::default());
@@ -950,8 +796,8 @@ mod tests {
 
     #[test]
     fn twenty_percent_handshake_slowdown_regresses() {
-        let base = TraceShape::from_text(&synth(40, 100_000)).unwrap();
-        let slow = TraceShape::from_text(&synth(40, 120_000)).unwrap();
+        let base = TraceShape::from_jsonl(&synth(40, 100_000)).unwrap();
+        let slow = TraceShape::from_jsonl(&synth(40, 120_000)).unwrap();
         let report = diff_shapes(&base, &slow, &Thresholds::default());
         assert!(!report.clean());
         assert!(
@@ -972,14 +818,14 @@ mod tests {
 
     #[test]
     fn improvements_do_not_regress() {
-        let base = TraceShape::from_text(&synth(40, 100_000)).unwrap();
-        let fast = TraceShape::from_text(&synth(40, 50_000)).unwrap();
+        let base = TraceShape::from_jsonl(&synth(40, 100_000)).unwrap();
+        let fast = TraceShape::from_jsonl(&synth(40, 50_000)).unwrap();
         assert!(diff_shapes(&base, &fast, &Thresholds::default()).clean());
     }
 
     #[test]
     fn vanished_family_is_a_presence_regression() {
-        let base = TraceShape::from_text(&synth(40, 100_000)).unwrap();
+        let base = TraceShape::from_jsonl(&synth(40, 100_000)).unwrap();
         let mut gutted = base.clone();
         gutted.barrier_insertion = 0;
         gutted.barrier_deletion = 0;
@@ -999,7 +845,7 @@ mod tests {
     fn corrupt_jsonl_is_a_structured_error() {
         let mut text = synth(4, 1_000);
         text.push_str("{\"ts_ns\":12, truncated-mid-rec");
-        let e = TraceShape::from_text(&text).unwrap_err();
+        let e = TraceShape::from_jsonl(&text).unwrap_err();
         assert_eq!(e.line, Some(25));
         assert!(e.message.contains("corrupt"), "{e}");
         let e2 = TraceShape::from_jsonl("not json at all\n").unwrap_err();
@@ -1012,43 +858,14 @@ mod tests {
         let mut text = synth(10, 1_000);
         text.push_str("{\"trace_footer\":true,\"events\":60,\"dropped\":0,\"drains\":1}\n");
         text.push_str("{\"ts_ns\":5,\"track\":1,\"event\":\"pool_refill\",\"got\":4}\n");
-        let shape = TraceShape::from_text(&text).unwrap();
+        let shape = TraceShape::from_jsonl(&text).unwrap();
         assert_eq!(shape.cycles, 10);
         assert!(shape.skipped >= 2);
     }
 
     #[test]
-    fn chrome_document_ingests() {
-        let doc = Json::obj().set(
-            "traceEvents",
-            Json::Arr(vec![
-                Json::parse(r#"{"ph":"B","name":"cycle 0","ts":10.0,"pid":1,"tid":1,"cat":"gc"}"#)
-                    .unwrap(),
-                Json::parse(r#"{"ph":"B","name":"mark","ts":12.0,"pid":1,"tid":1,"cat":"gc"}"#)
-                    .unwrap(),
-                Json::parse(r#"{"ph":"E","name":"","ts":40.0,"pid":1,"tid":1,"cat":"gc"}"#)
-                    .unwrap(),
-                Json::parse(
-                    r#"{"ph":"E","name":"","ts":90.0,"pid":1,"tid":1,"cat":"gc","args":{"freed":2,"traced":5}}"#,
-                )
-                .unwrap(),
-                Json::parse(
-                    r#"{"ph":"i","name":"barrier_hit","ts":20.0,"pid":1,"tid":2,"cat":"gc","s":"t","args":{"kind":"deletion"}}"#,
-                )
-                .unwrap(),
-            ]),
-        );
-        let shape = TraceShape::from_chrome(&doc).unwrap();
-        assert_eq!(shape.cycles, 1);
-        assert_eq!(shape.cycle_ns.count, 1);
-        assert_eq!(shape.mark_ns.count, 1);
-        assert_eq!(shape.barrier_deletion, 1);
-        assert_eq!(shape.freed_total, 2);
-    }
-
-    #[test]
     fn verdict_document_shape() {
-        let a = TraceShape::from_text(&synth(20, 10_000)).unwrap();
+        let a = TraceShape::from_jsonl(&synth(20, 10_000)).unwrap();
         let report = diff_shapes(&a, &a, &Thresholds::default());
         let doc = report.to_json(&a, &a, &Thresholds::default());
         assert_eq!(

@@ -6,6 +6,8 @@
 //! through [`Event::encode`]/[`Event::decode`] unchanged, and unknown codes
 //! decode to `None` so a reader can skip records from a newer writer.
 
+use crate::json::Json;
+
 /// The collector phases, mirrored here so the trace crate stays
 /// dependency-free (`otf-gc` depends on us, not the reverse).
 pub const PHASE_NAMES: [&str; 4] = ["idle", "init", "mark", "sweep"];
@@ -13,6 +15,14 @@ pub const PHASE_NAMES: [&str; 4] = ["idle", "init", "mark", "sweep"];
 /// Handshake type names, indexed by the wire value used by `otf-gc`
 /// (1 = noop, 2 = get-roots, 3 = get-work).
 pub const HANDSHAKE_NAMES: [&str; 4] = ["?", "noop", "get-roots", "get-work"];
+
+/// Names for the well-known [`EventKind::Counter`] ids, which are also the
+/// names of their Chrome counter tracks. Ids beyond the table render as
+/// `counter-<id>`.
+pub const COUNTER_NAMES: [&str; 3] = ["heap_occupancy_permille", "frontier", "queue_depth"];
+
+/// Names for [`EventKind::ServeRequest`] outcomes; larger codes are errors.
+const SERVE_OUTCOME_NAMES: [&str; 5] = ["ok", "shed", "rejected", "timeout", "error"];
 
 /// One timestamped trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,11 +163,10 @@ pub enum EventKind {
         value: u64,
     },
     /// A sampled counter value, rendered as a Chrome counter track
-    /// (`ph:"C"`). Well-known ids are named by
-    /// [`COUNTER_NAMES`](crate::chrome::COUNTER_NAMES): 0 = heap occupancy
-    /// (per-mille), 1 = frontier size, 2 = queue depth.
+    /// (`ph:"C"`). Well-known ids are named by [`COUNTER_NAMES`]: 0 = heap
+    /// occupancy (per-mille), 1 = frontier size, 2 = queue depth.
     Counter {
-        /// Counter id, indexes [`COUNTER_NAMES`](crate::chrome::COUNTER_NAMES).
+        /// Counter id, indexes [`COUNTER_NAMES`].
         id: u8,
         /// The sampled value.
         value: u64,
@@ -194,38 +203,243 @@ pub enum EventKind {
     },
 }
 
+/// The span families an event can open or close on its track.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Span {
+    /// A collection cycle.
+    Cycle,
+    /// A collector phase inside a cycle.
+    Phase,
+    /// A soft-handshake round.
+    Handshake,
+    /// A checker BFS level.
+    Level,
+    /// A caller-named span, matched by id.
+    Generic(u32),
+}
+
+/// What an event does on its track's timeline. A span or counter track is
+/// named by the role's label: `cycle 7`, `handshake get-roots`,
+/// `segment-5-occupancy`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Role {
+    /// Opens a span with this label.
+    Open(Span, String),
+    /// Ends the open span of this family, if any, and opens the next one:
+    /// phases partition their cycle.
+    Next(Span, String),
+    /// Closes the innermost open span of this family and everything nested
+    /// inside it.
+    Close(Span),
+    /// A point event.
+    Instant,
+    /// A sample on the counter track with this label. The event's first `n`
+    /// fields identify the track; the rest are the sampled series.
+    Counter(String, usize),
+}
+
+/// The one description of an event that every consumer reads — the JSONL
+/// and Chrome exporters, the trace-shape builder and the metrics it
+/// publishes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Record {
+    /// The short stable event name: the JSONL `event`, a Chrome instant's
+    /// `name`.
+    pub name: &'static str,
+    /// The Chrome category: `gc`, `mc`, `chaos`, `serve` or `app`.
+    pub cat: &'static str,
+    /// What the event does on its track.
+    pub role: Role,
+    /// The named fields (at most three: numbers, flags, and codes written
+    /// as their names), in the order every view writes them.
+    pub fields: Vec<(&'static str, Json)>,
+    /// A field whose value is also a sample on the counter track of the
+    /// same name: a level's `frontier`, so the growth curve shows beside
+    /// the level spans.
+    pub sampled: Option<&'static str>,
+}
+
+impl Record {
+    /// The value of field `key`, if the event has one.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+}
+
+/// The name `code` stands for in `names`; `"?"` beyond the table.
+fn code_name(code: u8, names: &[&'static str]) -> &'static str {
+    names.get(usize::from(code)).copied().unwrap_or("?")
+}
+
+fn f(key: &'static str, value: impl Into<Json>) -> (&'static str, Json) {
+    (key, value.into())
+}
+
 impl EventKind {
     /// A short stable name for JSONL output and debugging.
     pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::CycleBegin { .. } => "cycle_begin",
-            EventKind::CycleEnd { .. } => "cycle_end",
-            EventKind::PhaseEnter { .. } => "phase_enter",
-            EventKind::HandshakeBegin { .. } => "handshake_begin",
-            EventKind::HandshakeEnd { .. } => "handshake_end",
-            EventKind::MarkCas { .. } => "mark_cas",
-            EventKind::BarrierHit { .. } => "barrier_hit",
-            EventKind::AllocColor { .. } => "alloc_color",
-            EventKind::PoolRefill { .. } => "pool_refill",
-            EventKind::TlabRefill { .. } => "tlab_refill",
-            EventKind::SegmentClaimed { .. } => "segment_claimed",
-            EventKind::LazySweepSegment { .. } => "lazy_sweep_segment",
-            EventKind::ChaosFired { .. } => "chaos_fired",
-            EventKind::LevelBegin { .. } => "level_begin",
-            EventKind::LevelEnd { .. } => "level_end",
-            EventKind::ShardOccupancy { .. } => "shard_occupancy",
-            EventKind::SpanBegin { .. } => "span_begin",
-            EventKind::SpanEnd { .. } => "span_end",
-            EventKind::Instant { .. } => "instant",
-            EventKind::Counter { .. } => "counter",
-            EventKind::ServeRequest { .. } => "serve_request",
-            EventKind::SegmentOccupancy { .. } => "segment_occupancy",
-            EventKind::FreeSegments { .. } => "free_segments",
+        self.record().name
+    }
+
+    fn record(&self) -> Record {
+        use Role::{Close, Counter, Instant, Next, Open};
+        let rec = |name, cat, role, fields| Record {
+            name,
+            cat,
+            role,
+            fields,
+            sampled: None,
+        };
+        match *self {
+            EventKind::CycleBegin { cycle } => {
+                let role = Open(Span::Cycle, format!("cycle {cycle}"));
+                rec("cycle_begin", "gc", role, vec![f("cycle", cycle)])
+            }
+            EventKind::CycleEnd {
+                cycle,
+                freed,
+                traced,
+            } => {
+                let fields = vec![f("cycle", cycle), f("freed", freed), f("traced", traced)];
+                rec("cycle_end", "gc", Close(Span::Cycle), fields)
+            }
+            EventKind::PhaseEnter { phase } => {
+                let name = code_name(phase, &PHASE_NAMES);
+                // Idle (0) only ends the previous phase.
+                let role = match phase {
+                    0 => Close(Span::Phase),
+                    _ => Next(Span::Phase, name.to_owned()),
+                };
+                rec("phase_enter", "gc", role, vec![f("phase", name)])
+            }
+            EventKind::HandshakeBegin { generation, ty } => {
+                let ty = code_name(ty, &HANDSHAKE_NAMES);
+                let role = Open(Span::Handshake, format!("handshake {ty}"));
+                let fields = vec![f("generation", generation), f("type", ty)];
+                rec("handshake_begin", "gc", role, fields)
+            }
+            EventKind::HandshakeEnd {
+                generation,
+                ty,
+                outcome,
+            } => {
+                let ty = code_name(ty, &HANDSHAKE_NAMES);
+                let outcome = u64::from(outcome);
+                let fields = vec![
+                    f("generation", generation),
+                    f("type", ty),
+                    f("outcome", outcome),
+                ];
+                rec("handshake_end", "gc", Close(Span::Handshake), fields)
+            }
+            EventKind::MarkCas { won } => rec("mark_cas", "gc", Instant, vec![f("won", won)]),
+            EventKind::BarrierHit { deletion } => {
+                rec("barrier_hit", "gc", Instant, vec![f("deletion", deletion)])
+            }
+            EventKind::AllocColor { slot, color } => {
+                let fields = vec![f("slot", slot), f("color", color)];
+                rec("alloc_color", "gc", Instant, fields)
+            }
+            EventKind::PoolRefill { got } => rec("pool_refill", "gc", Instant, vec![f("got", got)]),
+            EventKind::TlabRefill { got } => rec("tlab_refill", "gc", Instant, vec![f("got", got)]),
+            EventKind::SegmentClaimed { segment } => {
+                let fields = vec![f("segment", segment)];
+                rec("segment_claimed", "gc", Instant, fields)
+            }
+            EventKind::LazySweepSegment { segment, freed } => {
+                let fields = vec![f("segment", segment), f("freed", freed)];
+                rec("lazy_sweep_segment", "gc", Instant, fields)
+            }
+            EventKind::ChaosFired { site } => {
+                let fields = vec![f("site", u64::from(site))];
+                rec("chaos_fired", "chaos", Instant, fields)
+            }
+            EventKind::LevelBegin { level, frontier } => {
+                let role = Open(Span::Level, format!("level {level}"));
+                let fields = vec![f("level", level), f("frontier", frontier)];
+                Record {
+                    // The track `COUNTER_NAMES[1]` names.
+                    sampled: Some("frontier"),
+                    ..rec("level_begin", "mc", role, fields)
+                }
+            }
+            EventKind::LevelEnd {
+                level,
+                discovered,
+                states_total,
+            } => {
+                let fields = vec![
+                    f("level", level),
+                    f("discovered", discovered),
+                    f("states_total", states_total),
+                ];
+                rec("level_end", "mc", Close(Span::Level), fields)
+            }
+            EventKind::ShardOccupancy { max, total } => {
+                let fields = vec![f("max", max), f("total", total)];
+                rec("shard_occupancy", "mc", Instant, fields)
+            }
+            EventKind::SpanBegin { id } => {
+                let role = Open(Span::Generic(id), format!("span-{id}"));
+                rec("span_begin", "app", role, vec![f("id", id)])
+            }
+            EventKind::SpanEnd { id } => {
+                let role = Close(Span::Generic(id));
+                rec("span_end", "app", role, vec![f("id", id)])
+            }
+            EventKind::Instant { id, value } => {
+                let fields = vec![f("id", id), f("value", value)];
+                rec("instant", "app", Instant, fields)
+            }
+            EventKind::Counter { id, value } => {
+                let name = match COUNTER_NAMES.get(usize::from(id)) {
+                    Some(name) => (*name).to_owned(),
+                    None => format!("counter-{id}"),
+                };
+                let fields = vec![f("counter", name.clone()), f("value", value)];
+                rec("counter", "app", Counter(name, 1), fields)
+            }
+            EventKind::ServeRequest {
+                id,
+                outcome,
+                latency_us,
+            } => {
+                let outcome = SERVE_OUTCOME_NAMES[usize::from(outcome.min(4))];
+                let fields = vec![
+                    f("id", id),
+                    f("outcome", outcome),
+                    f("latency_us", latency_us),
+                ];
+                rec("serve_request", "serve", Instant, fields)
+            }
+            EventKind::SegmentOccupancy {
+                segment,
+                busy,
+                slots,
+            } => {
+                let role = Counter(format!("segment-{segment}-occupancy"), 1);
+                let fields = vec![f("segment", segment), f("busy", busy), f("slots", slots)];
+                rec("segment_occupancy", "gc", role, fields)
+            }
+            EventKind::FreeSegments { free, total } => {
+                let fields = vec![f("free", free), f("total", total)];
+                rec(
+                    "free_segments",
+                    "gc",
+                    Counter("free_segments".to_owned(), 0),
+                    fields,
+                )
+            }
         }
     }
 }
 
 impl Event {
+    /// The event as every consumer reads it (see [`Record`]).
+    pub fn record(&self) -> Record {
+        self.kind.record()
+    }
+
     /// Packs the event into the ring buffer's four-word record:
     /// `[ts, code, a, b]`.
     pub fn encode(&self) -> [u64; 4] {
@@ -443,6 +657,29 @@ mod tests {
             };
             assert_eq!(Event::decode(e.encode()), Some(e), "kind {kind:?}");
         }
+    }
+
+    #[test]
+    fn codes_beyond_their_name_table_keep_their_fallback_names() {
+        let name_of = |kind, key| {
+            let r = Event { ts_ns: 0, kind }.record();
+            r.get(key).and_then(Json::as_str).map(str::to_owned)
+        };
+        let hs = EventKind::HandshakeBegin {
+            generation: 1,
+            ty: 9,
+        };
+        assert_eq!(name_of(hs, "type").as_deref(), Some("?"));
+        let phase = EventKind::PhaseEnter { phase: 9 };
+        assert_eq!(name_of(phase, "phase").as_deref(), Some("?"));
+        let counter = EventKind::Counter { id: 9, value: 0 };
+        assert_eq!(name_of(counter, "counter").as_deref(), Some("counter-9"));
+        let request = EventKind::ServeRequest {
+            id: 0,
+            outcome: 9,
+            latency_us: 0,
+        };
+        assert_eq!(name_of(request, "outcome").as_deref(), Some("error"));
     }
 
     #[test]

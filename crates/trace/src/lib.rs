@@ -7,9 +7,7 @@
 //!   thread owns a fixed-capacity lock-free SPSC ring of epoch-stamped
 //!   binary events. A full ring drops (and counts) rather than blocks —
 //!   tracing never adds a wait to a mutator or the collector. The
-//!   runtime-disable fast path is one relaxed atomic load, and consumers
-//!   compile the call sites out entirely when built without their `trace`
-//!   feature.
+//!   runtime-disable fast path is one relaxed atomic load.
 //! * **Metrics** ([`metrics`]): named counters, gauges and log-linear
 //!   histograms with p50/p95/p99, a Prometheus-style text exposition, and
 //!   a JSON snapshot / `BENCH_*.json` record writer.
@@ -24,7 +22,7 @@
 //!   schema-checked `BENCH_*.json` writer/validator (DESIGN.md §2.14).
 //!
 //! The crate is deliberately leaf-level: `otf-gc`, `mc` and the bench
-//! rigs depend on it (optionally), never the reverse, so the event
+//! rigs depend on it, never the reverse, so the event
 //! vocabulary in [`event`] mirrors the runtime's phase and handshake
 //! encodings rather than importing them.
 //!
@@ -64,7 +62,9 @@ pub use bench::{
     BENCH_SCHEMA,
 };
 pub use diff::{diff_shapes, DiffError, DiffReport, Finding, Summary, Thresholds, TraceShape};
-pub use event::{Event, EventKind, HANDSHAKE_NAMES, PHASE_NAMES};
+pub use event::{
+    Event, EventKind, Record, Role, Span, COUNTER_NAMES, HANDSHAKE_NAMES, PHASE_NAMES,
+};
 pub use json::{Json, JsonError};
 pub use metrics::{bench_record, escape_label_value, labeled, Counter, Gauge, Histogram, Registry};
 pub use ring::Ring;

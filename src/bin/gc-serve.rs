@@ -43,7 +43,6 @@
 //! [--seed S] [--chaos-seed S] [--slo-ms MS] [--no-storm]
 //! [--skip-ablation] [--stream-trace] [--metrics-addr ADDR]`
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -51,7 +50,7 @@ use std::time::Duration;
 
 use gc_serve::{run_serve, ServeConfig, ServeReport};
 use gc_trace::chrome::{chrome_trace, validate_chrome_trace};
-use gc_trace::{EventKind, Json, Liveness, MetricsServer, Registry, TraceSink, Tracer, TrackDump};
+use gc_trace::{Json, Liveness, MetricsServer, Registry, TraceShape, TraceSink, Tracer};
 use otf_gc::{FaultPlan, HeapLayout};
 
 struct Args {
@@ -181,44 +180,6 @@ fn robust_config(args: &Args) -> ServeConfig {
         cfg.slo = Duration::from_millis(ms);
     }
     cfg
-}
-
-/// Distils handshake latencies and cycle durations out of the drained
-/// event stream into `registry` — the serve analogue of the `gc-trace`
-/// demo's metrics pass, feeding the handshake quantiles the BENCH record
-/// reports next to the allocation-stall quantiles `run_serve` recorded.
-fn populate_handshake_metrics(registry: &Registry, dumps: &[TrackDump]) {
-    let hs_latency = registry.histogram("gc_handshake_latency_ns");
-    let cycle_span = registry.histogram("gc_cycle_duration_ns");
-    let events = registry.counter("trace_events_drained");
-    let dropped = registry.counter("trace_events_dropped");
-    for dump in dumps {
-        dropped.add(dump.dropped);
-        events.add(dump.events.len() as u64);
-        let mut hs_open: HashMap<u32, u64> = HashMap::new();
-        let mut cycle_open: HashMap<u64, u64> = HashMap::new();
-        for e in &dump.events {
-            match e.kind {
-                EventKind::HandshakeBegin { generation, .. } => {
-                    hs_open.insert(generation, e.ts_ns);
-                }
-                EventKind::HandshakeEnd { generation, .. } => {
-                    if let Some(t0) = hs_open.remove(&generation) {
-                        hs_latency.record(e.ts_ns.saturating_sub(t0));
-                    }
-                }
-                EventKind::CycleBegin { cycle } => {
-                    cycle_open.insert(cycle, e.ts_ns);
-                }
-                EventKind::CycleEnd { cycle, .. } => {
-                    if let Some(t0) = cycle_open.remove(&cycle) {
-                        cycle_span.record(e.ts_ns.saturating_sub(t0));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
 }
 
 /// One arm's headline numbers on a line.
@@ -374,7 +335,9 @@ fn main() -> ExitCode {
         }
     }
     let dumps = Tracer::global().drain();
-    populate_handshake_metrics(&registry, &dumps);
+    // The handshake quantiles the BENCH record reports next to the
+    // allocation-stall quantiles `run_serve` recorded come from the trace.
+    TraceShape::publish(&dumps, &registry);
 
     let doc = chrome_trace(&dumps);
     let summary = match validate_chrome_trace(&doc) {

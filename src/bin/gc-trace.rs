@@ -23,10 +23,10 @@
 //!
 //! * `gc-trace diff BASE CURRENT [--json FILE] [--shape-only]
 //!   [--latency-rel F] [--count-rel F] [--mix-abs F] [--min-count N]` —
-//!   extracts the shape of two recorded traces (`trace.jsonl` or
-//!   `trace.json`) and compares them (see `gc_trace::diff`). Prints the
-//!   human table, optionally writes the machine-readable verdict, and
-//!   exits 0 (clean) / 1 (regressed) / 2 (unreadable input).
+//!   extracts the shape of two recorded traces (`trace.jsonl`) and
+//!   compares them (see `gc_trace::diff`). Prints the human table,
+//!   optionally writes the machine-readable verdict, and exits 0 (clean) /
+//!   1 (regressed) / 2 (unreadable input, or a Chrome `trace.json`).
 //! * `gc-trace check-bench FILE...` — validates `BENCH_*.json` files
 //!   against the `gc-bench/v1` schema; exits nonzero on any violation.
 //!
@@ -38,7 +38,6 @@
 //! Usage: `gc-trace [--out DIR] [--mutators K] [--ops N] [--check FILE]
 //! [--metrics-addr ADDR]`
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -47,8 +46,7 @@ use gc_model::invariants::combined_property;
 use gc_model::{GcModel, ModelConfig};
 use gc_trace::chrome::{chrome_trace, jsonl, validate_chrome_trace};
 use gc_trace::{
-    diff_shapes, EventKind, Json, Liveness, MetricsServer, Registry, Thresholds, TraceShape,
-    Tracer, TrackDump,
+    diff_shapes, Json, Liveness, MetricsServer, Registry, Thresholds, TraceShape, Tracer,
 };
 use mc::{Checker, CheckerConfig, Strategy};
 use otf_gc::{Collector, GcConfig, HeapLayout};
@@ -192,7 +190,14 @@ fn run_diff(args: &[String]) -> ExitCode {
     }
     let load = |path: &Path| -> Result<TraceShape, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        TraceShape::from_text(&text).map_err(|e| format!("{}: {e}", path.display()))
+        if Json::parse(&text).is_ok_and(|doc| doc.get("traceEvents").is_some()) {
+            let jsonl = path.with_extension("jsonl");
+            let (doc, jsonl) = (path.display(), jsonl.display());
+            return Err(format!(
+                "{doc} is a Chrome trace document; diff its JSONL recording, {jsonl}"
+            ));
+        }
+        TraceShape::from_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))
     };
     let (base, current) = match (load(&files[0]), load(&files[1])) {
         (Ok(b), Ok(c)) => (b, c),
@@ -338,57 +343,6 @@ fn run_checker_workload(registry: &Arc<Registry>) -> (String, usize, usize) {
     (outcome.verdict(), stats.states, stats.depth)
 }
 
-/// Distils handshake latencies and cycle shapes out of the drained event
-/// stream into `registry` — the demo of the metrics pillar feeding off the
-/// tracing pillar.
-fn populate_metrics(registry: &Registry, dumps: &[TrackDump]) {
-    let hs_latency = registry.histogram("gc_handshake_latency_ns");
-    let cycle_span = registry.histogram("gc_cycle_duration_ns");
-    let events = registry.counter("trace_events_drained");
-    let dropped = registry.counter("trace_events_dropped");
-    for dump in dumps {
-        dropped.add(dump.dropped);
-        events.add(dump.events.len() as u64);
-        let mut hs_open: HashMap<u32, u64> = HashMap::new();
-        let mut cycle_open: HashMap<u64, u64> = HashMap::new();
-        for e in &dump.events {
-            match e.kind {
-                EventKind::HandshakeBegin { generation, .. } => {
-                    hs_open.insert(generation, e.ts_ns);
-                }
-                EventKind::HandshakeEnd { generation, .. } => {
-                    if let Some(t0) = hs_open.remove(&generation) {
-                        hs_latency.record(e.ts_ns.saturating_sub(t0));
-                    }
-                }
-                EventKind::CycleBegin { cycle } => {
-                    cycle_open.insert(cycle, e.ts_ns);
-                }
-                EventKind::CycleEnd { cycle, .. } => {
-                    if let Some(t0) = cycle_open.remove(&cycle) {
-                        cycle_span.record(e.ts_ns.saturating_sub(t0));
-                    }
-                }
-                EventKind::MarkCas { won } => {
-                    if won {
-                        registry.counter("gc_mark_cas_won").inc();
-                    } else {
-                        registry.counter("gc_mark_cas_lost").inc();
-                    }
-                }
-                EventKind::BarrierHit { deletion } => {
-                    if deletion {
-                        registry.counter("gc_deletion_barrier_hits").inc();
-                    } else {
-                        registry.counter("gc_insertion_barrier_hits").inc();
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     match raw.first().map(String::as_str) {
@@ -441,7 +395,10 @@ fn main() -> ExitCode {
     gc_trace::disable();
     let dumps = Tracer::global().drain();
 
-    populate_metrics(&registry, &dumps);
+    // The metrics pillar feeding off the tracing pillar: handshake
+    // latencies, cycle durations and barrier/CAS counts come from the
+    // drained event stream.
+    TraceShape::publish(&dumps, &registry);
     registry.gauge("gc_live_objects").set(live as i64);
     registry.counter("gc_cycles").add(cycles);
 

@@ -12,6 +12,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use relaxing_safely::gc::{ChaosSite, Collector, FaultPlan, Gc, GcConfig, HeapLayout, Mutator};
+use relaxing_safely::serve::SplitMix64;
 
 /// The layouts under comparison. Geometry is picked per-test so that
 /// capacity is always an exact multiple of `segment_slots`.
@@ -25,20 +26,13 @@ fn layouts(segment_slots: usize, tlab_slots: usize) -> [HeapLayout; 2] {
     ]
 }
 
-/// Deterministic SplitMix64 so both layouts replay the same op stream.
-struct Rng(u64);
+/// The serve harness's SplitMix64 stream, so both layouts replay the same
+/// op stream.
+struct Rng(SplitMix64);
 
 impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.0.next_u64() % n as u64) as usize
     }
 }
 
@@ -81,7 +75,7 @@ fn run_workload(layout: HeapLayout, seed: u64) -> Verdict {
         .build();
     let collector = Collector::new(cfg);
     let mut m = collector.register_mutator();
-    let mut rng = Rng(seed);
+    let mut rng = Rng(SplitMix64::new(seed));
     let mut roots: Vec<Gc> = Vec::new();
     let mut verdict = Verdict {
         live_after_each_cycle: Vec::new(),

@@ -3,23 +3,23 @@
 //! framework, so every failure reports a seed that replays it exactly.
 
 use relaxing_safely::gc::{Collector, GcConfig};
+use relaxing_safely::serve::SplitMix64;
 use relaxing_safely::tso::{Machine, MemoryModel, ThreadId};
 use relaxing_safely::types::{AbstractHeap, Ref, Tricolor};
 
-/// The SplitMix64 stream used for all generation below.
-struct Rng(u64);
+/// The SplitMix64 stream used for all generation below (the serve
+/// harness's generator, seeded away from the small test seeds).
+struct Rng(SplitMix64);
 
 impl Rng {
     fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1))
+        Rng(SplitMix64::new(
+            seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1),
+        ))
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// Uniform in `0..n` (n > 0).

@@ -188,3 +188,32 @@ fn corrupt_input_is_a_structured_failure() {
     assert_eq!(out.status.code(), Some(2), "missing input must exit 2");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_chrome_document_is_refused_naming_its_jsonl() {
+    let dir = scratch("chrome");
+    let jsonl = record_demo(&dir);
+    let compact = dir.join("trace.json");
+    // However it is laid out: re-keyed and spread over lines too.
+    let pretty = dir.join("pretty.json");
+    let doc = std::fs::read_to_string(&compact).expect("demo wrote trace.json");
+    let events = Json::parse(&doc).expect("trace.json parses");
+    let events = events.get("traceEvents").expect("a Chrome document");
+    std::fs::write(
+        &pretty,
+        format!("{{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": {events}\n}}\n"),
+    )
+    .unwrap();
+    for chrome in [&compact, &pretty] {
+        let out = diff(&[jsonl.to_str().unwrap(), chrome.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "a Chrome document must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let hint = chrome.with_extension("jsonl");
+        assert!(
+            stderr.lines().count() == 1 && stderr.contains(hint.to_str().unwrap()),
+            "one line naming {}, got: {stderr}",
+            hint.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
