@@ -1,6 +1,6 @@
-//! A minimal micro-benchmark harness for the `benches/` targets (which run
-//! with `harness = false`): calibrated wall-clock timing with a
-//! criterion-like `Bencher::iter` surface, no external dependencies.
+//! A minimal micro-benchmark harness for the `micro-*` experiments:
+//! calibrated wall-clock timing with a criterion-like `Bencher::iter`
+//! surface, no external dependencies.
 //!
 //! The numbers are means over a calibrated batch (~80ms of work after
 //! warm-up), good for the order-of-magnitude comparisons the experiment
@@ -18,8 +18,8 @@ const WINDOW: Duration = Duration::from_millis(80);
 /// One calibrated measurement — the machine-readable record behind the
 /// row [`bench_function`] prints. Every measurement also lands in a
 /// thread-local session; [`write_session_record`] drains the session into
-/// a `BENCH_*.json` document so the `benches/` targets leave the same
-/// evidence trail as the experiment bins.
+/// a `BENCH_*.json` document so the micro-benchmarks leave the same
+/// evidence trail as the other experiments.
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// The benchmark row's name.
@@ -128,9 +128,7 @@ pub fn bench_function(name: &str, mut f: impl FnMut(&mut Bencher)) -> Measuremen
 
 /// Drains every measurement this thread's [`bench_function`] calls have
 /// recorded into a `gc-bench/v1` record and writes it to
-/// `experiments_output/BENCH_<bench>.json` (via
-/// [`crate::write_bench_record`]). Failures are warnings, not errors —
-/// the table already printed.
+/// `experiments_output/BENCH_<bench>.json` (via [`crate::save_record`]).
 pub fn write_session_record(bench: &str, params: &[(&str, Json)]) {
     let measurements: Vec<Json> = SESSION.with(|s| {
         s.borrow_mut()
@@ -144,8 +142,5 @@ pub fn write_session_record(bench: &str, params: &[(&str, Json)]) {
         &[("measurements", Json::from(measurements))],
         None,
     );
-    match crate::write_bench_record(bench, &record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_{bench}.json: {e}"),
-    }
+    crate::save_record(bench, &record);
 }

@@ -1,15 +1,72 @@
-//! Shared infrastructure for the experiment drivers in `src/bin/` — each
-//! binary regenerates the evidence for one figure (or observation) of
-//! *Relaxing Safely* (PLDI 2015). See the workspace `EXPERIMENTS.md` for
-//! the figure → binary map and recorded results.
+//! The experiments of the reproduction: every figure, ablation and
+//! observation of *Relaxing Safely* (PLDI 2015), plus the runtime and
+//! checker rigs and the micro-benchmarks, as entries of one table
+//! ([`table::EXPERIMENTS`]) behind one binary, `experiments`. See the
+//! workspace `EXPERIMENTS.md` for the index and the recorded results.
+//!
+//! This file holds what the entries share: the model-checking driver and
+//! its report table, the verdict an entry ends with, and the bench-record
+//! writer.
 
+mod ablations;
+mod checker;
+mod figures;
 pub mod harness;
+mod micro;
+mod runtime;
+pub mod table;
 
 use std::time::{Duration, Instant};
 
 use gc_model::invariants::{combined_property, safety_property};
 use gc_model::{GcModel, ModelConfig};
+use gc_trace::{FlagError, Flags};
 use mc::{Checker, CheckerConfig, Property, Strategy};
+
+/// How an experiment ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// The claim held (exit 0).
+    Holds,
+    /// The state bound was reached before the claim could be decided
+    /// (exit 2): raise `--max-states`.
+    Bounded(String),
+    /// The claim is refuted (exit 1).
+    Fails(String),
+}
+
+/// What an entry returns: its verdict, or why its command line was
+/// rejected.
+pub type Run = Result<Verdict, FlagError>;
+
+/// The ending of a model-checking experiment: `held` is its claim
+/// evaluated on `reports`. A claim that did not hold is refuted only if
+/// every run was exhaustive; under a reached bound it is merely undecided.
+pub fn conclude(reports: &[CheckReport], held: bool, claim: &str) -> Verdict {
+    if held {
+        Verdict::Holds
+    } else if reports.iter().any(CheckReport::bounded) {
+        Verdict::Bounded(claim.to_owned())
+    } else {
+        Verdict::Fails(claim.to_owned())
+    }
+}
+
+/// The ending of an experiment whose claim is that no invariant is
+/// violated: the refutation naming the first violated row, if any. (A
+/// bounded row without a violation is a partial verification, which the
+/// table already says.)
+pub fn violation(reports: &[CheckReport]) -> Option<Verdict> {
+    let r = reports.iter().find(|r| r.violated.is_some())?;
+    Some(Verdict::Fails(format!("{}: {}", r.label, r.outcome)))
+}
+
+/// The command line of an entry whose only flag is the state bound.
+pub fn max_states(f: &mut Flags, default: usize) -> Result<usize, FlagError> {
+    let max = f.get("--max-states", default)?;
+    f.finish()?;
+    Ok(max)
+}
 
 /// Which invariants a run checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +115,11 @@ impl CheckReport {
     pub fn verified(&self) -> bool {
         self.outcome == "VERIFIED"
     }
+
+    /// Whether the run stopped at its state bound.
+    pub fn bounded(&self) -> bool {
+        self.outcome.starts_with("BOUNDED")
+    }
 }
 
 /// The default exploration bounds for experiment runs: hash-compact dedup
@@ -70,18 +132,23 @@ pub fn bounded_config(max_states: usize) -> CheckerConfig {
     }
 }
 
-/// Model-checks `cfg` with the chosen suite, up to `max_states`
-/// (hash-compacted, sequential BFS), and distils the outcome.
-pub fn check_config(
-    label: impl Into<String>,
-    cfg: &ModelConfig,
+/// Model-checks each `(label, configuration)` row with `suite`, up to
+/// `max_states` (hash-compacted, sequential BFS), and prints the table.
+pub fn check_table(
     max_states: usize,
     suite: Suite,
-) -> CheckReport {
-    check_config_with(label, cfg, max_states, suite.properties(cfg))
+    rows: &[(&str, &ModelConfig)],
+) -> Vec<CheckReport> {
+    let reports: Vec<CheckReport> = rows
+        .iter()
+        .map(|&(label, cfg)| check_config_with(label, cfg, max_states, suite.properties(cfg)))
+        .collect();
+    print_table(&reports);
+    reports
 }
 
-/// Like [`check_config`] but with caller-supplied properties.
+/// Model-checks `cfg` against caller-supplied properties, up to
+/// `max_states` (hash-compacted, sequential BFS).
 pub fn check_config_with(
     label: impl Into<String>,
     cfg: &ModelConfig,
@@ -168,20 +235,15 @@ pub fn report_json(report: &CheckReport) -> gc_trace::Json {
         .set("elapsed_s", report.elapsed.as_secs_f64())
 }
 
-/// Writes a [`gc_trace::bench_record`] document to
-/// `experiments_output/BENCH_<bench>.json` at the *workspace root*
-/// (creating the directory), and returns the path. Delegates to
-/// [`gc_trace::write_bench_record`], which anchors at the repository root
-/// (walking up from `CARGO_MANIFEST_DIR` — `cargo bench` and `cargo test`
-/// set the working directory to the package root, so a cwd-relative path
-/// would scatter records across `crates/*`) and rejects records that do
-/// not conform to the `gc-bench/v1` schema. Bench bins treat failures
-/// here as warnings, not errors — the measurement already happened.
-pub fn write_bench_record(
-    bench: &str,
-    record: &gc_trace::Json,
-) -> std::io::Result<std::path::PathBuf> {
-    gc_trace::write_bench_record(bench, record)
+/// Writes `record` to `experiments_output/BENCH_<bench>.json` at the
+/// workspace root through [`gc_trace::write_bench_record`] (which rejects
+/// a record off the `gc-bench/v1` schema) and says where. A failure is a
+/// warning, not an error — the measurement already happened.
+pub fn save_record(bench: &str, record: &gc_trace::Json) {
+    match gc_trace::write_bench_record(bench, record) {
+        Ok(path) => println!("bench record -> {}", path.display()),
+        Err(e) => eprintln!("warning: could not write BENCH_{bench}.json: {e}"),
+    }
 }
 
 #[cfg(test)]
@@ -189,13 +251,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn check_config_distils_outcomes() {
+    fn check_table_distils_outcomes() {
         let mut cfg = ModelConfig::small(1, 2);
         cfg.ops.alloc = false;
         cfg.ops.load = false;
         cfg.ops.store = false;
-        let report = check_config("tiny", &cfg, 500_000, Suite::Full);
-        assert!(report.states > 0);
-        assert!(report.violated.is_none(), "outcome: {}", report.outcome);
+        let reports = check_table(500_000, Suite::Full, &[("tiny", &cfg)]);
+        assert!(reports[0].states > 0);
+        assert!(reports[0].verified(), "outcome: {}", reports[0].outcome);
+        assert_eq!(conclude(&reports, true, "c"), Verdict::Holds);
+        assert_eq!(conclude(&reports, false, "c"), Verdict::Fails("c".into()));
+    }
+
+    #[test]
+    fn a_claim_undecided_under_the_bound_is_inconclusive_not_refuted() {
+        let reports = check_table(50, Suite::Full, &[("cut", &ModelConfig::small(1, 2))]);
+        assert!(reports[0].bounded(), "outcome: {}", reports[0].outcome);
+        assert_eq!(
+            conclude(&reports, false, "needs more states"),
+            Verdict::Bounded("needs more states".into())
+        );
     }
 }

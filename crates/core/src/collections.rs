@@ -3,15 +3,16 @@
 //!
 //! The collector's API is deliberately low-level (Figure 6's `Load`/
 //! `Store`/`Alloc`/`Discard`); this module shows the intended idiom by
-//! packaging two shapes the examples and stress tests use:
+//! packaging the shapes the examples and stress tests use:
 //!
 //! * [`GcStack`] — a cons-list used as a stack (push/pop/iterate);
-//! * [`GcTree`] — a binary tree builder (the GCBench-style workload).
+//! * [`GcTree`] — a binary tree builder (the GCBench-style workload);
+//! * [`churn_list`] — the shared-list churn loop of the experiment rigs.
 //!
-//! Both follow the rooting discipline strictly: exactly one handle (the
-//! head/root) stays in the mutator's roots; interior nodes live only
-//! through heap edges, so they are collected as soon as the structure
-//! drops them.
+//! The two structures follow the rooting discipline strictly: exactly one
+//! handle (the head/root) stays in the mutator's roots; interior nodes
+//! live only through heap edges, so they are collected as soon as the
+//! structure drops them.
 
 use crate::handle::Gc;
 use crate::heap::AllocError;
@@ -193,6 +194,47 @@ impl GcTree {
 impl Default for GcTree {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// One mutator's share of the shared-list churn the `stress`, `torture`
+/// and `fig5` experiments and the `gc-trace` demo all run: `ops` times,
+/// answer the handshake, push a fresh 2-field node onto the list hanging
+/// off `anchor`'s field 0 (a full heap is backpressure: yield and go on),
+/// cut the whole list loose every `cut_every` ops (mass garbage), and —
+/// when `walk > 0` — every 16 ops walk up to `walk` nodes of the visible
+/// prefix, so the use-after-free oracle checks every link another mutator
+/// may be editing. `anchor` must be rooted in `m`.
+pub fn churn_list(m: &mut Mutator, anchor: Gc, ops: usize, cut_every: usize, walk: usize) {
+    for op in 0..ops {
+        m.safepoint();
+        match m.alloc(2) {
+            Ok(node) => {
+                let old = m.load(anchor, 0);
+                m.store(node, 0, old);
+                m.store(anchor, 0, Some(node));
+                if let Some(o) = old {
+                    m.discard(o);
+                }
+                m.discard(node);
+            }
+            Err(_) => std::thread::yield_now(),
+        }
+        if op.is_multiple_of(cut_every) {
+            m.store(anchor, 0, None);
+        }
+        if walk > 0 && op.is_multiple_of(16) {
+            let mut cur = m.load(anchor, 0);
+            let mut n = 0;
+            while let Some(c) = cur {
+                cur = m.load(c, 0);
+                m.discard(c);
+                n += 1;
+                if n > walk {
+                    break;
+                }
+            }
+        }
     }
 }
 

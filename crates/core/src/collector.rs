@@ -286,8 +286,11 @@ impl Shared {
     }
 
     /// Common abort tail: restore the Idle invariants a completed cycle
-    /// would have re-established (`f_A == f_M`, phase idle, staged channel
-    /// empty) and mark the heap dirty for the next cycle's repaint.
+    /// would have re-established (`f_A == f_M`, phase idle) and mark the
+    /// heap dirty for the next cycle's repaint. The grey work the cycle
+    /// leaves behind — in the staged channel and in each mutator's private
+    /// list — is dropped at the next cycle's first handshake, the first
+    /// point at which no mutator can still be adding to it.
     fn abort_cycle(&self) {
         self.fa
             .store(self.fm.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -295,7 +298,6 @@ impl Shared {
         trace_event!(PhaseEnter {
             phase: Phase::Idle as u8
         });
-        let _ = self.staged.take_all(&self.heap);
         self.marks_dirty.store(true, Ordering::Release);
     }
 
@@ -371,11 +373,9 @@ impl Shared {
         // heap two-toned (objects marked or allocated black in the flipped
         // sense among objects still carrying the old one) — and stale
         // *black* marks would truncate a later trace above still-white
-        // children. So: restore the phase and `f_A`, drop any staged grey
-        // segments (they will be re-discovered from the roots next cycle —
-        // holding them across an abort would let a later sweep free objects
-        // still linked into the channel), and flag the heap dirty so the
-        // next cycle repaints it before flipping.
+        // children. So: restore the phase and `f_A` and flag the heap dirty
+        // so the next cycle repaints it before flipping; that cycle also
+        // drops the grey work this one leaves behind (below).
         macro_rules! hs_or_abort {
             ($ty:expr) => {
                 let hs_t0 = Instant::now();
@@ -412,6 +412,18 @@ impl Shared {
         // Lines 3–4: everyone agrees the collector is idle; the heap is
         // black in the current sense.
         hs_or_abort!(HsTy::Noop);
+
+        // Every mutator is at Idle with barriers inert and has dropped its
+        // private grey list on the way (`Mutator::answer`); what an aborted
+        // cycle's stragglers — a silenced mutator answering the stale
+        // get-roots word late, an unwinding one's `Drop` — transferred
+        // since is dropped here. A stale grey kept past this point is
+        // white again after the repaint and flip below: the next marker to
+        // win its CAS pushes it onto a second list and the overwritten
+        // link closes a loop. Nothing is lost: the repaint re-traces an
+        // aborted cycle from the roots, and a completed one ends with every
+        // list empty (`gc_W_empty_mut_inv`). Not walked — it may be cyclic.
+        sh.staged.discard();
 
         // Per-cycle TLAB/lazy-sweep/backoff activity is reported as deltas
         // of the global counters between here and cycle end.
@@ -489,6 +501,10 @@ impl Shared {
                     }
                 }
                 cycle.traced += 1;
+                assert!(
+                    cycle.traced <= sh.heap.capacity(),
+                    "work-list cycle: valid_W_inv"
+                );
             }
             cycle.chaos_ns += round_chaos_ns;
             cycle.mark_ns += (t_mark.elapsed().as_nanos() as u64).saturating_sub(round_chaos_ns);
@@ -1176,6 +1192,110 @@ mod tests {
         });
         assert_eq!(c.stats().evictions(), 1);
         let _ = m.alloc(1); // revoked: panics
+    }
+
+    #[test]
+    fn greys_of_an_aborted_cycle_are_not_enlisted_twice() {
+        // Regression (the `gc-serve` hang): A greys objects during Mark, B's
+        // silence times the cycle out, and A's private list kept the greys.
+        // The next cycle repaints and flips, so they are white again; the
+        // first marker to win the CAS pushed one onto a second list, the
+        // overwritten link closed a loop, and `take_all` never returned.
+        const CHAIN: usize = 32;
+        let cfg = GcConfig::new(64, 1).with_handshake_timeout(Duration::from_millis(100));
+        let c = Arc::new(Collector::new(cfg));
+        let mut a = c.register_mutator();
+        let mut b = c.register_mutator();
+        // p -> x1 -> ... -> xCHAIN, only p rooted; q is where A stores.
+        let p = a.alloc(1).unwrap();
+        let q = a.alloc(1).unwrap();
+        let mut tail = p;
+        for _ in 0..CHAIN {
+            let node = a.alloc(1).unwrap();
+            a.store(tail, 0, Some(node));
+            if tail != p {
+                a.discard(tail);
+            }
+            tail = node;
+        }
+        a.discard(tail);
+
+        let collect = |c: &Arc<Collector>| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let c = Arc::clone(c);
+            std::thread::spawn(move || {
+                let _ = tx.send(c.collect());
+            });
+            rx
+        };
+
+        // Cycle 1. Both answer until the collector announces Mark; checking
+        // the phase before every answer means neither gets as far as the
+        // get-roots round, so the chain is still white.
+        let outcome = collect(&c);
+        loop {
+            if c.phase() == Phase::Mark {
+                break;
+            }
+            a.safepoint();
+            if c.phase() == Phase::Mark {
+                break;
+            }
+            b.safepoint();
+        }
+        // B falls silent (alive: it beats). A keeps answering and keeps
+        // storing chain nodes into q: each insertion barrier wins a CAS and
+        // greys one, and all but the first few stay on A's private list —
+        // with B silent no further round is posted for A to transfer at.
+        let mut cur = p;
+        let first = loop {
+            a.safepoint();
+            b.beat_for_test();
+            if c.phase() == Phase::Mark {
+                if let Some(next) = a.load(cur, 0) {
+                    a.store(q, 0, Some(next));
+                    if cur != p {
+                        a.discard(cur);
+                    }
+                    cur = next;
+                }
+            }
+            if let Ok(out) = outcome.try_recv() {
+                break out;
+            }
+        };
+        match first {
+            CycleOutcome::TimedOut { stalled, .. } => assert_eq!(stalled, vec![b.id()]),
+            other => panic!("expected TimedOut, got {other:?}"),
+        }
+        assert!(c.stats().barrier_cas_won() > 2, "A greyed chain nodes");
+        if cur != p {
+            a.discard(cur);
+        }
+
+        // Cycle 2, everyone cooperating, under a hard cap: before the fix
+        // it never returned.
+        let outcome = collect(&c);
+        let t0 = Instant::now();
+        let second = loop {
+            a.safepoint();
+            b.safepoint();
+            match outcome.try_recv() {
+                Ok(out) => break out,
+                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
+                    panic!("the cycle after the abort panicked")
+                }
+                Err(std::sync::mpsc::TryRecvError::Empty) => {
+                    assert!(t0.elapsed() < Duration::from_secs(20), "the cycle hung");
+                }
+            }
+        };
+        assert!(second.is_completed(), "{second:?}");
+        // p, q and the chain are live and each was enlisted exactly once:
+        // A handed over its two roots and none of the stale greys.
+        assert_eq!(c.live_objects(), CHAIN + 2);
+        assert_eq!(second.stats().traced, CHAIN + 2);
+        assert_eq!(second.stats().received, 2);
     }
 
     #[test]

@@ -86,6 +86,17 @@ impl HeapLayout {
             HeapLayout::Segmented { .. } => "segmented",
         }
     }
+
+    /// The layout [`name`](HeapLayout::name)d `name` — what a `--layout`
+    /// flag or the test suites' `GC_TEST_LAYOUT` variable spells — with the
+    /// segmented geometry picked from `capacity`.
+    pub fn from_name(name: &str, capacity: usize) -> Option<Self> {
+        match name {
+            "slab" => Some(HeapLayout::Slab),
+            "segmented" => Some(HeapLayout::segmented_default(capacity)),
+            _ => None,
+        }
+    }
 }
 
 /// A configuration rejected by [`GcConfigBuilder::try_build`].
@@ -688,5 +699,9 @@ mod tests {
         }
         assert_eq!(HeapLayout::segmented_default(4096).name(), "segmented");
         assert_eq!(HeapLayout::Slab.name(), "slab");
+        for layout in [HeapLayout::Slab, HeapLayout::segmented_default(4096)] {
+            assert_eq!(HeapLayout::from_name(layout.name(), 4096), Some(layout));
+        }
+        assert_eq!(HeapLayout::from_name("both", 4096), None);
     }
 }

@@ -107,7 +107,7 @@ mod sync;
 mod worklist;
 
 pub use chaos::{ChaosSite, FaultPlan};
-pub use collections::{GcStack, GcTree};
+pub use collections::{churn_list, GcStack, GcTree};
 pub use collector::{Collector, CycleOutcome, MutId};
 pub use config::{ConfigError, GcConfig, GcConfigBuilder, HeapLayout};
 pub use handle::Gc;

@@ -10,7 +10,7 @@ use crate::chaos::{ChaosSite, STORM_YIELDS};
 use crate::collector::{MutId, MutatorShared, Shared};
 use crate::config::HeapLayout;
 use crate::handle::Gc;
-use crate::heap::{AllocError, NO_SEG};
+use crate::heap::{AllocError, Phase, NO_SEG};
 use crate::sync::Backoff;
 use crate::worklist::LocalList;
 
@@ -560,7 +560,16 @@ impl Mutator {
                 self.transfer();
             }
             3 => self.transfer(), // GetWork
-            _ => {}               // Noop
+            _ => {
+                // Noop. At Idle any grey still held is an aborted cycle's
+                // (a completed one leaves none): forget it, or the next
+                // cycle would find the object on two work-lists — see the
+                // first handshake of `Shared::run_cycle_locked`.
+                if self.shared.phase.load(Ordering::Relaxed) == Phase::Idle as u8 {
+                    self.wl = LocalList::new();
+                    self.me.has_grey.store(false, Ordering::SeqCst);
+                }
+            }
         }
         if fences {
             fence(Ordering::SeqCst); // completing store fence

@@ -103,8 +103,19 @@ impl Staged {
         }
     }
 
+    /// Empties the channel without walking it: what it holds is stale (an
+    /// aborted cycle's greys) and may not even be a well-formed list.
+    pub(crate) fn discard(&self) {
+        self.head.store(0, Ordering::Release);
+    }
+
     /// Takes the whole channel contents as a local list (single consumer:
     /// the collector, after a handshake round).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the walk exceeds the heap's capacity: an object on two
+    /// work-lists has made the intrusive list cyclic.
     pub(crate) fn take_all(&self, heap: &Heap) -> LocalList {
         let head = Gc::decode(self.head.swap(0, Ordering::AcqRel));
         let mut list = LocalList::new();
@@ -114,6 +125,7 @@ impl Staged {
         let mut tail = None;
         while let Some(g) = cur {
             len += 1;
+            assert!(len <= heap.capacity(), "work-list cycle: valid_W_inv");
             tail = Some(g);
             cur = heap.link(g);
         }

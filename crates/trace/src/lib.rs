@@ -50,6 +50,7 @@ pub mod bench;
 pub mod chrome;
 pub mod diff;
 pub mod event;
+pub mod flags;
 pub mod json;
 pub mod metrics;
 pub mod ring;
@@ -65,6 +66,7 @@ pub use diff::{diff_shapes, DiffError, DiffReport, Finding, Summary, Thresholds,
 pub use event::{
     Event, EventKind, Record, Role, Span, COUNTER_NAMES, HANDSHAKE_NAMES, PHASE_NAMES,
 };
+pub use flags::{CommaList, FlagError, Flags};
 pub use json::{Json, JsonError};
 pub use metrics::{bench_record, escape_label_value, labeled, Counter, Gauge, Histogram, Registry};
 pub use ring::Ring;

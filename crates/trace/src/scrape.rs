@@ -136,6 +136,24 @@ impl MetricsServer {
         })
     }
 
+    /// A driver's `--metrics-addr ADDR`, in one place: with an address,
+    /// serves `registry` on it with `/healthz` watching `progress` over
+    /// `window`, and prints where; without one, nothing. The error of a
+    /// failed bind names the address.
+    pub fn for_flag(
+        addr: Option<&str>,
+        registry: &Arc<Registry>,
+        progress: &str,
+        window: Duration,
+    ) -> std::io::Result<Option<MetricsServer>> {
+        let Some(addr) = addr else { return Ok(None) };
+        let live = Liveness::watch(Arc::clone(registry), progress, window);
+        let server = MetricsServer::spawn(addr, Arc::clone(registry), Some(live))
+            .map_err(|e| std::io::Error::new(e.kind(), format!("cannot bind {addr}: {e}")))?;
+        println!("metrics: http://{}/metrics", server.local_addr());
+        Ok(Some(server))
+    }
+
     /// The bound address (resolves port `0` requests).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr

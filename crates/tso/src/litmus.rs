@@ -9,8 +9,8 @@
 //!
 //! This is the executable counterpart of the paper's Figure 9: the same
 //! machine that underlies the garbage collector model, demonstrated on the
-//! classic SB/MP shapes (see the crate's tests and the `fig9_tso_litmus`
-//! experiment binary in `gc-bench`).
+//! classic SB/MP shapes (see the crate's tests and `experiments fig9` in
+//! `gc-bench`).
 //!
 //! # Example
 //!

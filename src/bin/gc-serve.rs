@@ -39,9 +39,8 @@
 //! Exits nonzero when the robust arm reports any oracle violation or the
 //! generated trace fails validation — the CI `serve-smoke` gate.
 //!
-//! Usage: `gc-serve [--out DIR] [--layout slab|segmented] [--requests N]
-//! [--seed S] [--chaos-seed S] [--slo-ms MS] [--no-storm]
-//! [--skip-ablation] [--stream-trace] [--metrics-addr ADDR]`
+//! Flags: `gc-serve --help` prints the usage line; an unknown flag, a bad
+//! value or a missing one exits 2 with that line.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -50,8 +49,12 @@ use std::time::Duration;
 
 use gc_serve::{run_serve, ServeConfig, ServeReport};
 use gc_trace::chrome::{chrome_trace, validate_chrome_trace};
-use gc_trace::{Json, Liveness, MetricsServer, Registry, TraceShape, TraceSink, Tracer};
+use gc_trace::{FlagError, Flags, Json, MetricsServer, Registry, TraceShape, TraceSink, Tracer};
 use otf_gc::{FaultPlan, HeapLayout};
+
+const USAGE: &str = "gc-serve [--out DIR] [--layout slab|segmented] [--requests N] [--seed S] \
+                     [--chaos-seed S] [--slo-ms MS] [--no-storm] [--skip-ablation] \
+                     [--stream-trace] [--metrics-addr ADDR]";
 
 struct Args {
     out: PathBuf,
@@ -66,84 +69,26 @@ struct Args {
     metrics_addr: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let mut out = PathBuf::from("experiments_output");
-    let mut layout = HeapLayout::Slab;
-    let mut requests = None;
-    let mut seed = None;
-    let mut chaos_seed = 0xc4a05_u64;
-    let mut slo_ms = None;
-    let mut storm = true;
-    let mut ablation = true;
-    let mut stream_trace = false;
-    let mut metrics_addr = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--out" => {
-                out = PathBuf::from(need(i));
-                i += 2;
-            }
-            "--layout" => {
-                layout = match need(i).as_str() {
-                    "slab" => HeapLayout::Slab,
-                    "segmented" => HeapLayout::segmented_default(256),
-                    other => panic!("unknown layout: {other} (slab|segmented)"),
-                };
-                i += 2;
-            }
-            "--requests" => {
-                requests = Some(need(i).parse().expect("requests must be a u64"));
-                i += 2;
-            }
-            "--seed" => {
-                seed = Some(need(i).parse().expect("seed must be a u64"));
-                i += 2;
-            }
-            "--chaos-seed" => {
-                chaos_seed = need(i).parse().expect("chaos-seed must be a u64");
-                i += 2;
-            }
-            "--slo-ms" => {
-                slo_ms = Some(need(i).parse().expect("slo-ms must be a u64"));
-                i += 2;
-            }
-            "--no-storm" => {
-                storm = false;
-                i += 1;
-            }
-            "--skip-ablation" => {
-                ablation = false;
-                i += 1;
-            }
-            "--stream-trace" => {
-                stream_trace = true;
-                i += 1;
-            }
-            "--metrics-addr" => {
-                metrics_addr = Some(need(i).clone());
-                i += 2;
-            }
-            other => panic!("unknown argument: {other} (see the module docs for usage)"),
-        }
-    }
-    Args {
-        out,
+fn parse_args(f: &mut Flags) -> Result<Args, FlagError> {
+    let layout = match f.opt::<String>("--layout")? {
+        Some(name) => HeapLayout::from_name(&name, 256)
+            .ok_or_else(|| FlagError::bad_value("--layout", &name))?,
+        None => HeapLayout::default(),
+    };
+    let args = Args {
+        out: f.get("--out", PathBuf::from("experiments_output"))?,
         layout,
-        requests,
-        seed,
-        chaos_seed,
-        slo_ms,
-        storm,
-        ablation,
-        stream_trace,
-        metrics_addr,
-    }
+        requests: f.opt("--requests")?,
+        seed: f.opt("--seed")?,
+        chaos_seed: f.get("--chaos-seed", 0xc4a05)?,
+        slo_ms: f.opt("--slo-ms")?,
+        storm: !f.switch("--no-storm"),
+        ablation: !f.switch("--skip-ablation"),
+        stream_trace: f.switch("--stream-trace"),
+        metrics_addr: f.opt("--metrics-addr")?,
+    };
+    f.finish()?;
+    Ok(args)
 }
 
 /// The storm plan the chaos gate runs: every runtime fault site the serve
@@ -160,8 +105,8 @@ fn storm_plan(seed: u64) -> FaultPlan {
         .with_worker_panic(3_000)
 }
 
-/// The robust arm's configuration for these CLI arguments.
-fn robust_config(args: &Args) -> ServeConfig {
+/// The seeded load both arms serve.
+fn base_config(args: &Args) -> ServeConfig {
     let mut cfg = ServeConfig::quick(args.layout);
     if let Some(r) = args.requests {
         cfg.requests = r;
@@ -169,6 +114,12 @@ fn robust_config(args: &Args) -> ServeConfig {
     if let Some(s) = args.seed {
         cfg.seed = s;
     }
+    cfg
+}
+
+/// The robust arm's configuration for these CLI arguments.
+fn robust_config(args: &Args) -> ServeConfig {
+    let mut cfg = base_config(args);
     if args.storm {
         cfg = cfg.with_storm(storm_plan(args.chaos_seed));
         // The storm aborts cycles through the handshake watchdog; give the
@@ -220,7 +171,11 @@ fn main() -> ExitCode {
         }
     }));
 
-    let args = parse_args();
+    let mut flags = Flags::from_env(USAGE);
+    let args = match parse_args(&mut flags) {
+        Ok(args) => args,
+        Err(e) => return flags.fail(&e),
+    };
     let cfg = robust_config(&args);
     println!(
         "== gc-serve: {} workers x {} requests on the {} layout ({}) ==",
@@ -262,25 +217,17 @@ fn main() -> ExitCode {
     // is in flight, with /healthz tracking cycle-completion recency
     // through the gc_cycles_completed gauge the keeper publishes.
     let registry = Arc::new(Registry::new());
-    let server = match &args.metrics_addr {
-        Some(addr) => {
-            let live = Liveness::watch(
-                Arc::clone(&registry),
-                "gc_cycles_completed",
-                Duration::from_secs(5),
-            );
-            match MetricsServer::spawn(addr, Arc::clone(&registry), Some(live)) {
-                Ok(s) => {
-                    println!("metrics: http://{}/metrics", s.local_addr());
-                    Some(s)
-                }
-                Err(e) => {
-                    eprintln!("gc-serve: cannot bind {addr}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+    let _server = match MetricsServer::for_flag(
+        args.metrics_addr.as_deref(),
+        &registry,
+        "gc_cycles_completed",
+        Duration::from_secs(5),
+    ) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("gc-serve: {e}");
+            return ExitCode::from(2);
         }
-        None => None,
     };
     let report = run_serve(&cfg, &registry);
     print_arm("robust", &report);
@@ -298,17 +245,7 @@ fn main() -> ExitCode {
     // Expected to degrade; its numbers go into the BENCH record but its
     // registry is scratch (metrics.prom describes the robust arm).
     let ablation = if args.ablation {
-        let abl_cfg = {
-            let mut c = ServeConfig::quick(args.layout);
-            if let Some(r) = args.requests {
-                c.requests = r;
-            }
-            if let Some(s) = args.seed {
-                c.seed = s;
-            }
-            c.ablation()
-        };
-        let abl = run_serve(&abl_cfg, &Registry::new());
+        let abl = run_serve(&base_config(&args).ablation(), &Registry::new());
         print_arm("ablation", &abl);
         let degraded = abl.exhausted > 0 || abl.timeouts > 0;
         println!(
@@ -413,10 +350,6 @@ fn main() -> ExitCode {
             eprintln!("gc-serve: cannot write BENCH_serve.json: {e}");
             return ExitCode::from(2);
         }
-    }
-
-    if let Some(server) = server {
-        server.shutdown();
     }
 
     if report.is_healthy() {

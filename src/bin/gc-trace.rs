@@ -35,21 +35,29 @@
 //! failure — the CI `trace-smoke` job runs the demo and then this mode on
 //! its own output.
 //!
-//! Usage: `gc-trace [--out DIR] [--mutators K] [--ops N] [--check FILE]
-//! [--metrics-addr ADDR]`
+//! Flags: `--help` prints the usage line of the demo or of a subcommand;
+//! an unknown flag, a bad value or a missing one exits 2 with that line.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use gc_model::invariants::combined_property;
 use gc_model::{GcModel, ModelConfig};
 use gc_trace::chrome::{chrome_trace, jsonl, validate_chrome_trace};
 use gc_trace::{
-    diff_shapes, Json, Liveness, MetricsServer, Registry, Thresholds, TraceShape, Tracer,
+    diff_shapes, FlagError, Flags, Json, MetricsServer, Registry, Thresholds, TraceShape, Tracer,
 };
 use mc::{Checker, CheckerConfig, Strategy};
-use otf_gc::{Collector, GcConfig, HeapLayout};
+use otf_gc::{churn_list, Collector, GcConfig, HeapLayout};
+
+const USAGE: &str = "gc-trace [--out DIR] [--mutators K] [--ops N] [--check FILE] \
+                     [--metrics-addr ADDR]   (subcommands: diff, check-bench; each takes --help)";
+const DIFF_USAGE: &str = "gc-trace diff BASE CURRENT [--json FILE] [--shape-only] \
+                          [--latency-rel F] [--count-rel F] [--mix-abs F] [--min-count N]";
+const CHECK_BENCH_USAGE: &str = "gc-trace check-bench FILE...";
 
 struct Args {
     out: PathBuf,
@@ -59,49 +67,16 @@ struct Args {
     metrics_addr: Option<String>,
 }
 
-fn parse_args(args: &[String]) -> Args {
-    let mut out = PathBuf::from("experiments_output");
-    let mut mutators = 3usize;
-    let mut ops = 12_000usize;
-    let mut check = None;
-    let mut metrics_addr = None;
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--out" => {
-                out = PathBuf::from(need(i));
-                i += 2;
-            }
-            "--mutators" => {
-                mutators = need(i).parse().expect("mutators must be a usize");
-                i += 2;
-            }
-            "--ops" => {
-                ops = need(i).parse().expect("ops must be a usize");
-                i += 2;
-            }
-            "--check" => {
-                check = Some(PathBuf::from(need(i)));
-                i += 2;
-            }
-            "--metrics-addr" => {
-                metrics_addr = Some(need(i).clone());
-                i += 2;
-            }
-            other => panic!("unknown argument: {other} (see the module docs for usage)"),
-        }
-    }
-    Args {
-        out,
-        mutators,
-        ops,
-        check,
-        metrics_addr,
-    }
+fn parse_args(f: &mut Flags) -> Result<Args, FlagError> {
+    let args = Args {
+        out: f.get("--out", PathBuf::from("experiments_output"))?,
+        mutators: f.get("--mutators", 3)?,
+        ops: f.get("--ops", 12_000)?,
+        check: f.opt("--check")?,
+        metrics_addr: f.opt("--metrics-addr")?,
+    };
+    f.finish()?;
+    Ok(args)
 }
 
 /// `--check` mode: parse + validate an existing Chrome trace document.
@@ -139,55 +114,34 @@ fn check_file(path: &Path) -> ExitCode {
     }
 }
 
+/// The `diff` subcommand's command line: thresholds, the verdict file,
+/// and exactly two traces.
+fn parse_diff(f: &mut Flags) -> Result<(Thresholds, Option<PathBuf>, [PathBuf; 2]), FlagError> {
+    let d = Thresholds::default();
+    let thr = Thresholds {
+        latency_rel: f.get("--latency-rel", d.latency_rel)?,
+        count_rel: f.get("--count-rel", d.count_rel)?,
+        mix_abs: f.get("--mix-abs", d.mix_abs)?,
+        min_count: f.get("--min-count", d.min_count)?,
+        check_latency: !f.switch("--shape-only"),
+        ..d
+    };
+    let json_out = f.opt("--json")?;
+    let mut file = |what: &str| {
+        f.positional(what)?
+            .ok_or_else(|| FlagError::MissingValue(what.to_owned()))
+    };
+    let files = [file("BASE")?, file("CURRENT")?];
+    f.finish()?;
+    Ok((thr, json_out, files))
+}
+
 /// `diff` subcommand: compare two recorded traces, exit 0/1/2.
-fn run_diff(args: &[String]) -> ExitCode {
-    let mut thr = Thresholds::default();
-    let mut json_out: Option<PathBuf> = None;
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--latency-rel" => {
-                thr.latency_rel = need(i).parse().expect("latency-rel must be a float");
-                i += 2;
-            }
-            "--count-rel" => {
-                thr.count_rel = need(i).parse().expect("count-rel must be a float");
-                i += 2;
-            }
-            "--mix-abs" => {
-                thr.mix_abs = need(i).parse().expect("mix-abs must be a float");
-                i += 2;
-            }
-            "--min-count" => {
-                thr.min_count = need(i).parse().expect("min-count must be a u64");
-                i += 2;
-            }
-            "--shape-only" => {
-                thr.check_latency = false;
-                i += 1;
-            }
-            "--json" => {
-                json_out = Some(PathBuf::from(need(i)));
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                panic!("unknown diff argument: {other}")
-            }
-            _ => {
-                files.push(PathBuf::from(&args[i]));
-                i += 1;
-            }
-        }
-    }
-    if files.len() != 2 {
-        eprintln!("usage: gc-trace diff BASE CURRENT [--json FILE] [--shape-only] ...");
-        return ExitCode::from(2);
-    }
+fn run_diff(f: &mut Flags) -> ExitCode {
+    let (thr, json_out, files) = match parse_diff(f) {
+        Ok(parsed) => parsed,
+        Err(e) => return f.fail(&e),
+    };
     let load = |path: &Path| -> Result<TraceShape, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         if Json::parse(&text).is_ok_and(|doc| doc.get("traceEvents").is_some()) {
@@ -224,14 +178,20 @@ fn run_diff(args: &[String]) -> ExitCode {
 }
 
 /// `check-bench` subcommand: schema-validate `BENCH_*.json` files.
-fn run_check_bench(args: &[String]) -> ExitCode {
-    if args.is_empty() {
-        eprintln!("usage: gc-trace check-bench FILE...");
-        return ExitCode::from(2);
+fn run_check_bench(f: &mut Flags) -> ExitCode {
+    let mut files: Vec<PathBuf> = Vec::new();
+    while let Ok(Some(file)) = f.positional("FILE") {
+        files.push(file);
+    }
+    let listed = f.finish().and_then(|()| match files.is_empty() {
+        true => Err(FlagError::MissingValue("FILE".into())),
+        false => Ok(()),
+    });
+    if let Err(e) = listed {
+        return f.fail(&e);
     }
     let mut failed = false;
-    for arg in args {
-        let path = Path::new(arg);
+    for path in &files {
         match gc_trace::check_bench_file(path) {
             Ok(()) => println!("{}: valid gc-bench/v1 record", path.display()),
             Err(e) => {
@@ -267,7 +227,7 @@ fn run_gc_workload(mutators: usize, ops: usize, registry: &Registry) -> (u64, us
     collector.start();
     let mut m0 = collector.register_mutator();
     let anchor = m0.alloc(2).expect("fresh heap has room");
-    let done = std::sync::atomic::AtomicUsize::new(0);
+    let done = AtomicUsize::new(0);
     let cycles_gauge = registry.gauge("gc_cycles_completed");
     std::thread::scope(|s| {
         for i in 0..mutators {
@@ -276,39 +236,22 @@ fn run_gc_workload(mutators: usize, ops: usize, registry: &Registry) -> (u64, us
             let done = &done;
             s.spawn(move || {
                 gc_trace::set_track_name(&format!("mutator-{i}"));
-                for op in 0..ops {
-                    m.safepoint();
-                    match m.alloc(2) {
-                        Ok(node) => {
-                            let old = m.load(anchor, 0);
-                            m.store(node, 0, old);
-                            m.store(anchor, 0, Some(node));
-                            if let Some(o) = old {
-                                m.discard(o);
-                            }
-                            m.discard(node);
-                        }
-                        Err(_) => std::thread::yield_now(),
-                    }
-                    if op % 64 == 0 {
-                        m.store(anchor, 0, None);
-                    }
-                }
-                done.fetch_add(1, std::sync::atomic::Ordering::Release);
+                churn_list(&mut m, anchor, ops, 64, 0);
+                done.fetch_add(1, Ordering::Release);
             });
         }
         let done = &done;
         let collector_ref = &collector;
         let gauge = cycles_gauge.clone();
         s.spawn(move || {
-            while done.load(std::sync::atomic::Ordering::Acquire) < mutators {
+            while done.load(Ordering::Acquire) < mutators {
                 gauge.set(collector_ref.stats().cycles() as i64);
-                std::thread::sleep(std::time::Duration::from_millis(20));
+                std::thread::sleep(Duration::from_millis(20));
             }
         });
         s.spawn(move || {
             gc_trace::set_track_name("driver");
-            while done.load(std::sync::atomic::Ordering::Acquire) < mutators {
+            while done.load(Ordering::Acquire) < mutators {
                 m0.safepoint();
                 std::thread::yield_now();
             }
@@ -344,13 +287,23 @@ fn run_checker_workload(registry: &Arc<Registry>) -> (String, usize, usize) {
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    match raw.first().map(String::as_str) {
-        Some("diff") => return run_diff(&raw[1..]),
-        Some("check-bench") => return run_check_bench(&raw[1..]),
-        _ => {}
+    let mut flags = Flags::from_env(USAGE);
+    match flags.command().as_deref() {
+        Some("diff") => {
+            flags.set_usage(DIFF_USAGE);
+            return run_diff(&mut flags);
+        }
+        Some("check-bench") => {
+            flags.set_usage(CHECK_BENCH_USAGE);
+            return run_check_bench(&mut flags);
+        }
+        Some(other) => return flags.fail(&FlagError::Unexpected(other.to_owned())),
+        None => {}
     }
-    let args = parse_args(&raw);
+    let args = match parse_args(&mut flags) {
+        Ok(args) => args,
+        Err(e) => return flags.fail(&e),
+    };
     if let Some(path) = &args.check {
         return check_file(path);
     }
@@ -360,28 +313,17 @@ fn main() -> ExitCode {
         args.mutators, args.ops
     );
     let registry = Arc::new(Registry::new());
-    let server = match &args.metrics_addr {
-        Some(addr) => {
-            let liveness = Liveness::watch(
-                Arc::clone(&registry),
-                "gc_cycles_completed",
-                std::time::Duration::from_secs(5),
-            );
-            match MetricsServer::spawn(addr, Arc::clone(&registry), Some(liveness)) {
-                Ok(s) => {
-                    println!(
-                        "serving /metrics /metrics.json /healthz on http://{}",
-                        s.local_addr()
-                    );
-                    Some(s)
-                }
-                Err(e) => {
-                    eprintln!("gc-trace: cannot bind {addr}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+    let server = match MetricsServer::for_flag(
+        args.metrics_addr.as_deref(),
+        &registry,
+        "gc_cycles_completed",
+        Duration::from_secs(5),
+    ) {
+        Ok(server) => server,
+        Err(e) => {
+            eprintln!("gc-trace: {e}");
+            return ExitCode::from(2);
         }
-        None => None,
     };
     gc_trace::enable();
     gc_trace::set_track_name("main");

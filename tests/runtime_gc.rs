@@ -14,10 +14,10 @@ use relaxing_safely::gc::{
 /// matrix) so this whole suite runs under both heap layouts without
 /// duplicating a single test.
 fn cfg(capacity: usize, max_fields: usize) -> GcConfig {
-    let layout = match std::env::var("GC_TEST_LAYOUT").as_deref() {
-        Ok("segmented") => HeapLayout::segmented_default(capacity),
-        _ => HeapLayout::Slab,
-    };
+    let layout = std::env::var("GC_TEST_LAYOUT")
+        .ok()
+        .and_then(|name| HeapLayout::from_name(&name, capacity))
+        .unwrap_or(HeapLayout::Slab);
     GcConfig::builder()
         .capacity(capacity)
         .max_fields(max_fields)
