@@ -47,6 +47,16 @@
 //! next level, each through its own file handle. Ids within a level are
 //! consecutive, so the file stores only states.
 //!
+//! # Counterexamples
+//!
+//! A visited state keeps one 8-byte [`Link`] for the whole run — its
+//! parent's id and its ordinal in that parent's expansion — and no edge
+//! label. A counterexample is rebuilt by walking the links back to an
+//! initial state and *replaying forward*: expand, take the recorded
+//! ordinal, canonicalize, repeat. An expansion is a function of the parent
+//! state alone, except that the C3 fallback above reads the level's frozen
+//! seen-set; so a link also says which list its ordinal indexes.
+//!
 //! # State size
 //!
 //! A state may be a few words or a few kilobytes of inline data. Between its
@@ -68,7 +78,7 @@ use crate::config::{CheckerConfig, Reduction};
 use crate::hash::{Fingerprint, FxBuild};
 use crate::outcome::{Bound, Outcome, Stats, Trace};
 use crate::property::{first_violation, Property};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Retained, Telemetry};
 use crate::TransitionSystem;
 
 const SHARD_BITS: u32 = 6;
@@ -179,11 +189,11 @@ impl<TS: TransitionSystem> Mode<TS> for Compact {
 /// A successor discovered during the current level, keyed in its shard by
 /// the dedup key and ordered by first sequential discovery.
 struct Pending<TS: TransitionSystem> {
-    /// `(frontier position) << 32 | successor ordinal` — the deterministic
-    /// discovery order used to resolve claim races and to drain the level.
+    /// The state's [`Link`] with its parent's frontier position for the
+    /// parent id — the deterministic discovery order used to resolve claim
+    /// races and to drain the level (one expansion's successors share the
+    /// ample bit, so it never reorders them).
     order: u64,
-    parent: u32,
-    action: TS::Action,
     state: Box<TS::State>,
 }
 
@@ -215,9 +225,30 @@ fn min_pos(slot: &mut Option<u32>, pos: u32) {
     *slot = Some(slot.map_or(pos, |p| p.min(pos)));
 }
 
-fn pack(pos: usize, ord: usize) -> u64 {
-    debug_assert!(pos <= u32::MAX as usize && ord <= u32::MAX as usize);
-    ((pos as u64) << 32) | ord as u64
+/// Where a visited state came from: `parent id << 32 | ample bit << 31 |
+/// ordinal` — the `ordinal`-th successor of state `parent`, counted in its
+/// ample set if the bit is set and in its full successor list otherwise. An
+/// initial state is the `ordinal`-th of `initial_states()`, under `ROOT`.
+#[derive(Clone, Copy)]
+struct Link(u64);
+
+const _: () = assert!(size_of::<Link>() == 8);
+
+impl Link {
+    /// The parent id no state has: the BFS stops before assigning it.
+    const ROOT: u32 = u32::MAX;
+    const AMPLE: u64 = 1 << 31;
+
+    /// `ord` is checked against the 31 bits once per expansion.
+    fn new(parent: u32, ample: bool, ord: usize) -> Link {
+        Link(u64::from(parent) << 32 | u64::from(ample) << 31 | ord as u64)
+    }
+
+    /// `(parent, ample, ordinal)`.
+    fn unpack(self) -> (u32, bool, usize) {
+        let ordinal = (self.0 & (Link::AMPLE - 1)) as usize;
+        ((self.0 >> 32) as u32, self.0 & Link::AMPLE != 0, ordinal)
+    }
 }
 
 /// Parent links for trace reconstruction, indexed by state id: one per
@@ -225,46 +256,73 @@ fn pack(pos: usize, ord: usize) -> u64 {
 /// growing vector, so that growth never copies the links (briefly holding
 /// them twice) nor strands the outgrown buffer in the allocator — which is
 /// what peak memory is made of once states themselves are small.
-struct Links<A> {
-    blocks: Vec<Vec<Option<(u32, A)>>>,
+struct Links {
+    blocks: Vec<Vec<Link>>,
 }
 
-impl<A> Links<A> {
+impl Links {
     const BLOCK: usize = 1 << 12;
 
-    fn push(&mut self, link: Option<(u32, A)>) {
+    fn push(&mut self, link: Link) {
         if self.blocks.last().is_none_or(|b| b.len() == Self::BLOCK) {
             self.blocks.push(Vec::with_capacity(Self::BLOCK));
         }
         self.blocks.last_mut().expect("just ensured").push(link);
     }
 
-    fn get(&self, id: u32) -> &Option<(u32, A)> {
-        &self.blocks[id as usize / Self::BLOCK][id as usize % Self::BLOCK]
+    fn get(&self, id: u32) -> Link {
+        self.blocks[id as usize / Self::BLOCK][id as usize % Self::BLOCK]
     }
 }
 
+/// The counterexample ending in the state with id `at`, which is `state`.
 fn rebuild_trace<TS: TransitionSystem>(
-    parents: &Links<TS::Action>,
-    mut at: u32,
+    ts: &TS,
+    reduction: &Reduction,
+    links: &Links,
+    at: u32,
     state: TS::State,
 ) -> Trace<TS> {
-    let mut actions = Vec::new();
-    while let Some((p, a)) = parents.get(at) {
-        actions.push(a.clone());
-        at = *p;
+    let mut steps = Vec::new();
+    let (mut parent, mut ample, mut ordinal) = links.get(at).unpack();
+    while parent != Link::ROOT {
+        steps.push((ample, ordinal));
+        (parent, ample, ordinal) = links.get(parent).unpack();
     }
-    actions.reverse();
+    let mut cur = canonical(ts, reduction, ts.initial_states().swap_remove(ordinal));
+    let mut scratch: Vec<(TS::Action, TS::State)> = Vec::new();
+    let mut actions = Vec::with_capacity(steps.len());
+    for (ample, ordinal) in steps.into_iter().rev() {
+        scratch.clear();
+        if ample {
+            ts.ample_successors_into(&cur, reduction, &mut scratch);
+        } else {
+            ts.successors_into(&cur, &mut scratch);
+        }
+        let (action, succ) = scratch.swap_remove(ordinal);
+        actions.push(action);
+        cur = canonical(ts, reduction, succ);
+    }
+    assert!(cur == state, "the replay left the path the search took");
     Trace { actions, state }
+}
+
+/// `state`'s representative under the enabled canonicalizing reductions.
+fn canonical<TS: TransitionSystem>(ts: &TS, reduction: &Reduction, state: TS::State) -> TS::State {
+    if reduction.symmetry || reduction.sb_canon {
+        ts.canonicalize(&state, reduction)
+    } else {
+        state
+    }
 }
 
 /// Distinguishes concurrently created spill files within one process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// One BFS level. Ids within a level are consecutive, so a spilled level
-/// stores only encoded states and reconstructs ids from its base.
+/// One BFS level, in id order. Ids within a level are consecutive, so a
+/// level stores only states; the engine keeps the id of position 0.
 enum Frontier<TS: TransitionSystem> {
-    Mem(Vec<(u32, Box<TS::State>)>),
+    Mem(Vec<Box<TS::State>>),
     Disk(DiskLevel),
 }
 
@@ -280,16 +338,16 @@ impl<TS: TransitionSystem> Frontier<TS> {
         self.len() == 0
     }
 
-    /// Retrieves one `(id, state)` entry by position — used only for trace
+    /// Retrieves one state by position — used only for trace
     /// reconstruction (deadlocks), never on the hot path.
-    fn fetch(&self, ts: &TS, pos: usize) -> (u32, TS::State) {
+    fn fetch(&self, ts: &TS, pos: usize) -> TS::State {
         match self {
-            Frontier::Mem(v) => (v[pos].0, (*v[pos].1).clone()),
+            Frontier::Mem(v) => (*v[pos]).clone(),
             Frontier::Disk(d) => {
                 let mut buf = Vec::new();
                 let block = pos / BLOCK * BLOCK;
                 d.reader().read_block(ts, d, block, pos + 1, &mut buf);
-                (d.first_id + pos as u32, buf.pop().expect("spilled entry"))
+                buf.pop().expect("spilled entry")
             }
         }
     }
@@ -302,8 +360,6 @@ struct DiskLevel {
     path: PathBuf,
     len: usize,
     block_offsets: Vec<u64>,
-    /// State id of entry 0; entry `i` has id `first_id + i`.
-    first_id: u32,
 }
 
 impl DiskLevel {
@@ -379,7 +435,6 @@ struct DiskWriter {
     len: usize,
     block_offsets: Vec<u64>,
     bytes: u64,
-    first_id: u32,
     scratch: Vec<u8>,
 }
 
@@ -397,16 +452,11 @@ impl DiskWriter {
             len: 0,
             block_offsets: Vec::new(),
             bytes: 0,
-            first_id: 0,
             scratch: Vec::new(),
         })
     }
 
-    fn push<TS: TransitionSystem>(&mut self, ts: &TS, id: u32, state: &TS::State) {
-        if self.len == 0 {
-            self.first_id = id;
-        }
-        debug_assert_eq!(id, self.first_id + self.len as u32);
+    fn push<TS: TransitionSystem>(&mut self, ts: &TS, state: &TS::State) {
         if self.len.is_multiple_of(BLOCK) {
             self.block_offsets.push(self.bytes);
         }
@@ -430,7 +480,6 @@ impl DiskWriter {
             path: std::mem::take(&mut self.path),
             len: self.len,
             block_offsets: std::mem::take(&mut self.block_offsets),
-            first_id: self.first_id,
         }
     }
 }
@@ -510,7 +559,6 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
     fn expand_one(
         &self,
         pos: usize,
-        parent_id: u32,
         state: &TS::State,
         scratch: &mut Vec<(TS::Action, TS::State)>,
         out: &mut WorkerOut,
@@ -541,6 +589,7 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
                 *succ = self.ts.canonicalize(succ, &self.reduction);
             }
         }
+        let mut ample = reduced;
         if reduced {
             self.telemetry.por_ample();
             // Cycle proviso (C3): the seen-set is frozen during the
@@ -557,6 +606,7 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
                 });
             if all_seen {
                 self.telemetry.por_fallback();
+                ample = false;
                 scratch.clear();
                 self.ts.successors_into(state, scratch);
                 if canon {
@@ -582,22 +632,20 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
             min_pos(&mut out.cutoff, pos as u32);
             return true;
         }
-        for (ord, (action, succ)) in scratch.drain(..).enumerate() {
+        assert!(scratch.len() as u64 <= Link::AMPLE, "ordinals fit 31 bits");
+        for (ord, (_, succ)) in scratch.drain(..).enumerate() {
             out.transitions += 1;
             let probe = self.mode.probe(&succ);
             let shard = &self.shards[(M::route(probe) >> (64 - SHARD_BITS)) as usize];
-            let order = pack(pos, ord);
+            // Frontier positions are below the state count, which fits 32 bits.
+            let order = Link::new(pos as u32, ample, ord).0;
             {
                 let mut guard = shard.lock().expect("shard lock");
                 if M::seen_contains(&guard.seen, probe, &succ) {
                     continue;
                 }
                 if let Some(p) = M::pending_mut(&mut guard.pending, probe, &succ) {
-                    if order < p.order {
-                        p.order = order;
-                        p.parent = parent_id;
-                        p.action = action;
-                    }
+                    p.order = p.order.min(order);
                     continue;
                 }
             }
@@ -610,19 +658,13 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
                 if let Some(p) = M::pending_mut(&mut guard.pending, probe, &succ) {
                     // Another worker claimed it while we were checking
                     // properties; keep the smaller discovery order.
-                    if order < p.order {
-                        p.order = order;
-                        p.parent = parent_id;
-                        p.action = action;
-                    }
+                    p.order = p.order.min(order);
                     false
                 } else {
                     guard.pending.insert(
                         key.clone(),
                         Pending {
                             order,
-                            parent: parent_id,
-                            action,
                             state: Box::new(succ),
                         },
                     );
@@ -669,8 +711,8 @@ where
         let end = (start + BLOCK).min(frontier.len());
         match frontier {
             Frontier::Mem(v) => {
-                for (pos, (parent_id, state)) in v.iter().enumerate().take(end).skip(start) {
-                    if !ctx.expand_one(pos, *parent_id, state, &mut scratch, &mut out) {
+                for (pos, state) in v.iter().enumerate().take(end).skip(start) {
+                    if !ctx.expand_one(pos, state, &mut scratch, &mut out) {
                         break 'grab;
                     }
                 }
@@ -681,9 +723,7 @@ where
                 let read = reader.read_block(ctx.ts, d, start, end, &mut disk_buf);
                 ctx.telemetry.spill_read(read);
                 for (i, state) in disk_buf.iter().enumerate() {
-                    let pos = start + i;
-                    let parent_id = d.first_id + pos as u32;
-                    if !ctx.expand_one(pos, parent_id, state, &mut scratch, &mut out) {
+                    if !ctx.expand_one(start + i, state, &mut scratch, &mut out) {
                         break 'grab;
                     }
                 }
@@ -706,23 +746,22 @@ where
 {
     let start = Instant::now();
     let deadline = config.time_limit.map(|limit| start + limit);
-    let canon = config.reduction.symmetry || config.reduction.sb_canon;
     let telemetry = Telemetry::new(config);
 
     let mut shards: Vec<Mutex<Shard<M::Key, TS>>> =
         (0..NSHARDS).map(|_| Mutex::new(Shard::default())).collect();
-    let mut parents: Links<TS::Action> = Links { blocks: Vec::new() };
+    let mut parents = Links { blocks: Vec::new() };
+    // State ids are `u32` and `Link::ROOT` is never assigned.
+    let max_states = config.max_states.min(Link::ROOT as usize);
     let mut states_count: usize = 0;
     let mut transitions: usize = 0;
 
     // Seed level 0 with the deduplicated (canonical) initial states.
-    let mut seed: Vec<(u32, Box<TS::State>)> = Vec::new();
-    for init in ts.initial_states() {
-        let init = if canon {
-            ts.canonicalize(&init, &config.reduction)
-        } else {
-            init
-        };
+    let mut seed: Vec<Box<TS::State>> = Vec::new();
+    let inits = ts.initial_states();
+    assert!(inits.len() as u64 <= Link::AMPLE, "ordinals fit 31 bits");
+    for (ord, init) in inits.into_iter().enumerate() {
+        let init = canonical(ts, &config.reduction, init);
         let probe = mode.probe(&init);
         let shard = shards[(M::route(probe) >> (64 - SHARD_BITS)) as usize]
             .get_mut()
@@ -731,23 +770,25 @@ where
             continue;
         }
         shard.seen.insert(M::key(probe, &init));
-        let id = states_count as u32;
-        parents.push(None);
+        parents.push(Link::new(Link::ROOT, false, ord));
         states_count += 1;
-        seed.push((id, Box::new(init)));
+        seed.push(Box::new(init));
     }
     // Levels can only spill if the system has a codec; ask once.
     let can_spill = config.spill_threshold.is_some()
         && seed
             .first()
-            .is_some_and(|(_, init)| ts.encode_state(init, &mut Vec::new()));
+            .is_some_and(|init| ts.encode_state(init, &mut Vec::new()));
+    let trace = |links: &Links, at: u32, state: TS::State| {
+        rebuild_trace(ts, &config.reduction, links, at, state)
+    };
 
     // Check properties on initial states.
-    for (id, state) in &seed {
+    for (id, state) in seed.iter().enumerate() {
         if let Some(property) = first_violation(properties, state) {
             return Outcome::Violated {
                 property,
-                trace: rebuild_trace(&parents, *id, (**state).clone()),
+                trace: trace(&parents, id as u32, (**state).clone()),
                 stats: Stats {
                     states: states_count,
                     transitions,
@@ -757,6 +798,8 @@ where
         }
     }
     let mut frontier: Frontier<TS> = Frontier::Mem(seed);
+    // Id of the frontier's position 0.
+    let mut first_id: u32 = 0;
     telemetry.seeded(states_count);
 
     let mut level: usize = 0;
@@ -850,7 +893,7 @@ where
         // Spill the next level when it exceeds the threshold (systems
         // without a codec keep frontiers in memory).
         let spill = can_spill && config.spill_threshold.is_some_and(|t| entries.len() > t);
-        let mut next_mem: Vec<(u32, Box<TS::State>)> = Vec::new();
+        let mut next_mem: Vec<Box<TS::State>> = Vec::new();
         let mut next_disk: Option<DiskWriter> = if spill {
             Some(DiskWriter::create().expect("create spill file"))
         } else {
@@ -863,9 +906,9 @@ where
             // every earlier position, before those of later ones.
             if let Some(dpos) = deadlock {
                 if dpos < (pending.order >> 32) as u32 {
-                    let (id, state) = frontier.fetch(ts, dpos as usize);
+                    let state = frontier.fetch(ts, dpos as usize);
                     return Outcome::Deadlock {
-                        trace: rebuild_trace(&parents, id, state),
+                        trace: trace(&parents, first_id + dpos, state),
                         stats: Stats {
                             states: states_count,
                             transitions,
@@ -874,9 +917,9 @@ where
                     };
                 }
             }
-            if states_count >= config.max_states {
+            if states_count >= max_states {
                 return Outcome::BoundReached {
-                    bound: Bound::States(config.max_states),
+                    bound: Bound::States(max_states),
                     stats: Stats {
                         states: states_count,
                         transitions,
@@ -885,12 +928,13 @@ where
                 };
             }
             let id = states_count as u32;
-            parents.push(Some((pending.parent, pending.action)));
+            // The discovery order, rebased from frontier position to parent id.
+            parents.push(Link(pending.order + (u64::from(first_id) << 32)));
             states_count += 1;
             if let Some(&property) = viol_map.get(&key) {
                 return Outcome::Violated {
                     property,
-                    trace: rebuild_trace(&parents, id, *pending.state),
+                    trace: trace(&parents, id, *pending.state),
                     stats: Stats {
                         states: states_count,
                         transitions,
@@ -904,17 +948,17 @@ where
                 .seen
                 .insert(key);
             match &mut next_disk {
-                Some(w) => w.push(ts, id, &pending.state),
-                None => next_mem.push((id, pending.state)),
+                Some(w) => w.push(ts, &pending.state),
+                None => next_mem.push(pending.state),
             }
         }
 
         // Deadlock / depth-bound events past the last insertion.
         match (deadlock, cutoff) {
             (Some(dpos), cpos) if cpos.is_none_or(|c| dpos < c) => {
-                let (id, state) = frontier.fetch(ts, dpos as usize);
+                let state = frontier.fetch(ts, dpos as usize);
                 return Outcome::Deadlock {
-                    trace: rebuild_trace(&parents, id, state),
+                    trace: trace(&parents, first_id + dpos, state),
                     stats: Stats {
                         states: states_count,
                         transitions,
@@ -938,7 +982,6 @@ where
         // Level completed without a verdict: report its shape. Tracing and
         // telemetry are observation only — they never influence exploration
         // order, so the deterministic-drain guarantee is untouched.
-        telemetry.level_done(states_count, next_disk.as_ref().map_or(0, |w| w.bytes));
         let discovered = next_disk.as_ref().map_or(next_mem.len(), |w| w.len) as u64;
         gc_trace::emit(gc_trace::EventKind::LevelEnd {
             level: level as u32,
@@ -947,16 +990,30 @@ where
         });
         let mut occ_max = 0u64;
         let mut occ_total = 0u64;
+        let mut seen_buckets = 0;
         for shard in shards.iter_mut() {
-            let n = shard.get_mut().expect("shard lock").seen.len() as u64;
+            let seen = &shard.get_mut().expect("shard lock").seen;
+            let n = seen.len() as u64;
             occ_max = occ_max.max(n);
             occ_total += n;
+            seen_buckets += seen.capacity();
         }
+        telemetry.level_done(
+            states_count,
+            next_disk.as_ref().map_or(0, |w| w.bytes),
+            Retained {
+                links: parents.blocks.len() * Links::BLOCK * size_of::<Link>(),
+                // A bucket is the key and one control byte.
+                seen_set: seen_buckets * (size_of::<M::Key>() + 1),
+                frontier: next_mem.len() * size_of::<TS::State>(),
+            },
+        );
         gc_trace::emit(gc_trace::EventKind::ShardOccupancy {
             max: occ_max,
             total: occ_total,
         });
 
+        first_id += frontier.len() as u32;
         frontier = match next_disk {
             Some(w) => Frontier::Disk(w.finish()),
             None => Frontier::Mem(next_mem),

@@ -12,6 +12,10 @@
 //!   level, `0` when memory-resident) and
 //!   `mc_spill_bytes_written_total` / `mc_spill_bytes_read_total`
 //!   (counters over the run);
+//! * `mc_parent_link_bytes`, `mc_seen_set_bytes`, `mc_frontier_bytes` —
+//!   gauges of what the search retains, from lengths and capacities only:
+//!   the links' blocks, Σ seen-set shard `capacity()` × bucket size, and
+//!   the in-memory next level × `size_of::<State>()` (`0` when spilled);
 //! * `mc_reduction_hits_total{technique=...}` — labelled counters for
 //!   `por_ample` (ample set accepted), `por_fallback` (C3 proviso forced
 //!   a full expansion), `symmetry_merge` and `sb_canon_coalesce`
@@ -32,148 +36,145 @@ use gc_trace::{Counter, Gauge};
 
 use crate::config::CheckerConfig;
 
-/// Handles into the attached registry (see the module docs); a
-/// disabled instance (no registry) makes every call a no-op.
+/// Handles into the attached registry (see the module docs); without a
+/// registry every call is a no-op.
 pub(crate) struct Telemetry {
-    enabled: bool,
     start: Instant,
-    states_total: Option<Gauge>,
-    states_per_sec: Option<Gauge>,
-    bfs_level: Option<Gauge>,
-    frontier_len: Option<Gauge>,
-    spill_frontier_bytes: Option<Gauge>,
-    spill_written: Option<Counter>,
-    spill_read: Option<Counter>,
-    por_ample: Option<Counter>,
-    por_fallback: Option<Counter>,
-    symmetry_merge: Option<Counter>,
-    sb_coalesce: Option<Counter>,
+    handles: Option<Handles>,
+}
+
+struct Handles {
+    states_total: Gauge,
+    states_per_sec: Gauge,
+    bfs_level: Gauge,
+    frontier_len: Gauge,
+    spill_frontier_bytes: Gauge,
+    parent_link_bytes: Gauge,
+    seen_set_bytes: Gauge,
+    frontier_bytes: Gauge,
+    spill_written: Counter,
+    spill_read: Counter,
+    por_ample: Counter,
+    por_fallback: Counter,
+    symmetry_merge: Counter,
+    sb_coalesce: Counter,
+}
+
+/// Bytes the search holds at a level boundary (see the module docs).
+pub(crate) struct Retained {
+    pub(crate) links: usize,
+    pub(crate) seen_set: usize,
+    pub(crate) frontier: usize,
 }
 
 impl Telemetry {
     pub(crate) fn new(config: &CheckerConfig) -> Telemetry {
-        let Some(registry) = config.metrics.as_deref() else {
-            return Telemetry {
-                enabled: false,
-                start: Instant::now(),
-                states_total: None,
-                states_per_sec: None,
-                bfs_level: None,
-                frontier_len: None,
-                spill_frontier_bytes: None,
-                spill_written: None,
-                spill_read: None,
-                por_ample: None,
-                por_fallback: None,
-                symmetry_merge: None,
-                sb_coalesce: None,
-            };
-        };
-        registry.describe("mc_states_total", "Distinct states visited by the BFS");
-        registry.describe("mc_states_per_sec", "Cumulative exploration rate");
-        registry.describe("mc_bfs_level", "Current BFS level (depth)");
-        registry.describe("mc_frontier_len", "States in the current frontier");
-        registry.describe(
-            "mc_spill_frontier_bytes",
-            "Bytes of the current spilled frontier level (0 = memory-resident)",
-        );
-        registry.describe(
-            "mc_reduction_hits_total",
-            "Reduction-technique applications, by technique label",
-        );
-        let technique = |t| registry.counter_with("mc_reduction_hits_total", &[("technique", t)]);
+        let handles = config.metrics.as_deref().map(|registry| {
+            registry.describe("mc_states_total", "Distinct states visited by the BFS");
+            registry.describe("mc_states_per_sec", "Cumulative exploration rate");
+            registry.describe("mc_bfs_level", "Current BFS level (depth)");
+            registry.describe("mc_frontier_len", "States in the current frontier");
+            registry.describe(
+                "mc_spill_frontier_bytes",
+                "Bytes of the current spilled frontier level (0 = memory-resident)",
+            );
+            registry.describe("mc_parent_link_bytes", "Bytes of parent links");
+            registry.describe("mc_seen_set_bytes", "Bytes of seen-set buckets");
+            registry.describe(
+                "mc_frontier_bytes",
+                "Bytes of the in-memory next level (0 = spilled)",
+            );
+            registry.describe(
+                "mc_reduction_hits_total",
+                "Reduction-technique applications, by technique label",
+            );
+            let technique =
+                |t| registry.counter_with("mc_reduction_hits_total", &[("technique", t)]);
+            Handles {
+                states_total: registry.gauge("mc_states_total"),
+                states_per_sec: registry.gauge("mc_states_per_sec"),
+                bfs_level: registry.gauge("mc_bfs_level"),
+                frontier_len: registry.gauge("mc_frontier_len"),
+                spill_frontier_bytes: registry.gauge("mc_spill_frontier_bytes"),
+                parent_link_bytes: registry.gauge("mc_parent_link_bytes"),
+                seen_set_bytes: registry.gauge("mc_seen_set_bytes"),
+                frontier_bytes: registry.gauge("mc_frontier_bytes"),
+                spill_written: registry.counter("mc_spill_bytes_written_total"),
+                spill_read: registry.counter("mc_spill_bytes_read_total"),
+                por_ample: technique("por_ample"),
+                por_fallback: technique("por_fallback"),
+                symmetry_merge: technique("symmetry_merge"),
+                sb_coalesce: technique("sb_canon_coalesce"),
+            }
+        });
         Telemetry {
-            enabled: true,
             start: Instant::now(),
-            states_total: Some(registry.gauge("mc_states_total")),
-            states_per_sec: Some(registry.gauge("mc_states_per_sec")),
-            bfs_level: Some(registry.gauge("mc_bfs_level")),
-            frontier_len: Some(registry.gauge("mc_frontier_len")),
-            spill_frontier_bytes: Some(registry.gauge("mc_spill_frontier_bytes")),
-            spill_written: Some(registry.counter("mc_spill_bytes_written_total")),
-            spill_read: Some(registry.counter("mc_spill_bytes_read_total")),
-            por_ample: Some(technique("por_ample")),
-            por_fallback: Some(technique("por_fallback")),
-            symmetry_merge: Some(technique("symmetry_merge")),
-            sb_coalesce: Some(technique("sb_canon_coalesce")),
+            handles,
         }
     }
 
     /// Whether per-successor canonicalization attribution (the only
     /// telemetry with non-trivial cost) should run.
     pub(crate) fn attributing(&self) -> bool {
-        self.enabled
+        self.handles.is_some()
     }
 
     pub(crate) fn seeded(&self, states: usize) {
-        if let Some(g) = &self.states_total {
-            g.set(states as i64);
+        if let Some(h) = &self.handles {
+            h.states_total.set(states as i64);
         }
     }
 
     pub(crate) fn level_begin(&self, level: usize, frontier: usize) {
-        if !self.enabled {
-            return;
+        if let Some(h) = &self.handles {
+            h.bfs_level.set(level as i64);
+            h.frontier_len.set(frontier as i64);
         }
-        self.bfs_level.as_ref().expect("enabled").set(level as i64);
-        self.frontier_len
-            .as_ref()
-            .expect("enabled")
-            .set(frontier as i64);
     }
 
-    pub(crate) fn level_done(&self, states_total: usize, spilled_bytes: u64) {
-        if !self.enabled {
+    pub(crate) fn level_done(&self, states_total: usize, spilled_bytes: u64, retained: Retained) {
+        let Some(h) = &self.handles else {
             return;
-        }
-        self.states_total
-            .as_ref()
-            .expect("enabled")
-            .set(states_total as i64);
+        };
+        h.states_total.set(states_total as i64);
         let secs = self.start.elapsed().as_secs_f64().max(1e-9);
-        self.states_per_sec
-            .as_ref()
-            .expect("enabled")
-            .set((states_total as f64 / secs) as i64);
-        self.spill_frontier_bytes
-            .as_ref()
-            .expect("enabled")
-            .set(spilled_bytes as i64);
+        h.states_per_sec.set((states_total as f64 / secs) as i64);
+        h.spill_frontier_bytes.set(spilled_bytes as i64);
         if spilled_bytes > 0 {
-            self.spill_written
-                .as_ref()
-                .expect("enabled")
-                .add(spilled_bytes);
+            h.spill_written.add(spilled_bytes);
         }
+        h.parent_link_bytes.set(retained.links as i64);
+        h.seen_set_bytes.set(retained.seen_set as i64);
+        h.frontier_bytes.set(retained.frontier as i64);
     }
 
     pub(crate) fn spill_read(&self, bytes: u64) {
-        if let Some(c) = &self.spill_read {
-            c.add(bytes);
+        if let Some(h) = &self.handles {
+            h.spill_read.add(bytes);
         }
     }
 
     pub(crate) fn por_ample(&self) {
-        if let Some(c) = &self.por_ample {
-            c.inc();
+        if let Some(h) = &self.handles {
+            h.por_ample.inc();
         }
     }
 
     pub(crate) fn por_fallback(&self) {
-        if let Some(c) = &self.por_fallback {
-            c.inc();
+        if let Some(h) = &self.handles {
+            h.por_fallback.inc();
         }
     }
 
     pub(crate) fn symmetry_merge(&self) {
-        if let Some(c) = &self.symmetry_merge {
-            c.inc();
+        if let Some(h) = &self.handles {
+            h.symmetry_merge.inc();
         }
     }
 
     pub(crate) fn sb_coalesce(&self) {
-        if let Some(c) = &self.sb_coalesce {
-            c.inc();
+        if let Some(h) = &self.handles {
+            h.sb_coalesce.inc();
         }
     }
 }

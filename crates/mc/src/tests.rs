@@ -1,5 +1,30 @@
 use super::*;
 
+/// Follows `trace.actions` from the initial states through the full
+/// (canonicalized) successor relation and asserts they lead to
+/// `trace.state`: a counterexample the engine rebuilt by replaying ordinals
+/// is a path of the system itself.
+fn assert_trace_replays<TS>(ts: &TS, reduction: Reduction, trace: &Trace<TS>)
+where
+    TS: TransitionSystem,
+    TS::Action: PartialEq,
+{
+    let canon = |s: &TS::State| ts.canonicalize(s, &reduction);
+    let mut at: Vec<TS::State> = ts.initial_states().iter().map(canon).collect();
+    for action in &trace.actions {
+        at = at
+            .iter()
+            .flat_map(|s| ts.successors(s))
+            .filter(|(a, _)| a == action)
+            .map(|(_, s)| canon(&s))
+            .collect();
+    }
+    assert!(
+        at.contains(&trace.state),
+        "the trace's actions do not lead to its state"
+    );
+}
+
 /// A token ring: `n` processes pass a token; a counter tracks hops.
 struct Ring {
     n: u8,
@@ -45,6 +70,7 @@ fn violation_yields_shortest_trace() {
     // Holder 2 is first reached after exactly two hops: 0 → 1 → 2.
     assert_eq!(trace.actions, vec![0, 1]);
     assert_eq!(trace.state, (2, 2));
+    assert_trace_replays(&ring, Reduction::default(), trace);
 }
 
 #[test]
@@ -56,6 +82,7 @@ fn violation_in_initial_state_has_empty_trace() {
     let trace = out.trace().unwrap();
     assert!(trace.actions.is_empty());
     assert_eq!(trace.state, (0, 0));
+    assert_trace_replays(&ring, Reduction::default(), trace);
 }
 
 #[test]
@@ -107,7 +134,10 @@ fn deadlock_detection() {
     })
     .run(&ring);
     match out {
-        Outcome::Deadlock { trace, .. } => assert_eq!(trace.state.1, 2),
+        Outcome::Deadlock { trace, .. } => {
+            assert_eq!(trace.state.1, 2);
+            assert_trace_replays(&ring, Reduction::default(), &trace);
+        }
         _ => panic!("expected deadlock"),
     }
     // Without the flag the same system verifies.
@@ -170,6 +200,7 @@ fn hash_compact_agrees_with_exact_mode() {
     .run(&ring);
     assert!(out.is_violated());
     assert_eq!(out.trace().unwrap().actions, vec![0, 1]);
+    assert_trace_replays(&ring, Reduction::default(), out.trace().unwrap());
 }
 
 #[test]
@@ -298,6 +329,7 @@ fn thread_counts_agree_on_violations_and_traces() {
     let base = violated(1);
     assert!(base.is_violated());
     let base_trace = base.trace().unwrap();
+    assert_trace_replays(&mesh, Reduction::default(), base_trace);
     for threads in [2, 4, 8] {
         let out = violated(threads);
         assert_eq!(out.stats(), base.stats(), "threads={threads}");
@@ -344,6 +376,7 @@ fn thread_counts_agree_on_deadlock_and_bounds() {
             ) => {
                 assert_eq!(t1.actions, t2.actions, "threads={threads}");
                 assert_eq!(s1, s2);
+                assert_trace_replays(&mesh, Reduction::default(), t2);
             }
             _ => panic!("expected deadlock at every thread count"),
         }
@@ -522,6 +555,7 @@ fn disk_spill_agrees_with_in_memory_frontiers() {
         assert_eq!(out.stats(), base.stats());
         assert_eq!(out.trace().unwrap().actions, base.trace().unwrap().actions);
         assert_eq!(out.trace().unwrap().state, base.trace().unwrap().state);
+        assert_trace_replays(&mesh(), Reduction::default(), out.trace().unwrap());
     }
 }
 
@@ -553,6 +587,7 @@ fn disk_spill_reports_deadlocks_from_spilled_frontiers() {
             assert_eq!(t1.actions, t2.actions);
             assert_eq!(t1.state, t2.state);
             assert_eq!(s1, s2);
+            assert_trace_replays(&mesh, Reduction::default(), &t2);
         }
         _ => panic!("expected deadlock with and without spill"),
     }
@@ -717,7 +752,183 @@ fn reduced_violations_replay_to_byte_identical_counterexamples() {
             reduction.label()
         );
         assert_eq!(out.trace().unwrap().state, base.trace().unwrap().state);
+        assert_trace_replays(&ts, Reduction::default(), out.trace().unwrap());
     }
+}
+
+// --- Counterexamples by replay: the corners -----------------------------
+
+/// Runs the engine itself (not `Checker::run`, which swaps a reduced
+/// counterexample for the unreduced one) at 1/2/4 threads, exact and
+/// hash-compact, and returns the one trace they all agree on.
+fn replayed_counterexample<TS>(
+    ts: &TS,
+    reduction: Reduction,
+    property: Property<TS::State>,
+) -> Trace<TS>
+where
+    TS: TransitionSystem,
+    TS::State: std::fmt::Debug,
+    TS::Action: PartialEq + std::fmt::Debug,
+{
+    let properties = [property];
+    let mut agreed: Option<(Trace<TS>, Stats)> = None;
+    for threads in [1, 2, 4] {
+        for hash_compact in [false, true] {
+            let config = CheckerConfig {
+                hash_compact,
+                ..CheckerConfig::default().reduction(reduction)
+            };
+            let what = format!("threads={threads} compact={hash_compact}");
+            let Outcome::Violated { trace, stats, .. } =
+                bfs::run(&config, &properties, ts, threads)
+            else {
+                panic!("expected a violation ({what})");
+            };
+            assert_trace_replays(ts, reduction, &trace);
+            match &agreed {
+                None => agreed = Some((trace, stats)),
+                Some((base, base_stats)) => {
+                    assert_eq!(trace.actions, base.actions, "{what}");
+                    assert_eq!(trace.state, base.state, "{what}");
+                    assert_eq!(stats, *base_stats, "{what}");
+                }
+            }
+        }
+    }
+    agreed.expect("six runs").0
+}
+
+#[test]
+fn replay_starts_from_the_initial_state_the_chain_ends_in() {
+    /// Two chains that never meet; only the second reaches `(1, 3)`.
+    struct TwoRoots;
+    impl TransitionSystem for TwoRoots {
+        type State = (u8, u8); // (root, steps)
+        type Action = u8;
+        fn initial_states(&self) -> Vec<(u8, u8)> {
+            vec![(0, 0), (0, 0), (1, 0)]
+        }
+        fn successors(&self, &(root, steps): &(u8, u8)) -> Vec<(u8, (u8, u8))> {
+            if steps < 5 {
+                vec![(root, (root, steps + 1))]
+            } else {
+                vec![]
+            }
+        }
+    }
+    let trace = replayed_counterexample(
+        &TwoRoots,
+        Reduction::default(),
+        Property::new("second-root-stays-short", |s: &(u8, u8)| *s != (1, 3)),
+    );
+    assert_eq!(trace.actions, vec![1, 1, 1]);
+    assert_eq!(trace.state, (1, 3));
+}
+
+#[test]
+fn replay_tells_an_ample_expansion_from_its_c3_fallback() {
+    /// `0` expands to its ample set `[b]` (a different list from its full
+    /// successors `[a, b]`); `2`'s ample set `[back]` leads only to the
+    /// already-visited `0`, so the engine expands it in full — a decision
+    /// replay cannot re-derive, because it has no seen-set.
+    struct Proviso;
+    impl TransitionSystem for Proviso {
+        type State = u8;
+        type Action = &'static str;
+        fn initial_states(&self) -> Vec<u8> {
+            vec![0]
+        }
+        fn successors(&self, s: &u8) -> Vec<(&'static str, u8)> {
+            match s {
+                0 => vec![("a", 1), ("b", 2)],
+                2 => vec![("bad", 9), ("back", 0)],
+                _ => vec![],
+            }
+        }
+        fn ample_successors_into(
+            &self,
+            s: &u8,
+            _: &Reduction,
+            out: &mut Vec<(&'static str, u8)>,
+        ) -> bool {
+            match s {
+                0 => out.push(("b", 2)),
+                2 => out.push(("back", 0)),
+                _ => return false,
+            }
+            true
+        }
+    }
+    let por = Reduction {
+        por: true,
+        ..Reduction::default()
+    };
+    let trace = replayed_counterexample(&Proviso, por, Property::new("never-9", |s| *s != 9));
+    assert_eq!(trace.actions, vec!["b", "bad"]);
+    assert_eq!(trace.state, 9);
+
+    // The counterexample did pass through both kinds of expansion.
+    let registry = std::sync::Arc::new(gc_trace::Registry::new());
+    let config = CheckerConfig::default()
+        .reduction(por)
+        .metrics(std::sync::Arc::clone(&registry));
+    let out = bfs::run(
+        &config,
+        &[Property::new("never-9", |s| *s != 9)],
+        &Proviso,
+        1,
+    );
+    assert_eq!(
+        out.stats().states,
+        3,
+        "`1` is pruned by the ample set at `0`"
+    );
+    let hits = |technique| {
+        let name = gc_trace::labeled("mc_reduction_hits_total", &[("technique", technique)]);
+        registry.value_of(&name)
+    };
+    assert_eq!(hits("por_ample"), Some(2));
+    assert_eq!(hits("por_fallback"), Some(1));
+}
+
+#[test]
+fn replay_canonicalizes_the_root_and_every_step() {
+    /// The larger component is kept first, and only it can be doubled: a
+    /// replay that skipped a canonicalization would double the wrong one.
+    struct Sorted;
+    impl TransitionSystem for Sorted {
+        type State = (u8, u8);
+        type Action = &'static str;
+        fn initial_states(&self) -> Vec<(u8, u8)> {
+            vec![(0, 1)]
+        }
+        fn successors(&self, &(a, b): &(u8, u8)) -> Vec<(&'static str, (u8, u8))> {
+            if a >= 40 {
+                return vec![];
+            }
+            vec![("double", (2 * a, b)), ("bump", (a, b + 3))]
+        }
+        fn canonicalize(&self, &(a, b): &(u8, u8), reduction: &Reduction) -> (u8, u8) {
+            if reduction.symmetry {
+                (a.max(b), a.min(b))
+            } else {
+                (a, b)
+            }
+        }
+    }
+    let symmetry = Reduction {
+        symmetry: true,
+        ..Reduction::default()
+    };
+    let trace = replayed_counterexample(
+        &Sorted,
+        symmetry,
+        Property::new("never-6-2", |s: &(u8, u8)| *s != (6, 2)),
+    );
+    // (0,1) is (1,0); double (2,0); bump (2,3) is (3,2); double (6,2).
+    assert_eq!(trace.actions, vec!["double", "bump", "double"]);
+    assert_eq!(trace.state, (6, 2));
 }
 
 #[test]
@@ -815,4 +1026,31 @@ fn telemetry_registry_observes_without_perturbing() {
             .unwrap()
             > 0
     );
+
+    // Retained memory, as of the last completed level of a depth-bounded
+    // run (a run to the end leaves an empty next level behind).
+    let retained = |spill_threshold| {
+        let registry = Arc::new(gc_trace::Registry::new());
+        let config = CheckerConfig {
+            max_depth: 6,
+            spill_threshold,
+            ..CheckerConfig::default().metrics(Arc::clone(&registry))
+        };
+        let states = Checker::with_config(config).run(&mesh).stats().states;
+        assert!(states < 4096, "one block of links");
+        [
+            "mc_parent_link_bytes",
+            "mc_seen_set_bytes",
+            "mc_frontier_bytes",
+        ]
+        .map(|name| registry.value_of(name).unwrap())
+    };
+    let [links, seen_set, frontier] = retained(None);
+    assert_eq!(links, 4096 * 8);
+    assert!(seen_set > 0);
+    assert!(
+        frontier > 0 && frontier % 4 == 0,
+        "whole `(u16, u16)` states"
+    );
+    assert_eq!(retained(Some(8)), [links, seen_set, 0], "a spilled level");
 }

@@ -9,6 +9,12 @@
 //! the scratch vectors of one expansion and the `Vec`s the handful of
 //! genuinely non-deterministic steps (`mut-load`, `mut-store-begin`,
 //! `mut-discard`, `sys-dequeue`) return.
+//!
+//! The same allocator tracks live bytes, and the second test pins what a
+//! whole `Checker::run` retains per visited state at its peak: the 8-byte
+//! parent link, the seen-set bucket, and the state's share of the two
+//! boxed levels in flight. With a 92-byte action in every link that was
+//! 96 bytes per state more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,32 +23,44 @@ use std::hash::{BuildHasher, RandomState};
 
 use gc_model::invariants::combined_property;
 use gc_model::{GcModel, InitialHeap, ModelConfig, ModelState};
-use mc::TransitionSystem;
+use mc::{Bound, Checker, CheckerConfig, Outcome, TransitionSystem};
 
 struct Counting;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed, and their high-water
+    /// mark since it was last reset.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn live_changed(by: isize) {
+    let live = LIVE.with(|l| l.replace(l.get() + by)) + by;
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a plain thread-local `Cell` with no
-// destructor and no allocation of its own.
+// `GlobalAlloc` contract; the counters are plain thread-local `Cell`s with no
+// destructor and no allocation of their own.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live_changed(layout.size() as isize);
         // SAFETY: the caller's obligations are `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_changed(-(layout.size() as isize));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live_changed(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,13 +76,29 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCATIONS.with(Cell::get) - before, result)
 }
 
-#[test]
-fn successors_clone_and_invariants_stay_within_their_allocation_budgets() {
-    const STATES: usize = 100_000;
+/// The most bytes this thread holds at once while running `f`, over what
+/// it held on entry.
+fn peak_bytes<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let result = f();
+    ((PEAK.with(Cell::get) - before) as usize, result)
+}
+
+const STATES: usize = 100_000;
+
+/// The benchmark's `check-raw` instance.
+fn check_raw() -> ModelConfig {
     let mut cfg = ModelConfig::small(2, 2);
     cfg.initial = InitialHeap::shared_object(2, 1);
     cfg.ops.alloc = false;
     cfg.buffer_cap = 2;
+    cfg
+}
+
+#[test]
+fn successors_clone_and_invariants_stay_within_their_allocation_budgets() {
+    let cfg = check_raw();
     let model = GcModel::new(cfg.clone());
     let property = combined_property(&cfg);
 
@@ -116,4 +150,31 @@ fn successors_clone_and_invariants_stay_within_their_allocation_budgets() {
     );
     assert_eq!(in_clone, 0);
     assert_eq!(in_invariants, 0);
+}
+
+#[test]
+fn a_run_retains_a_bounded_number_of_bytes_per_visited_state() {
+    let cfg = check_raw();
+    let model = GcModel::new(cfg.clone());
+    // The benchmark's checker: hash-compact, one thread (so every
+    // allocation of the run is this thread's).
+    let checker = Checker::with_config(CheckerConfig {
+        max_states: STATES,
+        hash_compact: true,
+        ..CheckerConfig::default()
+    })
+    .property(combined_property(&cfg));
+    let (peak, outcome) = peak_bytes(|| checker.run(&model));
+    assert!(matches!(
+        outcome,
+        Outcome::BoundReached {
+            bound: Bound::States(STATES),
+            ..
+        }
+    ));
+    let per_state = peak as f64 / STATES as f64;
+    println!("{peak} bytes at the peak of a {STATES}-state run: {per_state:.1} per visited state");
+    // Measured 133.5-135.5 (the seen-set's shard sizes follow the run's
+    // random fingerprint keys); 237 with the action stored in every link.
+    assert!(per_state <= 170.0, "{per_state} bytes retained per state");
 }

@@ -65,13 +65,6 @@ const COUNTER_OCCUPANCY: u8 = 0;
 /// Trace counter id for admission queue depth.
 const COUNTER_QUEUE_DEPTH: u8 = 2;
 
-const PHASE_WARM: u8 = 0;
-const PHASE_STORM: u8 = 1;
-/// Chaos is already suppressed again, but the queue is still draining the
-/// storm's backlog — not yet charged against the recovery SLO.
-const PHASE_DRAIN: u8 = 2;
-const PHASE_RECOVERY: u8 = 3;
-
 /// How long a worker waits on an empty queue before returning to its
 /// safepoint: short, so handshakes never wait long on an idle worker.
 const POP_TIMEOUT: Duration = Duration::from_millis(2);
@@ -162,8 +155,33 @@ struct Ctx<'a> {
     slots: Vec<SessionSlot>,
     handoff: Mutex<Vec<(u32, Gc)>>,
     stop_keeper: AtomicBool,
-    phase: AtomicU8,
+    /// Under a chaos storm, the id of the first request charged against the
+    /// recovery SLO: the final sixth of the stream. Chaos is suppressed
+    /// again from two thirds in, and the stretch in between is the system's
+    /// to drain the storm's backlog.
+    recovery_at: Option<u64>,
     m: Metrics,
+}
+
+impl<'a> Ctx<'a> {
+    fn new(cfg: &'a ServeConfig, collector: &'a Collector, registry: &Registry) -> Ctx<'a> {
+        let chaos_storm = cfg.storm && cfg.chaos.enabled();
+        Ctx {
+            cfg,
+            collector,
+            queue: BoundedQueue::new(cfg.queue_capacity),
+            slots: (0..cfg.sessions)
+                .map(|_| SessionSlot {
+                    state: AtomicU8::new(ABSENT),
+                    gc: Mutex::new(None),
+                })
+                .collect(),
+            handoff: Mutex::new(Vec::new()),
+            stop_keeper: AtomicBool::new(false),
+            recovery_at: chaos_storm.then_some((5 * cfg.requests) / 6),
+            m: Metrics::new(registry),
+        }
+    }
 }
 
 /// What the keeper saw when the run ended.
@@ -294,7 +312,8 @@ pub fn run_serve(cfg: &ServeConfig, registry: &Registry) -> ServeReport {
     );
 
     let collector = Collector::new(cfg.gc_config());
-    let chaos_storm = cfg.storm && cfg.chaos.enabled();
+    let ctx = Ctx::new(cfg, &collector, registry);
+    let chaos_storm = ctx.recovery_at.is_some();
     if chaos_storm {
         // Warm-up runs clean; the producer opens the window mid-run.
         collector.suppress_chaos(true);
@@ -303,22 +322,6 @@ pub fn run_serve(cfg: &ServeConfig, registry: &Registry) -> ServeReport {
     if run_collector {
         collector.start();
     }
-
-    let ctx = Ctx {
-        cfg,
-        collector: &collector,
-        queue: BoundedQueue::new(cfg.queue_capacity),
-        slots: (0..cfg.sessions)
-            .map(|_| SessionSlot {
-                state: AtomicU8::new(ABSENT),
-                gc: Mutex::new(None),
-            })
-            .collect(),
-        handoff: Mutex::new(Vec::new()),
-        stop_keeper: AtomicBool::new(false),
-        phase: AtomicU8::new(PHASE_WARM),
-        m: Metrics::new(registry),
-    };
 
     let t0 = Instant::now();
     let keeper_report = std::thread::scope(|s| {
@@ -415,28 +418,30 @@ pub fn run_serve(cfg: &ServeConfig, registry: &Registry) -> ServeReport {
 }
 
 /// The producer: offers the request stream, runs admission control, and
-/// drives the chaos-storm phase transitions.
+/// opens and closes the chaos-storm window.
 fn produce(ctx: &Ctx<'_>) {
     let cfg = ctx.cfg;
     let mut rng = SplitMix64::new(cfg.seed);
     let zipf = Zipf::new(cfg.sessions as usize, cfg.zipf_exponent);
-    let chaos_storm = cfg.storm && cfg.chaos.enabled();
     let storm_on = cfg.requests / 3;
     let storm_off = 2 * cfg.requests / 3;
-    // The SLO is judged on the final sixth of the stream: the system gets
-    // the stretch after `storm_off` to drain the storm's backlog before
-    // its latency counts as "recovered".
-    let recovery_at = (5 * cfg.requests) / 6;
     for i in 0..cfg.requests {
-        if chaos_storm {
+        if let Some(recovery_at) = ctx.recovery_at {
             if i == storm_on {
-                ctx.phase.store(PHASE_STORM, Ordering::Release);
                 ctx.collector.suppress_chaos(false);
             } else if i == storm_off {
-                ctx.phase.store(PHASE_DRAIN, Ordering::Release);
                 ctx.collector.suppress_chaos(true);
             } else if i == recovery_at {
-                ctx.phase.store(PHASE_RECOVERY, Ordering::Release);
+                // The whole drain stretch is ~10 ms of arrivals, and one
+                // watchdog-aborted cycle stalls the workers for ten times
+                // that: a producer that has outrun the drain waits it out
+                // (no queued request outlives its deadline), so that the
+                // requests judged against the SLO meet the system after
+                // the storm and not the storm's queue.
+                let drained_by = Instant::now() + cfg.deadline;
+                while !ctx.queue.is_empty() && Instant::now() < drained_by {
+                    std::thread::sleep(cfg.arrival_pause);
+                }
             }
         }
         ctx.m.requests_total.inc();
@@ -687,7 +692,10 @@ fn record_outcome(ctx: &Ctx<'_>, req: &Request, res: Result<(), ServeError>) {
     };
     if code == OUTCOME_OK {
         ctx.m.latency_ns.record(latency_ns);
-        if ctx.phase.load(Ordering::Acquire) == PHASE_RECOVERY {
+        // By when it was enqueued, not when it completed: a request queued
+        // during the storm that completes in the recovery stretch carries
+        // the storm's wait, not the recovered system's.
+        if ctx.recovery_at.is_some_and(|at| req.id >= at) {
             ctx.m.post_storm_latency_ns.record(latency_ns);
         }
     }
@@ -813,6 +821,38 @@ mod tests {
                 layout.name()
             );
         }
+    }
+
+    #[test]
+    fn only_requests_enqueued_in_the_recovery_stretch_count_against_its_slo() {
+        let cfg = ServeConfig::quick(HeapLayout::Slab)
+            .with_storm(otf_gc::FaultPlan::new(1).with_worker_panic(1));
+        let collector = Collector::new(cfg.gc_config());
+        let registry = Registry::new();
+        let ctx = Ctx::new(&cfg, &collector, &registry);
+        let at = ctx.recovery_at.expect("a storm run has a recovery stretch");
+        let now = Instant::now();
+        let complete = |id| {
+            let req = Request {
+                id,
+                session: 0,
+                priority: Priority::High,
+                enqueued: now,
+                deadline: now + cfg.deadline,
+            };
+            record_outcome(&ctx, &req, Ok(()));
+            ctx.m.post_storm_latency_ns.count()
+        };
+        // A request enqueued in the storm completes whenever it does —
+        // even after the producer has moved on to the recovery stretch —
+        // and stays out of the post-storm histogram.
+        assert_eq!(complete(at - 1), 0);
+        assert_eq!(complete(at), 1);
+        assert_eq!(ctx.m.latency_ns.count(), 2);
+
+        let calm = ServeConfig::quick(HeapLayout::Slab);
+        let ctx = Ctx::new(&calm, &collector, &registry);
+        assert_eq!(ctx.recovery_at, None, "no storm, no recovery SLO");
     }
 
     #[test]
