@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use gc_model::{GcModel, ModelConfig};
 use gc_trace::Flags;
 use mc::{Checker, Strategy, TransitionSystem};
-use otf_gc::{Collector, Gc, GcConfig, GcConfigBuilder, HeapLayout, Mutator, Phase};
+use otf_gc::{Collector, Gc, GcConfig, GcConfigBuilder, Mutator, Phase};
 use tso_model::{litmus, Machine, MemoryModel, ThreadId};
 
 use crate::harness::{bench_function, write_session_record, Bencher};
@@ -226,8 +226,7 @@ fn bench_successor_expansion() {
 /// as a function of the live set, handshake latency as a function of the
 /// mutator count (the cost of the six-plus rounds of ragged handshakes on
 /// an empty heap), the §4 allocation-pool extension vs the global
-/// free-list lock vs the segmented layout's TLAB bump path, the tracer's
-/// per-site cost, and the checker's successor expansion.
+/// free-list lock, the tracer's per-site cost, and the checker's successor expansion.
 pub(crate) fn runtime(f: &mut Flags) -> Run {
     f.finish()?;
     let alloc_cfg = |capacity, fields| {
@@ -247,16 +246,8 @@ pub(crate) fn runtime(f: &mut Flags) -> Run {
     for n in [1usize, 2, 4] {
         bench_cycle(&format!("cycle latency vs mutators/{n}"), n, 0);
     }
-    let segmented = HeapLayout::Segmented {
-        segment_slots: 256,
-        tlab_slots: 64,
-    };
-    for (name, pool, layout) in [
-        ("locked (pool=0)", 0, HeapLayout::Slab),
-        ("pooled (batch 64)", 64, HeapLayout::Slab),
-        ("segmented (TLAB 64)", 0, segmented),
-    ] {
-        let cfg = alloc_cfg(1 << 14, 0).alloc_pool(pool).layout(layout);
+    for (name, pool) in [("locked (pool=0)", 0), ("pooled (batch 64)", 64)] {
+        let cfg = alloc_cfg(1 << 14, 0).alloc_pool(pool);
         bench_alloc_discard(&format!("alloc: {name}"), cfg.build(), 0);
     }
     bench_trace_emit();

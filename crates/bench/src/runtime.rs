@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gc_trace::{CommaList, FlagError, Flags, Json, MetricsServer, Registry};
-use otf_gc::{churn_list, Collector, FaultPlan, GcConfig, HeapLayout, Mutator};
+use gc_trace::{CommaList, Flags, Json, MetricsServer, Registry};
+use otf_gc::{churn_list, Collector, FaultPlan, GcConfig, Mutator};
 
 use crate::{save_record, Run, Verdict};
 
@@ -42,12 +42,10 @@ fn churn(collector: &Collector, mutators: usize, ops: usize) {
 /// One cell of the allocation matrix. The timed window covers only the
 /// allocation bursts — `threads` mutators alloc/store/discard until the
 /// heap is nearly full — while reclamation runs *between* bursts
-/// (quiescent `collect()` calls, so the slab sweeps eagerly and the
-/// segmented heap publishes + lazily sweeps on the next burst's refills).
-/// This isolates the two costs the layout changes: the per-allocation
-/// path (TLAB bump vs global free-list lock) and the collector-side
-/// sweep (`sweep_ns` per cycle), instead of drowning both in
-/// emergency-cycle noise. Returns the JSON row for
+/// (quiescent `collect()` calls). This isolates the per-allocation path
+/// the §4 pool changes (pool pop vs global free-list lock) and the
+/// collector-side sweep (`sweep_ns` per cycle), instead of drowning both
+/// in emergency-cycle noise. Returns the JSON row for
 /// `BENCH_heap_alloc.json` plus the headline numbers.
 struct AllocCell {
     row: Json,
@@ -56,7 +54,7 @@ struct AllocCell {
 }
 
 fn alloc_matrix_cell(
-    layout: HeapLayout,
+    alloc_pool: usize,
     capacity: usize,
     threads: usize,
     target_allocs: usize,
@@ -64,10 +62,10 @@ fn alloc_matrix_cell(
     let cfg = GcConfig::builder()
         .capacity(capacity)
         .max_fields(2)
-        .layout(layout)
+        .alloc_pool(alloc_pool)
         .build();
     let collector = Collector::new(cfg);
-    // Leave headroom for per-mutator TLAB reservations so a burst never
+    // Leave headroom for per-mutator pool reservations so a burst never
     // hits the emergency path inside the timed window.
     let burst_per_thread = capacity / threads - 64;
     let bursts = target_allocs.div_ceil(burst_per_thread * threads).max(2);
@@ -105,7 +103,7 @@ fn alloc_matrix_cell(
 
     // Phase A — the pure allocation path: nothing in the loop but
     // `alloc` (objects stay rooted until the mutator unregisters at
-    // burst end). This is the number the layouts actually change: TLAB
+    // burst end). This is the number the pool actually changes: pool
     // pop vs global free-list lock.
     let (allocs_per_sec, alloc_timed_s) = timed_bursts(|_, _| {});
 
@@ -126,8 +124,8 @@ fn alloc_matrix_cell(
     let churn_allocs = (bursts * burst_per_thread * threads) as f64;
     let barrier_per_alloc = (st.barrier_checks() - barriers_before) as f64 / churn_allocs.max(1.0);
     println!(
-        "  {:<9} cap {:>6}: {:>12.0} allocs/s (pure)  {:>12.0} allocs/s (churn)  {:>5.2} barrier-checks/alloc  {:>10.0} sweep ns/cycle  ({} cycles, {} tlab refills, {} lazy-swept)",
-        layout.name(),
+        "  pool {:>3} cap {:>6}: {:>12.0} allocs/s (pure)  {:>12.0} allocs/s (churn)  {:>5.2} barrier-checks/alloc  {:>10.0} sweep ns/cycle  ({} cycles, {} pool refills)",
+        alloc_pool,
         capacity,
         allocs_per_sec,
         churn_allocs_per_sec,
@@ -135,10 +133,9 @@ fn alloc_matrix_cell(
         mean_sweep_ns,
         history.len(),
         st.tlab_refills(),
-        st.lazy_sweep_segments(),
     );
     let row = Json::obj()
-        .set("layout", layout.name())
+        .set("alloc_pool", alloc_pool)
         .set("capacity", capacity)
         .set("threads", threads)
         .set("bursts", bursts)
@@ -152,8 +149,7 @@ fn alloc_matrix_cell(
         .set("cycles", history.len())
         .set("mean_sweep_ns_per_cycle", mean_sweep_ns)
         .set("freed", st.freed())
-        .set("tlab_refills", st.tlab_refills())
-        .set("lazy_sweep_segments", st.lazy_sweep_segments());
+        .set("pool_refills", st.tlab_refills());
     AllocCell {
         row,
         allocs_per_sec,
@@ -162,7 +158,7 @@ fn alloc_matrix_cell(
 }
 
 /// **R1 — runtime stress with the safety oracle, plus the two-cycle
-/// floating-garbage bound and the heap-layout allocation matrix.**
+/// floating-garbage bound and the allocation-pool matrix.**
 ///
 /// Part 1: several mutator threads churn shared structures while the
 /// collector runs on-the-fly; validation mode turns any
@@ -170,11 +166,10 @@ fn alloc_matrix_cell(
 /// the runtime enactment of the safety theorem.
 ///
 /// Part 2: the allocation matrix — the same multi-threaded alloc/store/
-/// discard loop under both [`HeapLayout`]s at two capacities, reporting
-/// allocs/sec, barrier checks per allocation, and mean sweep ns per cycle.
-/// This is the acceptance evidence for the segmented heap: TLAB bump
-/// allocation beats the slab's global free list, and the bitmap sweep
-/// stops scaling with heap capacity. Written to `BENCH_heap_alloc.json`.
+/// discard loop with the §4 pool off and at 64 slots, at two capacities,
+/// reporting allocs/sec, barrier checks per allocation, and mean sweep ns
+/// per cycle: what the pool saves per allocation, and how the eager sweep
+/// scales with heap capacity. Written to `BENCH_heap_alloc.json`.
 ///
 /// Part 3: the paper's §4 remark — "garbage is collected within two cycles
 /// of the collector's outer loop" — measured directly: objects made
@@ -225,37 +220,30 @@ pub(crate) fn stress(f: &mut Flags) -> Run {
     );
     save_record("stress", &record);
 
-    println!("\n== heap layouts: alloc throughput and sweep cost, 4 threads ==");
+    println!("\n== allocation pools: alloc throughput and sweep cost, 4 threads ==");
     const THREADS: usize = 4;
     const TARGET_ALLOCS: usize = 400_000;
     const CAPACITIES: [usize; 2] = [4_096, 16_384];
-    let layouts = [
-        HeapLayout::Slab,
-        HeapLayout::Segmented {
-            segment_slots: 256,
-            tlab_slots: 64,
-        },
-    ];
+    const POOLS: [usize; 2] = [0, 64];
     let mut rows = Vec::new();
-    let mut tput = [[0.0f64; 2]; 2]; // [layout][capacity]
+    let mut tput = [[0.0f64; 2]; 2]; // [pool][capacity]
     let mut sweep = [[0.0f64; 2]; 2];
-    for (li, &layout) in layouts.iter().enumerate() {
+    for (pi, &pool) in POOLS.iter().enumerate() {
         for (ci, &cap) in CAPACITIES.iter().enumerate() {
-            let cell = alloc_matrix_cell(layout, cap, THREADS, TARGET_ALLOCS);
-            tput[li][ci] = cell.allocs_per_sec;
-            sweep[li][ci] = cell.mean_sweep_ns;
+            let cell = alloc_matrix_cell(pool, cap, THREADS, TARGET_ALLOCS);
+            tput[pi][ci] = cell.allocs_per_sec;
+            sweep[pi][ci] = cell.mean_sweep_ns;
             rows.push(cell.row);
         }
     }
     let speedup = tput[1][0] / tput[0][0].max(1.0);
-    let slab_sweep_growth = sweep[0][1] / sweep[0][0].max(1.0);
-    let seg_sweep_growth = sweep[1][1] / sweep[1][0].max(1.0);
+    let sweep_growth = sweep[0][1] / sweep[0][0].max(1.0);
     println!(
-        "segmented/slab alloc throughput at cap {}: {speedup:.2}x",
+        "pooled/unpooled alloc throughput at cap {}: {speedup:.2}x",
         CAPACITIES[0]
     );
     println!(
-        "sweep ns/cycle growth, cap {}x: slab {slab_sweep_growth:.2}x vs segmented {seg_sweep_growth:.2}x",
+        "sweep ns/cycle growth, cap {}x: {sweep_growth:.2}x",
         CAPACITIES[1] / CAPACITIES[0]
     );
     let record = gc_trace::bench_record(
@@ -270,9 +258,8 @@ pub(crate) fn stress(f: &mut Flags) -> Run {
         ],
         &[
             ("cells", Json::Arr(rows)),
-            ("segmented_over_slab_allocs_per_sec", Json::from(speedup)),
-            ("slab_sweep_growth", Json::from(slab_sweep_growth)),
-            ("segmented_sweep_growth", Json::from(seg_sweep_growth)),
+            ("pooled_over_unpooled_allocs_per_sec", Json::from(speedup)),
+            ("sweep_growth", Json::from(sweep_growth)),
         ],
         None,
     );
@@ -348,24 +335,23 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one seed on one layout, prints its table line, and returns its
-/// `per_seed` row and whether its verdict was OK.
+/// Runs one seed, prints its table line, and returns its `per_seed` row
+/// and whether its verdict was OK. Odd seeds allocate from §4 pools.
 fn run_seed(
     seed: u64,
-    layout: HeapLayout,
     mutators: usize,
     ops: usize,
     capacity: usize,
     registry: &Registry,
 ) -> (Json, bool) {
     let plan = FaultPlan::from_seed(seed);
+    let pool = if seed.is_multiple_of(2) { 0 } else { 8 };
     let cfg = GcConfig::builder()
         .capacity(capacity)
         .max_fields(2)
-        .layout(layout)
         .handshake_timeout(Duration::from_millis(40))
         .emergency_retries(2)
-        .alloc_pool(if seed.is_multiple_of(2) { 0 } else { 8 })
+        .alloc_pool(pool)
         .chaos(plan)
         .build();
     let collector = Collector::new(cfg);
@@ -469,12 +455,11 @@ fn run_seed(
         Err(e) => format!("FAIL: {e}"),
     };
     println!(
-        "{seed:>6} | {:>9} | {completed:>9} | {timed_out:>8} | {evictions:>7} | {panics:>6} | {fired:>6} | {word}",
-        layout.name()
+        "{seed:>6} | {pool:>4} | {completed:>9} | {timed_out:>8} | {evictions:>7} | {panics:>6} | {fired:>6} | {word}"
     );
     let row = Json::obj()
         .set("seed", seed)
-        .set("layout", layout.name())
+        .set("alloc_pool", pool)
         .set("completed", completed)
         .set("timed_out", timed_out)
         .set("evictions", evictions)
@@ -504,10 +489,8 @@ fn run_seed(
 ///   phase is idle, and all garbage is reclaimed within two completed
 ///   cycles.
 ///
-/// Every seed runs once per selected heap layout (`--layout
-/// slab|segmented|both`) — the chaos plans include storms on the
-/// segmented-only TLAB refill and lazy-sweep sites. `--metrics-addr`
-/// serves the run's registry live over HTTP (`/metrics`, `/metrics.json`,
+/// Odd seeds allocate from §4 pools of 8 slots, even seeds from the
+/// global free list. `--metrics-addr` serves the run's registry live over HTTP (`/metrics`, `/metrics.json`,
 /// `/healthz` keyed to `torture_collect_calls_total` progress). Fails if
 /// any seed's verdict is not OK.
 pub(crate) fn torture(f: &mut Flags) -> Run {
@@ -517,30 +500,14 @@ pub(crate) fn torture(f: &mut Flags) -> Run {
     let ops = f.get("--ops", 20_000usize)?;
     let mutators = f.get("--mutators", 4usize)?;
     let capacity = f.get("--capacity", 1_024usize)?;
-    let chosen: String = f.get("--layout", "both".into())?;
     let metrics_addr: Option<String> = f.opt("--metrics-addr")?;
     f.finish()?;
-    // Small segments relative to capacity, so refills and lazy sweeps
-    // happen constantly.
-    let segment_slots = if capacity.is_multiple_of(64) { 64 } else { 1 };
-    let segmented = HeapLayout::Segmented {
-        segment_slots,
-        tlab_slots: segment_slots.min(16),
-    };
-    let layouts: Vec<HeapLayout> = [HeapLayout::Slab, segmented]
-        .into_iter()
-        .filter(|l| chosen == "both" || chosen == l.name())
-        .collect();
-    if layouts.is_empty() {
-        return Err(FlagError::bad_value("--layout", &chosen));
-    }
-    let layout_names: Vec<&str> = layouts.iter().map(HeapLayout::name).collect();
 
     // Injected panics are expected by the dozen: keep stderr quiet and
     // report through the captured payloads instead.
     std::panic::set_hook(Box::new(|_| {}));
     println!(
-        "== torture: {} seeds x {mutators} mutators x {ops} ops, capacity {capacity}, layouts {layout_names:?} ==",
+        "== torture: {} seeds x {mutators} mutators x {ops} ops, capacity {capacity} ==",
         seeds.len()
     );
     // One registry across all seeds: collect-call and cycle counts
@@ -557,17 +524,15 @@ pub(crate) fn torture(f: &mut Flags) -> Run {
         Err(e) => return Ok(Verdict::Fails(e.to_string())),
     };
     println!(
-        "{:>6} | {:>9} | {:>9} | {:>8} | {:>7} | {:>6} | {:>6} | verdict",
-        "seed", "layout", "completed", "timedout", "evicted", "panics", "faults"
+        "{:>6} | {:>4} | {:>9} | {:>8} | {:>7} | {:>6} | {:>6} | verdict",
+        "seed", "pool", "completed", "timedout", "evicted", "panics", "faults"
     );
     let mut failures = 0u64;
     let mut rows: Vec<Json> = Vec::new();
-    for &layout in &layouts {
-        for &seed in &seeds {
-            let (row, ok) = run_seed(seed, layout, mutators, ops, capacity, &registry);
-            failures += u64::from(!ok);
-            rows.push(row);
-        }
+    for &seed in &seeds {
+        let (row, ok) = run_seed(seed, mutators, ops, capacity, &registry);
+        failures += u64::from(!ok);
+        rows.push(row);
     }
     let record = gc_trace::bench_record(
         "torture",
@@ -576,10 +541,6 @@ pub(crate) fn torture(f: &mut Flags) -> Run {
             ("mutators", Json::from(mutators)),
             ("ops", Json::from(ops)),
             ("capacity", Json::from(capacity)),
-            (
-                "layouts",
-                Json::Arr(layout_names.iter().map(|&l| Json::from(l)).collect()),
-            ),
         ],
         &[
             ("failures", Json::from(failures)),

@@ -70,7 +70,7 @@ pub const EXPERIMENTS: &[Entry] = &[
     Entry { name: "stress", artifact: "R1", in_all: false, flags: "", run: runtime::stress,
         claim: "real threads under stress never see a freed object; garbage is gone within two cycles" },
     Entry { name: "torture", artifact: "R2", in_all: false, run: runtime::torture,
-        flags: "[--seeds 1,2,3] [--ops N] [--mutators K] [--capacity N] [--layout slab|segmented|both] [--metrics-addr ADDR]",
+        flags: "[--seeds 1,2,3] [--ops N] [--mutators K] [--capacity N] [--metrics-addr ADDR]",
         claim: "under seeded fault storms every cycle terminates and the heap stays valid" },
     Entry { name: "reduction", artifact: "M1", in_all: false, run: checker::reduction_sweep,
         flags: "[--max-states N] [--ci] [--metrics-addr ADDR]",

@@ -38,14 +38,6 @@
 //!   greying against a trace that is barely progressing). The time spent
 //!   is accounted to [`CycleStats::chaos_ns`](crate::CycleStats::chaos_ns),
 //!   *excluded* from `mark_ns`, so timing reports stay honest under chaos;
-//! * [`ChaosSite::TlabRefill`] — yield storms on the segmented heap's
-//!   TLAB-refill path (a mutator descheduled between exhausting its buffer
-//!   and claiming a segment, racing other refills and the collector's
-//!   sweep publication);
-//! * [`ChaosSite::LazySweep`] — yield storms right after a mutator
-//!   lazily swept a segment (stretching the window in which freshly
-//!   reclaimed slots, the free-segment stack, and the sweep generation are
-//!   observed by other threads);
 //! * [`ChaosSite::WorkerPanic`] — an *application* worker thread panics at
 //!   a request boundary (the serve harness's site: the worker's
 //!   [`Mutator`](crate::Mutator) unwinds through its panicking-drop
@@ -80,18 +72,14 @@ pub enum ChaosSite {
     CollectorPanic = 5,
     /// Yield storm inside the collector's mark loop.
     MarkDelay = 6,
-    /// Yield storm on the segmented heap's TLAB-refill path.
-    TlabRefill = 7,
-    /// Yield storm after a mutator-driven lazy segment sweep.
-    LazySweep = 8,
     /// Application worker panics at a request boundary (drawn by the serve
     /// harness through [`Collector::chaos_fires`](crate::Collector::chaos_fires)).
-    WorkerPanic = 9,
+    WorkerPanic = 7,
 }
 
 impl ChaosSite {
     /// Number of injection sites.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 8;
 
     /// Every site, in `repr` order.
     pub const ALL: [ChaosSite; ChaosSite::COUNT] = [
@@ -102,8 +90,6 @@ impl ChaosSite {
         ChaosSite::SlowTransfer,
         ChaosSite::CollectorPanic,
         ChaosSite::MarkDelay,
-        ChaosSite::TlabRefill,
-        ChaosSite::LazySweep,
         ChaosSite::WorkerPanic,
     ];
 
@@ -117,9 +103,17 @@ impl ChaosSite {
             ChaosSite::SlowTransfer => "slow_transfer",
             ChaosSite::CollectorPanic => "collector_panic",
             ChaosSite::MarkDelay => "mark_delay",
-            ChaosSite::TlabRefill => "tlab_refill",
-            ChaosSite::LazySweep => "lazy_sweep",
             ChaosSite::WorkerPanic => "worker_panic",
+        }
+    }
+
+    /// The id that salts the site's decision stream. Ids never change, so a
+    /// seed draws the same streams whatever sites come or go; 7 and 8 are
+    /// retired.
+    fn stream(self) -> u64 {
+        match self {
+            ChaosSite::WorkerPanic => 9,
+            site => site as u64,
         }
     }
 }
@@ -171,10 +165,6 @@ pub struct FaultPlan {
     /// Rate of yield storms inside the collector's mark loop (per traced
     /// object).
     pub mark_delay: u32,
-    /// Rate of yield storms on the segmented heap's TLAB-refill path.
-    pub tlab_refill: u32,
-    /// Rate of yield storms after a mutator-driven lazy segment sweep.
-    pub lazy_sweep: u32,
     /// Rate of injected worker panics at a request boundary (serve harness).
     pub worker_panic: u32,
 }
@@ -199,8 +189,6 @@ impl FaultPlan {
             slow_transfer: 0,
             collector_panic_at_cycle: None,
             mark_delay: 0,
-            tlab_refill: 0,
-            lazy_sweep: 0,
             worker_panic: 0,
         }
     }
@@ -239,10 +227,6 @@ impl FaultPlan {
             collector_panic_at_cycle: None,
             // Per traced object, so even small rates stretch most marks.
             mark_delay: r(7, 20, 300),
-            // Per refill / per swept segment: refills are much rarer than
-            // allocations, so these rates land high enough to matter.
-            tlab_refill: r(8, 100, 1_500),
-            lazy_sweep: r(9, 100, 1_500),
             // Per request: like mutator panics, rare enough that a run's
             // workers spend most of their time alive.
             worker_panic: r(10, 0, 3),
@@ -299,20 +283,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the TLAB-refill delay-storm rate.
-    #[must_use]
-    pub fn with_tlab_refill(mut self, rate: u32) -> Self {
-        self.tlab_refill = rate;
-        self
-    }
-
-    /// Sets the post-lazy-sweep delay-storm rate.
-    #[must_use]
-    pub fn with_lazy_sweep(mut self, rate: u32) -> Self {
-        self.lazy_sweep = rate;
-        self
-    }
-
     /// Sets the request-boundary worker-panic rate.
     #[must_use]
     pub fn with_worker_panic(mut self, rate: u32) -> Self {
@@ -341,14 +311,13 @@ impl FaultPlan {
             ChaosSite::SlowTransfer => self.slow_transfer,
             ChaosSite::CollectorPanic => 0, // cycle-indexed, not rate-drawn
             ChaosSite::MarkDelay => self.mark_delay,
-            ChaosSite::TlabRefill => self.tlab_refill,
-            ChaosSite::LazySweep => self.lazy_sweep,
             ChaosSite::WorkerPanic => self.worker_panic,
         }
     }
 
     /// Draws the site's next decision. Decision `n` is the pure function
-    /// `splitmix64(seed ⊕ salt(site) ⊕ n) mod RATE_SCALE < rate`.
+    /// `splitmix64(seed ⊕ salt(site) ⊕ n) mod RATE_SCALE < rate`, the salt
+    /// derived from the site's stream id.
     #[inline]
     pub(crate) fn fires(&self, site: ChaosSite, state: &ChaosState) -> bool {
         if !self.enabled || state.suppressed.load(Ordering::Relaxed) {
@@ -359,7 +328,7 @@ impl FaultPlan {
             return false;
         }
         let n = state.draws[site as usize].fetch_add(1, Ordering::Relaxed);
-        let salt = (site as u64 + 1).wrapping_mul(0xd6e8_feb8_6659_fd93);
+        let salt = (site.stream() + 1).wrapping_mul(0xd6e8_feb8_6659_fd93);
         (splitmix64(self.seed ^ salt ^ n) % u64::from(RATE_SCALE)) < u64::from(rate)
     }
 }
@@ -447,8 +416,6 @@ mod tests {
             assert!(p.mutator_panic < RATE_SCALE);
             assert!(p.slow_transfer < RATE_SCALE);
             assert!(p.mark_delay < RATE_SCALE);
-            assert!(p.tlab_refill < RATE_SCALE);
-            assert!(p.lazy_sweep < RATE_SCALE);
             assert!(p.worker_panic < RATE_SCALE);
             assert!((1..=4).contains(&p.silence_generations));
             assert_eq!(FaultPlan::from_seed(seed), p, "derivation is pure");
@@ -472,5 +439,70 @@ mod tests {
         );
         state.suppressed.store(false, Ordering::Relaxed);
         assert!(plan.fires(ChaosSite::WorkerPanic, &state));
+    }
+
+    #[test]
+    fn every_site_keeps_its_recorded_decision_stream() {
+        // The first 64 decisions (bit i = decision i) of every site at
+        // rate 5,000 under three seeds, recorded before two sites were
+        // removed. A site's stream must not move when others come or go.
+        const PINNED: [(u64, [u64; ChaosSite::COUNT]); 3] = [
+            (
+                1,
+                [
+                    0xcf76_2eaf_8662_2efd,
+                    0x5d1f_d14d_c170_1376,
+                    0x0541_b65e_7baf_1e6a,
+                    0x52b4_529b_2cef_0ad9,
+                    0x349b_304c_9981_0630,
+                    0,
+                    0xa939_cc76_bb4d_9c70,
+                    0xb632_95e5_8528_560d,
+                ],
+            ),
+            (
+                0xc4a05,
+                [
+                    0xe937_f2d4_117f_ce90,
+                    0xf0bd_79b9_7856_0dfa,
+                    0x5a85_30fb_cdb6_df82,
+                    0xf536_7b6b_999a_f769,
+                    0xc248_34a8_58c3_1e89,
+                    0,
+                    0xb677_6c59_dca8_6823,
+                    0x73b0_20bb_95a5_9846,
+                ],
+            ),
+            (
+                0xdead_beef,
+                [
+                    0xd5e5_ca7d_189e_ea69,
+                    0x72fd_c2ff_5594_ad4c,
+                    0xda56_a8d0_bfcb_868a,
+                    0xeceb_e9b8_0497_7573,
+                    0x4622_c9ca_ebf7_dcfe,
+                    0,
+                    0x6996_87d0_181f_0ff0,
+                    0x3828_2cad_60ac_6154,
+                ],
+            ),
+        ];
+        for (seed, streams) in PINNED {
+            let plan = FaultPlan::new(seed)
+                .with_handshake_delay(5_000)
+                .with_cas_lost(5_000)
+                .with_silence(5_000, 3)
+                .with_mutator_panic(5_000)
+                .with_slow_transfer(5_000)
+                .with_mark_delay(5_000)
+                .with_worker_panic(5_000);
+            let state = ChaosState::default();
+            for (site, want) in ChaosSite::ALL.into_iter().zip(streams) {
+                let got = (0..64).fold(0u64, |bits, i| {
+                    bits | u64::from(plan.fires(site, &state)) << i
+                });
+                assert_eq!(got, want, "seed {seed:#x}, site {}", site.name());
+            }
+        }
     }
 }

@@ -21,31 +21,6 @@ use crate::worklist::{LocalList, Staged};
 /// [`CycleOutcome::TimedOut`].
 pub type MutId = u32;
 
-/// Samples the segmented heap's gauge series onto the calling thread's
-/// trace track: one `segment-<n>-occupancy` counter per segment plus the
-/// free-segment-stack depth. No-op on the slab layout (the single global
-/// occupancy counter covers it) and while tracing is disabled — the
-/// bitmap pass must not run when nobody is listening, so
-/// instrumented-but-quiet runs keep their timing.
-fn emit_segment_gauges(heap: &Heap) {
-    if !gc_trace::enabled() {
-        return;
-    }
-    if let Some(g) = heap.segment_gauges() {
-        for (i, &busy) in g.busy.iter().enumerate() {
-            trace_event!(SegmentOccupancy {
-                segment: i as u32,
-                busy,
-                slots: g.segment_slots,
-            });
-        }
-        trace_event!(FreeSegments {
-            free: g.free_depth,
-            total: g.busy.len() as u32,
-        });
-    }
-}
-
 /// Soft-handshake types, encoded into the low bits of the request word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
@@ -425,25 +400,9 @@ impl Shared {
         // list empty (`gc_W_empty_mut_inv`). Not walked — it may be cyclic.
         sh.staged.discard();
 
-        // Per-cycle TLAB/lazy-sweep/backoff activity is reported as deltas
-        // of the global counters between here and cycle end.
-        let tlab_refills_before = sh.stats.tlab_refills.load(Ordering::Relaxed);
-        let lazy_swept_before = sh.stats.lazy_sweep_segments.load(Ordering::Relaxed);
+        // Per-cycle backoff is reported as the delta of the global
+        // counter between here and cycle end.
         let backoff_before = sh.stats.backoff_ns.load(Ordering::Relaxed);
-
-        // Segmented layout: mop up every segment still carrying the
-        // previous cycle's garbage verdict. This MUST precede both the
-        // repaint below and the sense flip — senses alternate, so a
-        // segment left two verdicts behind would read its old garbage as
-        // "marked" in the newest sense and resurrect it. With the mop-up,
-        // at most one verdict is ever outstanding. (The objects freed
-        // here were already counted by the cycle that condemned them.)
-        let (mopped, _already_counted) = sh.heap.complete_pending_sweeps();
-        if mopped > 0 {
-            sh.stats
-                .lazy_sweep_segments
-                .fetch_add(mopped as u64, Ordering::Relaxed);
-        }
 
         // Recover from a previous abort: every mutator has now synchronised
         // past the handshake above (so no allocation with a stale `f_A` can
@@ -523,19 +482,11 @@ impl Shared {
             phase: Phase::Sweep as u8
         });
         let t_sweep = Instant::now();
-        if sh.heap.is_segmented() {
-            // Lazy sweep: publish this cycle's garbage verdict in one
-            // O(capacity / 64) popcount pass; allocating mutators (and
-            // next cycle's mop-up) reclaim the condemned slots on
-            // demand, so this no longer scales with heap capacity.
-            cycle.freed = sh.heap.publish_sweep(fm);
-        } else {
-            for idx in 0..sh.heap.capacity() as u32 {
-                let (alloc, flag, _) = sh.heap.slot_status(idx);
-                if alloc && flag != fm {
-                    sh.heap.free_slot(idx);
-                    cycle.freed += 1;
-                }
+        for idx in 0..sh.heap.capacity() as u32 {
+            let (alloc, flag, _) = sh.heap.slot_status(idx);
+            if alloc && flag != fm {
+                sh.heap.free_slot(idx);
+                cycle.freed += 1;
             }
         }
         cycle.sweep_ns = t_sweep.elapsed().as_nanos() as u64;
@@ -544,10 +495,6 @@ impl Shared {
             phase: Phase::Idle as u8
         });
 
-        cycle.tlab_refills =
-            (sh.stats.tlab_refills.load(Ordering::Relaxed) - tlab_refills_before) as usize;
-        cycle.lazy_swept_segments =
-            (sh.stats.lazy_sweep_segments.load(Ordering::Relaxed) - lazy_swept_before) as usize;
         cycle.backoff_ns = sh.stats.backoff_ns.load(Ordering::Relaxed) - backoff_before;
         cycle.live_after = sh.heap.live();
         cycle.duration_ns = t0.elapsed().as_nanos() as u64;
@@ -565,7 +512,6 @@ impl Shared {
             freed: cycle.freed as u32,
             traced: cycle.traced as u32
         });
-        emit_segment_gauges(&sh.heap);
         CycleOutcome::Completed(cycle)
     }
 }
@@ -644,7 +590,7 @@ impl Collector {
     /// Creates a collector with the given configuration. The heap starts
     /// empty and the collector idle.
     pub fn new(cfg: GcConfig) -> Self {
-        let heap = Heap::new(cfg.capacity, cfg.max_fields, cfg.validate, cfg.layout);
+        let heap = Heap::new(cfg.capacity, cfg.max_fields, cfg.validate);
         Collector {
             shared: Arc::new(Shared {
                 cfg,
@@ -755,7 +701,6 @@ impl Collector {
                                 id: 0,
                                 value: (occ * 1000.0) as u64
                             });
-                            emit_segment_gauges(&shared.heap);
                             if occ < high {
                                 backoff.reset();
                                 std::thread::sleep(poll);
@@ -793,12 +738,8 @@ impl Collector {
     /// Fraction of the heap currently unavailable for allocation, in
     /// `0.0..=1.0`. This is the signal the paced background collector and
     /// any admission-control layer (e.g. `gc-serve`'s shed-by-occupancy
-    /// policy) key off. On the slab layout this is O(1); on the segmented
-    /// layout it is a popcount pass over the side bitmaps, where condemned
-    /// slots whose sweep verdict is published but not yet lazily reclaimed
-    /// count as *available* (they are one TLAB refill away from allocable,
-    /// and counting them occupied would leave the signal stuck high right
-    /// after every cycle).
+    /// policy) key off. O(1): live objects and pool-reserved slots are
+    /// what the free list does not hold.
     pub fn heap_occupancy(&self) -> f64 {
         self.shared.heap.occupancy()
     }
@@ -919,65 +860,6 @@ mod tests {
         // b is still loadable through a.
         let b2 = m.load(a, 0).expect("b survived");
         assert_eq!(b2, b);
-    }
-
-    #[test]
-    fn segmented_cycle_emits_per_segment_gauges() {
-        use crate::config::HeapLayout;
-        let cfg = GcConfig::builder()
-            .capacity(16)
-            .max_fields(1)
-            .layout(HeapLayout::Segmented {
-                segment_slots: 8,
-                tlab_slots: 2,
-            })
-            .build();
-        let c = Collector::new(cfg);
-        let mut m = c.register_mutator();
-        let a = m.alloc(1).unwrap();
-        let g = m.alloc(1).unwrap();
-        m.discard(g);
-        gc_trace::enable();
-        let done = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                c.collect();
-                done.store(true, Ordering::Release);
-            });
-            while !done.load(Ordering::Acquire) {
-                m.safepoint();
-                std::thread::yield_now();
-            }
-        });
-        gc_trace::disable();
-        let events: Vec<gc_trace::EventKind> = gc_trace::Tracer::global()
-            .drain()
-            .into_iter()
-            .flat_map(|d| d.events)
-            .map(|e| e.kind)
-            .collect();
-        // One occupancy sample per segment (2 segments of 8 slots), plus
-        // the free-stack depth, all from the cycle-end sample.
-        let seg_samples: Vec<(u32, u32)> = events
-            .iter()
-            .filter_map(|k| match *k {
-                gc_trace::EventKind::SegmentOccupancy { segment, slots, .. } => {
-                    Some((segment, slots))
-                }
-                _ => None,
-            })
-            .collect();
-        assert!(
-            seg_samples.contains(&(0, 8)) && seg_samples.contains(&(1, 8)),
-            "expected both segments sampled, got {seg_samples:?}"
-        );
-        assert!(
-            events
-                .iter()
-                .any(|k| matches!(k, gc_trace::EventKind::FreeSegments { total: 2, .. })),
-            "expected a free-segment-stack sample"
-        );
-        let _ = m.load(a, 0);
     }
 
     #[test]

@@ -3,16 +3,13 @@
 //! The supported way to build a configuration is the builder:
 //!
 //! ```
-//! use otf_gc::{GcConfig, HeapLayout};
+//! use otf_gc::GcConfig;
 //! use std::time::Duration;
 //!
 //! let cfg = GcConfig::builder()
 //!     .capacity(4096)
 //!     .max_fields(2)
-//!     .layout(HeapLayout::Segmented {
-//!         segment_slots: 256,
-//!         tlab_slots: 32,
-//!     })
+//!     .alloc_pool(32)
 //!     .handshake_timeout(Duration::from_millis(50))
 //!     .emergency_retries(2)
 //!     .build();
@@ -21,8 +18,8 @@
 //!
 //! The struct's fields remain `pub` so existing code keeps compiling, but
 //! **direct field mutation is deprecated in favour of the builder**: the
-//! builder validates cross-field invariants (segment geometry, handle index
-//! space) at [`GcConfigBuilder::build`], which ad-hoc mutation silently
+//! builder validates cross-field invariants (handle index space, pacing
+//! watermarks) at [`GcConfigBuilder::build`], which ad-hoc mutation silently
 //! skips. [`GcConfig::new`] and the `with_*` helpers remain as shorthands
 //! and route through the same validation.
 
@@ -32,70 +29,23 @@ use std::time::Duration;
 
 use crate::chaos::FaultPlan;
 
-/// How the heap arranges its object slots.
+/// How the heap arranges its object slots. One layout ships: the
+/// verified model's flat slot array with a single free list, eagerly swept
+/// by the collector (plus the §4 per-mutator pools,
+/// [`GcConfig::alloc_pool`]).
 ///
-/// Both layouts expose the identical allocation/marking interface to the
-/// collector — the Figs. 2/5/6 barriers, mark-CAS and handshake protocol
-/// are layout-independent — so they are runnable and comparable in one
-/// binary.
+/// Retained for `benchmark/`; delete in the next `[benchmark]` PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HeapLayout {
-    /// The verified model's layout: one flat slot array with a single
-    /// mutex-protected free list, eagerly swept by the collector.
+    /// The verified model's layout.
     #[default]
     Slab,
-    /// The scalable layout: the slot array is partitioned into fixed-size
-    /// segments. Mutators bump-allocate from private thread-local
-    /// allocation buffers (TLABs) harvested from segments claimed off a
-    /// lock-free free stack; mark state lives in per-segment side bitmaps
-    /// (word-parallel, still sense-relative per Lamport's trick); and the
-    /// sweep is *lazy* — the collector only publishes the cycle's garbage
-    /// verdict, and allocating mutators reclaim segments on demand.
-    Segmented {
-        /// Slots per segment. Must divide the heap capacity.
-        segment_slots: usize,
-        /// Slots a mutator harvests per TLAB refill (1..=`segment_slots`).
-        tlab_slots: usize,
-    },
 }
 
 impl HeapLayout {
-    /// A segmented layout with geometry picked from the capacity: segments
-    /// of 256 slots (or the whole heap when smaller) and 32-slot TLABs.
-    pub fn segmented_default(capacity: usize) -> Self {
-        let segment_slots = if capacity >= 256 {
-            // Largest power-of-two divisor of `capacity` up to 256.
-            let mut s = 256;
-            while s > 1 && !capacity.is_multiple_of(s) {
-                s /= 2;
-            }
-            s
-        } else {
-            capacity
-        };
-        HeapLayout::Segmented {
-            segment_slots,
-            tlab_slots: segment_slots.clamp(1, 32),
-        }
-    }
-
     /// A short stable name for reports and bench records.
     pub fn name(&self) -> &'static str {
-        match self {
-            HeapLayout::Slab => "slab",
-            HeapLayout::Segmented { .. } => "segmented",
-        }
-    }
-
-    /// The layout [`name`](HeapLayout::name)d `name` — what a `--layout`
-    /// flag or the test suites' `GC_TEST_LAYOUT` variable spells — with the
-    /// segmented geometry picked from `capacity`.
-    pub fn from_name(name: &str, capacity: usize) -> Option<Self> {
-        match name {
-            "slab" => Some(HeapLayout::Slab),
-            "segmented" => Some(HeapLayout::segmented_default(capacity)),
-            _ => None,
-        }
+        "slab"
     }
 }
 
@@ -106,15 +56,6 @@ pub enum ConfigError {
     Capacity(usize),
     /// The per-object field bound exceeds the header's 8-bit field count.
     MaxFields(usize),
-    /// Segmented-layout geometry is inconsistent with the capacity.
-    SegmentGeometry {
-        /// The offending capacity.
-        capacity: usize,
-        /// The offending slots-per-segment.
-        segment_slots: usize,
-        /// The offending TLAB size.
-        tlab_slots: usize,
-    },
     /// Occupancy-pacing watermarks are out of range or inverted.
     Pacing {
         /// The offending high watermark (per-mille).
@@ -131,16 +72,6 @@ impl fmt::Display for ConfigError {
                 write!(f, "heap capacity {c} must be positive and < 2^32 - 1")
             }
             ConfigError::MaxFields(n) => write!(f, "max_fields {n} exceeds the bound of 255"),
-            ConfigError::SegmentGeometry {
-                capacity,
-                segment_slots,
-                tlab_slots,
-            } => write!(
-                f,
-                "segmented geometry invalid: capacity {capacity} must be a positive \
-                 multiple of segment_slots {segment_slots}, and tlab_slots {tlab_slots} \
-                 must be in 1..=segment_slots"
-            ),
             ConfigError::Pacing { high, low } => write!(
                 f,
                 "pacing watermarks invalid: high {high}‰ must be in 1..=1000 \
@@ -165,8 +96,6 @@ pub struct GcConfig {
     /// Maximum reference fields per object (per-object counts are chosen at
     /// allocation, up to this bound).
     pub max_fields: usize,
-    /// The heap layout (see [`HeapLayout`]).
-    pub layout: HeapLayout,
     /// Validate every heap access against the slot epoch (use-after-free
     /// detection — the runtime oracle for the safety property). Costs two
     /// relaxed loads per access; on for all tests.
@@ -181,12 +110,11 @@ pub struct GcConfig {
     pub mark_cas: bool,
     /// **Ablation** — `false` removes the handshake fences.
     pub handshake_fences: bool,
-    /// Per-mutator allocation pool size for the [`HeapLayout::Slab`] layout
-    /// (the §4 extension): each mutator reserves this many slots from the
-    /// global free list at a time and allocates from them without
-    /// synchronisation. `0` disables pooling (every allocation takes the
-    /// free-list lock, as in the verified model). Ignored by
-    /// [`HeapLayout::Segmented`], whose TLABs subsume it.
+    /// Per-mutator allocation pool size (the §4 extension): each mutator
+    /// reserves this many slots from the global free list at a time and
+    /// allocates from them without synchronisation. `0` disables pooling
+    /// (every allocation takes the free-list lock, as in the verified
+    /// model).
     pub alloc_pool: usize,
     /// Handshake watchdog: how long a soft-handshake round may wait for
     /// stragglers before the watchdog acts (evicting beat-less mutators
@@ -243,7 +171,7 @@ pub struct GcConfig {
 
 impl GcConfig {
     /// A builder seeded with the defaults of [`GcConfig::new(1024, 2)`]:
-    /// everything faithful, validation on, slab layout.
+    /// everything faithful, validation on.
     ///
     /// [`GcConfig::new(1024, 2)`]: GcConfig::new
     pub fn builder() -> GcConfigBuilder {
@@ -253,7 +181,7 @@ impl GcConfig {
     }
 
     /// A configuration with the given heap capacity and per-object field
-    /// bound, everything faithful, validation on, slab layout.
+    /// bound, everything faithful, validation on.
     ///
     /// # Panics
     ///
@@ -269,7 +197,6 @@ impl GcConfig {
         GcConfig {
             capacity,
             max_fields,
-            layout: HeapLayout::Slab,
             validate: true,
             deletion_barrier: true,
             insertion_barrier: true,
@@ -296,23 +223,6 @@ impl GcConfig {
         if self.max_fields > 255 {
             return Err(ConfigError::MaxFields(self.max_fields));
         }
-        if let HeapLayout::Segmented {
-            segment_slots,
-            tlab_slots,
-        } = self.layout
-        {
-            let geometry_ok = segment_slots > 0
-                && self.capacity.is_multiple_of(segment_slots)
-                && tlab_slots >= 1
-                && tlab_slots <= segment_slots;
-            if !geometry_ok {
-                return Err(ConfigError::SegmentGeometry {
-                    capacity: self.capacity,
-                    segment_slots,
-                    tlab_slots,
-                });
-            }
-        }
         if let Some(high) = self.pacing_high {
             if !(1..=1000).contains(&high) || self.pacing_low >= high {
                 return Err(ConfigError::Pacing {
@@ -324,8 +234,7 @@ impl GcConfig {
         Ok(self)
     }
 
-    /// Enables the §4 allocation-pool extension with the given batch size
-    /// (slab layout only).
+    /// Enables the §4 allocation-pool extension with the given batch size.
     #[must_use]
     pub fn with_alloc_pool(mut self, slots: usize) -> Self {
         self.alloc_pool = slots;
@@ -352,19 +261,6 @@ impl GcConfig {
         self.chaos = plan;
         self
     }
-
-    /// Selects the heap layout, validating its geometry against the
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent segment geometry (same validation as
-    /// [`GcConfigBuilder::build`]).
-    #[must_use]
-    pub fn with_layout(mut self, layout: HeapLayout) -> Self {
-        self.layout = layout;
-        self.validated().unwrap_or_else(|e| panic!("{e}"))
-    }
 }
 
 /// Builder for [`GcConfig`]: typed setters, cross-field validation at
@@ -389,10 +285,11 @@ impl GcConfigBuilder {
         self
     }
 
-    /// Selects the heap layout.
+    /// Selects the heap layout. There is one, so this sets nothing.
+    ///
+    /// Retained for `benchmark/`; delete in the next `[benchmark]` PR.
     #[must_use]
-    pub fn layout(mut self, layout: HeapLayout) -> Self {
-        self.cfg.layout = layout;
+    pub fn layout(self, _layout: HeapLayout) -> Self {
         self
     }
 
@@ -432,7 +329,7 @@ impl GcConfigBuilder {
         self
     }
 
-    /// Sets the slab layout's per-mutator allocation pool size.
+    /// Sets the per-mutator allocation pool size.
     #[must_use]
     pub fn alloc_pool(mut self, slots: usize) -> Self {
         self.cfg.alloc_pool = slots;
@@ -526,8 +423,8 @@ impl GcConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] when the capacity, field bound, or segment geometry
-    /// is inconsistent.
+    /// [`ConfigError`] when the capacity, field bound, or pacing
+    /// watermarks are inconsistent.
     pub fn try_build(self) -> Result<GcConfig, ConfigError> {
         self.cfg.validated()
     }
@@ -552,7 +449,7 @@ mod tests {
         let c = GcConfig::new(16, 2);
         assert!(c.validate && c.deletion_barrier && c.insertion_barrier);
         assert!(c.mark_cas && c.handshake_fences);
-        assert_eq!(c.layout, HeapLayout::Slab);
+        assert_eq!(c.alloc_pool, 0);
     }
 
     #[test]
@@ -567,10 +464,6 @@ mod tests {
         let c = GcConfig::builder()
             .capacity(512)
             .max_fields(3)
-            .layout(HeapLayout::Segmented {
-                segment_slots: 64,
-                tlab_slots: 8,
-            })
             .validate(false)
             .deletion_barrier(false)
             .insertion_barrier(false)
@@ -588,13 +481,6 @@ mod tests {
             .build();
         assert_eq!(c.capacity, 512);
         assert_eq!(c.max_fields, 3);
-        assert_eq!(
-            c.layout,
-            HeapLayout::Segmented {
-                segment_slots: 64,
-                tlab_slots: 8
-            }
-        );
         assert!(!c.validate && !c.deletion_barrier && !c.insertion_barrier);
         assert!(!c.mark_cas && !c.handshake_fences && !c.evict_dead);
         assert_eq!(c.alloc_pool, 7);
@@ -644,38 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_bad_segment_geometry() {
-        // segment_slots does not divide capacity
-        let err = GcConfig::builder()
-            .capacity(100)
-            .layout(HeapLayout::Segmented {
-                segment_slots: 64,
-                tlab_slots: 8,
-            })
-            .try_build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::SegmentGeometry { .. }));
-        // tlab_slots exceeds segment_slots
-        assert!(GcConfig::builder()
-            .capacity(128)
-            .layout(HeapLayout::Segmented {
-                segment_slots: 64,
-                tlab_slots: 65,
-            })
-            .try_build()
-            .is_err());
-        // zero-slot segments
-        assert!(GcConfig::builder()
-            .capacity(128)
-            .layout(HeapLayout::Segmented {
-                segment_slots: 0,
-                tlab_slots: 1,
-            })
-            .try_build()
-            .is_err());
-    }
-
-    #[test]
     fn builder_rejects_bad_scalars() {
         assert!(matches!(
             GcConfig::builder().capacity(0).try_build(),
@@ -688,20 +542,10 @@ mod tests {
     }
 
     #[test]
-    fn segmented_default_geometry_is_valid() {
-        for capacity in [8usize, 100, 256, 4096, 100_000] {
-            let layout = HeapLayout::segmented_default(capacity);
-            let cfg = GcConfig::builder()
-                .capacity(capacity)
-                .layout(layout)
-                .try_build();
-            assert!(cfg.is_ok(), "capacity {capacity}: {cfg:?}");
-        }
-        assert_eq!(HeapLayout::segmented_default(4096).name(), "segmented");
-        assert_eq!(HeapLayout::Slab.name(), "slab");
-        for layout in [HeapLayout::Slab, HeapLayout::segmented_default(4096)] {
-            assert_eq!(HeapLayout::from_name(layout.name(), 4096), Some(layout));
-        }
-        assert_eq!(HeapLayout::from_name("both", 4096), None);
+    fn the_one_layout_is_the_slab() {
+        assert_eq!(HeapLayout::default(), HeapLayout::Slab);
+        assert_eq!(HeapLayout::default().name(), "slab");
+        let c = GcConfig::builder().layout(HeapLayout::Slab).build();
+        assert_eq!(c, GcConfig::new(1024, 2));
     }
 }

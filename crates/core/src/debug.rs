@@ -41,13 +41,9 @@ impl Collector {
     /// * every registered mutator is active (eviction and deregistration
     ///   leave no zombies in the registry);
     /// * the heap's free-state structures are sound
-    ///   ([`Heap::debug_verify`](crate::heap::Heap::debug_verify)): on
-    ///   the slab, the free list holds unique, in-bounds, unallocated
-    ///   slots and live + free never exceeds capacity; on the segmented
-    ///   layout, the bitmaps are mutually consistent (`busy ⊇ live`,
-    ///   live bits agree with headers, no bits beyond capacity) and the
-    ///   free-segment stack is in-bounds and acyclic with honest
-    ///   on-stack flags.
+    ///   ([`Heap::debug_verify`](crate::heap::Heap::debug_verify)): the
+    ///   free list holds unique, in-bounds, unallocated slots and live +
+    ///   free never exceeds capacity.
     #[doc(hidden)]
     pub fn debug_verify_integrity(&self) -> Result<(), String> {
         let sh = self.shared_for_debug();

@@ -1,49 +1,23 @@
 //! The object heap: a slot array with atomic headers and reference
-//! fields, behind one of two interchangeable layouts.
+//! fields, a global free list, and an eager sweep the collector runs —
+//! the shape the model verifies.
 //!
-//! Every slot carries a packed header word (allocated bit, field count,
-//! epoch) manipulated with atomic operations, an intrusive work-list
-//! link, and a fixed-size array of atomic reference fields. The mark
-//! flag's *interpretation* (marked vs unmarked) is relative to the
+//! Every slot carries a packed header word (mark flag, allocated bit,
+//! field count, epoch) manipulated with atomic operations, an intrusive
+//! work-list link, and `max_fields` atomic reference fields (kept in one
+//! flat array beside the slots). The mark flag's *interpretation* (marked vs unmarked) is relative to the
 //! collector's current sense `f_M`, which flips each cycle — retained
 //! objects never need their flag reset (Lamport's trick, §2 of the
-//! paper).
-//!
-//! Two layouts implement the same interface (selected by
-//! [`HeapLayout`]):
-//!
-//! * **Slab** — the verified model's shape: the mark flag lives in the
-//!   header word, a single mutex-protected free list hands out slots,
-//!   and the collector sweeps the whole slot array eagerly.
-//! * **Segmented** — the slot array is partitioned into fixed-size
-//!   segments. Mark state moves into per-segment side bitmaps (still
-//!   sense-relative; the marking CAS becomes a CAS on a bitmap word
-//!   with the identical unique-winner contract). Mutators refill
-//!   private TLABs by claiming free bits from their current segment or
-//!   popping whole segments off a lock-free Treiber stack. The sweep is
-//!   *lazy*: the collector only publishes a generation-stamped garbage
-//!   verdict ([`Heap::publish_sweep`]); allocating mutators (and the
-//!   collector's start-of-cycle mop-up) reclaim segments on demand, so
-//!   collector cycle time stops scaling with heap capacity.
-//!
-//! The lazy-sweep protocol relies on one invariant: **at most one
-//! verdict is ever outstanding**. Senses alternate, so a segment
-//! lagging two generations behind would see its old garbage as "marked"
-//! in the latest sense and resurrect it. The collector enforces this by
-//! mopping up all pending segments ([`Heap::complete_pending_sweeps`])
-//! at the start of every cycle, before the sense flips.
+//! paper). A single mutex-protected free list hands out slots, directly
+//! or in batches for the §4 thread-local allocation pools.
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::sync::Mutex;
 
-use crate::config::HeapLayout;
 use crate::handle::Gc;
-
-/// Sentinel for "no current segment" in a mutator's TLAB state.
-pub(crate) const NO_SEG: u32 = u32::MAX;
 
 /// The collector's control phase, shared racily with the mutators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -197,218 +171,41 @@ struct Slot {
     /// Intrusive work-list link (encoded `Option<Gc>`); owned by the
     /// current mark-CAS winner, or by the sweep when the object is free.
     next: AtomicU64,
-    fields: Box<[AtomicU64]>,
 }
 
-/// One fixed-size segment's side state. The slot data itself lives in
-/// the shared `Heap::slots` array; a segment owns the bitmaps for its
-/// contiguous slot range.
-struct Segment {
-    /// Sense-relative mark bits (the segmented home of the header's old
-    /// `FLAG_BIT`). Authoritative for marking; the header flag is unused.
-    marks: Box<[AtomicU64]>,
-    /// Header-allocated bits: set last when publishing an object, with
-    /// `Release`, so any reader that observes a live bit also observes
-    /// the object's mark bit and initialised fields.
-    live: Box<[AtomicU64]>,
-    /// Reserved-or-live bits (`busy ⊇ live`): a TLAB claims free slots
-    /// by CASing their busy bits on; reserved-but-unpublished slots are
-    /// invisible to marking and sweeping.
-    busy: Box<[AtomicU64]>,
-    /// Last sweep generation applied to this segment. `swept_gen ==
-    /// sweep_gen` means no verdict is pending here.
-    swept_gen: AtomicU64,
-    /// Treiber-stack link: successor segment index + 1, 0 = end.
-    next_free: AtomicU32,
-    /// Guard against double-pushing onto the free stack.
-    on_stack: AtomicBool,
-}
-
-/// The segmented layout's shared state.
-struct SegSpace {
-    segment_slots: usize,
-    segments: Box<[Segment]>,
-    /// Treiber free-segment stack head: `tag << 32 | (index + 1)`, with
-    /// index + 1 == 0 meaning empty. The tag increments on every
-    /// successful CAS to defeat ABA.
-    free_head: AtomicU64,
-    /// Generation of the latest published garbage verdict.
-    sweep_gen: AtomicU64,
-    /// The sense (`f_M`) of that verdict: garbage is `live` with
-    /// mark-bit != `sweep_sense`. Stored before `sweep_gen` is bumped.
-    sweep_sense: AtomicBool,
-}
-
-impl SegSpace {
-    /// Bitmap words per segment.
-    fn words(&self) -> usize {
-        self.segment_slots.div_ceil(64)
-    }
-
-    /// The valid-bit mask for bitmap word `w` of a segment.
-    fn word_mask(&self, w: usize) -> u64 {
-        let n = (self.segment_slots - w * 64).min(64);
-        if n == 64 {
-            u64::MAX
-        } else {
-            (1u64 << n) - 1
-        }
-    }
-
-    /// Maps a global slot index to `(segment, word, bit mask)`.
-    fn locate(&self, idx: u32) -> (usize, usize, u64) {
-        let i = idx as usize;
-        let local = i % self.segment_slots;
-        (i / self.segment_slots, local / 64, 1u64 << (local % 64))
-    }
-}
-
-enum LayoutData {
-    Slab { free: Mutex<Vec<u32>> },
-    Segmented(SegSpace),
-}
-
-/// Pushes segment `s` onto the lock-free free-segment stack (no-op if
-/// it is already there). Lock-free Treiber push with an ABA tag in the
-/// head word's upper half.
-fn push_free_segment(sp: &SegSpace, s: usize) {
-    let seg = &sp.segments[s];
-    if seg.on_stack.swap(true, Ordering::AcqRel) {
-        return; // already on the stack
-    }
-    loop {
-        let head = sp.free_head.load(Ordering::Acquire);
-        seg.next_free.store(head as u32, Ordering::Release);
-        let tagged = ((head >> 32).wrapping_add(1) << 32) | (s as u64 + 1);
-        if sp
-            .free_head
-            .compare_exchange_weak(head, tagged, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            return;
-        }
-    }
-}
-
-/// Pops a segment off the free-segment stack, or `None` when empty.
-fn pop_free_segment(sp: &SegSpace) -> Option<usize> {
-    loop {
-        let head = sp.free_head.load(Ordering::Acquire);
-        let idx1 = head as u32;
-        if idx1 == 0 {
-            return None;
-        }
-        let s = (idx1 - 1) as usize;
-        let next = sp.segments[s].next_free.load(Ordering::Acquire);
-        let tagged = ((head >> 32).wrapping_add(1) << 32) | u64::from(next);
-        if sp
-            .free_head
-            .compare_exchange_weak(head, tagged, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            sp.segments[s].on_stack.store(false, Ordering::Release);
-            return Some(s);
-        }
-    }
-}
-
-/// A segmented-layout gauge snapshot (see [`Heap::segment_gauges`]).
-#[derive(Debug)]
-pub(crate) struct SegmentGauges {
-    /// Unavailable slots per segment, indexed by segment.
-    pub(crate) busy: Vec<u32>,
-    /// Segments currently on the free-segment stack.
-    pub(crate) free_depth: u32,
-    /// Slots per segment (every segment's full-scale value).
-    pub(crate) segment_slots: u32,
-}
-
-/// What a TLAB refill did, for tracing and stats.
-#[derive(Debug, Default)]
-pub(crate) struct RefillInfo {
-    /// Segment newly claimed as the mutator's current segment.
-    pub(crate) claimed_segment: Option<u32>,
-    /// Segments lazily swept along the way, with objects freed in each.
-    pub(crate) swept: Vec<(u32, u32)>,
-}
+/// The free list, on cache lines of its own (two: x86 prefetches lines in
+/// pairs). Every allocation and every freed slot writes its lock; on the
+/// line of the read-mostly heap geometry it made every heap access miss.
+#[repr(align(128))]
+struct FreeList(Mutex<Vec<u32>>);
 
 /// The shared object heap.
 pub(crate) struct Heap {
     slots: Box<[Slot]>,
-    layout: LayoutData,
+    /// Slot `i`'s reference fields are `fields[i * max_fields..][..max_fields]`.
+    fields: Box<[AtomicU64]>,
+    free: FreeList,
     max_fields: usize,
     validate: bool,
 }
 
 impl Heap {
-    pub(crate) fn new(
-        capacity: usize,
-        max_fields: usize,
-        validate: bool,
-        layout: HeapLayout,
-    ) -> Self {
+    pub(crate) fn new(capacity: usize, max_fields: usize, validate: bool) -> Self {
         let slots = (0..capacity)
             .map(|_| Slot {
                 header: AtomicU64::new(pack(false, false, 0, 0)),
                 next: AtomicU64::new(0),
-                fields: (0..max_fields).map(|_| AtomicU64::new(0)).collect(),
             })
             .collect();
-        let layout = match layout {
-            HeapLayout::Slab => LayoutData::Slab {
-                // Lowest-index-first allocation, matching the model.
-                free: Mutex::new((0..capacity as u32).rev().collect()),
-            },
-            HeapLayout::Segmented { segment_slots, .. } => {
-                debug_assert!(segment_slots > 0 && capacity.is_multiple_of(segment_slots));
-                let nsegs = capacity / segment_slots;
-                let words = segment_slots.div_ceil(64);
-                let segments: Box<[Segment]> = (0..nsegs)
-                    .map(|_| Segment {
-                        marks: (0..words).map(|_| AtomicU64::new(0)).collect(),
-                        live: (0..words).map(|_| AtomicU64::new(0)).collect(),
-                        busy: (0..words).map(|_| AtomicU64::new(0)).collect(),
-                        swept_gen: AtomicU64::new(0),
-                        next_free: AtomicU32::new(0),
-                        on_stack: AtomicBool::new(false),
-                    })
-                    .collect();
-                let sp = SegSpace {
-                    segment_slots,
-                    segments,
-                    free_head: AtomicU64::new(0),
-                    sweep_gen: AtomicU64::new(0),
-                    sweep_sense: AtomicBool::new(false),
-                };
-                // Seed the free stack with every (empty) segment,
-                // highest-index first so pops hand out low segments
-                // first, matching the slab's lowest-index-first order.
-                let space = LayoutData::Segmented(sp);
-                if let LayoutData::Segmented(ref sp) = space {
-                    for s in (0..nsegs).rev() {
-                        push_free_segment(sp, s);
-                    }
-                }
-                space
-            }
-        };
         Heap {
             slots,
-            layout,
+            fields: (0..capacity * max_fields)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            // Lowest-index-first allocation, matching the model.
+            free: FreeList(Mutex::new((0..capacity as u32).rev().collect())),
             max_fields,
             validate,
-        }
-    }
-
-    /// Whether this heap uses the segmented layout.
-    pub(crate) fn is_segmented(&self) -> bool {
-        matches!(self.layout, LayoutData::Segmented(_))
-    }
-
-    fn segspace(&self) -> &SegSpace {
-        match &self.layout {
-            LayoutData::Segmented(sp) => sp,
-            LayoutData::Slab { .. } => unreachable!("segmented-only path on a slab heap"),
         }
     }
 
@@ -418,6 +215,11 @@ impl Heap {
 
     fn slot(&self, g: Gc) -> &Slot {
         &self.slots[g.index() as usize]
+    }
+
+    fn fields(&self, idx: u32) -> &[AtomicU64] {
+        let at = idx as usize * self.max_fields;
+        &self.fields[at..at + self.max_fields]
     }
 
     /// Panics if `g` no longer refers to a live object — the
@@ -441,9 +243,6 @@ impl Heap {
     }
 
     /// Allocates an object with `nfields` fields and mark flag `fa`.
-    ///
-    /// On the segmented layout this is the slow path (a one-slot TLAB
-    /// refill per call); mutators hold a real TLAB instead.
     pub(crate) fn alloc(&self, nfields: usize, fa: bool) -> Result<Gc, AllocError> {
         if nfields > self.max_fields {
             return Err(AllocError::TooManyFields {
@@ -451,19 +250,10 @@ impl Heap {
                 max: self.max_fields,
             });
         }
-        let free = match &self.layout {
-            LayoutData::Slab { free } => free,
-            LayoutData::Segmented(_) => {
-                let mut cur = NO_SEG;
-                let (got, _) = self.refill_tlab(&mut cur, 1);
-                let idx = *got.first().ok_or(AllocError::HeapFull)?;
-                return self.alloc_from(idx, nfields, fa);
-            }
-        };
-        let idx = free.lock().pop().ok_or(AllocError::HeapFull)?;
+        let idx = self.free.0.lock().pop().ok_or(AllocError::HeapFull)?;
         let slot = &self.slots[idx as usize];
         let epoch = hdr_epoch(slot.header.load(Ordering::Acquire));
-        for f in slot.fields.iter() {
+        for f in self.fields(idx) {
             f.store(0, Ordering::Release);
         }
         slot.next.store(0, Ordering::Release);
@@ -479,28 +269,17 @@ impl Heap {
     /// from which to perform fine-grained allocation without
     /// synchronizing"). Reserved slots stay unallocated (the sweep skips
     /// them) until [`alloc_from`](Heap::alloc_from) publishes an object.
-    /// Slab layout only; the segmented layout's TLABs subsume pooling
-    /// (an empty grab here keeps misconfigured callers on the direct
-    /// path).
     pub(crate) fn grab_pool(&self, n: usize) -> Vec<u32> {
-        let LayoutData::Slab { free } = &self.layout else {
-            return Vec::new();
-        };
-        let mut free = free.lock();
+        let mut free = self.free.0.lock();
         let take = n.min(free.len());
         let at = free.len() - take;
         free.split_off(at)
     }
 
     /// Returns unused pooled slots to the global free list (mutator
-    /// deregistration). Slab layout only; segmented mutators call
-    /// [`release_reserved`](Heap::release_reserved).
+    /// deregistration).
     pub(crate) fn return_pool(&self, pool: Vec<u32>) {
-        let LayoutData::Slab { free } = &self.layout else {
-            debug_assert!(pool.is_empty(), "segmented TLAB returned as a pool");
-            return;
-        };
-        free.lock().extend(pool);
+        self.free.0.lock().extend(pool);
     }
 
     /// Allocates an object in a pre-reserved slot — no lock, no fence: the
@@ -520,38 +299,12 @@ impl Heap {
         let h = slot.header.load(Ordering::Acquire);
         debug_assert!(!hdr_alloc(h), "pooled slot must be free");
         let epoch = hdr_epoch(h);
-        for f in slot.fields.iter() {
+        for f in self.fields(idx) {
             f.store(0, Ordering::Release);
         }
         slot.next.store(0, Ordering::Release);
-        match &self.layout {
-            LayoutData::Slab { .. } => {
-                slot.header
-                    .store(pack(fa, true, nfields, epoch), Ordering::Release);
-            }
-            LayoutData::Segmented(sp) => {
-                // Publish order: mark bit first, then header, then the
-                // live bit with `Release`. A sweeper only considers
-                // slots whose live bit it observes (`Acquire`), so it
-                // can never see a freshly allocated object without its
-                // allocation-colour mark bit — the segmented analogue
-                // of the slab's "header store last" TSO argument.
-                let (s, w, bit) = sp.locate(idx);
-                let seg = &sp.segments[s];
-                debug_assert!(
-                    seg.busy[w].load(Ordering::Acquire) & bit != 0,
-                    "publishing an unreserved slot"
-                );
-                if fa {
-                    seg.marks[w].fetch_or(bit, Ordering::SeqCst);
-                } else {
-                    seg.marks[w].fetch_and(!bit, Ordering::SeqCst);
-                }
-                slot.header
-                    .store(pack(false, true, nfields, epoch), Ordering::Release);
-                seg.live[w].fetch_or(bit, Ordering::Release);
-            }
-        }
+        slot.header
+            .store(pack(fa, true, nfields, epoch), Ordering::Release);
         Ok(Gc::new(idx, epoch))
     }
 
@@ -565,19 +318,7 @@ impl Heap {
         let epoch = hdr_epoch(h).wrapping_add(1);
         slot.header
             .store(pack(false, false, 0, epoch), Ordering::Release);
-        match &self.layout {
-            LayoutData::Slab { free } => free.lock().push(idx),
-            LayoutData::Segmented(sp) => {
-                // Clear live before busy: a harvester claims a slot only
-                // once its busy bit drops, by which point the freed
-                // header store above is visible through the release
-                // sequence on the busy word.
-                let (s, w, bit) = sp.locate(idx);
-                sp.segments[s].live[w].fetch_and(!bit, Ordering::AcqRel);
-                sp.segments[s].busy[w].fetch_and(!bit, Ordering::Release);
-                push_free_segment(sp, s);
-            }
-        }
+        self.free.0.lock().push(idx);
     }
 
     /// Number of fields of the object at `g`.
@@ -590,15 +331,7 @@ impl Heap {
     /// unsynchronised load).
     pub(crate) fn flag_equals(&self, g: Gc, sense: bool) -> bool {
         self.check(g);
-        match &self.layout {
-            LayoutData::Slab { .. } => {
-                hdr_flag(self.slot(g).header.load(Ordering::Relaxed)) == sense
-            }
-            LayoutData::Segmented(sp) => {
-                let (s, w, bit) = sp.locate(g.index());
-                (sp.segments[s].marks[w].load(Ordering::Relaxed) & bit != 0) == sense
-            }
-        }
+        hdr_flag(self.slot(g).header.load(Ordering::Relaxed)) == sense
     }
 
     /// The marking CAS (Figure 5 lines 5–11): try to take the flag from
@@ -611,59 +344,23 @@ impl Heap {
         if !hdr_alloc(h) || hdr_epoch(h) != g.epoch() {
             return MarkOutcome::Lost; // freed under us (unsafe ablations only)
         }
-        match &self.layout {
-            LayoutData::Slab { .. } => {
-                if hdr_flag(h) == fm {
-                    return MarkOutcome::AlreadyMarked;
-                }
-                let marked = (h & !FLAG_BIT) | u64::from(fm);
-                if cas {
-                    match slot.header.compare_exchange(
-                        h,
-                        marked,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    ) {
-                        Ok(_) => MarkOutcome::Won,
-                        Err(_) => MarkOutcome::Lost, // some other thread marked it
-                    }
-                } else {
-                    // Ablation: racy read-modify-write; concurrent markers can
-                    // both observe unmarked and both claim the win.
-                    slot.header.store(marked, Ordering::Relaxed);
-                    MarkOutcome::Won
-                }
+        if hdr_flag(h) == fm {
+            return MarkOutcome::AlreadyMarked;
+        }
+        let marked = (h & !FLAG_BIT) | u64::from(fm);
+        if cas {
+            match slot
+                .header
+                .compare_exchange(h, marked, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => MarkOutcome::Won,
+                Err(_) => MarkOutcome::Lost, // some other thread marked it
             }
-            LayoutData::Segmented(sp) => {
-                // Same CAS contract on a bitmap word: exactly one thread
-                // transitions the bit, and only bit-level (not word-level)
-                // interference decides the race — a CAS that fails because
-                // a *different* bit changed just retries.
-                let (s, w, bit) = sp.locate(g.index());
-                let word = &sp.segments[s].marks[w];
-                let mut cur = word.load(Ordering::SeqCst);
-                if (cur & bit != 0) == fm {
-                    return MarkOutcome::AlreadyMarked;
-                }
-                if !cas {
-                    // Ablation: racy read-modify-write, as above.
-                    let marked = if fm { cur | bit } else { cur & !bit };
-                    word.store(marked, Ordering::Relaxed);
-                    return MarkOutcome::Won;
-                }
-                loop {
-                    let marked = if fm { cur | bit } else { cur & !bit };
-                    match word.compare_exchange(cur, marked, Ordering::SeqCst, Ordering::SeqCst) {
-                        Ok(_) => return MarkOutcome::Won,
-                        Err(actual) => {
-                            if (actual & bit != 0) == fm {
-                                return MarkOutcome::Lost; // some other thread marked it
-                            }
-                            cur = actual; // neighbouring bit changed; retry
-                        }
-                    }
-                }
-            }
+        } else {
+            // Ablation: racy read-modify-write; concurrent markers can
+            // both observe unmarked and both claim the win.
+            slot.header.store(marked, Ordering::Relaxed);
+            MarkOutcome::Won
         }
     }
 
@@ -671,7 +368,7 @@ impl Heap {
     pub(crate) fn load_field(&self, g: Gc, field: usize) -> Option<Gc> {
         self.check(g);
         assert!(field < self.nfields(g), "field {field} out of bounds");
-        Gc::decode(self.slot(g).fields[field].load(Ordering::Acquire))
+        Gc::decode(self.fields(g.index())[field].load(Ordering::Acquire))
     }
 
     /// Stores a reference field (the bare store of Figure 6 line 11; the
@@ -679,7 +376,7 @@ impl Heap {
     pub(crate) fn store_field(&self, g: Gc, field: usize, value: Option<Gc>) {
         self.check(g);
         assert!(field < self.nfields(g), "field {field} out of bounds");
-        self.slot(g).fields[field].store(Gc::encode(value), Ordering::Release);
+        self.fields(g.index())[field].store(Gc::encode(value), Ordering::Release);
     }
 
     /// The intrusive work-list link of `g`.
@@ -703,547 +400,66 @@ impl Heap {
     /// f_M`) so the only concurrent header writers are allocations, which
     /// paint the same colour.
     pub(crate) fn normalize_marks(&self, fm: bool) -> usize {
-        match &self.layout {
-            LayoutData::Slab { .. } => {
-                let mut repainted = 0;
-                for slot in self.slots.iter() {
-                    let h = slot.header.load(Ordering::Acquire);
-                    if hdr_alloc(h) && hdr_flag(h) != fm {
-                        slot.header
-                            .store((h & !FLAG_BIT) | u64::from(fm), Ordering::Release);
-                        repainted += 1;
-                    }
-                }
-                repainted
-            }
-            LayoutData::Segmented(sp) => {
-                // Word-parallel repaint. The atomic fetch ops (rather
-                // than load-then-store) matter: a concurrent allocation
-                // CASes its own mark bit between our load and store,
-                // and a blind store would erase it — turning a live
-                // object "already marked" at the next flip and
-                // truncating the trace above it. fetch_or/fetch_and
-                // only touch the bits in `live_w`, and any slot
-                // published after we load `live` set its own mark bit
-                // to the same colour (`f_A == f_M` under handshake
-                // cover).
-                let mut repainted = 0usize;
-                for seg in sp.segments.iter() {
-                    for w in 0..sp.words() {
-                        let live_w = seg.live[w].load(Ordering::Acquire);
-                        if live_w == 0 {
-                            continue;
-                        }
-                        let old = if fm {
-                            seg.marks[w].fetch_or(live_w, Ordering::SeqCst)
-                        } else {
-                            seg.marks[w].fetch_and(!live_w, Ordering::SeqCst)
-                        };
-                        let changed = if fm { live_w & !old } else { live_w & old };
-                        repainted += changed.count_ones() as usize;
-                    }
-                }
-                repainted
+        let mut repainted = 0;
+        for slot in self.slots.iter() {
+            let h = slot.header.load(Ordering::Acquire);
+            if hdr_alloc(h) && hdr_flag(h) != fm {
+                slot.header
+                    .store((h & !FLAG_BIT) | u64::from(fm), Ordering::Release);
+                repainted += 1;
             }
         }
+        repainted
     }
 
     /// Sweep support: the header view of slot `idx` as
     /// `(allocated, flag, epoch)`.
     pub(crate) fn slot_status(&self, idx: u32) -> (bool, bool, u32) {
         let h = self.slots[idx as usize].header.load(Ordering::Acquire);
-        let flag = match &self.layout {
-            LayoutData::Slab { .. } => hdr_flag(h),
-            LayoutData::Segmented(sp) => {
-                let (s, w, bit) = sp.locate(idx);
-                sp.segments[s].marks[w].load(Ordering::Acquire) & bit != 0
-            }
-        };
-        (hdr_alloc(h), flag, hdr_epoch(h))
+        (hdr_alloc(h), hdr_flag(h), hdr_epoch(h))
     }
 
-    /// Number of live objects — O(capacity) on the slab,
-    /// O(capacity / 64) on the segmented layout.
-    ///
-    /// On the segmented layout this is the *logical* live count: objects
-    /// condemned by the published verdict but not yet lazily swept are
-    /// excluded, so the number agrees with the slab's eager sweep at the
-    /// same point in the cycle.
+    /// Number of live objects — O(capacity).
     pub(crate) fn live(&self) -> usize {
-        match &self.layout {
-            LayoutData::Slab { .. } => (0..self.capacity() as u32)
-                .filter(|&i| self.slot_status(i).0)
-                .count(),
-            LayoutData::Segmented(sp) => {
-                let gen = sp.sweep_gen.load(Ordering::Acquire);
-                let sense = sp.sweep_sense.load(Ordering::Acquire);
-                let mut n = 0usize;
-                for seg in sp.segments.iter() {
-                    let pending = seg.swept_gen.load(Ordering::Acquire) != gen;
-                    for w in 0..sp.words() {
-                        let live_w = seg.live[w].load(Ordering::Acquire);
-                        let counted = if pending {
-                            let marks_w = seg.marks[w].load(Ordering::Acquire);
-                            live_w & if sense { marks_w } else { !marks_w }
-                        } else {
-                            live_w
-                        };
-                        n += counted.count_ones() as usize;
-                    }
-                }
-                n
-            }
-        }
+        (0..self.capacity() as u32)
+            .filter(|&i| self.slot_status(i).0)
+            .count()
     }
 
     /// Fraction of the heap's slots unavailable for allocation, in
-    /// `[0.0, 1.0]` — the admission-control and pacing signal.
-    ///
-    /// "Unavailable" means not claimable by an allocator right now or
-    /// after applying the already-published sweep verdict: live objects
-    /// and pool/TLAB-reserved slots count; condemned-but-not-yet-lazily-
-    /// swept garbage does *not* (it is one `refill_tlab` away from being
-    /// claimable, and counting it would make the pacer chase occupancy
-    /// that a cycle already resolved). Slab: O(1) from the free-list
-    /// length. Segmented: one O(capacity / 64) popcount pass.
+    /// `[0.0, 1.0]` — the admission-control and pacing signal. Live
+    /// objects and pool-reserved slots both count. O(1) from the
+    /// free-list length.
     pub(crate) fn occupancy(&self) -> f64 {
         let cap = self.capacity();
         if cap == 0 {
             return 1.0;
         }
-        let available = match &self.layout {
-            LayoutData::Slab { free } => free.lock().len(),
-            LayoutData::Segmented(sp) => {
-                let gen = sp.sweep_gen.load(Ordering::Acquire);
-                let sense = sp.sweep_sense.load(Ordering::Acquire);
-                let mut n = 0usize;
-                for seg in sp.segments.iter() {
-                    let pending = seg.swept_gen.load(Ordering::Acquire) != gen;
-                    for w in 0..sp.words() {
-                        let busy_w = seg.busy[w].load(Ordering::Acquire);
-                        let mut avail = !busy_w & sp.word_mask(w);
-                        if pending {
-                            // Condemned by the published verdict: counts
-                            // as available even though still busy.
-                            let live_w = seg.live[w].load(Ordering::Acquire);
-                            let marks_w = seg.marks[w].load(Ordering::Acquire);
-                            avail |= live_w & if sense { !marks_w } else { marks_w };
-                        }
-                        n += avail.count_ones() as usize;
-                    }
-                }
-                n
-            }
-        };
-        1.0 - available as f64 / cap as f64
+        1.0 - self.free.0.lock().len() as f64 / cap as f64
     }
 
-    /// A gauge snapshot of the segmented layout for tracing: per-segment
-    /// unavailable-slot counts (the same availability rule as
-    /// [`occupancy`](Heap::occupancy), so a condemned-but-unswept slot
-    /// reads as free) plus the free-segment-stack depth. `None` on the
-    /// slab layout, whose single occupancy counter already tells the
-    /// whole story. Racy by design — each word is read atomically but
-    /// the snapshot is not a consistent cut, which is fine for a gauge.
-    pub(crate) fn segment_gauges(&self) -> Option<SegmentGauges> {
-        let LayoutData::Segmented(sp) = &self.layout else {
-            return None;
-        };
-        let gen = sp.sweep_gen.load(Ordering::Acquire);
-        let sense = sp.sweep_sense.load(Ordering::Acquire);
-        let mut busy = Vec::with_capacity(sp.segments.len());
-        let mut free_depth = 0u32;
-        for seg in sp.segments.iter() {
-            if seg.on_stack.load(Ordering::Acquire) {
-                free_depth += 1;
-            }
-            let pending = seg.swept_gen.load(Ordering::Acquire) != gen;
-            let mut n = 0u32;
-            for w in 0..sp.words() {
-                let busy_w = seg.busy[w].load(Ordering::Acquire);
-                let mut unavailable = busy_w & sp.word_mask(w);
-                if pending {
-                    let live_w = seg.live[w].load(Ordering::Acquire);
-                    let marks_w = seg.marks[w].load(Ordering::Acquire);
-                    unavailable &= !(live_w & if sense { !marks_w } else { marks_w });
-                }
-                n += unavailable.count_ones();
-            }
-            busy.push(n);
-        }
-        Some(SegmentGauges {
-            busy,
-            free_depth,
-            segment_slots: sp.segment_slots as u32,
-        })
-    }
-
-    /// A snapshot of the global free list (integrity checking only — races
-    /// with concurrent allocation, so callers must quiesce first). Empty
-    /// on the segmented layout, whose free state lives in the bitmaps
-    /// (see [`debug_verify`](Heap::debug_verify)).
-    pub(crate) fn free_snapshot(&self) -> Vec<u32> {
-        match &self.layout {
-            LayoutData::Slab { free } => free.lock().clone(),
-            LayoutData::Segmented(_) => Vec::new(),
-        }
-    }
-}
-
-/// Segmented-layout operations: TLAB refill, lazy sweep, verdict
-/// publication. All panic (via `segspace`) on a slab heap except
-/// `complete_pending_sweeps` and `release_reserved`, which no-op.
-impl Heap {
-    /// Refills a mutator's TLAB with up to `want` reserved slots,
-    /// updating `cur_seg` (the mutator's current segment, `NO_SEG` for
-    /// none). In order: harvest free bits from the current segment, pop
-    /// the lock-free free-segment stack, then fall back to a full
-    /// segment scan — lazily sweeping any pending segment encountered.
-    /// An empty result means the heap is genuinely out of unreserved
-    /// slots ([`AllocError::HeapFull`]).
-    pub(crate) fn refill_tlab(&self, cur_seg: &mut u32, want: usize) -> (Vec<u32>, RefillInfo) {
-        let sp = self.segspace();
-        let mut info = RefillInfo::default();
-        let mut got = Vec::with_capacity(want);
-        if *cur_seg != NO_SEG {
-            let s = *cur_seg as usize;
-            if let Some(freed) = self.lazy_sweep_segment(s) {
-                info.swept.push((s as u32, freed));
-            }
-            self.harvest(s, want, &mut got);
-            if got.len() >= want {
-                return (got, info);
-            }
-        }
-        while got.len() < want {
-            let Some(s) = pop_free_segment(sp) else {
-                break;
-            };
-            if let Some(freed) = self.lazy_sweep_segment(s) {
-                info.swept.push((s as u32, freed));
-            }
-            let before = got.len();
-            self.harvest(s, want, &mut got);
-            if got.len() > before {
-                *cur_seg = s as u32;
-                info.claimed_segment = Some(s as u32);
-            }
-            // A popped segment that yielded nothing (or was drained
-            // completely just now) stays off the stack until a sweep or
-            // release gives it free space again.
-        }
-        if got.len() >= want {
-            return (got, info);
-        }
-        // Completeness backstop: scan every segment, sweeping pending
-        // verdicts as we go. Only after this comes up dry is the heap
-        // truly full.
-        let nsegs = sp.segments.len();
-        let start = if *cur_seg == NO_SEG {
-            0
-        } else {
-            (*cur_seg as usize + 1) % nsegs
-        };
-        for off in 0..nsegs {
-            if got.len() >= want {
-                break;
-            }
-            let s = (start + off) % nsegs;
-            if let Some(freed) = self.lazy_sweep_segment(s) {
-                info.swept.push((s as u32, freed));
-            }
-            let before = got.len();
-            self.harvest(s, want, &mut got);
-            if got.len() > before {
-                *cur_seg = s as u32;
-                info.claimed_segment = Some(s as u32);
-            }
-        }
-        if got.is_empty() {
-            *cur_seg = NO_SEG;
-        }
-        (got, info)
-    }
-
-    /// Claims up to `want - out.len()` free slots from segment `s` by
-    /// CASing their busy bits on, appending the claimed indices to
-    /// `out`.
-    fn harvest(&self, s: usize, want: usize, out: &mut Vec<u32>) {
-        let sp = self.segspace();
-        let seg = &sp.segments[s];
-        for w in 0..sp.words() {
-            let valid = sp.word_mask(w);
-            'word: loop {
-                let need = want - out.len();
-                if need == 0 {
-                    return;
-                }
-                let busy = seg.busy[w].load(Ordering::Acquire);
-                let avail = !busy & valid;
-                if avail == 0 {
-                    break 'word;
-                }
-                // Take the lowest `need` available bits.
-                let mut claim = 0u64;
-                let mut rest = avail;
-                for _ in 0..need {
-                    if rest == 0 {
-                        break;
-                    }
-                    let lowest = rest & rest.wrapping_neg();
-                    claim |= lowest;
-                    rest &= !lowest;
-                }
-                if seg.busy[w]
-                    .compare_exchange(busy, busy | claim, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    continue 'word; // another claimant touched the word
-                }
-                let base = (s * sp.segment_slots + w * 64) as u32;
-                while claim != 0 {
-                    out.push(base + claim.trailing_zeros());
-                    claim &= claim - 1;
-                }
-            }
-        }
-    }
-
-    /// Returns reserved-but-unused TLAB slots (mutator deregistration),
-    /// re-advertising their segments on the free stack.
-    pub(crate) fn release_reserved(&self, slots: &[u32]) {
-        let LayoutData::Segmented(sp) = &self.layout else {
-            debug_assert!(slots.is_empty(), "slab pool released as a TLAB");
-            return;
-        };
-        let mut touched = Vec::new();
-        for &idx in slots {
-            let (s, w, bit) = sp.locate(idx);
-            debug_assert_eq!(
-                sp.segments[s].live[w].load(Ordering::Acquire) & bit,
-                0,
-                "releasing a published slot"
-            );
-            sp.segments[s].busy[w].fetch_and(!bit, Ordering::Release);
-            if touched.last() != Some(&s) {
-                touched.push(s);
-            }
-        }
-        touched.dedup();
-        for s in touched {
-            push_free_segment(sp, s);
-        }
-    }
-
-    /// Applies the published garbage verdict to segment `s` if it is
-    /// still pending, freeing condemned slots. Returns `None` when
-    /// nothing was pending (or another thread claimed the sweep), else
-    /// the number of objects freed by *this* call.
-    ///
-    /// The generation CAS makes the sweeper unique per (segment,
-    /// generation); the handshake structure guarantees the sweep
-    /// finishes before the next verdict is published (a mutator inside
-    /// a refill cannot acknowledge handshakes, and the collector
-    /// publishes only after several of them).
-    fn lazy_sweep_segment(&self, s: usize) -> Option<u32> {
-        let sp = self.segspace();
-        let seg = &sp.segments[s];
-        let gen = sp.sweep_gen.load(Ordering::Acquire);
-        let prev = seg.swept_gen.load(Ordering::Acquire);
-        if prev == gen
-            || seg
-                .swept_gen
-                .compare_exchange(prev, gen, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-        {
-            return None;
-        }
-        let sense = sp.sweep_sense.load(Ordering::Acquire);
-        let mut freed = 0u32;
-        for w in 0..sp.words() {
-            // Live first, then marks: the allocation path sets the mark
-            // bit before the live bit, so any slot whose live bit we
-            // observe has its mark bit in place.
-            let live_w = seg.live[w].load(Ordering::Acquire);
-            let marks_w = seg.marks[w].load(Ordering::Acquire);
-            let garbage = live_w & if sense { !marks_w } else { marks_w };
-            if garbage == 0 {
-                continue;
-            }
-            let base = s * sp.segment_slots + w * 64;
-            let mut g = garbage;
-            while g != 0 {
-                let b = g.trailing_zeros() as usize;
-                g &= g - 1;
-                let slot = &self.slots[base + b];
-                let h = slot.header.load(Ordering::Acquire);
-                debug_assert!(hdr_alloc(h), "sweeping an unallocated slot");
-                slot.header.store(
-                    pack(false, false, 0, hdr_epoch(h).wrapping_add(1)),
-                    Ordering::Release,
-                );
-                freed += 1;
-            }
-            seg.live[w].fetch_and(!garbage, Ordering::AcqRel);
-            seg.busy[w].fetch_and(!garbage, Ordering::Release);
-        }
-        Some(freed)
-    }
-
-    /// Whether segment `s` currently has unreserved slots.
-    fn segment_has_free(&self, s: usize) -> bool {
-        let sp = self.segspace();
-        let seg = &sp.segments[s];
-        (0..sp.words()).any(|w| !seg.busy[w].load(Ordering::Acquire) & sp.word_mask(w) != 0)
-    }
-
-    /// Collector mop-up, run at the start of every cycle before the
-    /// sense flips: applies the outstanding verdict to every pending
-    /// segment and re-advertises segments with free space. This is what
-    /// upholds the at-most-one-outstanding-verdict invariant the whole
-    /// lazy-sweep scheme rests on. Returns `(segments swept, objects
-    /// freed)`. No-op on the slab layout.
-    pub(crate) fn complete_pending_sweeps(&self) -> (usize, usize) {
-        let LayoutData::Segmented(sp) = &self.layout else {
-            return (0, 0);
-        };
-        let mut segs = 0usize;
-        let mut freed = 0usize;
-        for s in 0..sp.segments.len() {
-            if let Some(f) = self.lazy_sweep_segment(s) {
-                segs += 1;
-                freed += f as usize;
-            }
-            if self.segment_has_free(s) {
-                push_free_segment(sp, s);
-            }
-        }
-        (segs, freed)
-    }
-
-    /// Publishes this cycle's garbage verdict (end of the Mark phase,
-    /// `f_M == fm`): objects whose mark bit differs from `fm` are
-    /// condemned. O(capacity / 64) — one popcount pass — instead of the
-    /// slab's O(capacity) free-slot loop; the actual freeing happens
-    /// lazily. Returns the exact number of condemned objects (exact
-    /// because the mop-up guaranteed no older verdict was pending, and
-    /// concurrent allocations are born marked in the current sense).
-    pub(crate) fn publish_sweep(&self, fm: bool) -> usize {
-        let sp = self.segspace();
-        let gen = sp.sweep_gen.load(Ordering::Acquire);
-        let mut condemned = 0usize;
-        let mut advertise = Vec::new();
-        for (s, seg) in sp.segments.iter().enumerate() {
-            debug_assert_eq!(
-                seg.swept_gen.load(Ordering::Acquire),
-                gen,
-                "publishing over a pending verdict (mop-up missed segment {s})"
-            );
-            let mut has_space = false;
-            for w in 0..sp.words() {
-                let live_w = seg.live[w].load(Ordering::Acquire);
-                let marks_w = seg.marks[w].load(Ordering::Acquire);
-                let garbage = live_w & if fm { !marks_w } else { marks_w };
-                condemned += garbage.count_ones() as usize;
-                if garbage != 0 || !seg.busy[w].load(Ordering::Acquire) & sp.word_mask(w) != 0 {
-                    has_space = true;
-                }
-            }
-            if has_space {
-                advertise.push(s);
-            }
-        }
-        // Sense before generation: a reader that acquires the new
-        // generation is guaranteed to read the matching sense.
-        sp.sweep_sense.store(fm, Ordering::Release);
-        sp.sweep_gen.fetch_add(1, Ordering::Release);
-        // Advertise after the bump so poppers apply the fresh verdict.
-        for s in advertise {
-            push_free_segment(sp, s);
-        }
-        condemned
-    }
-
-    /// Structural integrity check (both layouts). The caller must have
-    /// quiesced the heap (collector idle, mutators at safepoints).
+    /// Structural integrity check: the free list holds unique, in-bounds,
+    /// unallocated slots and live + free never exceeds capacity. The
+    /// caller must have quiesced the heap (collector idle, mutators at
+    /// safepoints).
     pub(crate) fn debug_verify(&self) -> Result<(), String> {
-        match &self.layout {
-            LayoutData::Slab { .. } => {
-                let free = self.free_snapshot();
-                let mut seen = std::collections::HashSet::new();
-                for &idx in &free {
-                    if idx as usize >= self.capacity() {
-                        return Err(format!("free-list entry {idx} out of bounds"));
-                    }
-                    if !seen.insert(idx) {
-                        return Err(format!("free-list entry {idx} duplicated"));
-                    }
-                    if self.slot_status(idx).0 {
-                        return Err(format!("free-list entry {idx} is allocated"));
-                    }
-                }
-                if self.live() + free.len() > self.capacity() {
-                    return Err("live + free exceeds capacity".into());
-                }
-                Ok(())
+        let free = self.free.0.lock().clone();
+        let mut seen = std::collections::HashSet::new();
+        for &idx in &free {
+            if idx as usize >= self.capacity() {
+                return Err(format!("free-list entry {idx} out of bounds"));
             }
-            LayoutData::Segmented(sp) => {
-                for (s, seg) in sp.segments.iter().enumerate() {
-                    for w in 0..sp.words() {
-                        let valid = sp.word_mask(w);
-                        let live_w = seg.live[w].load(Ordering::Acquire);
-                        let busy_w = seg.busy[w].load(Ordering::Acquire);
-                        let marks_w = seg.marks[w].load(Ordering::Acquire);
-                        if live_w & !valid != 0 || busy_w & !valid != 0 || marks_w & !valid != 0 {
-                            return Err(format!("segment {s} word {w}: bits beyond capacity"));
-                        }
-                        if live_w & !busy_w != 0 {
-                            return Err(format!("segment {s} word {w}: live bit without busy bit"));
-                        }
-                        let base = s * sp.segment_slots + w * 64;
-                        for b in 0..64usize {
-                            let bit = 1u64 << b;
-                            if bit & valid == 0 {
-                                break;
-                            }
-                            let alloc = self.slot_status((base + b) as u32).0;
-                            if alloc != (live_w & bit != 0) {
-                                return Err(format!(
-                                    "slot {}: header allocated={} but live bit={}",
-                                    base + b,
-                                    alloc,
-                                    live_w & bit != 0
-                                ));
-                            }
-                        }
-                    }
-                }
-                // Walk the free stack: in-bounds, acyclic, flags agree.
-                let nsegs = sp.segments.len();
-                let mut visited = vec![false; nsegs];
-                let mut cursor = sp.free_head.load(Ordering::Acquire) as u32;
-                let mut steps = 0usize;
-                while cursor != 0 {
-                    let s = (cursor - 1) as usize;
-                    if s >= nsegs {
-                        return Err(format!("free-stack entry {s} out of bounds"));
-                    }
-                    if visited[s] {
-                        return Err(format!("free-stack cycle through segment {s}"));
-                    }
-                    visited[s] = true;
-                    if !sp.segments[s].on_stack.load(Ordering::Acquire) {
-                        return Err(format!("segment {s} on the stack without its flag"));
-                    }
-                    cursor = sp.segments[s].next_free.load(Ordering::Acquire);
-                    steps += 1;
-                    if steps > nsegs {
-                        return Err("free-stack longer than the segment count".into());
-                    }
-                }
-                Ok(())
+            if !seen.insert(idx) {
+                return Err(format!("free-list entry {idx} duplicated"));
+            }
+            if self.slot_status(idx).0 {
+                return Err(format!("free-list entry {idx} is allocated"));
             }
         }
+        if self.live() + free.len() > self.capacity() {
+            return Err("live + free exceeds capacity".into());
+        }
+        Ok(())
     }
 }
 
@@ -1252,7 +468,7 @@ mod tests {
     use super::*;
 
     fn heap() -> Heap {
-        Heap::new(4, 2, true, HeapLayout::Slab)
+        Heap::new(4, 2, true)
     }
 
     #[test]
@@ -1362,165 +578,9 @@ mod tests {
         assert_eq!(h.live(), 1);
     }
 
-    // ---- segmented layout ----
-
-    fn seg_heap(capacity: usize, segment_slots: usize) -> Heap {
-        Heap::new(
-            capacity,
-            2,
-            true,
-            HeapLayout::Segmented {
-                segment_slots,
-                tlab_slots: segment_slots.min(4),
-            },
-        )
-    }
-
     #[test]
-    fn segmented_alloc_mark_and_free_round_trip() {
-        let h = seg_heap(16, 8);
-        let a = h.alloc(2, false).unwrap();
-        assert_eq!(h.nfields(a), 2);
-        assert_eq!(h.load_field(a, 0), None);
-        assert!(h.flag_equals(a, false));
-        assert_eq!(h.try_mark(a, true, true), MarkOutcome::Won);
-        assert_eq!(h.try_mark(a, true, true), MarkOutcome::AlreadyMarked);
-        assert!(h.flag_equals(a, true));
-        // Sense flip makes it unmarked again without a write.
-        assert_eq!(h.try_mark(a, false, true), MarkOutcome::Won);
-        h.free_slot(a.index());
-        let b = h.alloc(1, true).unwrap();
-        assert_eq!(b.index(), a.index());
-        assert_eq!(b.epoch(), a.epoch() + 1);
-        assert!(h.flag_equals(b, true));
-        h.debug_verify().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "use after free")]
-    fn segmented_stale_handle_trips_validation() {
-        let h = seg_heap(16, 8);
-        let a = h.alloc(1, false).unwrap();
-        h.free_slot(a.index());
-        let _ = h.load_field(a, 0);
-    }
-
-    #[test]
-    fn refill_claims_segments_and_reserves_slots() {
-        let h = seg_heap(16, 8);
-        let mut cur = NO_SEG;
-        let (got, info) = h.refill_tlab(&mut cur, 4);
-        assert_eq!(got.len(), 4);
-        assert_eq!(cur, 0, "low segments hand out first");
-        assert_eq!(info.claimed_segment, Some(0));
-        // Reserved slots publish without touching shared state again.
-        let g = h.alloc_from(got[0], 1, true).unwrap();
-        assert!(h.flag_equals(g, true));
-        // A second mutator refilling gets disjoint slots.
-        let mut cur2 = NO_SEG;
-        let (got2, _) = h.refill_tlab(&mut cur2, 16);
-        assert_eq!(got2.len(), 12, "4 reserved slots are unavailable");
-        assert!(got.iter().all(|i| !got2.contains(i)));
-        // Releasing unused reservations makes them claimable again.
-        h.release_reserved(&got[1..]);
-        h.release_reserved(&got2);
-        let mut cur3 = NO_SEG;
-        let (got3, _) = h.refill_tlab(&mut cur3, 16);
-        assert_eq!(got3.len(), 15, "all but the published slot");
-        h.release_reserved(&got3);
-        h.debug_verify().unwrap();
-    }
-
-    #[test]
-    fn lazy_sweep_reclaims_published_garbage_on_demand() {
-        let h = seg_heap(16, 8);
-        // Fill the heap; mark only even-indexed objects in sense `true`.
-        let objs: Vec<Gc> = (0..16).map(|_| h.alloc(0, false).unwrap()).collect();
-        for g in objs.iter().step_by(2) {
-            assert_eq!(h.try_mark(*g, true, true), MarkOutcome::Won);
-        }
-        assert_eq!(h.alloc(0, false), Err(AllocError::HeapFull));
-        // Publish the verdict: 8 unmarked objects condemned, none freed
-        // yet (live() is already the logical count).
-        assert_eq!(h.publish_sweep(true), 8);
-        assert_eq!(h.live(), 8);
-        // An allocating mutator reclaims lazily.
-        let mut cur = NO_SEG;
-        let (got, info) = h.refill_tlab(&mut cur, 8);
-        assert_eq!(got.len(), 8);
-        let swept_total: u32 = info.swept.iter().map(|&(_, f)| f).sum();
-        assert!(swept_total >= 4, "refill swept at least one segment");
-        // The condemned objects' epochs were bumped.
-        let (alloc, _, epoch) = h.slot_status(objs[1].index());
-        assert!(!alloc || epoch == objs[1].epoch()); // freed or untouched
-        h.release_reserved(&got);
-        h.complete_pending_sweeps();
-        assert_eq!(h.live(), 8);
-        h.debug_verify().unwrap();
-    }
-
-    #[test]
-    fn mop_up_applies_the_outstanding_verdict_everywhere() {
-        let h = seg_heap(16, 8);
-        let objs: Vec<Gc> = (0..16).map(|_| h.alloc(0, false).unwrap()).collect();
-        assert_eq!(h.publish_sweep(true), 16, "nothing marked: all condemned");
-        let (segs, freed) = h.complete_pending_sweeps();
-        assert_eq!((segs, freed), (2, 16));
-        assert_eq!(h.live(), 0);
-        // Second mop-up is a no-op.
-        assert_eq!(h.complete_pending_sweeps(), (0, 0));
-        // All slots allocate again, with bumped epochs.
-        let fresh: Vec<Gc> = (0..16).map(|_| h.alloc(0, false).unwrap()).collect();
-        assert!(fresh.iter().any(|f| objs
-            .iter()
-            .any(|o| { o.index() == f.index() && f.epoch() == o.epoch() + 1 })));
-        h.debug_verify().unwrap();
-    }
-
-    #[test]
-    fn free_stack_recycles_emptied_segments() {
-        let h = seg_heap(16, 4); // 4 segments
-        let mut cur = NO_SEG;
-        // Drain the free stack completely.
-        let (got, _) = h.refill_tlab(&mut cur, 16);
-        assert_eq!(got.len(), 16);
-        let mut cur2 = NO_SEG;
-        let (none, _) = h.refill_tlab(&mut cur2, 1);
-        assert!(none.is_empty(), "heap fully reserved");
-        // Releasing re-advertises segments on the stack.
-        h.release_reserved(&got);
-        let mut cur3 = NO_SEG;
-        let (again, info) = h.refill_tlab(&mut cur3, 4);
-        assert_eq!(again.len(), 4);
-        assert!(info.claimed_segment.is_some());
-        h.release_reserved(&again);
-        h.debug_verify().unwrap();
-    }
-
-    #[test]
-    fn alternating_senses_never_resurrect_garbage() {
-        let h = seg_heap(8, 8);
-        // Cycle 1 (sense true): one survivor, one garbage.
-        let keep = h.alloc(0, false).unwrap();
-        let drop_ = h.alloc(0, false).unwrap();
-        assert_eq!(h.try_mark(keep, true, true), MarkOutcome::Won);
-        assert_eq!(h.publish_sweep(true), 1);
-        // Mop-up before the next cycle (the collector's invariant).
-        assert_eq!(h.complete_pending_sweeps(), (1, 1));
-        let (alloc, _, _) = h.slot_status(drop_.index());
-        assert!(!alloc, "garbage freed");
-        // Cycle 2 (sense false): the survivor is unmarked again; mark it.
-        assert!(h.flag_equals(keep, true));
-        assert_eq!(h.try_mark(keep, false, true), MarkOutcome::Won);
-        assert_eq!(h.publish_sweep(false), 0);
-        assert_eq!(h.complete_pending_sweeps().1, 0);
-        assert_eq!(h.live(), 1);
-        h.debug_verify().unwrap();
-    }
-
-    #[test]
-    fn occupancy_tracks_allocation_both_layouts() {
-        let h = heap(); // slab, capacity 4
+    fn occupancy_tracks_allocation_and_pools() {
+        let h = heap(); // capacity 4
         assert_eq!(h.occupancy(), 0.0);
         let a = h.alloc(0, false).unwrap();
         let _b = h.alloc(0, false).unwrap();
@@ -1531,18 +591,8 @@ mod tests {
         let pool = h.grab_pool(2);
         assert!((h.occupancy() - 0.75).abs() < 1e-9);
         h.return_pool(pool);
-
-        let s = seg_heap(16, 8);
-        assert_eq!(s.occupancy(), 0.0);
-        let objs: Vec<Gc> = (0..8).map(|_| s.alloc(0, false).unwrap()).collect();
-        assert!((s.occupancy() - 0.5).abs() < 1e-9);
-        // A published verdict condemning everything drops occupancy to 0
-        // even before any lazy sweep runs: the slots are reclaimable.
-        let _ = objs;
-        assert_eq!(s.publish_sweep(true), 8);
-        assert_eq!(s.occupancy(), 0.0);
-        s.complete_pending_sweeps();
-        assert_eq!(s.occupancy(), 0.0);
+        assert!((h.occupancy() - 0.25).abs() < 1e-9);
+        h.debug_verify().unwrap();
     }
 
     #[test]

@@ -45,13 +45,10 @@
 //! fault-injection engine ([`FaultPlan`], module [`chaos`]) drives all of
 //! it in tests and the `torture` harness.
 //!
-//! The heap itself comes in two interchangeable layouts behind one
-//! allocation API ([`HeapLayout`], chosen with [`GcConfig::builder`]):
-//! the verified model's slot **slab** with a global free list, and a
-//! **segmented** heap — per-mutator TLABs refilled from a lock-free
-//! segment stack, per-segment side mark bitmaps, and a lazy sweep that
-//! takes segment reclamation off the collector's critical path. The
-//! barriers, marking CAS, and handshake protocol are identical in both.
+//! The heap is the verified model's: one slot array with a global free
+//! list, swept eagerly by the collector. The §4 extension — per-mutator
+//! pools of reserved slots that allocate without synchronising — is one
+//! setting away ([`GcConfig::alloc_pool`]).
 //!
 //! # Quickstart
 //!
@@ -59,7 +56,7 @@
 //! use otf_gc::{Collector, GcConfig};
 //!
 //! // `GcConfig::builder()` is the supported way to configure the
-//! // runtime; see `HeapLayout` for the segmented heap.
+//! // runtime.
 //! let collector = Collector::new(GcConfig::builder().capacity(1024).max_fields(2).build());
 //! let mut m = collector.register_mutator();
 //!

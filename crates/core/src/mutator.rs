@@ -8,9 +8,8 @@ use std::time::Instant;
 
 use crate::chaos::{ChaosSite, STORM_YIELDS};
 use crate::collector::{MutId, MutatorShared, Shared};
-use crate::config::HeapLayout;
 use crate::handle::Gc;
-use crate::heap::{AllocError, Phase, NO_SEG};
+use crate::heap::{AllocError, Phase};
 use crate::sync::Backoff;
 use crate::worklist::LocalList;
 
@@ -48,12 +47,8 @@ pub struct Mutator {
     /// Chaos: stay silent (beat but never acknowledge) until the handshake
     /// generation reaches this value. `0` = not silenced.
     silent_until_gen: u32,
-    /// Reserved free slots: the §4 allocation pool on the slab layout,
-    /// or the TLAB on the segmented layout.
+    /// Reserved free slots: the §4 allocation pool.
     pool: Vec<u32>,
-    /// Segmented layout: the segment this mutator's TLAB last harvested
-    /// from ([`NO_SEG`] before the first refill). Unused on the slab.
-    cur_seg: u32,
 }
 
 impl std::fmt::Debug for Mutator {
@@ -76,7 +71,6 @@ impl Mutator {
             last_seen: 0,
             silent_until_gen: 0,
             pool: Vec::new(),
-            cur_seg: NO_SEG,
         }
     }
 
@@ -156,14 +150,12 @@ impl Mutator {
     ///
     /// # Failure state machine
     ///
-    /// Every call moves through the same three states, regardless of
-    /// heap layout:
+    /// Every call moves through the same three states:
     ///
-    /// 1. **Fast path** — allocate from the thread-local reserve (the
-    ///    TLAB on [`HeapLayout::Segmented`], the §4 pool on
-    ///    [`HeapLayout::Slab`] when
-    ///    [`alloc_pool`](crate::GcConfig::alloc_pool) is set), refilling
-    ///    from shared state when dry. Success returns here.
+    /// 1. **Fast path** — allocate from the global free list, or from the
+    ///    thread-local §4 pool when
+    ///    [`alloc_pool`](crate::GcConfig::alloc_pool) is set, refilling it
+    ///    from the free list when dry. Success returns here.
     /// 2. **Emergency collection** — the refill found the heap full.
     ///    Up to [`alloc_retries`](crate::GcConfig::alloc_retries)
     ///    collection cycles are driven from this thread (answering our
@@ -235,23 +227,19 @@ impl Mutator {
         }
     }
 
-    /// One allocation attempt from the thread-local reserve (TLAB or §4
-    /// pool), refilling when dry.
+    /// One allocation attempt, from the §4 pool when pooling is on
+    /// (refilling it when dry), else from the global free list.
     fn try_alloc(&mut self, fields: usize) -> Result<Gc, AllocError> {
         let fa = self.shared.fa.load(Ordering::Relaxed);
-        let g = if self.shared.heap.is_segmented() {
-            if self.pool.is_empty() {
-                self.refill_tlab();
-            }
-            match self.pool.pop() {
-                Some(idx) => self.shared.heap.alloc_from(idx, fields, fa)?,
-                None => return Err(AllocError::HeapFull), // refill came up dry
-            }
-        } else if self.shared.cfg.alloc_pool > 0 {
+        let g = if self.shared.cfg.alloc_pool > 0 {
             // §4 extension: allocate from the thread-local pool, refilling
             // in batches; only the refill touches the shared free list.
             if self.pool.is_empty() {
                 self.pool = self.shared.heap.grab_pool(self.shared.cfg.alloc_pool);
+                self.shared
+                    .stats
+                    .pool_refills
+                    .fetch_add(1, Ordering::Relaxed);
                 trace_event!(PoolRefill {
                     got: self.pool.len() as u32
                 });
@@ -270,51 +258,6 @@ impl Mutator {
         });
         self.root(g);
         Ok(g)
-    }
-
-    /// Refills the TLAB from the segmented heap (lazily sweeping pending
-    /// segments along the way), recording stats and trace events.
-    fn refill_tlab(&mut self) {
-        let HeapLayout::Segmented { tlab_slots, .. } = self.shared.cfg.layout else {
-            unreachable!("TLAB refill on a slab heap");
-        };
-        if self.shared.chaos_fires(ChaosSite::TlabRefill) {
-            // Yield storm with the TLAB dry: stretch the window in which
-            // other mutators race us for the same segments' free bits.
-            for _ in 0..STORM_YIELDS {
-                std::thread::yield_now();
-            }
-        }
-        let (mut got, info) = self.shared.heap.refill_tlab(&mut self.cur_seg, tlab_slots);
-        self.shared
-            .stats
-            .tlab_refills
-            .fetch_add(1, Ordering::Relaxed);
-        trace_event!(TlabRefill {
-            got: got.len() as u32
-        });
-        if let Some(segment) = info.claimed_segment {
-            trace_event!(SegmentClaimed { segment });
-        }
-        for &(segment, freed) in &info.swept {
-            self.shared
-                .stats
-                .lazy_sweep_segments
-                .fetch_add(1, Ordering::Relaxed);
-            trace_event!(LazySweepSegment { segment, freed });
-            if self.shared.chaos_fires(ChaosSite::LazySweep) {
-                // Yield storm right after reclaiming a segment: the freed
-                // slots are visible to every allocator while we are slow
-                // to use them ourselves.
-                for _ in 0..STORM_YIELDS {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        // `pop` takes from the back; reverse so allocation order is
-        // lowest-index-first, matching the slab free list.
-        got.reverse();
-        self.pool = got;
     }
 
     /// The graceful-degradation path for a full heap: drive emergency
@@ -493,17 +436,10 @@ impl Mutator {
         self.root(r);
     }
 
-    /// Hands the unused thread-local reserve back to the heap on
-    /// deregistration — busy bits for a segmented TLAB, free-list slots
-    /// for a slab pool — so capacity never leaks with the thread.
+    /// Hands the unused pool back to the free list on deregistration, so
+    /// capacity never leaks with the thread.
     fn return_reserve(&mut self) {
-        let reserve = std::mem::take(&mut self.pool);
-        self.cur_seg = NO_SEG;
-        if self.shared.heap.is_segmented() {
-            self.shared.heap.release_reserved(&reserve);
-        } else {
-            self.shared.heap.return_pool(reserve);
-        }
+        self.shared.heap.return_pool(std::mem::take(&mut self.pool));
     }
 
     /// Transfers the private grey list to the collector's staging channel.
@@ -764,6 +700,11 @@ mod tests {
         for (i, &a) in objs.iter().enumerate().skip(1) {
             m.store(objs[i - 1], 0, Some(a));
         }
+        assert_eq!(
+            c.stats().tlab_refills(),
+            3,
+            "10 allocations in batches of 4"
+        );
         // Pool leftovers return on drop; nothing leaks.
         drop(m);
         c.collect();

@@ -34,17 +34,6 @@ pub struct CycleStats {
     /// Time lost to injected chaos delays inside the mark loop (ns) —
     /// [`ChaosSite::MarkDelay`] storms. Zero without chaos.
     pub chaos_ns: u64,
-    /// TLAB refills performed by mutators during this cycle (segmented
-    /// layout only; always zero on the slab).
-    pub tlab_refills: usize,
-    /// Segments lazily swept during this cycle — by allocating mutators
-    /// and by the collector's start-of-cycle mop-up (segmented layout
-    /// only). The reclaim work happens off the collector's critical
-    /// path, which is why [`CycleStats::sweep_ns`] stops scaling with
-    /// heap capacity; `timing_consistent()` stays honest because
-    /// mutator-side sweep time was never part of the cycle's phase
-    /// intervals in the first place.
-    pub lazy_swept_segments: usize,
     /// Time allocating mutators spent parked in emergency-allocation
     /// backoff while this cycle ran (ns) — the delta of
     /// [`GcStats::backoff_ns`] over the cycle's window. This is
@@ -84,8 +73,7 @@ impl CycleStats {
         format!(
             "{{\"freed\":{},\"traced\":{},\"received\":{},\"work_rounds\":{},\
              \"live_after\":{},\"duration_ns\":{},\"handshake_ns\":{},\
-             \"mark_ns\":{},\"sweep_ns\":{},\"chaos_ns\":{},\
-             \"tlab_refills\":{},\"lazy_swept_segments\":{},\"backoff_ns\":{}}}",
+             \"mark_ns\":{},\"sweep_ns\":{},\"chaos_ns\":{},\"backoff_ns\":{}}}",
             self.freed,
             self.traced,
             self.received,
@@ -96,8 +84,6 @@ impl CycleStats {
             self.mark_ns,
             self.sweep_ns,
             self.chaos_ns,
-            self.tlab_refills,
-            self.lazy_swept_segments,
             self.backoff_ns
         )
     }
@@ -144,11 +130,8 @@ pub struct GcStats {
     pub(crate) cycle_timeouts: AtomicU64,
     /// Emergency collection attempts triggered by a full heap.
     pub(crate) emergency_cycles: AtomicU64,
-    /// TLAB refills performed by mutators (segmented layout).
-    pub(crate) tlab_refills: AtomicU64,
-    /// Segments lazily swept — by mutators and the collector's mop-up
-    /// (segmented layout).
-    pub(crate) lazy_sweep_segments: AtomicU64,
+    /// §4 allocation-pool refills performed by mutators.
+    pub(crate) pool_refills: AtomicU64,
     /// Total time allocating mutators spent parked in emergency-allocation
     /// backoff (ns).
     pub(crate) backoff_ns: AtomicU64,
@@ -221,16 +204,20 @@ impl GcStats {
         self.emergency_cycles.load(Ordering::Relaxed)
     }
 
-    /// TLAB refills performed by mutators. Always zero on the slab
-    /// layout (where the analogous event is a pool refill).
+    /// Refills of the mutators' thread-local allocation buffers: the §4
+    /// pools ([`GcConfig::alloc_pool`](crate::GcConfig::alloc_pool)).
+    /// Zero while pooling is off.
+    ///
+    /// Retained for `benchmark/`; delete in the next `[benchmark]` PR.
     pub fn tlab_refills(&self) -> u64 {
-        self.tlab_refills.load(Ordering::Relaxed)
+        self.pool_refills.load(Ordering::Relaxed)
     }
 
-    /// Segments lazily swept by allocating mutators and the collector's
-    /// start-of-cycle mop-up. Always zero on the slab layout.
+    /// Always zero: the sweep is the collector's, never lazy.
+    ///
+    /// Retained for `benchmark/`; delete in the next `[benchmark]` PR.
     pub fn lazy_sweep_segments(&self) -> u64 {
-        self.lazy_sweep_segments.load(Ordering::Relaxed)
+        0
     }
 
     /// Total time allocating mutators have spent parked in
@@ -276,8 +263,7 @@ impl GcStats {
             ("evictions".to_owned(), self.evictions()),
             ("cycle_timeouts".to_owned(), self.cycle_timeouts()),
             ("emergency_cycles".to_owned(), self.emergency_cycles()),
-            ("tlab_refills".to_owned(), self.tlab_refills()),
-            ("lazy_sweep_segments".to_owned(), self.lazy_sweep_segments()),
+            ("pool_refills".to_owned(), self.tlab_refills()),
             ("backoff_ns".to_owned(), self.backoff_ns()),
         ];
         for site in ChaosSite::ALL {
@@ -381,8 +367,6 @@ mod tests {
             mark_ns: 200,
             sweep_ns: 100,
             chaos_ns: 50,
-            tlab_refills: 6,
-            lazy_swept_segments: 2,
             backoff_ns: 25,
         };
         let text = c.to_string();
@@ -391,8 +375,6 @@ mod tests {
         let json = c.to_json();
         assert!(json.contains("\"freed\":3"));
         assert!(json.contains("\"chaos_ns\":50"));
-        assert!(json.contains("\"tlab_refills\":6"));
-        assert!(json.contains("\"lazy_swept_segments\":2"));
         assert!(json.contains("\"backoff_ns\":25"));
         // Braces balance; keys are quoted: crude but dependency-free shape
         // checks (the real parser lives in gc-trace's integration tests).

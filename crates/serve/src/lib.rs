@@ -23,7 +23,7 @@
 //!   backs off (bounded-exponentially) when cycling stops helping.
 //! * **Chaos-under-serve** ([`ServeConfig::with_storm`]): the runtime's
 //!   deterministic fault plan — handshake-delay storms, mutator silence,
-//!   mark delays, TLAB/lazy-sweep perturbation, and injected *worker
+//!   mark delays, mid-barrier mutator panics, and injected *worker
 //!   panics* at request boundaries — runs bounded to the middle third of
 //!   the request stream, and the oracle in [`run_serve`] checks recovery:
 //!   no session lost, no use-after-free, every request accounted for, and

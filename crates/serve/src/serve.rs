@@ -782,45 +782,33 @@ mod tests {
     use crate::config::ServeConfig;
     use otf_gc::HeapLayout;
 
-    fn layouts() -> [HeapLayout; 2] {
-        [HeapLayout::Slab, HeapLayout::segmented_default(256)]
-    }
-
     #[test]
     fn robust_serve_is_clean_and_never_exhausts() {
-        for layout in layouts() {
-            let cfg = ServeConfig::quick(layout);
-            let registry = Registry::new();
-            let report = run_serve(&cfg, &registry);
-            assert!(
-                report.is_healthy(),
-                "{}: oracle violations: {:?}",
-                layout.name(),
-                report.violations
-            );
-            assert!(report.ok > 0, "{}: some requests served", layout.name());
-            assert_eq!(
-                report.exhausted,
-                0,
-                "{}: admission control kept the live set inside capacity",
-                layout.name()
-            );
-            assert_eq!(report.lost_sessions, 0);
-            assert!(!report.uaf_detected);
-            assert_eq!(
-                report.sessions_live,
-                report.sessions_created,
-                "{}: every created session survived",
-                layout.name()
-            );
-            // The demand (250% of capacity) forces the controller to act:
-            // a clean run must have shed or rejected something.
-            assert!(
-                report.shed + report.rejected > 0,
-                "{}: overload never pushed back: {report:?}",
-                layout.name()
-            );
-        }
+        let cfg = ServeConfig::quick(HeapLayout::Slab);
+        let registry = Registry::new();
+        let report = run_serve(&cfg, &registry);
+        assert!(
+            report.is_healthy(),
+            "oracle violations: {:?}",
+            report.violations
+        );
+        assert!(report.ok > 0, "some requests served");
+        assert_eq!(
+            report.exhausted, 0,
+            "admission control kept the live set inside capacity"
+        );
+        assert_eq!(report.lost_sessions, 0);
+        assert!(!report.uaf_detected);
+        assert_eq!(
+            report.sessions_live, report.sessions_created,
+            "every created session survived"
+        );
+        // The demand (250% of capacity) forces the controller to act: a
+        // clean run must have shed or rejected something.
+        assert!(
+            report.shed + report.rejected > 0,
+            "overload never pushed back: {report:?}"
+        );
     }
 
     #[test]

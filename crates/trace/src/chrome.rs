@@ -453,61 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_gauges_render_as_counter_tracks() {
-        let d = dump(
-            6,
-            "gc-collector",
-            vec![
-                (
-                    10,
-                    EventKind::SegmentOccupancy {
-                        segment: 0,
-                        busy: 61,
-                        slots: 64,
-                    },
-                ),
-                (
-                    10,
-                    EventKind::SegmentOccupancy {
-                        segment: 1,
-                        busy: 0,
-                        slots: 64,
-                    },
-                ),
-                (10, EventKind::FreeSegments { free: 1, total: 2 }),
-            ],
-        );
-        let trace = chrome_trace(&[d]);
-        let parsed = Json::parse(&trace.to_string()).expect("valid JSON");
-        let summary = validate_chrome_trace(&parsed).expect("gauges validate");
-        assert_eq!(summary.counters, 3);
-        let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
-        let counter_names: Vec<&str> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
-            .filter_map(|e| e.get("name").and_then(Json::as_str))
-            .collect();
-        assert_eq!(
-            counter_names,
-            [
-                "segment-0-occupancy",
-                "segment-1-occupancy",
-                "free_segments"
-            ]
-        );
-        let busy: Vec<f64> = events
-            .iter()
-            .filter(|e| {
-                e.get("name")
-                    .and_then(Json::as_str)
-                    .is_some_and(|n| n.starts_with("segment-"))
-            })
-            .filter_map(|e| e.get("args")?.get("busy")?.as_f64())
-            .collect();
-        assert_eq!(busy, [61.0, 0.0]);
-    }
-
-    #[test]
     fn metadata_names_every_track() {
         let trace = chrome_trace(&[
             collector_dump(),

@@ -99,24 +99,6 @@ pub enum EventKind {
         /// Slots obtained.
         got: u32,
     },
-    /// A mutator refilled its thread-local allocation buffer (segmented
-    /// heap layout).
-    TlabRefill {
-        /// Slots obtained.
-        got: u32,
-    },
-    /// A mutator claimed a fresh segment for bump allocation.
-    SegmentClaimed {
-        /// Segment index.
-        segment: u32,
-    },
-    /// A mutator (or the collector's mop-up) lazily swept a segment.
-    LazySweepSegment {
-        /// Segment index.
-        segment: u32,
-        /// Objects reclaimed from the segment.
-        freed: u32,
-    },
     /// A chaos fault fired at an injection site.
     ChaosFired {
         /// `ChaosSite` repr.
@@ -180,27 +162,6 @@ pub enum EventKind {
         /// End-to-end latency in microseconds.
         latency_us: u32,
     },
-    /// A per-segment occupancy sample (segmented heap layout): how many
-    /// of one segment's slots are unavailable for allocation, by the
-    /// same availability rule the global occupancy signal uses. Renders
-    /// as a Chrome counter track `segment-<n>-occupancy`.
-    SegmentOccupancy {
-        /// Segment index.
-        segment: u32,
-        /// Slots unavailable for allocation in this segment.
-        busy: u32,
-        /// Total slots per segment (the track's full-scale value).
-        slots: u32,
-    },
-    /// A free-segment-stack depth sample (segmented heap layout):
-    /// segments currently claimable whole from the lock-free free stack.
-    /// Renders as a Chrome counter track `free_segments`.
-    FreeSegments {
-        /// Segments on the free stack.
-        free: u32,
-        /// Total segments in the heap.
-        total: u32,
-    },
 }
 
 /// The span families an event can open or close on its track.
@@ -220,7 +181,7 @@ pub enum Span {
 
 /// What an event does on its track's timeline. A span or counter track is
 /// named by the role's label: `cycle 7`, `handshake get-roots`,
-/// `segment-5-occupancy`.
+/// `queue_depth`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Role {
     /// Opens a span with this label.
@@ -341,15 +302,6 @@ impl EventKind {
                 rec("alloc_color", "gc", Instant, fields)
             }
             EventKind::PoolRefill { got } => rec("pool_refill", "gc", Instant, vec![f("got", got)]),
-            EventKind::TlabRefill { got } => rec("tlab_refill", "gc", Instant, vec![f("got", got)]),
-            EventKind::SegmentClaimed { segment } => {
-                let fields = vec![f("segment", segment)];
-                rec("segment_claimed", "gc", Instant, fields)
-            }
-            EventKind::LazySweepSegment { segment, freed } => {
-                let fields = vec![f("segment", segment), f("freed", freed)];
-                rec("lazy_sweep_segment", "gc", Instant, fields)
-            }
             EventKind::ChaosFired { site } => {
                 let fields = vec![f("site", u64::from(site))];
                 rec("chaos_fired", "chaos", Instant, fields)
@@ -412,24 +364,6 @@ impl EventKind {
                 ];
                 rec("serve_request", "serve", Instant, fields)
             }
-            EventKind::SegmentOccupancy {
-                segment,
-                busy,
-                slots,
-            } => {
-                let role = Counter(format!("segment-{segment}-occupancy"), 1);
-                let fields = vec![f("segment", segment), f("busy", busy), f("slots", slots)];
-                rec("segment_occupancy", "gc", role, fields)
-            }
-            EventKind::FreeSegments { free, total } => {
-                let fields = vec![f("free", free), f("total", total)];
-                rec(
-                    "free_segments",
-                    "gc",
-                    Counter("free_segments".to_owned(), 0),
-                    fields,
-                )
-            }
         }
     }
 }
@@ -441,7 +375,8 @@ impl Event {
     }
 
     /// Packs the event into the ring buffer's four-word record:
-    /// `[ts, code, a, b]`.
+    /// `[ts, code, a, b]`. Codes 17-19, 22 and 23 are retired and never
+    /// reassigned, so an older recording cannot decode as the wrong kind.
     pub fn encode(&self) -> [u64; 4] {
         let (code, a, b): (u64, u64, u64) = match self.kind {
             EventKind::CycleBegin { cycle } => (1, cycle, 0),
@@ -478,11 +413,6 @@ impl Event {
             EventKind::SpanBegin { id } => (14, u64::from(id), 0),
             EventKind::SpanEnd { id } => (15, u64::from(id), 0),
             EventKind::Instant { id, value } => (16, u64::from(id), value),
-            EventKind::TlabRefill { got } => (17, u64::from(got), 0),
-            EventKind::SegmentClaimed { segment } => (18, u64::from(segment), 0),
-            EventKind::LazySweepSegment { segment, freed } => {
-                (19, u64::from(segment), u64::from(freed))
-            }
             EventKind::Counter { id, value } => (20, u64::from(id), value),
             EventKind::ServeRequest {
                 id,
@@ -493,16 +423,6 @@ impl Event {
                 (u64::from(id) << 8) | u64::from(outcome),
                 u64::from(latency_us),
             ),
-            EventKind::SegmentOccupancy {
-                segment,
-                busy,
-                slots,
-            } => (
-                22,
-                u64::from(segment),
-                (u64::from(slots) << 32) | u64::from(busy),
-            ),
-            EventKind::FreeSegments { free, total } => (23, u64::from(free), u64::from(total)),
         };
         [self.ts_ns, code, a, b]
     }
@@ -551,12 +471,6 @@ impl Event {
                 id: a as u32,
                 value: b,
             },
-            17 => EventKind::TlabRefill { got: a as u32 },
-            18 => EventKind::SegmentClaimed { segment: a as u32 },
-            19 => EventKind::LazySweepSegment {
-                segment: a as u32,
-                freed: b as u32,
-            },
             20 => EventKind::Counter {
                 id: a as u8,
                 value: b,
@@ -565,15 +479,6 @@ impl Event {
                 id: (a >> 8) as u32,
                 outcome: a as u8,
                 latency_us: b as u32,
-            },
-            22 => EventKind::SegmentOccupancy {
-                segment: a as u32,
-                busy: b as u32,
-                slots: (b >> 32) as u32,
-            },
-            23 => EventKind::FreeSegments {
-                free: a as u32,
-                total: b as u32,
             },
             _ => return None,
         };
@@ -611,12 +516,6 @@ mod tests {
                 color: true,
             },
             EventKind::PoolRefill { got: 8 },
-            EventKind::TlabRefill { got: 32 },
-            EventKind::SegmentClaimed { segment: 17 },
-            EventKind::LazySweepSegment {
-                segment: 17,
-                freed: 61,
-            },
             EventKind::ChaosFired { site: 3 },
             EventKind::LevelBegin {
                 level: 9,
@@ -643,12 +542,6 @@ mod tests {
                 outcome: 3,
                 latency_us: 41_000,
             },
-            EventKind::SegmentOccupancy {
-                segment: 5,
-                busy: 61,
-                slots: 64,
-            },
-            EventKind::FreeSegments { free: 3, total: 8 },
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
             let e = Event {
@@ -686,5 +579,8 @@ mod tests {
     fn unknown_codes_decode_to_none() {
         assert_eq!(Event::decode([0, 0, 0, 0]), None);
         assert_eq!(Event::decode([5, 999, 1, 2]), None);
+        for retired in [17, 18, 19, 22, 23] {
+            assert_eq!(Event::decode([0, retired, 0, 0]), None);
+        }
     }
 }

@@ -6,20 +6,16 @@
 //! Run with: `cargo run --release --example binary_trees`
 
 use relaxing_safely::gc::collections::GcTree;
-use relaxing_safely::gc::{Collector, GcConfig, HeapLayout};
+use relaxing_safely::gc::{Collector, GcConfig};
 
 fn main() {
-    // The segmented layout: the allocation firehose below runs on TLAB
-    // bump allocation, and dead trees are reclaimed segment-at-a-time by
-    // the allocating mutator (lazy sweep) rather than by the collector.
+    // §4 allocation pools: the allocation firehose below takes the
+    // free-list lock once per 64 objects instead of once per object.
     let collector = Collector::new(
         GcConfig::builder()
             .capacity(16_384)
             .max_fields(2)
-            .layout(HeapLayout::Segmented {
-                segment_slots: 256,
-                tlab_slots: 64,
-            })
+            .alloc_pool(64)
             .build(),
     );
     let mut m = collector.register_mutator();

@@ -6,7 +6,7 @@
 //!
 //! * the **robust** arm — admission control, deadline-aware allocation
 //!   and adaptive pacing all on, under a chaos storm (handshake-delay
-//!   storms, mutator silence, mark delays, TLAB/lazy-sweep faults,
+//!   storms, mutator silence, mark delays, mid-barrier mutator panics,
 //!   injected worker panics) bounded to the middle third of the run; the
 //!   recovery oracle must come back clean (no lost sessions, no UAF,
 //!   every request accounted for, post-storm p99 under the SLO);
@@ -52,13 +52,12 @@ use gc_trace::chrome::{chrome_trace, validate_chrome_trace};
 use gc_trace::{FlagError, Flags, Json, MetricsServer, Registry, TraceShape, TraceSink, Tracer};
 use otf_gc::{FaultPlan, HeapLayout};
 
-const USAGE: &str = "gc-serve [--out DIR] [--layout slab|segmented] [--requests N] [--seed S] \
+const USAGE: &str = "gc-serve [--out DIR] [--requests N] [--seed S] \
                      [--chaos-seed S] [--slo-ms MS] [--no-storm] [--skip-ablation] \
                      [--stream-trace] [--metrics-addr ADDR]";
 
 struct Args {
     out: PathBuf,
-    layout: HeapLayout,
     requests: Option<u64>,
     seed: Option<u64>,
     chaos_seed: u64,
@@ -70,14 +69,8 @@ struct Args {
 }
 
 fn parse_args(f: &mut Flags) -> Result<Args, FlagError> {
-    let layout = match f.opt::<String>("--layout")? {
-        Some(name) => HeapLayout::from_name(&name, 256)
-            .ok_or_else(|| FlagError::bad_value("--layout", &name))?,
-        None => HeapLayout::default(),
-    };
     let args = Args {
         out: f.get("--out", PathBuf::from("experiments_output"))?,
-        layout,
         requests: f.opt("--requests")?,
         seed: f.opt("--seed")?,
         chaos_seed: f.get("--chaos-seed", 0xc4a05)?,
@@ -99,15 +92,13 @@ fn storm_plan(seed: u64) -> FaultPlan {
         .with_handshake_delay(3_000)
         .with_silence(500, 2)
         .with_mark_delay(1_500)
-        .with_tlab_refill(1_000)
-        .with_lazy_sweep(1_000)
         .with_mutator_panic(30)
         .with_worker_panic(3_000)
 }
 
 /// The seeded load both arms serve.
 fn base_config(args: &Args) -> ServeConfig {
-    let mut cfg = ServeConfig::quick(args.layout);
+    let mut cfg = ServeConfig::quick(HeapLayout::Slab);
     if let Some(r) = args.requests {
         cfg.requests = r;
     }
@@ -178,10 +169,9 @@ fn main() -> ExitCode {
     };
     let cfg = robust_config(&args);
     println!(
-        "== gc-serve: {} workers x {} requests on the {} layout ({}) ==",
+        "== gc-serve: {} workers x {} requests ({}) ==",
         cfg.workers,
         cfg.requests,
-        cfg.layout.name(),
         if args.storm {
             "chaos storm"
         } else {
@@ -293,7 +283,6 @@ fn main() -> ExitCode {
     let record = gc_trace::bench_record(
         "serve",
         &[
-            ("layout", Json::from(cfg.layout.name())),
             ("capacity", Json::from(cfg.capacity)),
             ("workers", Json::from(cfg.workers)),
             ("requests", Json::from(cfg.requests)),

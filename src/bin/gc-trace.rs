@@ -51,7 +51,7 @@ use gc_trace::{
     diff_shapes, FlagError, Flags, Json, MetricsServer, Registry, Thresholds, TraceShape, Tracer,
 };
 use mc::{Checker, CheckerConfig, Strategy};
-use otf_gc::{churn_list, Collector, GcConfig, HeapLayout};
+use otf_gc::{churn_list, Collector, GcConfig};
 
 const USAGE: &str = "gc-trace [--out DIR] [--mutators K] [--ops N] [--check FILE] \
                      [--metrics-addr ADDR]   (subcommands: diff, check-bench; each takes --help)";
@@ -207,62 +207,74 @@ fn run_check_bench(f: &mut Flags) -> ExitCode {
     }
 }
 
+/// Mutator ops between two collection cycles of the demo workload.
+const OPS_PER_CYCLE: usize = 256;
+
 /// The instrumented runtime workload: `mutators` threads churn a shared
-/// list (the stress/torture access pattern) while the collector runs
-/// on-the-fly, every thread writing to its own trace track. A sampler
-/// thread publishes `gc_cycles_completed` into `registry` while the
-/// workload runs, so a live `/healthz` probe sees cycle progress.
+/// list (the stress/torture access pattern) with §4 allocation pools,
+/// every thread writing to its own trace track, while a pacer thread runs
+/// one collection cycle each time the mutators together pass another
+/// [`OPS_PER_CYCLE`] ops (and at least one) — so the cycle count is a
+/// function of `mutators` and `ops` on any machine, and two recordings of
+/// one workload differ in timing only. A full heap is backpressure (no
+/// emergency cycles). The pacer publishes `gc_cycles_completed` into
+/// `registry` as it goes, so a live `/healthz` probe sees cycle progress.
 fn run_gc_workload(mutators: usize, ops: usize, registry: &Registry) -> (u64, usize) {
-    // The segmented layout so the trace shows the full event vocabulary:
-    // TLAB refills, segment claims and lazy sweeps alongside the cycles.
     let cfg = GcConfig::builder()
         .capacity(2048)
         .max_fields(2)
-        .layout(HeapLayout::Segmented {
-            segment_slots: 128,
-            tlab_slots: 32,
-        })
+        .alloc_pool(32)
+        .emergency_retries(0)
         .build();
     let collector = Collector::new(cfg);
-    collector.start();
+    // Root the shared anchor until every churner has adopted it, then
+    // leave: the pacer's cycles must not wait on a mutator nobody runs.
     let mut m0 = collector.register_mutator();
     let anchor = m0.alloc(2).expect("fresh heap has room");
-    let done = AtomicUsize::new(0);
-    let cycles_gauge = registry.gauge("gc_cycles_completed");
-    std::thread::scope(|s| {
-        for i in 0..mutators {
+    let churners: Vec<_> = (0..mutators)
+        .map(|_| {
             let mut m = collector.register_mutator();
             m.adopt(anchor);
-            let done = &done;
+            m
+        })
+        .collect();
+    drop(m0);
+    let done = AtomicUsize::new(0);
+    let progress = AtomicUsize::new(0);
+    let cycles_gauge = registry.gauge("gc_cycles_completed");
+    std::thread::scope(|s| {
+        for (i, mut m) in churners.into_iter().enumerate() {
+            let (done, progress) = (&done, &progress);
             s.spawn(move || {
                 gc_trace::set_track_name(&format!("mutator-{i}"));
-                churn_list(&mut m, anchor, ops, 64, 0);
+                // In 64-op chunks (one list cut each) so the pacer sees
+                // progress as it happens.
+                let mut left = ops;
+                while left > 0 {
+                    let chunk = left.min(64);
+                    churn_list(&mut m, anchor, chunk, 64, 0);
+                    progress.fetch_add(chunk, Ordering::Release);
+                    left -= chunk;
+                }
+                drop(m);
                 done.fetch_add(1, Ordering::Release);
             });
         }
-        let done = &done;
-        let collector_ref = &collector;
-        let gauge = cycles_gauge.clone();
+        let (collector, done, progress) = (&collector, &done, &progress);
         s.spawn(move || {
-            while done.load(Ordering::Acquire) < mutators {
-                gauge.set(collector_ref.stats().cycles() as i64);
-                std::thread::sleep(Duration::from_millis(20));
+            gc_trace::set_track_name("pacer");
+            for cycle in 1..=(mutators * ops / OPS_PER_CYCLE).max(1) {
+                while progress.load(Ordering::Acquire) < cycle * OPS_PER_CYCLE
+                    && done.load(Ordering::Acquire) < mutators
+                {
+                    std::thread::yield_now();
+                }
+                collector.collect();
+                cycles_gauge.set(collector.stats().cycles() as i64);
             }
-        });
-        s.spawn(move || {
-            gc_trace::set_track_name("driver");
-            while done.load(Ordering::Acquire) < mutators {
-                m0.safepoint();
-                std::thread::yield_now();
-            }
-            drop(m0);
         });
     });
-    collector.stop();
-    let cycles = collector.stats().cycles();
-    cycles_gauge.set(cycles as i64);
-    let live = collector.live_objects();
-    (cycles, live)
+    (collector.stats().cycles(), collector.live_objects())
 }
 
 /// The instrumented checker workload: a bounded BFS over the fig3

@@ -1,33 +1,25 @@
-//! Layout conformance: the slab and segmented heaps must be
-//! observationally identical through the allocation API.
+//! Pool conformance: allocating from §4 thread-local pools
+//! ([`GcConfig::alloc_pool`]) must be observationally identical to
+//! allocating from the global free list.
 //!
-//! Every test here runs the *same seeded workload* once per
-//! [`HeapLayout`] and demands identical liveness verdicts — the
-//! barriers, mark CAS, and handshake protocol are shared, so any
-//! divergence is a bug in the layout-specific allocation, bitmap, or
-//! lazy-sweep code. `debug_verify_integrity` runs after every workload
-//! as the structural oracle, and validation mode (on by default) turns
-//! any freed-while-reachable access into an immediate panic.
+//! Every test here runs the *same seeded workload* once per pool size —
+//! off, smaller than a burst, larger than one — and demands identical
+//! liveness verdicts: a pool only changes which free slot an object gets,
+//! never which objects the collector keeps. `debug_verify_integrity` runs
+//! after every workload as the structural oracle, and validation mode (on
+//! by default) turns any freed-while-reachable access into an immediate
+//! panic.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use relaxing_safely::gc::{ChaosSite, Collector, FaultPlan, Gc, GcConfig, HeapLayout, Mutator};
+use relaxing_safely::gc::{ChaosSite, Collector, FaultPlan, Gc, GcConfig, Mutator};
 use relaxing_safely::serve::SplitMix64;
 
-/// The layouts under comparison. Geometry is picked per-test so that
-/// capacity is always an exact multiple of `segment_slots`.
-fn layouts(segment_slots: usize, tlab_slots: usize) -> [HeapLayout; 2] {
-    [
-        HeapLayout::Slab,
-        HeapLayout::Segmented {
-            segment_slots,
-            tlab_slots,
-        },
-    ]
-}
+/// The pool sizes under comparison: off, and two batch sizes.
+const POOLS: [usize; 3] = [0, 3, 64];
 
-/// The serve harness's SplitMix64 stream, so both layouts replay the same
-/// op stream.
+/// The serve harness's SplitMix64 stream, so every pool size replays the
+/// same op stream.
 struct Rng(SplitMix64);
 
 impl Rng {
@@ -53,9 +45,9 @@ fn quiescent_collect(collector: &Collector, m: &mut Mutator) {
     });
 }
 
-/// The verdict a workload produces under one layout: live counts after
-/// every quiescent cycle plus per-cycle freed counts. Two layouts agree
-/// iff they reclaim exactly the same objects at the same cycles.
+/// The verdict a workload produces under one pool size: live counts after
+/// every quiescent cycle plus per-cycle freed counts. Two runs agree iff
+/// they reclaim exactly the same objects at the same cycles.
 #[derive(Debug, PartialEq, Eq)]
 struct Verdict {
     live_after_each_cycle: Vec<usize>,
@@ -66,12 +58,12 @@ struct Verdict {
 /// A seeded single-mutator graph-churn workload: allocate, link,
 /// unlink, drop roots, and collect at deterministic points. The heap is
 /// sized so allocation never fails — the emergency path is exercised
-/// elsewhere — keeping the op stream identical across layouts.
-fn run_workload(layout: HeapLayout, seed: u64) -> Verdict {
+/// elsewhere — keeping the op stream identical across pool sizes.
+fn run_workload(alloc_pool: usize, seed: u64) -> Verdict {
     let cfg = GcConfig::builder()
         .capacity(512)
         .max_fields(2)
-        .layout(layout)
+        .alloc_pool(alloc_pool)
         .build();
     let collector = Collector::new(cfg);
     let mut m = collector.register_mutator();
@@ -123,16 +115,17 @@ fn run_workload(layout: HeapLayout, seed: u64) -> Verdict {
         }
     }
 
-    // Drain every root and collect twice: everything must go. Two
-    // cycles, not one, because the segmented layout publishes the final
-    // sweep verdict lazily and `live_objects` is only obliged to agree
-    // once the following cycle's mop-up lands.
+    // Drain every root and collect: everything must go.
     for g in roots.drain(..) {
         m.discard(g);
     }
     quiescent_collect(&collector, &mut m);
-    quiescent_collect(&collector, &mut m);
     verdict.final_live = collector.live_objects();
+    assert_eq!(
+        collector.stats().tlab_refills() > 0,
+        alloc_pool > 0,
+        "pool refills happen exactly when the pool is on"
+    );
     collector
         .debug_verify_integrity()
         .expect("heap coherent after workload");
@@ -142,39 +135,20 @@ fn run_workload(layout: HeapLayout, seed: u64) -> Verdict {
 #[test]
 fn seeded_workloads_produce_identical_verdicts() {
     for seed in [1, 0xBEEF, 0x5EED_5EED, 42_424_242] {
-        let [slab, seg] = layouts(64, 16);
-        let v_slab = run_workload(slab, seed);
-        let v_seg = run_workload(seg, seed);
-        assert_eq!(
-            v_slab, v_seg,
-            "layouts diverged on seed {seed:#x}: slab={v_slab:?} segmented={v_seg:?}"
-        );
-        assert_eq!(v_slab.final_live, 0, "full drain reclaims everything");
+        let [unpooled, small, large] = POOLS.map(|pool| run_workload(pool, seed));
+        assert_eq!(unpooled, small, "pool 3 diverged on seed {seed:#x}");
+        assert_eq!(unpooled, large, "pool 64 diverged on seed {seed:#x}");
+        assert_eq!(unpooled.final_live, 0, "full drain reclaims everything");
     }
 }
 
-#[test]
-fn odd_segment_geometry_conforms_too() {
-    // Segments much smaller than the heap and a TLAB smaller than a
-    // segment: refill must span several segments per request.
-    let [slab, seg] = layouts(8, 3);
-    let v_slab = run_workload(slab, 7);
-    let v_seg = run_workload(seg, 7);
-    assert_eq!(v_slab, v_seg);
-}
-
-/// Multi-threaded churn under chaos storms aimed at the two new
-/// segmented-only sites, run under *both* layouts (on the slab the
-/// sites simply never fire, proving the plan is layout-agnostic).
-fn torture(layout: HeapLayout) -> Collector {
-    let plan = FaultPlan::new(0xD15EA5E)
-        .with_handshake_delay(1_500)
-        .with_tlab_refill(4_000)
-        .with_lazy_sweep(4_000);
+/// Multi-threaded churn under a handshake-delay chaos storm.
+fn torture(alloc_pool: usize) -> Collector {
+    let plan = FaultPlan::new(0xD15EA5E).with_handshake_delay(1_500);
     let cfg = GcConfig::builder()
         .capacity(1024)
         .max_fields(2)
-        .layout(layout)
+        .alloc_pool(alloc_pool)
         .chaos(plan)
         .build();
     let collector = Collector::new(cfg);
@@ -227,41 +201,24 @@ fn torture(layout: HeapLayout) -> Collector {
 }
 
 #[test]
-fn torture_with_chaos_on_the_segmented_sites() {
-    let collector = torture(HeapLayout::Segmented {
-        segment_slots: 64,
-        tlab_slots: 16,
-    });
-    assert!(collector.stats().cycles() > 0);
-    assert!(collector.stats().freed() > 0);
-    assert!(
-        collector.stats().tlab_refills() > 0,
-        "segmented torture must exercise the refill path"
-    );
-    assert!(
-        collector.stats().chaos_fired(ChaosSite::TlabRefill) > 0,
-        "chaos fired on TLAB refill"
-    );
-}
-
-#[test]
 fn torture_with_the_same_plan_on_the_slab() {
-    let collector = torture(HeapLayout::Slab);
-    assert!(collector.stats().cycles() > 0);
-    assert!(collector.stats().freed() > 0);
-    // The segmented-only sites never fire on the slab; the plan is
-    // still valid and everything else injects as usual.
-    assert_eq!(collector.stats().chaos_fired(ChaosSite::TlabRefill), 0);
-    assert_eq!(collector.stats().chaos_fired(ChaosSite::LazySweep), 0);
+    for pool in [0, 16] {
+        let collector = torture(pool);
+        let stats = collector.stats();
+        assert!(stats.cycles() > 0);
+        assert!(stats.freed() > 0);
+        assert!(stats.chaos_fired(ChaosSite::HandshakeDelay) > 0);
+        assert_eq!(stats.tlab_refills() > 0, pool > 0, "pool {pool}");
+    }
 }
 
 #[test]
-fn emergency_allocation_recovers_under_both_layouts() {
-    for layout in layouts(8, 4) {
+fn emergency_allocation_recovers_with_and_without_the_pool() {
+    for pool in POOLS {
         let cfg = GcConfig::builder()
             .capacity(32)
             .max_fields(1)
-            .layout(layout)
+            .alloc_pool(pool)
             .emergency_retries(4)
             .build();
         let collector = Collector::new(cfg);
@@ -273,11 +230,7 @@ fn emergency_allocation_recovers_under_both_layouts() {
         while let Ok(g) = m.alloc(1) {
             held.push(g);
         }
-        assert!(
-            held.len() >= 24,
-            "near-full fill (TLAB reservation may hold back a few slots): got {}",
-            held.len()
-        );
+        assert_eq!(held.len(), 32, "pool {pool}: the pool holds nothing back");
         for g in held.drain(..) {
             m.discard(g);
         }

@@ -5,23 +5,13 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use relaxing_safely::gc::{
-    ChaosSite, Collector, CycleOutcome, FaultPlan, GcConfig, HeapLayout, Mutator,
-};
+use relaxing_safely::gc::{ChaosSite, Collector, CycleOutcome, FaultPlan, GcConfig, Mutator};
 
-/// Builds the test configuration, honouring the `GC_TEST_LAYOUT`
-/// environment variable (`slab` when unset, `segmented` in the CI layout
-/// matrix) so this whole suite runs under both heap layouts without
-/// duplicating a single test.
+/// The test configuration: `capacity` slots of up to `max_fields` fields.
 fn cfg(capacity: usize, max_fields: usize) -> GcConfig {
-    let layout = std::env::var("GC_TEST_LAYOUT")
-        .ok()
-        .and_then(|name| HeapLayout::from_name(&name, capacity))
-        .unwrap_or(HeapLayout::Slab);
     GcConfig::builder()
         .capacity(capacity)
         .max_fields(max_fields)
-        .layout(layout)
         .build()
 }
 

@@ -4,8 +4,7 @@
 //!
 //! The storm plan combines every runtime fault site that matters under
 //! load — handshake-delay yield storms, mutator silence (arming the
-//! handshake watchdog), mark delays, TLAB-refill and lazy-sweep
-//! perturbation on the segmented layout, injected mid-barrier mutator
+//! handshake watchdog), mark delays, injected mid-barrier mutator
 //! panics, and the serve harness's own worker panics at request
 //! boundaries. Injection is suppressed outside the middle third of the
 //! request stream, so the oracle gets a clean warm-up and a fair recovery
@@ -14,16 +13,6 @@
 use relaxing_safely::gc::{FaultPlan, HeapLayout};
 use relaxing_safely::serve::{run_serve, ServeConfig};
 use relaxing_safely::trace::Registry;
-
-/// The layout under test, honouring the `GC_TEST_LAYOUT` environment
-/// variable exactly like the runtime suite (`slab` when unset,
-/// `segmented` in the CI layout matrix).
-fn test_layout(capacity: usize) -> HeapLayout {
-    std::env::var("GC_TEST_LAYOUT")
-        .ok()
-        .and_then(|name| HeapLayout::from_name(&name, capacity))
-        .unwrap_or(HeapLayout::Slab)
-}
 
 /// A storm hitting every fault site the serve loop can reach. Rates are
 /// per-10,000 draws; the worker-panic site draws once per serve-loop
@@ -34,8 +23,6 @@ fn storm_plan(seed: u64) -> FaultPlan {
         .with_handshake_delay(3_000)
         .with_silence(500, 2)
         .with_mark_delay(1_500)
-        .with_tlab_refill(1_000)
-        .with_lazy_sweep(1_000)
         .with_mutator_panic(30)
         .with_worker_panic(3_000)
 }
@@ -51,7 +38,7 @@ fn serve_survives_a_chaos_storm_and_recovers() {
     let mut report = None;
     for attempt in 0u64..5 {
         let mut cfg =
-            ServeConfig::quick(test_layout(256)).with_storm(storm_plan(0xc4a05 + attempt));
+            ServeConfig::quick(HeapLayout::Slab).with_storm(storm_plan(0xc4a05 + attempt));
         // The storm aborts cycles through the handshake watchdog, so a
         // recovery-window request can still absorb one ~100ms stall tail;
         // keep the SLO meaningful (below the 250ms deadline) but with
@@ -106,7 +93,7 @@ fn the_ci_storm_finishes_healthy_under_every_chaos_seed() {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let mut cfg =
-                ServeConfig::quick(test_layout(256)).with_storm(storm_plan(0x51ee + seed));
+                ServeConfig::quick(HeapLayout::Slab).with_storm(storm_plan(0x51ee + seed));
             cfg.slo = std::time::Duration::from_millis(200);
             // The receiver may have given up on us: nothing to do then.
             let _ = tx.send(run_serve(&cfg, &Registry::new()));
@@ -127,7 +114,7 @@ fn storm_runs_are_deterministic_in_their_fault_stream() {
     // Two runs under the same seeds draw identical chaos decisions and
     // identical load; scheduling still differs, so only the *seeded*
     // quantities are compared.
-    let cfg = ServeConfig::quick(test_layout(256)).with_storm(storm_plan(7));
+    let cfg = ServeConfig::quick(HeapLayout::Slab).with_storm(storm_plan(7));
     let a = run_serve(&cfg, &Registry::new());
     let b = run_serve(&cfg, &Registry::new());
     assert_eq!(a.requests, b.requests);

@@ -5,7 +5,7 @@
 
 use std::sync::Mutex;
 
-use relaxing_safely::gc::{Collector, GcConfig, HeapLayout};
+use relaxing_safely::gc::{Collector, GcConfig};
 use relaxing_safely::trace::chrome::{chrome_trace, jsonl, validate_chrome_trace};
 use relaxing_safely::trace::{EventKind, Json, Registry, Tracer};
 
@@ -13,14 +13,14 @@ use relaxing_safely::trace::{EventKind, Json, Registry, Tracer};
 /// interleave.
 static TRACER: Mutex<()> = Mutex::new(());
 
-/// Runs a small collector workload (one mutator churning a list) for at
-/// least `cycles` completed cycles.
-fn run_collector_with(cycles: u64, layout: HeapLayout) -> Collector {
+/// Runs a small collector workload (one mutator churning a list, with §4
+/// pools of `alloc_pool` slots) for at least `cycles` completed cycles.
+fn run_collector_with(cycles: u64, alloc_pool: usize) -> Collector {
     let collector = Collector::new(
         GcConfig::builder()
             .capacity(256)
             .max_fields(2)
-            .layout(layout)
+            .alloc_pool(alloc_pool)
             .build(),
     );
     let mut m = collector.register_mutator();
@@ -50,7 +50,7 @@ fn run_collector_with(cycles: u64, layout: HeapLayout) -> Collector {
 }
 
 fn run_collector(cycles: u64) -> Collector {
-    run_collector_with(cycles, HeapLayout::Slab)
+    run_collector_with(cycles, 0)
 }
 
 #[test]
@@ -145,41 +145,29 @@ fn collector_events_export_as_nested_chrome_spans() {
 }
 
 #[test]
-fn segmented_layout_emits_the_allocation_event_vocabulary() {
+fn pooled_allocation_emits_one_pool_refill_per_counted_refill() {
     let _guard = TRACER.lock().unwrap();
     let _ = Tracer::global().drain();
     relaxing_safely::trace::enable();
-    let collector = run_collector_with(
-        3,
-        HeapLayout::Segmented {
-            segment_slots: 32,
-            tlab_slots: 8,
-        },
-    );
+    let collector = run_collector_with(3, 8);
     relaxing_safely::trace::disable();
     let dumps = Tracer::global().drain();
-    let kinds: Vec<&'static str> = dumps
+    let refills = dumps
         .iter()
-        .flat_map(|d| d.events.iter().map(|e| e.kind.name()))
-        .collect();
-    for expected in ["tlab_refill", "segment_claimed", "lazy_sweep_segment"] {
-        assert!(
-            kinds.contains(&expected),
-            "segmented run must emit {expected}; got kinds {:?}",
-            {
-                let mut uniq = kinds.clone();
-                uniq.sort_unstable();
-                uniq.dedup();
-                uniq
-            }
-        );
-    }
-    // The stats agree with the trace: refills and lazy sweeps happened.
-    assert!(collector.stats().tlab_refills() > 0);
-    assert!(collector.stats().lazy_sweep_segments() > 0);
-    // And the Chrome export still validates with the new instants.
+        .flat_map(|d| &d.events)
+        .filter(|e| e.kind.name() == "pool_refill")
+        .count() as u64;
+    // The trace and the stats count the same refills (up to events a full
+    // ring dropped), and there were some.
+    let counted = collector.stats().tlab_refills();
+    let dropped: u64 = dumps.iter().map(|d| d.dropped).sum();
+    assert!(refills > 0, "a pooled run must emit pool_refill");
+    assert!(
+        refills <= counted && counted <= refills + dropped,
+        "{refills} traced refills, {counted} counted, {dropped} events dropped"
+    );
     let doc = chrome_trace(&dumps);
-    validate_chrome_trace(&doc).expect("segmented trace must validate");
+    validate_chrome_trace(&doc).expect("pooled trace must validate");
 }
 
 #[test]

@@ -21,79 +21,89 @@ static TRACER: Mutex<()> = Mutex::new(());
 
 /// One event of every kind (the list `event.rs::every_kind_round_trips`
 /// builds) on two named tracks, span pairs adjacent so both tracks balance.
+/// The timestamps are the ones the golden file was recorded with.
 fn fixture() -> Vec<TrackDump> {
-    let kinds = [
-        EventKind::CycleBegin { cycle: 7 },
-        EventKind::CycleEnd {
-            cycle: 7,
-            freed: 12,
-            traced: 99,
-        },
-        EventKind::PhaseEnter { phase: 2 },
-        EventKind::HandshakeBegin {
-            generation: 41,
-            ty: 2,
-        },
-        EventKind::HandshakeEnd {
-            generation: 41,
-            ty: 2,
-            outcome: 0,
-        },
-        EventKind::MarkCas { won: true },
-        EventKind::BarrierHit { deletion: false },
-        EventKind::AllocColor {
-            slot: 1234,
-            color: true,
-        },
-        EventKind::PoolRefill { got: 8 },
-        EventKind::TlabRefill { got: 32 },
-        EventKind::SegmentClaimed { segment: 17 },
-        EventKind::LazySweepSegment {
-            segment: 17,
-            freed: 61,
-        },
-        EventKind::ChaosFired { site: 3 },
-        EventKind::LevelBegin {
-            level: 9,
-            frontier: 100_000,
-        },
-        EventKind::LevelEnd {
-            level: 9,
-            discovered: 54_321,
-            states_total: 1 << 33,
-        },
-        EventKind::ShardOccupancy {
-            max: 512,
-            total: 30_000,
-        },
-        EventKind::SpanBegin { id: 2 },
-        EventKind::SpanEnd { id: 2 },
-        EventKind::Instant {
-            id: 1,
-            value: u64::MAX,
-        },
-        EventKind::Counter { id: 2, value: 997 },
-        EventKind::ServeRequest {
-            id: 123_456,
-            outcome: 3,
-            latency_us: 41_000,
-        },
-        EventKind::SegmentOccupancy {
-            segment: 5,
-            busy: 61,
-            slots: 64,
-        },
-        EventKind::FreeSegments { free: 3, total: 8 },
+    let event = |ts_ns, kind| Event { ts_ns, kind };
+    let collector = [
+        event(1000, EventKind::CycleBegin { cycle: 7 }),
+        event(
+            1001,
+            EventKind::CycleEnd {
+                cycle: 7,
+                freed: 12,
+                traced: 99,
+            },
+        ),
+        event(1002, EventKind::PhaseEnter { phase: 2 }),
+        event(
+            1003,
+            EventKind::HandshakeBegin {
+                generation: 41,
+                ty: 2,
+            },
+        ),
+        event(
+            1004,
+            EventKind::HandshakeEnd {
+                generation: 41,
+                ty: 2,
+                outcome: 0,
+            },
+        ),
+        event(1005, EventKind::MarkCas { won: true }),
+        event(1006, EventKind::BarrierHit { deletion: false }),
+        event(
+            1007,
+            EventKind::AllocColor {
+                slot: 1234,
+                color: true,
+            },
+        ),
+        event(1008, EventKind::PoolRefill { got: 8 }),
+        event(1012, EventKind::ChaosFired { site: 3 }),
     ];
-    let events: Vec<Event> = kinds
-        .into_iter()
-        .enumerate()
-        .map(|(i, kind)| Event {
-            ts_ns: 1_000 + i as u64,
-            kind,
-        })
-        .collect();
-    let (collector, checker) = events.split_at(13);
+    let checker = [
+        event(
+            1013,
+            EventKind::LevelBegin {
+                level: 9,
+                frontier: 100_000,
+            },
+        ),
+        event(
+            1014,
+            EventKind::LevelEnd {
+                level: 9,
+                discovered: 54_321,
+                states_total: 1 << 33,
+            },
+        ),
+        event(
+            1015,
+            EventKind::ShardOccupancy {
+                max: 512,
+                total: 30_000,
+            },
+        ),
+        event(1016, EventKind::SpanBegin { id: 2 }),
+        event(1017, EventKind::SpanEnd { id: 2 }),
+        event(
+            1018,
+            EventKind::Instant {
+                id: 1,
+                value: u64::MAX,
+            },
+        ),
+        event(1019, EventKind::Counter { id: 2, value: 997 }),
+        event(
+            1020,
+            EventKind::ServeRequest {
+                id: 123_456,
+                outcome: 3,
+                latency_us: 41_000,
+            },
+        ),
+    ];
     let track = |id, name: &str, events: &[Event]| TrackDump {
         id,
         name: name.to_owned(),
@@ -101,8 +111,8 @@ fn fixture() -> Vec<TrackDump> {
         events: events.to_vec(),
     };
     vec![
-        track(1, "gc-collector", collector),
-        track(2, "checker", checker),
+        track(1, "gc-collector", &collector),
+        track(2, "checker", &checker),
     ]
 }
 
@@ -116,8 +126,8 @@ fn jsonl_bytes_match_the_golden_recorded_before_the_refactor() {
 
 #[test]
 fn fixture_holds_every_kind() {
-    let mut every_code: Vec<&str> = (1..)
-        .map_while(|code| Event::decode([0, code, 0, 0]))
+    let mut every_code: Vec<&str> = (0..=u64::from(u8::MAX))
+        .filter_map(|code| Event::decode([0, code, 0, 0]))
         .map(|e| e.kind.name())
         .collect();
     let mut in_fixture: Vec<&str> = fixture()
@@ -205,10 +215,7 @@ fn traced_collector_run(cycles: u64) -> Vec<TrackDump> {
         GcConfig::builder()
             .capacity(256)
             .max_fields(2)
-            .layout(HeapLayout::Segmented {
-                segment_slots: 32,
-                tlab_slots: 8,
-            })
+            .alloc_pool(8)
             .build(),
     );
     let mut m = collector.register_mutator();
