@@ -458,7 +458,10 @@ pub(crate) fn fig7(f: &mut Flags) -> Run {
     f.finish()?;
     // LOCALOP: s' ∈ R s.
     let mut p = P::new();
-    let op = p.local_op("nondet", |s| vec![s + 1, s + 10]);
+    let op = p.local_op("nondet", |s, emit| {
+        emit(s + 1);
+        emit(s + 10);
+    });
     p.set_entry(op);
     let n = enabled_steps(&p, &p.entry().into(), &0).len();
     println!("LOCALOP: one command, {n} enabled successors (data non-determinism)");
@@ -561,7 +564,7 @@ pub(crate) fn fig8(f: &mut Flags) -> Run {
     let ask = client.request("ask", |s| *s, |_, beta| *beta);
     client.set_entry(ask);
     let mut server = P::new();
-    let answer = server.response("answer", |alpha, s| Some((s + 1, alpha * 2)));
+    let answer = server.response("answer", 0, |alpha, s| Some((s + 1, alpha * 2)));
     server.set_entry(answer);
     let sys = System::new(vec![("client", client, 21), ("server", server, 100)]);
     let succs = sys.successors(&sys.initial_state());
@@ -589,7 +592,7 @@ pub(crate) fn fig8(f: &mut Flags) -> Run {
         let ask = c.request("ask", |s| *s, |s, _| *s);
         c.set_entry(ask);
         let mut srv = P::new();
-        let ans = srv.response("even-only", |alpha, s| {
+        let ans = srv.response("even-only", 0, |alpha, s| {
             if alpha % 2 == 0 {
                 Some((*s, 0))
             } else {

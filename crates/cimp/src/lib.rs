@@ -7,9 +7,10 @@
 //! * **process-algebra-style rendezvous** (synchronous message passing):
 //!   a [`Request`](program::Com::Request) by one process synchronises with a
 //!   [`Response`](program::Com::Response) by another, exchanging a request
-//!   value α and a response value β in a single indivisible system step;
+//!   value α and a response value β in a single indivisible system step
+//!   (each response answers one [kind](Keyed) of request);
 //! * **control and data non-determinism**: [`Choose`](program::Com::Choose)
-//!   between branches, and local operations that return *sets* of successor
+//!   between branches, and local operations that emit *sets* of successor
 //!   states;
 //! * **flat parallel composition**: a [`System`](system::System) interleaves
 //!   the steps of its processes at the top level, with no action hiding.
@@ -33,7 +34,8 @@
 //! ```
 //! use cimp::{Program, System};
 //!
-//! // Local state: a counter. Requests and responses are numbers.
+//! // Local state: a counter. Requests and responses are numbers (`u32`
+//! // requests are of a single kind, 0).
 //! let mut client: Program<u32, u32, u32> = Program::new();
 //! let ask = client.request(
 //!     "ask",
@@ -43,7 +45,7 @@
 //! client.set_entry(ask);
 //!
 //! let mut server: Program<u32, u32, u32> = Program::new();
-//! let answer = server.response("answer", |alpha, s| Some((*s, alpha * 2)));
+//! let answer = server.response("answer", 0, |alpha, s| Some((*s, alpha * 2)));
 //! server.set_entry(answer);
 //!
 //! let sys = System::new(vec![("client", client, 21), ("server", server, 0)]);
@@ -62,6 +64,6 @@ pub mod program;
 pub mod step;
 pub mod system;
 
-pub use program::{AbsLoc, Com, ComId, Label, MemEffect, Program};
+pub use program::{AbsLoc, Com, ComId, Keyed, Label, MemEffect, Program};
 pub use step::{PendingStep, Stack, MAX_STACK_DEPTH};
 pub use system::{Event, Locals, ProcId, System, SystemState, UniformState, MAX_PROCESSES};

@@ -40,15 +40,37 @@ impl ComId {
     }
 }
 
+/// A request vocabulary whose values fall into a few *kinds*: every
+/// [`Response`](Com::Response) names the one kind it answers, and a system
+/// pairs a request only with the responses of its kind. A process that
+/// answers many shapes of request (the paper's system process) then costs a
+/// rendezvous one comparison per response that cannot answer, not a call.
+///
+/// A response that can answer requests of another kind than the one it
+/// names is never offered them, and the rendezvous it would form are lost
+/// without a trace; debug builds still offer it every such request and
+/// panic if it answers.
+pub trait Keyed {
+    /// The kind of this request.
+    fn kind(&self) -> u8;
+}
+
+/// `u32` requests are of a single kind, `0`.
+impl Keyed for u32 {
+    fn kind(&self) -> u8 {
+        0
+    }
+}
+
 /// Non-deterministic local operation: hands each possible successor of a
 /// local state to the sink. Handing over none means the operation is
 /// *disabled* in that state (the process blocks), which is how guards/awaits
 /// are modelled.
 ///
 /// The four relations of an atomic command are stored in this sink-passing
-/// form so that stepping allocates nothing for the (overwhelmingly common)
-/// commands with at most one outcome; the builder methods of [`Program`]
-/// accept plain functions returning one value, an `Option` or a `Vec`.
+/// form, and the builder methods of [`Program`] take them in the same form
+/// (or as plain functions returning one value or an `Option`), so stepping
+/// allocates nothing whatever the number of outcomes.
 pub type OpFn<S> = Arc<dyn Fn(&S, &mut dyn FnMut(S)) + Send + Sync>;
 
 /// Offers the request values α of the sender (data non-determinism: each α
@@ -62,8 +84,8 @@ pub type RecvFn<S, Req, Resp> = Arc<dyn Fn(&S, &Req, &Resp, &mut dyn FnMut(S)) +
 /// The receiver's side of a rendezvous: given the request α and the
 /// receiver's local state, the possible (successor state, response β)
 /// pairs. None means the receiver cannot answer this particular request (no
-/// rendezvous forms), which is how the system process pattern-matches on
-/// request shapes.
+/// rendezvous forms), which is how a response refuses a request of its
+/// [kind](Keyed) that its state cannot serve.
 pub type RespFn<S, Req, Resp> = Arc<dyn Fn(&Req, &S, &mut dyn FnMut(S, Resp)) + Send + Sync>;
 
 /// Evaluates a branch condition on the local state.
@@ -143,6 +165,8 @@ pub enum Com<S, Req, Resp> {
     Response {
         /// Program location.
         label: Label,
+        /// The [kind](Keyed) of request this response answers.
+        kind: u8,
         /// The response relation.
         resp: RespFn<S, Req, Resp>,
     },
@@ -286,15 +310,16 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
         self.effects[id.index()]
     }
 
-    /// Adds a non-deterministic local operation.
+    /// Adds a non-deterministic local operation: `op(s, emit)` calls `emit`
+    /// once per successor of `s`, and not at all where it is disabled.
     pub fn local_op(
         &mut self,
         label: Label,
-        op: impl Fn(&S) -> Vec<S> + Send + Sync + 'static,
+        op: impl Fn(&S, &mut dyn FnMut(S)) + Send + Sync + 'static,
     ) -> ComId {
         self.push(Com::LocalOp {
             label,
-            op: Arc::new(move |s, sink| op(s).into_iter().for_each(sink)),
+            op: Arc::new(op),
         })
     }
 
@@ -358,19 +383,20 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
     }
 
     /// Adds a `Request` command offering a *set* of request values (data
-    /// non-determinism): each α in `act(s)` is a separate potential
-    /// rendezvous, and `recv` learns which α was taken. An empty set
-    /// disables the request.
+    /// non-determinism): each α that `act(s, emit)` emits is a separate
+    /// potential rendezvous, and `recv(s, α, β, emit)` learns which α was
+    /// taken and emits the sender's successors. Emitting no α disables the
+    /// request.
     pub fn request_nd(
         &mut self,
         label: Label,
-        act: impl Fn(&S) -> Vec<Req> + Send + Sync + 'static,
-        recv: impl Fn(&S, &Req, &Resp) -> Vec<S> + Send + Sync + 'static,
+        act: impl Fn(&S, &mut dyn FnMut(Req)) + Send + Sync + 'static,
+        recv: impl Fn(&S, &Req, &Resp, &mut dyn FnMut(S)) + Send + Sync + 'static,
     ) -> ComId {
         self.push(Com::Request {
             label,
-            act: Arc::new(move |s, sink| act(s).into_iter().for_each(sink)),
-            recv: Arc::new(move |s, req, beta, sink| recv(s, req, beta).into_iter().for_each(sink)),
+            act: Arc::new(act),
+            recv: Arc::new(recv),
         })
     }
 
@@ -387,37 +413,35 @@ impl<S, Req, Resp> Program<S, Req, Resp> {
         self.request(label, act, |s, _| s.clone())
     }
 
-    /// Adds a `Response` command that answers a request in at most one way:
-    /// `None` means this request cannot be answered in this state.
+    /// Adds a `Response` command that answers requests of one [kind](Keyed)
+    /// in at most one way: `None` means this request cannot be answered in
+    /// this state.
     pub fn response(
         &mut self,
         label: Label,
+        kind: u8,
         resp: impl Fn(&Req, &S) -> Option<(S, Resp)> + Send + Sync + 'static,
     ) -> ComId {
-        self.push(Com::Response {
-            label,
-            resp: Arc::new(move |req, s, sink| {
-                if let Some((s2, beta)) = resp(req, s) {
-                    sink(s2, beta);
-                }
-            }),
+        self.response_nd(label, kind, move |req, s, emit| {
+            if let Some((s2, beta)) = resp(req, s) {
+                emit(s2, beta);
+            }
         })
     }
 
-    /// Adds a `Response` command whose answer is chosen non-deterministically
-    /// among the returned (successor state, response β) pairs.
+    /// Adds a `Response` command for requests of one [kind](Keyed) whose
+    /// answer is chosen non-deterministically: `resp(α, s, emit)` emits
+    /// each possible (successor state, response β) pair.
     pub fn response_nd(
         &mut self,
         label: Label,
-        resp: impl Fn(&Req, &S) -> Vec<(S, Resp)> + Send + Sync + 'static,
+        kind: u8,
+        resp: impl Fn(&Req, &S, &mut dyn FnMut(S, Resp)) + Send + Sync + 'static,
     ) -> ComId {
         self.push(Com::Response {
             label,
-            resp: Arc::new(move |req, s, sink| {
-                for (s2, beta) in resp(req, s) {
-                    sink(s2, beta);
-                }
-            }),
+            kind,
+            resp: Arc::new(resp),
         })
     }
 

@@ -100,17 +100,21 @@ impl PartialEq for Stack {
 impl Eq for Stack {}
 
 impl Hash for Stack {
-    /// Feeds the depth and then the frames as 16-bit values in one write,
-    /// zero-padded to whole words (the depth makes the padding
-    /// unambiguous): hashers take one aligned run faster than many values.
+    /// Feeds the depth and then the frames as 16-bit values packed four to
+    /// a `u64`, the last word zero-padded (the depth makes the padding
+    /// unambiguous): one `write_u64` per four values, no byte buffer.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut bytes = [0u8; (2 * (1 + MAX_STACK_DEPTH)).next_multiple_of(8)];
-        let values =
-            std::iter::once(u16::from(self.len)).chain(self.frames().iter().map(|c| c.raw()));
-        for (slot, value) in bytes.chunks_exact_mut(2).zip(values) {
-            slot.copy_from_slice(&value.to_le_bytes());
+        let pack = |frames: &[ComId]| {
+            let shifts = frames.iter().zip((0..).step_by(16));
+            shifts.fold(0, |word, (c, shift): (_, u32)| {
+                word | u64::from(c.raw()) << shift
+            })
+        };
+        let (head, tail) = self.frames().split_at(self.len().min(3));
+        state.write_u64(u64::from(self.len) | pack(head) << 16);
+        for chunk in tail.chunks(4) {
+            state.write_u64(pack(chunk));
         }
-        state.write(&bytes[..(2 * (1 + self.len())).next_multiple_of(8)]);
     }
 }
 
@@ -150,6 +154,8 @@ pub enum PendingStep<'p, S, Req, Resp> {
     Recv {
         /// Label of the `Response`.
         label: Label,
+        /// The [kind](crate::Keyed) of request it answers.
+        kind: u8,
         /// Control state after the rendezvous.
         stack: Stack,
         /// The response relation, applied to the incoming α.
@@ -203,18 +209,10 @@ pub(crate) fn for_each_enabled_step<'p, S, Req, Resp>(
     work: &mut Vec<Stack>,
     mut found: impl FnMut(PendingStep<'p, S, Req, Resp>),
 ) {
-    work.push(*stack);
-    let mut expansions = 0usize;
-    while let Some(mut stack) = work.pop() {
-        expansions += 1;
-        assert!(
-            expansions < MAX_STRUCTURAL_DEPTH,
-            "structural unfolding diverged: control loop with no atomic command"
-        );
-        let Some(top) = stack.pop() else {
-            continue; // terminated process: no steps
-        };
-        match program.com(top) {
+    // Hands over the steps of `com` continuing with `stack`, if `com` is
+    // atomic; whether it was.
+    let mut offer = |com: &'p Com<S, Req, Resp>, stack: Stack| {
+        match com {
             Com::LocalOp { label, op } => op(state, &mut |state| {
                 found(PendingStep::Tau {
                     label,
@@ -230,7 +228,35 @@ pub(crate) fn for_each_enabled_step<'p, S, Req, Resp>(
                     recv,
                 })
             }),
-            Com::Response { label, resp } => found(PendingStep::Recv { label, stack, resp }),
+            Com::Response { label, kind, resp } => found(PendingStep::Recv {
+                label,
+                kind: *kind,
+                stack,
+                resp,
+            }),
+            _ => return false,
+        }
+        true
+    };
+    work.push(*stack);
+    let mut expansions = 0usize;
+    while let Some(mut stack) = work.pop() {
+        expansions += 1;
+        assert!(
+            expansions < MAX_STRUCTURAL_DEPTH,
+            "structural unfolding diverged: control loop with no atomic command"
+        );
+        let Some(top) = stack.pop() else {
+            continue; // terminated process: no steps
+        };
+        let com = program.com(top);
+        if offer(com, stack) {
+            continue;
+        }
+        match com {
+            Com::LocalOp { .. } | Com::Request { .. } | Com::Response { .. } => {
+                unreachable!("offered above")
+            }
             Com::Seq(a, b) => {
                 stack.push(*b);
                 stack.push(*a);
@@ -261,7 +287,15 @@ pub(crate) fn for_each_enabled_step<'p, S, Req, Resp>(
                 work.push(stack);
             }
             Com::Choose(branches) => {
-                for &branch in branches {
+                // The work stack unfolds the branches last first. Atomic
+                // ones at the end are offered right here from `stack` in
+                // that same order, instead of through a copy pushed and
+                // popped each; the rest go through the work stack.
+                let mut rest = branches.len();
+                while rest > 0 && offer(program.com(branches[rest - 1]), stack) {
+                    rest -= 1;
+                }
+                for &branch in &branches[..rest] {
                     let mut s = stack;
                     s.push(branch);
                     work.push(s);
@@ -301,6 +335,35 @@ mod tests {
 
     fn initial(p: &P) -> Stack {
         Stack::from(p.entry())
+    }
+
+    #[test]
+    fn stacks_hash_as_packed_words() {
+        /// Records the words it is fed.
+        #[derive(Default)]
+        struct Words(Vec<u64>);
+        impl Hasher for Words {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, _: &[u8]) {
+                unreachable!("stacks feed whole words")
+            }
+            fn write_u64(&mut self, word: u64) {
+                self.0.push(word);
+            }
+        }
+        let words = |depth: u16| {
+            let mut stack = Stack::new();
+            (1..=depth).for_each(|c| stack.push(ComId::from_raw(c)));
+            let mut h = Words::default();
+            stack.hash(&mut h);
+            h.0
+        };
+        assert_eq!(words(0), [0]);
+        assert_eq!(words(3), [0x0003_0002_0001_0003]);
+        assert_eq!(words(5), [0x0003_0002_0001_0005, 0x0005_0004]);
+        assert_eq!(words(MAX_STACK_DEPTH as u16).len(), 7);
     }
 
     #[test]
@@ -366,7 +429,10 @@ mod tests {
     #[test]
     fn nondeterministic_local_op_yields_all_successors() {
         let mut p = P::new();
-        let flip = p.local_op("flip", |s| vec![*s, *s + 10]);
+        let flip = p.local_op("flip", |s, emit| {
+            emit(*s);
+            emit(*s + 10);
+        });
         p.set_entry(flip);
         let steps = enabled_steps(&p, &initial(&p), &1);
         assert_eq!(steps.len(), 2);
@@ -490,6 +556,26 @@ mod tests {
         let mut at1 = at_labels(&p, &initial(&p), &1);
         at1.sort_unstable();
         assert_eq!(at1, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn choose_offers_its_branches_last_first_and_each_continues_alike() {
+        let mut p = P::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|l| p.skip(l));
+        let bc = p.seq2(b, c);
+        let pick = p.choose([a, bc, d]);
+        let after = p.skip("after");
+        let entry = p.seq2(pick, after);
+        p.set_entry(entry);
+        let steps = enabled_steps(&p, &initial(&p), &0);
+        assert_eq!(at_labels(&p, &initial(&p), &0), vec!["d", "b", "a"]);
+        let next = |i: usize| match &steps[i] {
+            PendingStep::Tau { stack, .. } => at_labels(&p, stack, &0),
+            other => panic!("expected Tau, got {other:?}"),
+        };
+        assert_eq!(next(0), vec!["after"]);
+        assert_eq!(next(1), vec!["c"]);
+        assert_eq!(next(2), vec!["after"]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crate::program::{Label, Program};
+use crate::program::{Keyed, Label, Program};
 use crate::step::{at_labels, for_each_enabled_step, PendingStep, Stack};
 
 /// Index of a process within a [`System`].
@@ -100,6 +100,16 @@ pub trait Locals: Copy {
 
     /// Replaces the local state of process `p`.
     fn set(&mut self, p: usize, local: Self::Local);
+
+    /// Feeds the local state of process `p` to `state` exactly as
+    /// `self.get(p).hash(state)` would. A layout that can read a process's
+    /// state where it lies overrides this to skip the copy `get` makes.
+    fn hash_local<H: Hasher>(&self, p: usize, state: &mut H)
+    where
+        Self::Local: Hash,
+    {
+        self.get(p).hash(state);
+    }
 }
 
 impl<S: Copy> Locals for [S; MAX_PROCESSES] {
@@ -235,7 +245,7 @@ impl<L: Locals<Local: Hash>> Hash for SystemState<L> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         for (p, control) in self.controls().iter().enumerate() {
             control.hash(state);
-            self.locals.get(p).hash(state);
+            self.locals.hash_local(p, state);
         }
     }
 }
@@ -264,7 +274,7 @@ impl<S, Req, Resp, L> fmt::Debug for System<S, Req, Resp, L> {
     }
 }
 
-impl<S: Copy, Req: Clone, Resp: Clone> System<S, Req, Resp> {
+impl<S: Copy, Req: Clone + Keyed, Resp: Clone> System<S, Req, Resp> {
     /// Creates a system from `(name, program, initial local state)` triples,
     /// with the uniform layout of local states.
     ///
@@ -281,7 +291,7 @@ impl<S, Req, Resp, L> System<S, Req, Resp, L>
 where
     L: Locals<Local = S>,
     S: Copy,
-    Req: Clone,
+    Req: Clone + Keyed,
     Resp: Clone,
 {
     /// Creates a system from `(name, program, initial local state)` triples
@@ -373,7 +383,14 @@ where
     /// Each successor is one copy of `state` with the slots of the stepped
     /// process(es) overwritten. τ successors are appended while the
     /// processes' enabled steps are enumerated; the offered requests and
-    /// responses are kept aside and paired afterwards.
+    /// responses are kept aside and paired afterwards, a request only with
+    /// the responses of its [kind](Keyed).
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if a response answers a request of another
+    /// kind than its own: release builds never offer it one, and would
+    /// silently lose that successor.
     pub fn successors_into(
         &self,
         state: &SystemState<L>,
@@ -386,44 +403,69 @@ where
                 next.set(p, control, local);
             }
         };
-        // Each process's local state, taken out of the layout once (the
-        // slots past the last process repeat the first and are never read).
-        let locals: [S; MAX_PROCESSES] =
-            std::array::from_fn(|p| state.locals.get(if p < state.len() { p } else { 0 }));
+        // Each process's local state, taken out of the layout once; the
+        // slots past the last process stay empty.
+        let mut locals: [Option<S>; MAX_PROCESSES] = [None; MAX_PROCESSES];
+        for (p, local) in locals[..state.len()].iter_mut().enumerate() {
+            *local = Some(state.locals.get(p));
+        }
+        let local_of = |p: usize| locals[p].as_ref().expect("a process's local state");
 
         // Interleaved τ steps, and each process's offers.
         let mut sends = Vec::with_capacity(16);
         let mut recvs = Vec::with_capacity(16);
         let mut work = Vec::with_capacity(16);
         for (i, p) in self.procs.iter().enumerate() {
-            let (control, local) = (state.control(i), &locals[i]);
-            for_each_enabled_step(&p.program, control, local, &mut work, |step| match step {
-                PendingStep::Tau {
-                    label,
-                    stack,
-                    state: local,
-                } => {
-                    let proc = ProcId(i);
-                    push(Event::Tau { proc, label }, &[(i, stack, local)]);
-                }
-                PendingStep::Send {
-                    label,
-                    req,
-                    stack,
-                    recv,
-                } => sends.push((i, label, req, stack, recv)),
-                PendingStep::Recv { label, stack, resp } => recvs.push((i, label, stack, resp)),
-            });
+            for_each_enabled_step(
+                &p.program,
+                state.control(i),
+                local_of(i),
+                &mut work,
+                |step| match step {
+                    PendingStep::Tau {
+                        label,
+                        stack,
+                        state: local,
+                    } => {
+                        let proc = ProcId(i);
+                        push(Event::Tau { proc, label }, &[(i, stack, local)]);
+                    }
+                    PendingStep::Send {
+                        label,
+                        req,
+                        stack,
+                        recv,
+                    } => sends.push((i, label, req, stack, recv)),
+                    PendingStep::Recv {
+                        label,
+                        kind,
+                        stack,
+                        resp,
+                    } => recvs.push((i, label, kind, stack, resp)),
+                },
+            );
         }
 
-        // Rendezvous: sender i, receiver j, i ≠ j.
+        // Rendezvous: sender i, receiver j, i ≠ j, of one kind.
         for (i, send_label, req, send_stack, recv) in &sends {
-            for (j, recv_label, recv_stack, resp) in &recvs {
+            let req_kind = req.kind();
+            for (j, recv_label, kind, recv_stack, resp) in &recvs {
                 if i == j {
                     continue;
                 }
-                resp(req, &locals[*j], &mut |recv_local, beta| {
-                    recv(&locals[*i], req, &beta, &mut |send_local| {
+                if *kind != req_kind {
+                    if cfg!(debug_assertions) {
+                        resp(req, local_of(*j), &mut |_, _| {
+                            panic!(
+                                "response {recv_label} is keyed {kind} but answers \
+                                 {send_label}'s request of kind {req_kind}"
+                            )
+                        });
+                    }
+                    continue;
+                }
+                resp(req, local_of(*j), &mut |recv_local, beta| {
+                    recv(local_of(*i), req, &beta, &mut |send_local| {
                         let event = Event::Comm {
                             sender: ProcId(*i),
                             receiver: ProcId(*j),
@@ -473,7 +515,7 @@ mod tests {
         client.set_entry(ask);
 
         let mut server = P::new();
-        let ans = server.response("answer", |alpha, s| Some((s + 1, alpha * 2)));
+        let ans = server.response("answer", 0, |alpha, s| Some((s + 1, alpha * 2)));
         server.set_entry(ans);
 
         let sys = System::new(vec![("client", client, 10), ("server", server, 100)]);
@@ -520,16 +562,13 @@ mod tests {
             let ask = client.request("ask", |s| *s, |s, _| *s);
             client.set_entry(ask);
             let mut server = P::new();
-            let ans = server.response(
-                "answer",
-                |alpha, s| {
-                    if alpha % 2 == 0 {
-                        Some((*s, 0))
-                    } else {
-                        None
-                    }
-                },
-            );
+            let ans = server.response("answer", 0, |alpha, s| {
+                if alpha % 2 == 0 {
+                    Some((*s, 0))
+                } else {
+                    None
+                }
+            });
             server.set_entry(ans);
             System::new(vec![("client", client, init), ("server", server, 0)])
         };
@@ -543,7 +582,10 @@ mod tests {
         let ask = client.request("ask", |s| *s, |_, beta| *beta);
         client.set_entry(ask);
         let mut server = P::new();
-        let ans = server.response_nd("answer", |_, s| vec![(*s, 7), (*s, 8)]);
+        let ans = server.response_nd("answer", 0, |_, s, emit| {
+            emit(*s, 7);
+            emit(*s, 8);
+        });
         server.set_entry(ans);
         let sys = System::new(vec![("client", client, 0), ("server", server, 0)]);
         let succs = sys.successors(&sys.initial_state());
@@ -551,6 +593,42 @@ mod tests {
         let mut finals: Vec<u32> = succs.iter().map(|(_, s)| s.local(0)).collect();
         finals.sort_unstable();
         assert_eq!(finals, vec![7, 8]);
+    }
+
+    /// A request whose kind is its value.
+    #[derive(Debug, Clone, Copy)]
+    struct Tagged(u8);
+
+    impl Keyed for Tagged {
+        fn kind(&self) -> u8 {
+            self.0
+        }
+    }
+
+    /// A client asking `Tagged(kind)` of a server whose one response is
+    /// keyed `key` and answers every request.
+    fn keyed_pair(kind: u8, key: u8) -> System<u32, Tagged, u32> {
+        let mut client = Program::new();
+        let ask = client.request("ask", move |_| Tagged(kind), |_, beta| *beta);
+        client.set_entry(ask);
+        let mut server = Program::new();
+        let ans = server.response("answer", key, |_, s| Some((*s, 7)));
+        server.set_entry(ans);
+        System::new(vec![("client", client, 0), ("server", server, 0)])
+    }
+
+    #[test]
+    fn requests_meet_only_the_responses_of_their_kind() {
+        let sys = keyed_pair(3, 3);
+        assert_eq!(sys.successors(&sys.initial_state()).len(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "response answer is keyed 2 but answers ask's request of kind 3")]
+    fn a_mis_keyed_response_panics_in_debug_builds() {
+        let sys = keyed_pair(3, 2);
+        let _ = sys.successors(&sys.initial_state());
     }
 
     #[test]

@@ -20,6 +20,20 @@ pub fn initial_mut_state(cfg: &ModelConfig, m: usize) -> MutState {
     MutState::initial(m as u8, roots)
 }
 
+/// Emits a read of every field of every rooted object: the request values
+/// of a load, and of a store's deletion-barrier load.
+fn field_reads(m: &MutState, fields: u8, emit: &mut dyn FnMut(Req)) {
+    let tid = 1 + m.idx as usize;
+    for src in m.roots {
+        for fld in 0..fields {
+            emit(Req {
+                tid,
+                kind: ReqKind::Read(Addr::Field(src, fld)),
+            });
+        }
+    }
+}
+
 /// `Load(src ∈ roots, fld)`: read a field of a rooted object into the
 /// roots. One rendezvous; all `(src, fld)` choices are offered as distinct
 /// request values.
@@ -27,21 +41,8 @@ fn build_load(p: &mut Prog, cfg: &ModelConfig) -> ComId {
     let fields = cfg.fields as u8;
     let load = p.request_nd(
         "mut-load",
-        move |l: &Local| {
-            let m = l.mutator();
-            let tid = 1 + m.idx as usize;
-            let mut reqs = Vec::new();
-            for src in m.roots {
-                for fld in 0..fields {
-                    reqs.push(Req {
-                        tid,
-                        kind: ReqKind::Read(Addr::Field(src, fld)),
-                    });
-                }
-            }
-            reqs
-        },
-        |l: &Local, _req: &Req, beta: &Resp| {
+        move |l: &Local, emit| field_reads(l.mutator(), fields, emit),
+        |l: &Local, _req: &Req, beta: &Resp, emit| {
             let loaded = beta
                 .loaded()
                 .expect("rooted objects are allocated")
@@ -50,7 +51,7 @@ fn build_load(p: &mut Prog, cfg: &ModelConfig) -> ComId {
             if let Some(r) = loaded {
                 l2.mutator_mut().roots.insert(r);
             }
-            vec![l2]
+            emit(l2);
         },
     );
     p.annotate(load, MemEffect::Load(FIELD))
@@ -74,21 +75,8 @@ fn build_store(p: &mut Prog, cfg: &ModelConfig) -> ComId {
     let begin = if cfg.deletion_barrier {
         let b = p.request_nd(
             "mut-store-begin",
-            move |l: &Local| {
-                let m = l.mutator();
-                let tid = 1 + m.idx as usize;
-                let mut reqs = Vec::new();
-                for src in m.roots {
-                    for fld in 0..fields {
-                        reqs.push(Req {
-                            tid,
-                            kind: ReqKind::Read(Addr::Field(src, fld)),
-                        });
-                    }
-                }
-                reqs
-            },
-            |l: &Local, req: &Req, beta: &Resp| {
+            move |l: &Local, emit| field_reads(l.mutator(), fields, emit),
+            |l: &Local, req: &Req, beta: &Resp, emit| {
                 let ReqKind::Read(Addr::Field(src, fld)) = req.kind else {
                     panic!("store begins with a field read");
                 };
@@ -96,30 +84,25 @@ fn build_store(p: &mut Prog, cfg: &ModelConfig) -> ComId {
                     .loaded()
                     .expect("rooted objects are allocated")
                     .as_ref_val();
-                let m = l.mutator();
                 // Fan out over the choice of dst.
-                m.roots
-                    .iter()
-                    .map(|dst| {
-                        let mut l2 = *l;
-                        let m2 = l2.mutator_mut();
-                        m2.st_active = true;
-                        m2.st_dst = Some(dst);
-                        m2.st_src = Some(src);
-                        m2.st_fld = fld;
-                        m2.st_deleted = deleted;
-                        m2.mark.target = deleted; // prime the deletion barrier
-                        l2
-                    })
-                    .collect()
+                for dst in l.mutator().roots {
+                    let mut l2 = *l;
+                    let m2 = l2.mutator_mut();
+                    m2.st_active = true;
+                    m2.st_dst = Some(dst);
+                    m2.st_src = Some(src);
+                    m2.st_fld = fld;
+                    m2.st_deleted = deleted;
+                    m2.mark.target = deleted; // prime the deletion barrier
+                    emit(l2);
+                }
             },
         );
         p.annotate(b, MemEffect::Load(FIELD))
     } else {
         // Ablation: no deletion barrier, hence no load of the old value.
-        let b = p.local_op("mut-store-begin-unbarriered", move |l: &Local| {
+        let b = p.local_op("mut-store-begin-unbarriered", move |l: &Local, emit| {
             let m = l.mutator();
-            let mut out = Vec::new();
             for src in m.roots {
                 for fld in 0..fields {
                     for dst in m.roots {
@@ -130,11 +113,10 @@ fn build_store(p: &mut Prog, cfg: &ModelConfig) -> ComId {
                         m2.st_src = Some(src);
                         m2.st_fld = fld;
                         m2.st_deleted = None;
-                        out.push(l2);
+                        emit(l2);
                     }
                 }
             }
-            out
         });
         p.annotate(b, MemEffect::Pure)
     };
@@ -206,16 +188,12 @@ fn build_alloc(p: &mut Prog) -> ComId {
 
 /// `Discard(ref ∈ roots)` (Figure 6 lines 20–21).
 fn build_discard(p: &mut Prog) -> ComId {
-    let discard = p.local_op("mut-discard", |l: &Local| {
-        let m = l.mutator();
-        m.roots
-            .iter()
-            .map(|r| {
-                let mut l2 = *l;
-                l2.mutator_mut().roots.remove(r);
-                l2
-            })
-            .collect()
+    let discard = p.local_op("mut-discard", |l: &Local, emit| {
+        for r in l.mutator().roots {
+            let mut l2 = *l;
+            l2.mutator_mut().roots.remove(r);
+            emit(l2);
+        }
     });
     p.annotate(discard, MemEffect::Pure)
 }

@@ -16,14 +16,9 @@ use tso_model::Machine;
 
 use crate::vocab::{Addr, HsPhase, HsType, Phase, Val};
 
-/// Feeds a role's (at most four) words to a hasher in one write: hashers
-/// take one aligned run faster than a call per word.
+/// Feeds a role's words to a hasher, one `write_u64` each.
 fn feed<H: Hasher>(state: &mut H, words: &[u64]) {
-    let mut bytes = [0u8; 32];
-    for (slot, word) in bytes.chunks_exact_mut(8).zip(words) {
-        slot.copy_from_slice(&word.to_le_bytes());
-    }
-    state.write(&bytes[..8 * words.len()]);
+    words.iter().for_each(|&word| state.write_u64(word));
 }
 
 /// Bit-packs small fields into a word, lowest bits first.
@@ -555,6 +550,15 @@ impl cimp::Locals for Roles {
             (Some(m), Local::Mut(state)) => self.mutators_mut()[m] = state,
             (Some(m), Local::Sys(sys)) if m == usize::from(self.mutators) => self.sys = sys,
             (_, local) => panic!("process {p} is not a {local:?}"),
+        }
+    }
+
+    /// Hashes the role where it lies, as [`Local`]'s `Hash` would.
+    fn hash_local<H: Hasher>(&self, p: usize, state: &mut H) {
+        match p.checked_sub(1) {
+            None => self.gc.hash(state),
+            Some(m) if m < usize::from(self.mutators) => self.muts[m].hash(state),
+            Some(_) => self.sys.hash(state),
         }
     }
 }

@@ -11,7 +11,7 @@ use tso_model::ThreadId;
 
 use crate::config::ModelConfig;
 use crate::state::{Local, SysState};
-use crate::vocab::{Addr, HsType, Phase, Req, ReqKind, Resp, Val};
+use crate::vocab::{key, Addr, HsType, Phase, Req, ReqKind, Resp, Val};
 use crate::Prog;
 
 /// Builds the initial system-process state for `cfg`.
@@ -58,7 +58,7 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
 
     // -- TSO operations (Figure 9) ------------------------------------
 
-    let read = p.response("sys-read", |req: &Req, l: &Local| {
+    let read = p.response("sys-read", key::READ, |req: &Req, l: &Local| {
         let ReqKind::Read(addr) = &req.kind else {
             return None;
         };
@@ -67,7 +67,7 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
         Some((*l, Resp::Loaded(v)))
     });
 
-    let write = p.response("sys-write", move |req: &Req, l: &Local| {
+    let write = p.response("sys-write", key::WRITE, move |req: &Req, l: &Local| {
         let ReqKind::Write(addr, val) = &req.kind else {
             return None;
         };
@@ -84,12 +84,12 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
         Some((l2, Resp::Void))
     });
 
-    let mfence = p.response("sys-mfence", |req: &Req, l: &Local| {
+    let mfence = p.response("sys-mfence", key::MFENCE, |req: &Req, l: &Local| {
         let enabled = req.kind == ReqKind::MFence && l.sys().mem.can_mfence(ThreadId::new(req.tid));
         enabled.then_some((*l, Resp::Void))
     });
 
-    let lock = p.response("sys-lock", |req: &Req, l: &Local| {
+    let lock = p.response("sys-lock", key::LOCK, |req: &Req, l: &Local| {
         if req.kind != ReqKind::Lock {
             return None;
         }
@@ -98,7 +98,7 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
         Some((l2, Resp::Void))
     });
 
-    let unlock = p.response("sys-unlock", |req: &Req, l: &Local| {
+    let unlock = p.response("sys-unlock", key::UNLOCK, |req: &Req, l: &Local| {
         if req.kind != ReqKind::Unlock {
             return None;
         }
@@ -109,22 +109,20 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
 
     // The only internal transition: commit the oldest pending write of an
     // unblocked thread (`sys-dequeue-write-buffer`).
-    let dequeue = p.local_op("sys-dequeue", |l: &Local| {
+    let dequeue = p.local_op("sys-dequeue", |l: &Local, emit| {
         let s = l.sys();
-        let mut out = Vec::new();
         for t in s.mem.threads_with_pending() {
             if s.mem.not_blocked(t) {
                 let mut l2 = *l;
                 l2.sys_mut().mem.commit(t).expect("commit enabled");
-                out.push(l2);
+                emit(l2);
             }
         }
-        out
     });
 
     // -- Allocation and reclamation (§3.1: axiomatised as atomic) ------
 
-    let alloc = p.response("sys-alloc", move |req: &Req, l: &Local| {
+    let alloc = p.response("sys-alloc", key::ALLOC, move |req: &Req, l: &Local| {
         let s = l.sys();
         if req.kind != ReqKind::Alloc || !s.not_blocked(req.tid) {
             return None;
@@ -146,7 +144,7 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
         Some((l2, Resp::Allocated(slot)))
     });
 
-    let free = p.response("sys-free", move |req: &Req, l: &Local| {
+    let free = p.response("sys-free", key::FREE, move |req: &Req, l: &Local| {
         let ReqKind::Free(r) = req.kind else {
             return None;
         };
@@ -164,42 +162,50 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
         Some((l2, Resp::Void))
     });
 
-    let snapshot = p.response("sys-heap-snapshot", |req: &Req, l: &Local| {
-        (req.kind == ReqKind::HeapSnapshot).then(|| (*l, Resp::Domain(l.sys().heap)))
-    });
+    let snapshot = p.response(
+        "sys-heap-snapshot",
+        key::HEAP_SNAPSHOT,
+        |req: &Req, l: &Local| {
+            (req.kind == ReqKind::HeapSnapshot).then(|| (*l, Resp::Domain(l.sys().heap)))
+        },
+    );
 
     // -- Handshakes (§3.1) ---------------------------------------------
 
-    let hs_begin = p.response("sys-hs-begin", move |req: &Req, l: &Local| {
-        let ReqKind::HsBegin(ty) = req.kind else {
-            return None;
-        };
-        // The collector's store fence when initiating a round (§2.4): the
-        // round does not begin until the collector's control-variable
-        // writes have drained. Dropped by the fence ablation.
-        if fences && !l.sys().mem.buffer(ThreadId::new(req.tid)).is_empty() {
-            return None;
-        }
-        let mut l2 = *l;
-        let s2 = l2.sys_mut();
-        debug_assert_eq!(s2.hs_pending, 0, "handshake rounds never overlap");
-        s2.hs_type = ty;
-        s2.ghost_gc_prev_phase = s2.ghost_gc_phase;
-        s2.ghost_gc_phase = s2.ghost_gc_phase.step(ty);
-        s2.ghost_hs_flagged = 0;
-        match ty {
-            HsType::GetRoots => s2.ghost_roots_phase = true,
-            HsType::Noop => {
-                if s2.ghost_gc_phase == crate::vocab::HsPhase::Idle {
-                    s2.ghost_roots_phase = false;
-                }
+    let hs_begin = p.response(
+        "sys-hs-begin",
+        key::HS_BEGIN,
+        move |req: &Req, l: &Local| {
+            let ReqKind::HsBegin(ty) = req.kind else {
+                return None;
+            };
+            // The collector's store fence when initiating a round (§2.4): the
+            // round does not begin until the collector's control-variable
+            // writes have drained. Dropped by the fence ablation.
+            if fences && !l.sys().mem.buffer(ThreadId::new(req.tid)).is_empty() {
+                return None;
             }
-            HsType::GetWork => {}
-        }
-        Some((l2, Resp::Void))
-    });
+            let mut l2 = *l;
+            let s2 = l2.sys_mut();
+            debug_assert_eq!(s2.hs_pending, 0, "handshake rounds never overlap");
+            s2.hs_type = ty;
+            s2.ghost_gc_prev_phase = s2.ghost_gc_phase;
+            s2.ghost_gc_phase = s2.ghost_gc_phase.step(ty);
+            s2.ghost_hs_flagged = 0;
+            match ty {
+                HsType::GetRoots => s2.ghost_roots_phase = true,
+                HsType::Noop => {
+                    if s2.ghost_gc_phase == crate::vocab::HsPhase::Idle {
+                        s2.ghost_roots_phase = false;
+                    }
+                }
+                HsType::GetWork => {}
+            }
+            Some((l2, Resp::Void))
+        },
+    );
 
-    let hs_pend = p.response("sys-hs-pend", |req: &Req, l: &Local| {
+    let hs_pend = p.response("sys-hs-pend", key::HS_PEND, |req: &Req, l: &Local| {
         let ReqKind::HsPend(m) = req.kind else {
             return None;
         };
@@ -210,7 +216,7 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
         Some((l2, Resp::Void))
     });
 
-    let hs_await = p.response("sys-hs-await", |req: &Req, l: &Local| {
+    let hs_await = p.response("sys-hs-await", key::HS_AWAIT, |req: &Req, l: &Local| {
         // Block until all mutators have responded.
         if req.kind != ReqKind::HsAwait || l.sys().hs_pending != 0 {
             return None;
@@ -223,7 +229,7 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
         Some((l2, Resp::Work(w)))
     });
 
-    let hs_poll = p.response("sys-hs-poll", move |req: &Req, l: &Local| {
+    let hs_poll = p.response("sys-hs-poll", key::HS_POLL, move |req: &Req, l: &Local| {
         let ReqKind::HsPoll(m) = req.kind else {
             return None;
         };
@@ -239,26 +245,30 @@ pub fn sys_program(cfg: &ModelConfig) -> Prog {
         Some((*l, Resp::Handshake(s.hs_type)))
     });
 
-    let hs_complete = p.response("sys-hs-complete", move |req: &Req, l: &Local| {
-        let ReqKind::HsComplete(m, mut wl) = req.kind else {
-            return None;
-        };
-        let s = l.sys();
-        if !s.pending(usize::from(m)) {
-            return None;
-        }
-        // The completing store fence: the mutator's buffer must be drained
-        // before it signals completion (§2.4). Dropped by the fence
-        // ablation.
-        if fences && !s.mem.buffer(ThreadId::new(req.tid)).is_empty() {
-            return None;
-        }
-        let mut l2 = *l;
-        let s2 = l2.sys_mut();
-        s2.w_staged.absorb(&mut wl);
-        s2.hs_pending &= !(1 << m);
-        Some((l2, Resp::Void))
-    });
+    let hs_complete = p.response(
+        "sys-hs-complete",
+        key::HS_COMPLETE,
+        move |req: &Req, l: &Local| {
+            let ReqKind::HsComplete(m, mut wl) = req.kind else {
+                return None;
+            };
+            let s = l.sys();
+            if !s.pending(usize::from(m)) {
+                return None;
+            }
+            // The completing store fence: the mutator's buffer must be drained
+            // before it signals completion (§2.4). Dropped by the fence
+            // ablation.
+            if fences && !s.mem.buffer(ThreadId::new(req.tid)).is_empty() {
+                return None;
+            }
+            let mut l2 = *l;
+            let s2 = l2.sys_mut();
+            s2.w_staged.absorb(&mut wl);
+            s2.hs_pending &= !(1 << m);
+            Some((l2, Resp::Void))
+        },
+    );
 
     let branches = [
         read,

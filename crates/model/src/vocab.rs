@@ -303,6 +303,57 @@ pub enum ReqKind {
     HsComplete(u8, WorkList),
 }
 
+/// The rendezvous kind of each operation ([`cimp::Keyed`]): the system
+/// process answers every operation with the one response keyed like it.
+pub mod key {
+    /// [`ReqKind::Read`](super::ReqKind::Read).
+    pub const READ: u8 = 0;
+    /// [`ReqKind::Write`](super::ReqKind::Write).
+    pub const WRITE: u8 = 1;
+    /// [`ReqKind::MFence`](super::ReqKind::MFence).
+    pub const MFENCE: u8 = 2;
+    /// [`ReqKind::Lock`](super::ReqKind::Lock).
+    pub const LOCK: u8 = 3;
+    /// [`ReqKind::Unlock`](super::ReqKind::Unlock).
+    pub const UNLOCK: u8 = 4;
+    /// [`ReqKind::Alloc`](super::ReqKind::Alloc).
+    pub const ALLOC: u8 = 5;
+    /// [`ReqKind::Free`](super::ReqKind::Free).
+    pub const FREE: u8 = 6;
+    /// [`ReqKind::HeapSnapshot`](super::ReqKind::HeapSnapshot).
+    pub const HEAP_SNAPSHOT: u8 = 7;
+    /// [`ReqKind::HsBegin`](super::ReqKind::HsBegin).
+    pub const HS_BEGIN: u8 = 8;
+    /// [`ReqKind::HsPend`](super::ReqKind::HsPend).
+    pub const HS_PEND: u8 = 9;
+    /// [`ReqKind::HsAwait`](super::ReqKind::HsAwait).
+    pub const HS_AWAIT: u8 = 10;
+    /// [`ReqKind::HsPoll`](super::ReqKind::HsPoll).
+    pub const HS_POLL: u8 = 11;
+    /// [`ReqKind::HsComplete`](super::ReqKind::HsComplete).
+    pub const HS_COMPLETE: u8 = 12;
+}
+
+impl cimp::Keyed for Req {
+    fn kind(&self) -> u8 {
+        match self.kind {
+            ReqKind::Read(_) => key::READ,
+            ReqKind::Write(..) => key::WRITE,
+            ReqKind::MFence => key::MFENCE,
+            ReqKind::Lock => key::LOCK,
+            ReqKind::Unlock => key::UNLOCK,
+            ReqKind::Alloc => key::ALLOC,
+            ReqKind::Free(_) => key::FREE,
+            ReqKind::HeapSnapshot => key::HEAP_SNAPSHOT,
+            ReqKind::HsBegin(_) => key::HS_BEGIN,
+            ReqKind::HsPend(_) => key::HS_PEND,
+            ReqKind::HsAwait => key::HS_AWAIT,
+            ReqKind::HsPoll(_) => key::HS_POLL,
+            ReqKind::HsComplete(..) => key::HS_COMPLETE,
+        }
+    }
+}
+
 impl fmt::Display for Req {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let t = self.tid;

@@ -3,12 +3,14 @@
 //! On the benchmark's `check-raw` instance — two mutators sharing one
 //! object, no allocation, `buffer_cap = 2` — the first 100,000 states are
 //! expanded breadth-first under a counting allocator. Before the state was
-//! packed (PR 11) this measured 46.2 allocations per successor in
+//! packed this measured 46.2 allocations per successor in
 //! `successors_into`, 14.2 per `ModelState::clone` and 15.6 per evaluation
-//! of the §3.2 suite; the budgets below are what an inline state leaves:
-//! the scratch vectors of one expansion and the `Vec`s the handful of
-//! genuinely non-deterministic steps (`mut-load`, `mut-store-begin`,
-//! `mut-discard`, `sys-dequeue`) return.
+//! of the §3.2 suite. The budgets below are what an inline state and
+//! sink-form non-determinism leave: the three scratch vectors of one
+//! expansion (offered requests, offered responses, unfolding work) and
+//! nothing per successor, 0.82 allocations per successor on this instance.
+//! While the non-deterministic steps (`mut-load`, `mut-store-begin`,
+//! `mut-discard`, `sys-dequeue`) returned a `Vec` each, it was 1.26.
 //!
 //! The same allocator tracks live bytes, and the second test pins what a
 //! whole `Checker::run` retains per visited state at its peak: the 8-byte
@@ -145,8 +147,8 @@ fn successors_clone_and_invariants_stay_within_their_allocation_budgets() {
         in_successors as f64 / expanded as f64
     );
     assert!(
-        per_successor <= 4.0,
-        "{per_successor} allocations per successor"
+        in_successors <= 3 * expanded && per_successor <= 0.82,
+        "{per_successor} allocations per successor, {in_successors} in {expanded} expansions"
     );
     assert_eq!(in_clone, 0);
     assert_eq!(in_invariants, 0);

@@ -420,7 +420,7 @@ impl<A, V> Machine<A, V> {
 
     /// The machine's contents — a header carrying every table length, then
     /// the live prefix of each table — at the front of a zeroed buffer, and
-    /// their length: what `Hash` hashes and what [`Machine::encode`] writes.
+    /// their length: what [`Machine::encode`] writes.
     fn contents(&self) -> ([u8; CONTENTS_MAX], usize) {
         let mut bytes = [0u8; CONTENTS_MAX];
         let mut len = 0;
@@ -796,13 +796,44 @@ impl<A, V> PartialEq for Machine<A, V> {
 
 impl<A, V> Eq for Machine<A, V> {}
 
+// Every buffer length fits the four bits the hash's header word gives it.
+const _: () = assert!(BUFFER_CAPACITY < 16 && 4 * MAX_THREADS <= 32);
+
 impl<A, V> Hash for Machine<A, V> {
-    /// Feeds the contents in one write, zero-padded to whole words (the
-    /// header's lengths make the padding unambiguous): hashers take one
-    /// aligned run faster than several of odd lengths.
+    /// Feeds one header word — model, thread count, lock holder and memory
+    /// cells in the low four bytes, each thread's buffer length in four bits
+    /// of the high four — and then the live memory table and each non-empty
+    /// buffer as `u64` words, each table's last word zero-padded (the
+    /// header's lengths make the padding unambiguous). Nothing is copied
+    /// out first.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let (bytes, len) = self.contents();
-        state.write(&bytes[..len.next_multiple_of(8)]);
+        let lock = self.lock.map_or(0, |t| 1 + t.0 as u8);
+        let low = [self.model as u8, self.threads, lock, self.cells];
+        let buffers = &self.buffers[..self.threads()];
+        let lens = buffers.iter().enumerate();
+        let high = lens.fold(0, |word, (t, b)| word | u32::from(b.len) << (4 * t));
+        state.write_u64(u64::from(u32::from_le_bytes(low)) | u64::from(high) << 32);
+        write_words(state, self.live_memory());
+        for buffer in buffers {
+            write_words(state, buffer.live());
+        }
+    }
+}
+
+/// Feeds `bytes` to `state` as little-endian `u64` words, the last one
+/// zero-padded; nothing for no bytes.
+fn write_words<H: Hasher>(state: &mut H, bytes: &[u8]) {
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        state.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        state.write_u64(
+            rest.iter()
+                .rev()
+                .fold(0, |word, &b| word << 8 | u64::from(b)),
+        );
     }
 }
 
