@@ -90,7 +90,7 @@ pub const MAX_PROCESSES: usize = 9;
 /// ([`System::with_layout`]).
 pub trait Locals: Copy {
     /// A process's local state, as its program sees it.
-    type Local: Copy;
+    type Local: Copy + Hash;
 
     /// The layout holding `locals`, one per process in index order.
     fn new(locals: &[Self::Local]) -> Self;
@@ -104,15 +104,12 @@ pub trait Locals: Copy {
     /// Feeds the local state of process `p` to `state` exactly as
     /// `self.get(p).hash(state)` would. A layout that can read a process's
     /// state where it lies overrides this to skip the copy `get` makes.
-    fn hash_local<H: Hasher>(&self, p: usize, state: &mut H)
-    where
-        Self::Local: Hash,
-    {
+    fn hash_local<H: Hasher>(&self, p: usize, state: &mut H) {
         self.get(p).hash(state);
     }
 }
 
-impl<S: Copy> Locals for [S; MAX_PROCESSES] {
+impl<S: Copy + Hash> Locals for [S; MAX_PROCESSES] {
     type Local = S;
 
     /// Slots past the last process are never read; they repeat it.
@@ -129,6 +126,50 @@ impl<S: Copy> Locals for [S; MAX_PROCESSES] {
     }
 }
 
+/// The hasher of a process's digest. Each word is xored into the lane,
+/// multiplied by an odd constant and its high half folded down — a
+/// bijection of the lane for a fixed word and of the word for a fixed lane,
+/// so values differing in a single word never share a digest — and the
+/// lane is avalanched once more at the end, so that every bit of a digest
+/// depends on every bit fed. Unkeyed but for the slot: a digest is part of
+/// the state, and equal states must carry equal digests in every run.
+struct SlotHasher(u64);
+
+impl SlotHasher {
+    /// The hasher of process `p`'s digest: one value in two slots digests
+    /// differently.
+    fn slot(p: usize) -> Self {
+        SlotHasher(0x243F_6A88_85A3_08D3 ^ (p as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+}
+
+impl Hasher for SlotHasher {
+    fn finish(&self) -> u64 {
+        let lane = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let lane = (lane ^ (lane >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        lane ^ (lane >> 31)
+    }
+
+    /// Whole little-endian words, then the rest zero-padded into one more
+    /// word tagged with how many bytes it holds.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        tail[7] = rest.len() as u8 + 1;
+        self.write_u64(u64::from_le_bytes(tail));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        let mixed = (self.0 ^ word).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        self.0 = mixed ^ (mixed >> 32);
+    }
+}
+
 /// A global state: the control stack and local data state of every process.
 ///
 /// Both live inline — control stacks one slot per process up to
@@ -137,11 +178,18 @@ impl<S: Copy> Locals for [S; MAX_PROCESSES] {
 /// `memcpy`, and a successor is a copy with the stepped processes' slots
 /// overwritten. `==` and `Hash` read the processes that exist and nothing
 /// else.
+///
+/// Beside each process the state keeps its *digest*: a 64-bit hash of its
+/// control stack and local state, keyed by its index. Every write refreshes
+/// the digests of the processes it writes and no others, so a successor
+/// pays for hashing what its step changed — most steps change one or two
+/// processes — and `Hash` feeds one word per process.
 #[derive(Debug, Clone, Copy)]
 pub struct SystemState<L> {
     len: u8,
     controls: [Stack; MAX_PROCESSES],
     locals: L,
+    digests: [u64; MAX_PROCESSES],
 }
 
 /// A global state in the uniform layout: what [`System::new`]'s systems
@@ -162,12 +210,29 @@ impl<L: Locals> SystemState<L> {
             (1..=MAX_PROCESSES).contains(&locals.len()),
             "a system has 1 to {MAX_PROCESSES} processes"
         );
-        SystemState {
+        let mut state = SystemState {
             len: locals.len() as u8,
             // Slots past the last process are never read; they repeat it.
             controls: std::array::from_fn(|p| controls[p.min(controls.len() - 1)]),
             locals: L::new(locals),
+            digests: [0; MAX_PROCESSES],
+        };
+        for p in 0..state.len() {
+            state.refresh(p);
         }
+        state
+    }
+
+    /// Process `p`'s digest, computed afresh.
+    fn digest(&self, p: usize) -> u64 {
+        let mut hasher = SlotHasher::slot(p);
+        self.controls[p].hash(&mut hasher);
+        self.locals.hash_local(p, &mut hasher);
+        hasher.finish()
+    }
+
+    fn refresh(&mut self, p: usize) {
+        self.digests[p] = self.digest(p);
     }
 
     /// Number of processes.
@@ -195,10 +260,23 @@ impl<L: Locals> SystemState<L> {
         &self.locals
     }
 
-    /// Mutable access to the local data states in their layout (for
-    /// canonicalization, tests and invariant satisfiability witnesses).
-    pub fn locals_mut(&mut self) -> &mut L {
-        &mut self.locals
+    /// Edits the local states where they lie through `edit`, which may
+    /// change process `p`'s and no other's and returns whether it did; `p`'s
+    /// digest is refreshed if so. For canonicalization and tests, which
+    /// rewrite part of a process's state in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range. In debug builds, hashing the state
+    /// panics if `edit` changed a process other than `p`, or changed `p`
+    /// and returned `false`.
+    pub fn update_local(&mut self, p: usize, edit: impl FnOnce(&mut L) -> bool) -> bool {
+        assert!(p < self.len(), "process {p} out of range");
+        let changed = edit(&mut self.locals);
+        if changed {
+            self.refresh(p);
+        }
+        changed
     }
 
     /// The control stack of process `p`.
@@ -229,23 +307,39 @@ impl<L: Locals> SystemState<L> {
         assert!(p < self.len(), "process {p} out of range");
         self.controls[p] = control;
         self.locals.set(p, local);
+        self.refresh(p);
+    }
+
+    /// The digests of the processes that exist.
+    fn digests(&self) -> &[u64] {
+        &self.digests[..self.len()]
     }
 }
 
+/// Equal states have equal digests, so those are compared first.
 impl<L: Locals<Local: PartialEq>> PartialEq for SystemState<L> {
     fn eq(&self, other: &Self) -> bool {
-        self.controls() == other.controls()
+        self.digests() == other.digests()
+            && self.controls() == other.controls()
             && (0..self.len()).all(|p| self.locals.get(p) == other.locals.get(p))
     }
 }
 
 impl<L: Locals<Local: Eq>> Eq for SystemState<L> {}
 
-impl<L: Locals<Local: Hash>> Hash for SystemState<L> {
+/// Feeds each process's digest and nothing else: one word per process,
+/// whatever the processes hold. Two distinct states therefore hash alike
+/// only if one process's two distinct values share a digest or the words
+/// collide in the caller's hasher.
+impl<L: Locals> Hash for SystemState<L> {
+    /// # Panics
+    ///
+    /// In debug builds, panics if a cached digest differs from the one
+    /// computed afresh: a write that skipped its refresh.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for (p, control) in self.controls().iter().enumerate() {
-            control.hash(state);
-            self.locals.hash_local(p, state);
+        for (p, &digest) in self.digests().iter().enumerate() {
+            debug_assert_eq!(digest, self.digest(p), "process {p}'s digest is stale");
+            state.write_u64(digest);
         }
     }
 }
@@ -274,7 +368,7 @@ impl<S, Req, Resp, L> fmt::Debug for System<S, Req, Resp, L> {
     }
 }
 
-impl<S: Copy, Req: Clone + Keyed, Resp: Clone> System<S, Req, Resp> {
+impl<S: Copy + Hash, Req: Clone + Keyed, Resp: Clone> System<S, Req, Resp> {
     /// Creates a system from `(name, program, initial local state)` triples,
     /// with the uniform layout of local states.
     ///
@@ -381,10 +475,10 @@ where
     /// model checker's per-worker scratch buffers.
     ///
     /// Each successor is one copy of `state` with the slots of the stepped
-    /// process(es) overwritten. τ successors are appended while the
-    /// processes' enabled steps are enumerated; the offered requests and
-    /// responses are kept aside and paired afterwards, a request only with
-    /// the responses of its [kind](Keyed).
+    /// process(es) overwritten and their digests refreshed. τ successors
+    /// are appended while the processes' enabled steps are enumerated; the
+    /// offered requests and responses are kept aside and paired afterwards,
+    /// a request only with the responses of its [kind](Keyed).
     ///
     /// # Panics
     ///
@@ -629,6 +723,65 @@ mod tests {
     fn a_mis_keyed_response_panics_in_debug_builds() {
         let sys = keyed_pair(3, 2);
         let _ = sys.successors(&sys.initial_state());
+    }
+
+    fn hash_of<T: Hash>(value: &T) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(value)
+    }
+
+    /// The same state built in one go, from its parts.
+    fn twin(state: &UniformState<u32>) -> UniformState<u32> {
+        let locals: Vec<u32> = (0..state.len()).map(|p| state.local(p)).collect();
+        SystemState::from_parts(state.controls(), &locals)
+    }
+
+    fn three_counters() -> System<u32, u32, u32> {
+        System::new(vec![
+            ("a", counter("inc"), 0),
+            ("b", counter("inc"), 7),
+            ("c", counter("inc"), 7),
+        ])
+    }
+
+    #[test]
+    fn every_write_leaves_a_state_equal_to_and_hashing_like_its_from_parts_twin() {
+        let sys = three_counters();
+        let init = sys.initial_state();
+        let mut written: Vec<UniformState<u32>> =
+            sys.successors(&init).into_iter().map(|(_, s)| s).collect();
+        let mut set = init;
+        set.set(1, Stack::new(), 40);
+        written.push(set);
+        let mut edited = init;
+        assert!(edited.update_local(2, |locals| {
+            locals[2] += 1;
+            true
+        }));
+        written.push(edited);
+        let mut untouched = init;
+        assert!(!untouched.update_local(0, |_| false));
+        written.push(untouched);
+        for state in &written {
+            assert_eq!(*state, twin(state));
+            assert_eq!(hash_of(state), hash_of(&twin(state)));
+            assert_eq!(*state == init, hash_of(state) == hash_of(&init));
+        }
+        // Processes 1 and 2 hold one value at one program point: only the
+        // slot keys their digests apart.
+        assert_ne!(init.digests()[1], init.digests()[2]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "process 2's digest is stale")]
+    fn hashing_a_state_whose_write_skipped_its_refresh_panics_in_debug_builds() {
+        let mut state = three_counters().initial_state();
+        state.update_local(2, |locals| {
+            locals[2] += 1;
+            false
+        });
+        let _ = hash_of(&state);
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! The level-synchronous (parallel) breadth-first exploration engine.
 //!
 //! One algorithm serves every thread count: the BFS proceeds level by
-//! level; each level's frontier is partitioned across workers in fixed
-//! blocks handed out by an atomic cursor, duplicate detection goes through
-//! a seen-set sharded over `NSHARDS` independently-locked shards (states
-//! routed by hash), and each newly discovered successor is recorded with
-//! its *discovery order* `(frontier position, successor ordinal)` — the
-//! position at which the equivalent sequential search would first reach
-//! it. When two parents race for the same successor the smaller order
-//! wins, so after the level is drained in sorted order the assigned state
-//! ids, parent links, verdicts and counterexample traces are identical for
-//! 1, 2 or N worker threads — and identical to a plain sequential BFS.
+//! level, and each level's frontier is partitioned across workers in fixed
+//! blocks handed out by an atomic cursor.
 //!
-//! Properties are evaluated in parallel, once per discovered state, at
-//! claim time; a violation is reported at the state's deterministic drain
+//! Duplicate detection reads a seen-set of `NSHARDS` shards (states routed
+//! by hash) *without a lock*: the seen-set is only written in the
+//! sequential drain, so the workers of a level share it frozen. A
+//! successor not yet seen is *claimed* in the level's claim table — as
+//! many shards, each behind its own lock — with its *discovery order*
+//! `(frontier position, successor ordinal)`, the position at which the
+//! equivalent sequential search would first reach it. One lock either
+//! lowers an existing claim's order or inserts a new claim. When two
+//! parents race for the same successor the smaller order wins, so after
+//! the level is drained in sorted order the assigned state ids, parent
+//! links, verdicts and counterexample traces are identical for 1, 2 or N
+//! worker threads — and identical to a plain sequential BFS.
+//!
+//! Properties are evaluated in parallel, once per discovered state, by the
+//! worker whose claim inserted it, outside the lock; a violation is kept
+//! with the claimed state and reported at the state's deterministic drain
 //! position, so the reported counterexample is a shortest one and the
 //! reported state count matches the sequential checker's exactly.
 //!
@@ -57,13 +63,19 @@
 //! state alone, except that the C3 fallback above reads the level's frozen
 //! seen-set; so a link also says which list its ordinal indexes.
 //!
-//! # State size
+//! # Arenas
 //!
-//! A state may be a few words or a few kilobytes of inline data. Between its
-//! discovery and its expansion a state lives in one `Box`: the pending
-//! tables, the drain's sort and the in-memory frontier move the pointer, so
-//! a level in flight costs each of its states once, whatever their size.
+//! A state may be a few words or a few kilobytes of inline data. A claimed
+//! state is copied once, into its worker's [`Arena`] of fixed blocks of
+//! [`ARENA_BLOCK`] states, and never moves again: the claim tables and the
+//! drain's sort handle its 8-byte position, and the next level is the
+//! arenas plus the drain's id-ordered list of positions. Blocks come from a
+//! [`Pool`] the engine owns and go back to it once their level has been
+//! expanded and the next one drained (or, for a level that spills, as soon
+//! as it is written), so a run holds the blocks of at most two adjacent
+//! levels, and allocates none once it has that many.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::hash::{BuildHasher, Hash};
@@ -82,28 +94,39 @@ use crate::telemetry::{Retained, Telemetry};
 use crate::TransitionSystem;
 
 const SHARD_BITS: u32 = 6;
-/// Number of seen-set shards (a power of two; states routed by hash).
+/// Number of seen-set and claim-table shards (a power of two; states
+/// routed by hash).
 const NSHARDS: usize = 1 << SHARD_BITS;
 /// Frontier positions claimed per dispenser grab.
 const BLOCK: usize = 32;
+/// States per arena block.
+pub(crate) const ARENA_BLOCK: usize = 128;
+
+/// The shard a state with routing hash `route` belongs to.
+fn shard_of(route: u64) -> usize {
+    (route >> (64 - SHARD_BITS)) as usize
+}
 
 /// How duplicate detection stores states: exact (the state itself is the
 /// key) or hash-compact (a 128-bit fingerprint is the key).
 trait Mode<TS: TransitionSystem>: Sync {
-    /// What the seen-set stores.
-    type Key: Eq + Hash + Send + Clone;
+    /// What the seen-set and the claim tables store.
+    type Key: Eq + Hash + Send + Sync;
     /// A cheap, `Copy` digest computed once per successor and reused for
     /// routing and lookups.
-    type Probe: Copy + Send;
+    type Probe: Copy;
 
     fn probe(&self, s: &TS::State) -> Self::Probe;
     fn route(p: Self::Probe) -> u64;
-    fn seen_contains(seen: &HashSet<Self::Key, FxBuild>, p: Self::Probe, s: &TS::State) -> bool;
-    fn pending_mut<'a>(
-        map: &'a mut HashMap<Self::Key, Pending<TS>, FxBuild>,
+    fn seen(seen: &HashSet<Self::Key, FxBuild>, p: Self::Probe, s: &TS::State) -> bool;
+    /// Lowers an existing claim on `s` to `pending`'s order, or inserts
+    /// `pending` and returns `true`.
+    fn claim(
+        claims: &mut HashMap<Self::Key, Pending, FxBuild>,
         p: Self::Probe,
         s: &TS::State,
-    ) -> Option<&'a mut Pending<TS>>;
+        pending: Pending,
+    ) -> bool;
     fn key(p: Self::Probe, s: &TS::State) -> Self::Key;
 }
 
@@ -122,16 +145,23 @@ impl<TS: TransitionSystem> Mode<TS> for Exact {
         p
     }
 
-    fn seen_contains(seen: &HashSet<TS::State, FxBuild>, _p: u64, s: &TS::State) -> bool {
+    fn seen(seen: &HashSet<TS::State, FxBuild>, _p: u64, s: &TS::State) -> bool {
         seen.contains(s)
     }
 
-    fn pending_mut<'a>(
-        map: &'a mut HashMap<TS::State, Pending<TS>, FxBuild>,
+    /// Clones the state only for a new claim.
+    fn claim(
+        claims: &mut HashMap<TS::State, Pending, FxBuild>,
         _p: u64,
         s: &TS::State,
-    ) -> Option<&'a mut Pending<TS>> {
-        map.get_mut(s)
+        pending: Pending,
+    ) -> bool {
+        if let Some(claim) = claims.get_mut(s) {
+            claim.lower(pending.order);
+            return false;
+        }
+        claims.insert(s.clone(), pending);
+        true
     }
 
     fn key(_p: u64, s: &TS::State) -> TS::State {
@@ -169,16 +199,26 @@ impl<TS: TransitionSystem> Mode<TS> for Compact {
         p as u64
     }
 
-    fn seen_contains(seen: &HashSet<u128, FxBuild>, p: u128, _s: &TS::State) -> bool {
+    fn seen(seen: &HashSet<u128, FxBuild>, p: u128, _s: &TS::State) -> bool {
         seen.contains(&p)
     }
 
-    fn pending_mut<'a>(
-        map: &'a mut HashMap<u128, Pending<TS>, FxBuild>,
+    fn claim(
+        claims: &mut HashMap<u128, Pending, FxBuild>,
         p: u128,
         _s: &TS::State,
-    ) -> Option<&'a mut Pending<TS>> {
-        map.get_mut(&p)
+        pending: Pending,
+    ) -> bool {
+        match claims.entry(p) {
+            Entry::Occupied(mut claim) => {
+                claim.get_mut().lower(pending.order);
+                false
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(pending);
+                true
+            }
+        }
     }
 
     fn key(p: u128, _s: &TS::State) -> u128 {
@@ -186,34 +226,158 @@ impl<TS: TransitionSystem> Mode<TS> for Compact {
     }
 }
 
-/// A successor discovered during the current level, keyed in its shard by
-/// the dedup key and ordered by first sequential discovery.
-struct Pending<TS: TransitionSystem> {
+/// A claim on a successor discovered during the current level, keyed in
+/// its shard by the dedup key.
+#[derive(Clone, Copy)]
+struct Pending {
     /// The state's [`Link`] with its parent's frontier position for the
     /// parent id — the deterministic discovery order used to resolve claim
     /// races and to drain the level (one expansion's successors share the
     /// ample bit, so it never reorders them).
     order: u64,
-    state: Box<TS::State>,
+    /// Where the claimant keeps the state.
+    at: At,
 }
 
-struct Shard<K, TS: TransitionSystem> {
-    seen: HashSet<K, FxBuild>,
-    pending: HashMap<K, Pending<TS>, FxBuild>,
+impl Pending {
+    /// Another parent reached the claimed state at `order`: the earlier
+    /// discovery wins.
+    fn lower(&mut self, order: u64) {
+        self.order = self.order.min(order);
+    }
 }
 
-impl<K, TS: TransitionSystem> Default for Shard<K, TS> {
-    fn default() -> Self {
-        Shard {
-            seen: HashSet::default(),
-            pending: HashMap::default(),
+/// Where a claimed state lies: `worker << 32 | index` in the arena of the
+/// worker that claimed it.
+#[derive(Clone, Copy)]
+struct At(u64);
+
+impl At {
+    /// Arena indices are below the state count, which fits 32 bits.
+    fn new(worker: usize, index: usize) -> At {
+        At((worker as u64) << 32 | index as u64)
+    }
+
+    fn worker(self) -> usize {
+        (self.0 >> 32) as usize
+    }
+
+    fn index(self) -> usize {
+        self.0 as u32 as usize
+    }
+}
+
+/// The engine's spare arena blocks: each holds up to [`ARENA_BLOCK`]
+/// states and is either in some arena or here.
+struct Pool<S> {
+    free: Mutex<Vec<Vec<S>>>,
+    /// Blocks made over the run.
+    made: AtomicUsize,
+}
+
+impl<S> Pool<S> {
+    fn new() -> Self {
+        Pool {
+            free: Mutex::new(Vec::new()),
+            made: AtomicUsize::new(0),
         }
+    }
+
+    /// An empty block: a spare one, or a new one if none is spare.
+    fn take(&self) -> Vec<S> {
+        let spare = self.free.lock().expect("pool lock").pop();
+        spare.unwrap_or_else(|| {
+            self.made.fetch_add(1, Ordering::Relaxed);
+            Vec::with_capacity(ARENA_BLOCK)
+        })
+    }
+
+    /// Takes `arena`'s blocks back, emptied.
+    fn give(&self, arena: Arena<S>) {
+        let blocks = arena.blocks.into_iter().map(|mut block| {
+            block.clear();
+            block
+        });
+        self.free.lock().expect("pool lock").extend(blocks);
+    }
+
+    /// The capacity of every block made: once a level is retired, those of
+    /// the next level's arenas and the spare ones.
+    fn bytes(&self) -> usize {
+        self.made.load(Ordering::Relaxed) * ARENA_BLOCK * size_of::<S>()
+    }
+}
+
+/// The states one worker claimed during one level, in claim order, in
+/// blocks from the [`Pool`]: a state is copied in once and never moves.
+struct Arena<S> {
+    blocks: Vec<Vec<S>>,
+    /// `(index, property)` for each state here that violates a property,
+    /// by index.
+    violations: Vec<(usize, &'static str)>,
+}
+
+impl<S: Clone> Arena<S> {
+    fn new() -> Self {
+        Arena {
+            blocks: Vec::new(),
+            violations: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.blocks
+            .last()
+            .map_or(0, |last| (self.blocks.len() - 1) * ARENA_BLOCK + last.len())
+    }
+
+    /// Copies `state` in at index `len()`.
+    fn push(&mut self, pool: &Pool<S>, state: &S) {
+        if self.blocks.last().is_none_or(|b| b.len() == ARENA_BLOCK) {
+            self.blocks.push(pool.take());
+        }
+        self.blocks
+            .last_mut()
+            .expect("just ensured")
+            .push(state.clone());
+    }
+
+    fn get(&self, index: usize) -> &S {
+        &self.blocks[index / ARENA_BLOCK][index % ARENA_BLOCK]
+    }
+
+    /// The property the state at `index` violates, if any.
+    fn violation(&self, index: usize) -> Option<&'static str> {
+        let found = self.violations.binary_search_by_key(&index, |&(i, _)| i);
+        found.ok().map(|k| self.violations[k].1)
+    }
+}
+
+/// A BFS level in memory: the arenas its states were claimed into, one per
+/// worker, and where each state lies, in id order.
+struct Level<S> {
+    arenas: Vec<Arena<S>>,
+    ids: Vec<At>,
+}
+
+impl<S: Clone> Level<S> {
+    fn get(&self, pos: usize) -> &S {
+        let at = self.ids[pos];
+        self.arenas[at.worker()].get(at.index())
+    }
+
+    /// Gives the level's blocks back to `pool`.
+    fn retire(self, pool: &Pool<S>) {
+        self.arenas.into_iter().for_each(|arena| pool.give(arena));
     }
 }
 
 /// Per-worker results for one level.
-#[derive(Default)]
-struct WorkerOut {
+struct WorkerOut<S> {
+    /// This worker's index: the arena its claims point into.
+    worker: usize,
+    /// The states this worker claimed.
+    arena: Arena<S>,
     transitions: usize,
     /// Smallest frontier position whose state has no successors.
     deadlock: Option<u32>,
@@ -322,14 +486,14 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 /// One BFS level, in id order. Ids within a level are consecutive, so a
 /// level stores only states; the engine keeps the id of position 0.
 enum Frontier<TS: TransitionSystem> {
-    Mem(Vec<Box<TS::State>>),
+    Mem(Level<TS::State>),
     Disk(DiskLevel),
 }
 
 impl<TS: TransitionSystem> Frontier<TS> {
     fn len(&self) -> usize {
         match self {
-            Frontier::Mem(v) => v.len(),
+            Frontier::Mem(level) => level.ids.len(),
             Frontier::Disk(d) => d.len,
         }
     }
@@ -342,7 +506,7 @@ impl<TS: TransitionSystem> Frontier<TS> {
     /// reconstruction (deadlocks), never on the hot path.
     fn fetch(&self, ts: &TS, pos: usize) -> TS::State {
         match self {
-            Frontier::Mem(v) => (*v[pos]).clone(),
+            Frontier::Mem(level) => level.get(pos).clone(),
             Frontier::Disk(d) => {
                 let mut buf = Vec::new();
                 let block = pos / BLOCK * BLOCK;
@@ -516,8 +680,10 @@ struct ExpandCtx<'a, TS: TransitionSystem, M: Mode<TS>> {
     mode: &'a M,
     ts: &'a TS,
     properties: &'a [Property<TS::State>],
-    shards: &'a [Mutex<Shard<M::Key, TS>>],
-    violations: &'a Mutex<Vec<(M::Key, &'static str)>>,
+    /// The seen-set, frozen for the level.
+    seen: &'a [HashSet<M::Key, FxBuild>],
+    claims: &'a [Mutex<HashMap<M::Key, Pending, FxBuild>>],
+    pool: &'a Pool<TS::State>,
     reduction: Reduction,
     expanding: bool,
     forbid_deadlock: bool,
@@ -553,15 +719,21 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
         }
     }
 
-    /// Expands one frontier state into the sharded pending tables,
-    /// applying the configured reductions. Returns `false` when the worker
-    /// should stop (deadline hit or another worker signalled stop).
+    /// Whether `s` was visited before this level.
+    fn seen(&self, probe: M::Probe, s: &TS::State) -> bool {
+        M::seen(&self.seen[shard_of(M::route(probe))], probe, s)
+    }
+
+    /// Expands one frontier state into the sharded claim tables and the
+    /// worker's arena, applying the configured reductions. Returns `false`
+    /// when the worker should stop (deadline hit or another worker
+    /// signalled stop).
     fn expand_one(
         &self,
         pos: usize,
         state: &TS::State,
         scratch: &mut Vec<(TS::Action, TS::State)>,
-        out: &mut WorkerOut,
+        out: &mut WorkerOut<TS::State>,
     ) -> bool {
         if self.stop.load(Ordering::Relaxed) {
             return false;
@@ -598,12 +770,9 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
             // close a cycle postponing the deferred actions forever —
             // fall back to the full expansion.
             let all_seen = !scratch.is_empty()
-                && scratch.iter().all(|(_, succ)| {
-                    let probe = self.mode.probe(succ);
-                    let shard = &self.shards[(M::route(probe) >> (64 - SHARD_BITS)) as usize];
-                    let guard = shard.lock().expect("shard lock");
-                    M::seen_contains(&guard.seen, probe, succ)
-                });
+                && scratch
+                    .iter()
+                    .all(|(_, succ)| self.seen(self.mode.probe(succ), succ));
             if all_seen {
                 self.telemetry.por_fallback();
                 ample = false;
@@ -633,50 +802,34 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
             return true;
         }
         assert!(scratch.len() as u64 <= Link::AMPLE, "ordinals fit 31 bits");
-        for (ord, (_, succ)) in scratch.drain(..).enumerate() {
+        for (ord, (_, succ)) in scratch.iter().enumerate() {
             out.transitions += 1;
-            let probe = self.mode.probe(&succ);
-            let shard = &self.shards[(M::route(probe) >> (64 - SHARD_BITS)) as usize];
-            // Frontier positions are below the state count, which fits 32 bits.
-            let order = Link::new(pos as u32, ample, ord).0;
-            {
-                let mut guard = shard.lock().expect("shard lock");
-                if M::seen_contains(&guard.seen, probe, &succ) {
-                    continue;
-                }
-                if let Some(p) = M::pending_mut(&mut guard.pending, probe, &succ) {
-                    p.order = p.order.min(order);
-                    continue;
-                }
+            let probe = self.mode.probe(succ);
+            if self.seen(probe, succ) {
+                continue;
             }
-            // First discovery (so far) of this state: evaluate the
-            // properties outside the shard lock, then claim.
-            let violation = first_violation(self.properties, &succ);
-            let key = M::key(probe, &succ);
+            let index = out.arena.len();
+            let pending = Pending {
+                // Frontier positions are below the state count, which fits
+                // 32 bits.
+                order: Link::new(pos as u32, ample, ord).0,
+                at: At::new(out.worker, index),
+            };
             let claimed = {
-                let mut guard = shard.lock().expect("shard lock");
-                if let Some(p) = M::pending_mut(&mut guard.pending, probe, &succ) {
-                    // Another worker claimed it while we were checking
-                    // properties; keep the smaller discovery order.
-                    p.order = p.order.min(order);
-                    false
-                } else {
-                    guard.pending.insert(
-                        key.clone(),
-                        Pending {
-                            order,
-                            state: Box::new(succ),
-                        },
-                    );
-                    true
-                }
+                let shard = &self.claims[shard_of(M::route(probe))];
+                M::claim(
+                    &mut shard.lock().expect("claims lock"),
+                    probe,
+                    succ,
+                    pending,
+                )
             };
             if claimed {
-                if let Some(name) = violation {
-                    self.violations
-                        .lock()
-                        .expect("violations lock")
-                        .push((key, name));
+                // The first discovery (so far) of this state: keep it, and
+                // evaluate the properties on it outside the lock.
+                out.arena.push(self.pool, succ);
+                if let Some(name) = first_violation(self.properties, succ) {
+                    out.arena.violations.push((index, name));
                 }
             }
         }
@@ -685,18 +838,25 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
 }
 
 /// Expands one worker's share of the frontier, claiming successors into
-/// the sharded pending tables. A single scratch buffer serves every state
-/// this worker expands.
+/// the sharded claim tables and the worker's arena. A single scratch
+/// buffer serves every state this worker expands.
 fn expand_blocks<TS, M>(
     ctx: &ExpandCtx<'_, TS, M>,
     frontier: &Frontier<TS>,
     cursor: &AtomicUsize,
-) -> WorkerOut
+    worker: usize,
+) -> WorkerOut<TS::State>
 where
     TS: TransitionSystem,
     M: Mode<TS>,
 {
-    let mut out = WorkerOut::default();
+    let mut out = WorkerOut {
+        worker,
+        arena: Arena::new(),
+        transitions: 0,
+        deadlock: None,
+        cutoff: None,
+    };
     let mut scratch: Vec<(TS::Action, TS::State)> = Vec::new();
     let mut disk_buf: Vec<TS::State> = Vec::new();
     let mut disk = match frontier {
@@ -710,9 +870,9 @@ where
         }
         let end = (start + BLOCK).min(frontier.len());
         match frontier {
-            Frontier::Mem(v) => {
-                for (pos, state) in v.iter().enumerate().take(end).skip(start) {
-                    if !ctx.expand_one(pos, state, &mut scratch, &mut out) {
+            Frontier::Mem(level) => {
+                for pos in start..end {
+                    if !ctx.expand_one(pos, level.get(pos), &mut scratch, &mut out) {
                         break 'grab;
                     }
                 }
@@ -748,8 +908,11 @@ where
     let deadline = config.time_limit.map(|limit| start + limit);
     let telemetry = Telemetry::new(config);
 
-    let mut shards: Vec<Mutex<Shard<M::Key, TS>>> =
-        (0..NSHARDS).map(|_| Mutex::new(Shard::default())).collect();
+    let mut seen: Vec<HashSet<M::Key, FxBuild>> =
+        (0..NSHARDS).map(|_| HashSet::default()).collect();
+    let mut claims: Vec<Mutex<HashMap<M::Key, Pending, FxBuild>>> =
+        (0..NSHARDS).map(|_| Mutex::default()).collect();
+    let pool: Pool<TS::State> = Pool::new();
     let mut parents = Links { blocks: Vec::new() };
     // State ids are `u32` and `Link::ROOT` is never assigned.
     let max_states = config.max_states.min(Link::ROOT as usize);
@@ -757,38 +920,40 @@ where
     let mut transitions: usize = 0;
 
     // Seed level 0 with the deduplicated (canonical) initial states.
-    let mut seed: Vec<Box<TS::State>> = Vec::new();
+    let mut seed: Arena<TS::State> = Arena::new();
     let inits = ts.initial_states();
     assert!(inits.len() as u64 <= Link::AMPLE, "ordinals fit 31 bits");
     for (ord, init) in inits.into_iter().enumerate() {
         let init = canonical(ts, &config.reduction, init);
         let probe = mode.probe(&init);
-        let shard = shards[(M::route(probe) >> (64 - SHARD_BITS)) as usize]
-            .get_mut()
-            .expect("shard lock");
-        if M::seen_contains(&shard.seen, probe, &init) {
+        let shard = &mut seen[shard_of(M::route(probe))];
+        if M::seen(shard, probe, &init) {
             continue;
         }
-        shard.seen.insert(M::key(probe, &init));
+        shard.insert(M::key(probe, &init));
         parents.push(Link::new(Link::ROOT, false, ord));
         states_count += 1;
-        seed.push(Box::new(init));
+        seed.push(&pool, &init);
     }
+    let seed = Level {
+        ids: (0..seed.len()).map(|index| At::new(0, index)).collect(),
+        arenas: vec![seed],
+    };
     // Levels can only spill if the system has a codec; ask once.
     let can_spill = config.spill_threshold.is_some()
-        && seed
-            .first()
-            .is_some_and(|init| ts.encode_state(init, &mut Vec::new()));
+        && !seed.ids.is_empty()
+        && ts.encode_state(seed.get(0), &mut Vec::new());
     let trace = |links: &Links, at: u32, state: TS::State| {
         rebuild_trace(ts, &config.reduction, links, at, state)
     };
 
     // Check properties on initial states.
-    for (id, state) in seed.iter().enumerate() {
+    for id in 0..seed.ids.len() {
+        let state = seed.get(id);
         if let Some(property) = first_violation(properties, state) {
             return Outcome::Violated {
                 property,
-                trace: trace(&parents, id as u32, (**state).clone()),
+                trace: trace(&parents, id as u32, state.clone()),
                 stats: Stats {
                     states: states_count,
                     transitions,
@@ -823,13 +988,13 @@ where
         // -- Parallel phase: expand the frontier -------------------------
         let cursor = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
-        let violations: Mutex<Vec<(M::Key, &'static str)>> = Mutex::new(Vec::new());
         let ctx = ExpandCtx {
             mode,
             ts,
             properties,
-            shards: &shards,
-            violations: &violations,
+            seen: &seen,
+            claims: &claims,
+            pool: &pool,
             reduction: config.reduction,
             expanding,
             forbid_deadlock: config.forbid_deadlock,
@@ -838,12 +1003,13 @@ where
             telemetry: &telemetry,
         };
         let workers = threads.min(frontier.len().div_ceil(BLOCK)).max(1);
-        let outs: Vec<WorkerOut> = if workers == 1 {
-            vec![expand_blocks(&ctx, &frontier, &cursor)]
+        let outs: Vec<WorkerOut<TS::State>> = if workers == 1 {
+            vec![expand_blocks(&ctx, &frontier, &cursor, 0)]
         } else {
             std::thread::scope(|scope| {
+                let (ctx, frontier, cursor) = (&ctx, &frontier, &cursor);
                 let handles: Vec<_> = (0..workers)
-                    .map(|_| scope.spawn(|| expand_blocks(&ctx, &frontier, &cursor)))
+                    .map(|w| scope.spawn(move || expand_blocks(ctx, frontier, cursor, w)))
                     .collect();
                 handles
                     .into_iter()
@@ -854,7 +1020,8 @@ where
 
         let mut deadlock: Option<u32> = None;
         let mut cutoff: Option<u32> = None;
-        for out in &outs {
+        let mut arenas = Vec::with_capacity(outs.len());
+        for out in outs {
             transitions += out.transitions;
             if let Some(p) = out.deadlock {
                 min_pos(&mut deadlock, p);
@@ -862,6 +1029,7 @@ where
             if let Some(p) = out.cutoff {
                 min_pos(&mut cutoff, p);
             }
+            arenas.push(out.arena);
         }
         if stop.load(Ordering::Relaxed) {
             return Outcome::BoundReached {
@@ -875,29 +1043,24 @@ where
         }
 
         // -- Deterministic drain: assign ids in sequential discovery order
-        let viol_map: HashMap<M::Key, &'static str, FxBuild> = {
-            let list = violations.into_inner().expect("violations lock");
-            let mut map: HashMap<M::Key, &'static str, FxBuild> = HashMap::default();
-            for (k, name) in list {
-                map.entry(k).or_insert(name);
-            }
-            map
-        };
-        let mut entries: Vec<(usize, M::Key, Pending<TS>)> = Vec::new();
-        for (idx, shard) in shards.iter_mut().enumerate() {
-            let shard = shard.get_mut().expect("shard lock");
-            entries.extend(shard.pending.drain().map(|(k, p)| (idx, k, p)));
+        let claimed = claims
+            .iter_mut()
+            .map(|c| c.get_mut().expect("claims lock").len());
+        let mut entries: Vec<(usize, M::Key, Pending)> = Vec::with_capacity(claimed.sum());
+        for (idx, shard) in claims.iter_mut().enumerate() {
+            let shard = shard.get_mut().expect("claims lock");
+            entries.extend(shard.drain().map(|(k, p)| (idx, k, p)));
         }
         entries.sort_unstable_by_key(|(_, _, p)| p.order);
 
         // Spill the next level when it exceeds the threshold (systems
         // without a codec keep frontiers in memory).
         let spill = can_spill && config.spill_threshold.is_some_and(|t| entries.len() > t);
-        let mut next_mem: Vec<Box<TS::State>> = Vec::new();
+        let mut ids: Vec<At> = Vec::new();
         let mut next_disk: Option<DiskWriter> = if spill {
             Some(DiskWriter::create().expect("create spill file"))
         } else {
-            next_mem.reserve(entries.len());
+            ids.reserve(entries.len());
             None
         };
         for (shard_idx, key, pending) in entries {
@@ -931,10 +1094,11 @@ where
             // The discovery order, rebased from frontier position to parent id.
             parents.push(Link(pending.order + (u64::from(first_id) << 32)));
             states_count += 1;
-            if let Some(&property) = viol_map.get(&key) {
+            let (arena, index) = (&arenas[pending.at.worker()], pending.at.index());
+            if let Some(property) = arena.violation(index) {
                 return Outcome::Violated {
                     property,
-                    trace: trace(&parents, id, *pending.state),
+                    trace: trace(&parents, id, arena.get(index).clone()),
                     stats: Stats {
                         states: states_count,
                         transitions,
@@ -942,14 +1106,10 @@ where
                     },
                 };
             }
-            shards[shard_idx]
-                .get_mut()
-                .expect("shard lock")
-                .seen
-                .insert(key);
+            seen[shard_idx].insert(key);
             match &mut next_disk {
-                Some(w) => w.push(ts, &pending.state),
-                None => next_mem.push(pending.state),
+                Some(w) => w.push(ts, arena.get(index)),
+                None => ids.push(pending.at),
             }
         }
 
@@ -982,42 +1142,48 @@ where
         // Level completed without a verdict: report its shape. Tracing and
         // telemetry are observation only — they never influence exploration
         // order, so the deterministic-drain guarantee is untouched.
-        let discovered = next_disk.as_ref().map_or(next_mem.len(), |w| w.len) as u64;
+        let discovered = next_disk.as_ref().map_or(ids.len(), |w| w.len) as u64;
         gc_trace::emit(gc_trace::EventKind::LevelEnd {
             level: level as u32,
             discovered,
             states_total: states_count as u64,
         });
+        let spilled_bytes = next_disk.as_ref().map_or(0, |w| w.bytes);
+        let next = match next_disk {
+            Some(w) => {
+                arenas.into_iter().for_each(|arena| pool.give(arena));
+                Frontier::Disk(w.finish())
+            }
+            None => Frontier::Mem(Level { arenas, ids }),
+        };
+        first_id += frontier.len() as u32;
+        if let Frontier::Mem(expanded) = std::mem::replace(&mut frontier, next) {
+            expanded.retire(&pool);
+        }
+
         let mut occ_max = 0u64;
         let mut occ_total = 0u64;
         let mut seen_buckets = 0;
-        for shard in shards.iter_mut() {
-            let seen = &shard.get_mut().expect("shard lock").seen;
-            let n = seen.len() as u64;
+        for shard in &seen {
+            let n = shard.len() as u64;
             occ_max = occ_max.max(n);
             occ_total += n;
-            seen_buckets += seen.capacity();
+            seen_buckets += shard.capacity();
         }
         telemetry.level_done(
             states_count,
-            next_disk.as_ref().map_or(0, |w| w.bytes),
+            spilled_bytes,
             Retained {
                 links: parents.blocks.len() * Links::BLOCK * size_of::<Link>(),
                 // A bucket is the key and one control byte.
                 seen_set: seen_buckets * (size_of::<M::Key>() + 1),
-                frontier: next_mem.len() * size_of::<TS::State>(),
+                frontier: pool.bytes(),
             },
         );
         gc_trace::emit(gc_trace::EventKind::ShardOccupancy {
             max: occ_max,
             total: occ_total,
         });
-
-        first_id += frontier.len() as u32;
-        frontier = match next_disk {
-            Some(w) => Frontier::Disk(w.finish()),
-            None => Frontier::Mem(next_mem),
-        };
         level += 1;
     }
 }

@@ -117,7 +117,9 @@ pub struct CheckerConfig {
     /// colliding on all 128 bits would be silently merged; for the state
     /// counts this checker handles (≪ 2⁴⁰) the probability is below 2⁻⁴⁰,
     /// and the mode is reserved for large sweeps whose results are
-    /// reported as hash-compacted.
+    /// reported as hash-compacted. A state whose `Hash` feeds cached
+    /// hashes of its parts (as `cimp::SystemState` does) adds the chance
+    /// that two distinct values of a part share one.
     pub hash_compact: bool,
     /// An optional static pre-pass (see [`Precheck`]). When set, it runs
     /// before exploration and any diagnostic it reports short-circuits the

@@ -1,4 +1,12 @@
 //! The hashers of the duplicate-detection tables.
+//!
+//! They hash whatever a state's `Hash` feeds them. A state that caches
+//! hashes of its parts — as `cimp::SystemState` does, one 64-bit digest per
+//! process, refreshed by the writes that change it — feeds only those, so a
+//! fingerprint mixes a few words however large the state; the cost of
+//! walking the state moves to whoever writes it. Hash-compact dedup then
+//! merges two distinct states if their 128-bit fingerprints collide or if
+//! a part's two distinct values share a digest.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -15,7 +15,9 @@
 //! * `mc_parent_link_bytes`, `mc_seen_set_bytes`, `mc_frontier_bytes` —
 //!   gauges of what the search retains, from lengths and capacities only:
 //!   the links' blocks, Σ seen-set shard `capacity()` × bucket size, and
-//!   the in-memory next level × `size_of::<State>()` (`0` when spilled);
+//!   the capacity of the arena blocks — the in-memory next level's and the
+//!   spare ones in the engine's pool (all of them spare when the level
+//!   spilled);
 //! * `mc_reduction_hits_total{technique=...}` — labelled counters for
 //!   `por_ample` (ample set accepted), `por_fallback` (C3 proviso forced
 //!   a full expansion), `symmetry_merge` and `sb_canon_coalesce`
@@ -82,7 +84,7 @@ impl Telemetry {
             registry.describe("mc_seen_set_bytes", "Bytes of seen-set buckets");
             registry.describe(
                 "mc_frontier_bytes",
-                "Bytes of the in-memory next level (0 = spilled)",
+                "Bytes of arena blocks: the in-memory next level's and the spare ones",
             );
             registry.describe(
                 "mc_reduction_hits_total",

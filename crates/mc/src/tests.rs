@@ -1045,12 +1045,133 @@ fn telemetry_registry_observes_without_perturbing() {
         ]
         .map(|name| registry.value_of(name).unwrap())
     };
+    let block_bytes = (bfs::ARENA_BLOCK * size_of::<(u16, u16)>()) as i64;
     let [links, seen_set, frontier] = retained(None);
     assert_eq!(links, 4096 * 8);
     assert!(seen_set > 0);
     assert!(
-        frontier > 0 && frontier % 4 == 0,
-        "whole `(u16, u16)` states"
+        frontier > 0 && frontier % block_bytes == 0,
+        "whole blocks of `(u16, u16)` states"
     );
-    assert_eq!(retained(Some(8)), [links, seen_set, 0], "a spilled level");
+    let [spilled_links, spilled_seen_set, pooled] = retained(Some(8));
+    assert_eq!([spilled_links, spilled_seen_set], [links, seen_set]);
+    assert!(
+        pooled > 0 && pooled % block_bytes == 0,
+        "a spilled level's blocks wait in the pool"
+    );
+}
+
+// --- Claims and arenas --------------------------------------------------
+
+/// An initial state with `2 * BLOCK` successors `(1, i)`, so that two
+/// workers take them in different dispenser blocks; `(1, 5)` and `(1, 40)`
+/// share the violating successor `(2, 0)` — the last of `(1, 5)`'s and the
+/// first of `(1, 40)`'s — and every `(1, i)` but `(1, 5)` leads to
+/// `(2, 128 + i)`.
+struct SharedViolation;
+
+impl TransitionSystem for SharedViolation {
+    type State = (u8, u8);
+    type Action = u8;
+
+    fn initial_states(&self) -> Vec<(u8, u8)> {
+        vec![(0, 0)]
+    }
+
+    fn successors(&self, &(level, i): &(u8, u8)) -> Vec<(u8, (u8, u8))> {
+        match (level, i) {
+            (0, _) => (0..64).map(|i| (i, (1, i))).collect(),
+            (1, 5) => (1..40)
+                .map(|j| (j, (2, 64 + j)))
+                .chain([(0, (2, 0))])
+                .collect(),
+            (1, 40) => vec![(0, (2, 0)), (1, (2, 128 + 40))],
+            (1, i) => vec![(i, (2, 128 + i))],
+            _ => Vec::new(),
+        }
+    }
+}
+
+#[test]
+fn racing_claims_on_a_violating_successor_report_the_earliest_discovery() {
+    let property = || Property::new("never-2-0", |s: &(u8, u8)| *s != (2, 0));
+    for hash_compact in [false, true] {
+        let config = CheckerConfig {
+            hash_compact,
+            ..CheckerConfig::default()
+        };
+        for threads in [1, 2, 4] {
+            let out = bfs::run(&config, &[property()], &SharedViolation, threads);
+            let what = format!("threads={threads} compact={hash_compact}");
+            assert_eq!(out.violated_property(), Some("never-2-0"), "{what}");
+            let trace = out.trace().expect("a violation has a trace");
+            assert_eq!(trace.actions, vec![5, 0], "{what}");
+            assert_eq!(trace.state, (2, 0));
+            // The root, its 64 successors, then the successors of `(1, 0)`
+            // to `(1, 4)` and `(1, 5)`'s 40 in drain order, the last of
+            // which is the violation.
+            assert_eq!(out.stats().states, 1 + 64 + 5 + 40, "{what}");
+            assert_trace_replays(&SharedViolation, Reduction::default(), trace);
+        }
+    }
+}
+
+/// Fifty levels of very different sizes, each state of level `l` leading
+/// to ten of level `l + 1`, which they cover.
+struct Levels;
+
+impl Levels {
+    const DEPTH: u16 = 50;
+
+    fn width(level: u16) -> u16 {
+        100 + (level * 37 % 17) * 100
+    }
+}
+
+impl TransitionSystem for Levels {
+    type State = (u16, u16);
+    type Action = u16;
+
+    fn initial_states(&self) -> Vec<(u16, u16)> {
+        (0..Levels::width(0)).map(|i| (0, i)).collect()
+    }
+
+    fn successors(&self, &(level, i): &(u16, u16)) -> Vec<(u16, (u16, u16))> {
+        if level + 1 == Levels::DEPTH {
+            return Vec::new();
+        }
+        let width = Levels::width(level + 1);
+        (0..10)
+            .map(|k| (k, (level + 1, (i * 10 + k) % width)))
+            .collect()
+    }
+}
+
+#[test]
+fn arenas_never_hold_more_blocks_than_two_adjacent_levels_need() {
+    use std::sync::Arc;
+
+    let blocks = |n: u16| usize::from(n).div_ceil(bfs::ARENA_BLOCK);
+    let adjacent = (0..Levels::DEPTH - 1)
+        .map(|l| blocks(Levels::width(l)) + blocks(Levels::width(l + 1)))
+        .max()
+        .expect("fifty levels");
+    let all: usize = (0..Levels::DEPTH).map(|l| blocks(Levels::width(l))).sum();
+    for threads in [1, 2] {
+        let registry = Arc::new(gc_trace::Registry::new());
+        let config = CheckerConfig::default().metrics(Arc::clone(&registry));
+        let out = bfs::run(&config, &[], &Levels, threads);
+        let states: usize = (0..Levels::DEPTH)
+            .map(|l| usize::from(Levels::width(l)))
+            .sum();
+        assert_eq!(out.stats().states, states);
+        let bytes = registry.value_of("mc_frontier_bytes").expect("published") as usize;
+        let made = bytes / (bfs::ARENA_BLOCK * size_of::<(u16, u16)>());
+        // A worker's last block of a level may be part-filled.
+        assert!(
+            made <= adjacent + 2 * (threads - 1),
+            "{made} blocks at {threads} threads; two adjacent levels need {adjacent}, \
+             all fifty {all}"
+        );
+    }
 }

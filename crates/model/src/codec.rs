@@ -131,11 +131,21 @@ mod tests {
     /// three mutators — every state round-trips through the codec, and for
     /// each pair of a state with a recent one, with its decoded copy (which
     /// was built afresh and has never popped a stack frame or committed a
-    /// store) and with its canonical form: `a == b`, `encode(a) ==
-    /// encode(b)` and `hash(a) == hash(b)` all agree. A slot left behind in
-    /// an inline stack, buffer or memory table would break one of the three.
+    /// store) and with its canonical forms (symmetry-permuted,
+    /// buffer-coalesced, both): `a == b`, `encode(a) == encode(b)` and
+    /// `hash(a) == hash(b)` all agree. Each canonical form also equals and
+    /// hashes like its own decoded copy. A slot left behind in an inline
+    /// stack, buffer or memory table would break one of these, and so would
+    /// a canonicalization that left a process's digest stale.
     #[test]
     fn equality_encoding_and_hash_agree_along_random_walks() {
+        let only = |symmetry, sb_canon| Reduction {
+            por: false,
+            symmetry,
+            sb_canon,
+        };
+        let canonicalizations = [Reduction::all(), only(true, false), only(false, true)];
+        let mut changed = [0usize; 3];
         let mut deep = ModelConfig::small(2, 2);
         deep.initial = InitialHeap::shared_object(2, 1);
         deep.buffer_cap = 6;
@@ -152,8 +162,14 @@ mod tests {
                 for _ in 0..1_500 {
                     let bytes = encoded(&state);
                     let back = decode(&bytes).expect("decodes");
-                    let canonical = model.canonicalize(&state, &Reduction::all());
-                    for other in recent.iter().chain([&back, &canonical]) {
+                    let canonical = canonicalizations.map(|r| model.canonicalize(&state, &r));
+                    for (c, count) in canonical.iter().zip(&mut changed) {
+                        let twin = decode(&encoded(c)).expect("decodes");
+                        assert_eq!(twin, *c);
+                        assert_eq!(hashed(&twin), hashed(c));
+                        *count += usize::from(*c != state);
+                    }
+                    for other in recent.iter().chain([&back]).chain(&canonical) {
                         let same = state == *other;
                         assert_eq!(same, bytes == encoded(other));
                         // Distinct states may share a 64-bit hash, but not
@@ -175,6 +191,11 @@ mod tests {
             }
         }
         assert!(compared > 100_000);
+        // Measured [1160, 1153, 7]: adjacent duplicate stores are rare.
+        assert!(
+            changed.iter().all(|&n| n > 0),
+            "a canonicalization changed no state: {changed:?}"
+        );
     }
 
     #[test]

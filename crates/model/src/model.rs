@@ -164,7 +164,11 @@ impl TransitionSystem for GcModel {
         // on already-normalized buffers keeps the representative stable.
         let mut state = *state;
         if reduction.sb_canon {
-            state.locals_mut().sys.mem.canonicalize_buffers();
+            // Most successors have nothing to coalesce: only a change costs
+            // the system process's digest.
+            state.update_local(self.sys_proc(), |roles| {
+                roles.sys.mem.canonicalize_buffers() > 0
+            });
         }
         if reduction.symmetry && self.symmetric {
             state = reduction::canonical_under_mutator_symmetry(&state);

@@ -219,16 +219,20 @@ fn mutator_order(state: &ModelState, a: usize, b: usize) -> Ordering {
 fn apply_perm(state: &ModelState, perm: &[usize]) -> ModelState {
     let mut next = *state;
     let old_sys = &state.locals().sys;
-    let sys = &mut next.locals_mut().sys;
-    (sys.hs_pending, sys.ghost_hs_flagged) = (0, 0);
-    // Machine::permute_threads takes map[new] = old.
-    let mut tmap = [0usize; tso_model::MAX_THREADS];
-    for (i, &old) in perm.iter().enumerate() {
-        sys.hs_pending |= u8::from(old_sys.pending(old)) << i;
-        sys.ghost_hs_flagged |= u8::from(old_sys.flagged(old)) << i;
-        tmap[1 + i] = 1 + old;
-    }
-    sys.mem.permute_threads(&tmap[..=perm.len()]);
+    next.update_local(state.len() - 1, |roles| {
+        let sys = &mut roles.sys;
+        (sys.hs_pending, sys.ghost_hs_flagged) = (0, 0);
+        // Machine::permute_threads takes map[new] = old.
+        let mut tmap = [0usize; tso_model::MAX_THREADS];
+        for (i, &old) in perm.iter().enumerate() {
+            sys.hs_pending |= u8::from(old_sys.pending(old)) << i;
+            sys.ghost_hs_flagged |= u8::from(old_sys.flagged(old)) << i;
+            tmap[1 + i] = 1 + old;
+        }
+        sys.mem.permute_threads(&tmap[..=perm.len()]);
+        true
+    });
+    // The mutators through `set`, which refreshes their digests.
     for (i, &old) in perm.iter().enumerate() {
         let mut local = state.local(1 + old);
         local.mutator_mut().idx = i as u8;

@@ -6,8 +6,9 @@
 //! inline — so a global state is cloned with a `memcpy`. Each role's state
 //! also folds into a few words (`words`): sets as they are, every scalar
 //! field bit-packed into one more. Those words are what `Hash` feeds the
-//! hasher and what [`codec`](crate::codec) writes, so the fingerprint of a
-//! state and its spilled form are two readings of one thing.
+//! hasher and what [`codec`](crate::codec) writes: a process's digest in the
+//! global state (`cimp::SystemState`) and its spilled form are two readings
+//! of one thing, and a fingerprint is a hash of the digests.
 
 use std::hash::{Hash, Hasher};
 

@@ -285,16 +285,17 @@ mod tests {
         let cfg = ModelConfig::small(1, 3);
         let model = GcModel::new(cfg.clone());
         let mut st = model.initial_states()[0];
-        // Manually enqueue field writes on the mutator's buffer.
-        let sys = &mut st.locals_mut().sys;
         let t = ThreadId::new(cfg.mut_tid(0));
         let a = Ref::new(0);
         let b = Ref::new(1);
-        // r0.f0 initially NULL; write b then write NULL.
-        sys.mem
-            .write(t, Addr::Field(a, 0), Val::Ref(Some(b)))
-            .unwrap();
-        sys.mem.write(t, Addr::Field(a, 0), Val::Ref(None)).unwrap();
+        // Manually enqueue field writes on the mutator's buffer: r0.f0
+        // initially NULL; write b then write NULL.
+        st.update_local(model.sys_proc(), |roles| {
+            let mem = &mut roles.sys.mem;
+            mem.write(t, Addr::Field(a, 0), Val::Ref(Some(b))).unwrap();
+            mem.write(t, Addr::Field(a, 0), Val::Ref(None)).unwrap();
+            true
+        });
 
         let v = View::new(&cfg, &st);
         let just_b: RefSet = [b].into_iter().collect();

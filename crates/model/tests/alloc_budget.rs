@@ -12,11 +12,14 @@
 //! While the non-deterministic steps (`mut-load`, `mut-store-begin`,
 //! `mut-discard`, `sys-dequeue`) returned a `Vec` each, it was 1.26.
 //!
-//! The same allocator tracks live bytes, and the second test pins what a
-//! whole `Checker::run` retains per visited state at its peak: the 8-byte
-//! parent link, the seen-set bucket, and the state's share of the two
-//! boxed levels in flight. With a 92-byte action in every link that was
-//! 96 bytes per state more.
+//! The other two tests run the benchmark's checker for 100,000 states. A
+//! whole `Checker::run` makes about three allocations per visited state —
+//! those three scratch vectors, once per expansion — since claimed states
+//! went into recycled arena blocks instead of one `Box` each (4.01 per
+//! state then). And the same allocator tracks live bytes, to pin what the
+//! run retains per visited state at its peak: the 8-byte parent link, the
+//! seen-set bucket, and the state's share of the two levels in flight.
+//! With a 92-byte action in every link that was 96 bytes per state more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -154,29 +157,47 @@ fn successors_clone_and_invariants_stay_within_their_allocation_budgets() {
     assert_eq!(in_invariants, 0);
 }
 
-#[test]
-fn a_run_retains_a_bounded_number_of_bytes_per_visited_state() {
+/// The benchmark's checker on `check-raw`, run to [`STATES`] states:
+/// hash-compact, one thread (so every allocation of the run is this
+/// thread's). The model and checker are built before the run is.
+fn run_to_the_bound() -> impl Fn() {
     let cfg = check_raw();
     let model = GcModel::new(cfg.clone());
-    // The benchmark's checker: hash-compact, one thread (so every
-    // allocation of the run is this thread's).
     let checker = Checker::with_config(CheckerConfig {
         max_states: STATES,
         hash_compact: true,
         ..CheckerConfig::default()
     })
     .property(combined_property(&cfg));
-    let (peak, outcome) = peak_bytes(|| checker.run(&model));
-    assert!(matches!(
-        outcome,
-        Outcome::BoundReached {
-            bound: Bound::States(STATES),
-            ..
-        }
-    ));
+    move || {
+        assert!(matches!(
+            checker.run(&model),
+            Outcome::BoundReached {
+                bound: Bound::States(STATES),
+                ..
+            }
+        ));
+    }
+}
+
+#[test]
+fn a_run_makes_about_three_allocations_per_visited_state() {
+    let (n, ()) = allocations(run_to_the_bound());
+    let per_state = n as f64 / STATES as f64;
+    println!("{n} allocations in a {STATES}-state run: {per_state:.2} per visited state");
+    // Measured 2.98: states past the last expanded level are visited but
+    // not expanded.
+    assert!(per_state <= 3.05, "{per_state} allocations per state");
+}
+
+#[test]
+fn a_run_retains_a_bounded_number_of_bytes_per_visited_state() {
+    let (peak, ()) = peak_bytes(run_to_the_bound());
     let per_state = peak as f64 / STATES as f64;
     println!("{peak} bytes at the peak of a {STATES}-state run: {per_state:.1} per visited state");
-    // Measured 133.5-135.5 (the seen-set's shard sizes follow the run's
-    // random fingerprint keys); 237 with the action stored in every link.
+    // Measured 140.1 with the levels in flight in arena blocks of
+    // 1,160-byte states; 133.5-135.5 with one `Box` per 1,088-byte state
+    // (the seen-set's shard sizes follow the run's random fingerprint
+    // keys); 237 with the action stored in every link.
     assert!(per_state <= 170.0, "{per_state} bytes retained per state");
 }

@@ -3,39 +3,46 @@
 //! *detects* it. (The model itself never reaches these states — that is
 //! the theorem — so the detectors need their own direct evidence.)
 
+use cimp::{Locals, SystemState};
 use gc_model::invariants;
 use gc_model::view::View;
-use gc_model::{GcModel, ModelConfig, ModelState};
+use gc_model::{GcModel, Local, ModelConfig, ModelState, Roles};
 use gc_types::Ref;
 use mc::TransitionSystem;
 
-/// A copy of the initial state to operate on.
+/// A copy of the initial state's local states to operate on.
 struct Surgeon {
     cfg: ModelConfig,
     state: ModelState,
+    roles: Roles,
 }
 
 impl Surgeon {
     fn new(cfg: ModelConfig) -> Self {
         let model = GcModel::new(cfg.clone());
         let state = model.initial_states().remove(0);
-        Surgeon { cfg, state }
+        let roles = *state.locals();
+        Surgeon { cfg, state, roles }
     }
 
     fn gc_mut(&mut self) -> &mut gc_model::GcState {
-        &mut self.state.locals_mut().gc
+        &mut self.roles.gc
     }
 
     fn mut_mut(&mut self, m: usize) -> &mut gc_model::MutState {
-        &mut self.state.locals_mut().mutators_mut()[m]
+        &mut self.roles.mutators_mut()[m]
     }
 
     fn sys_mut(&mut self) -> &mut gc_model::SysState {
-        &mut self.state.locals_mut().sys
+        &mut self.roles.sys
     }
 
+    /// Evaluates `f` on the initial control state with the operated-on
+    /// local states.
     fn check<R>(&self, f: impl FnOnce(&View) -> R) -> R {
-        f(&View::new(&self.cfg, &self.state))
+        let locals: Vec<Local> = (0..self.state.len()).map(|p| self.roles.get(p)).collect();
+        let state = SystemState::from_parts(self.state.controls(), &locals);
+        f(&View::new(&self.cfg, &state))
     }
 }
 
