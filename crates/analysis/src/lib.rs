@@ -25,14 +25,12 @@
 //!   from a [`ModelConfig`](gc_model::ModelConfig), and packages it as an
 //!   [`mc::Precheck`];
 //! * [`litmus`] — litmus-test translation and the analyzer-vs-oracle
-//!   agreement harness;
-//! * [`cli`] — the `gc-analyze` driver.
+//!   agreement harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cfg;
-pub mod cli;
 pub mod dataflow;
 pub mod diag;
 pub mod gcmodel;

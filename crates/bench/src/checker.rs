@@ -6,13 +6,12 @@ use std::time::{Duration, Instant};
 
 use gc_model::invariants::{combined_property, safety_property};
 use gc_model::{GcModel, InitialHeap, ModelConfig};
-use gc_trace::{CommaList, FlagError, Flags, Json, MetricsServer, Registry};
+use gc_trace::{CommaList, FlagError, Flags, MetricsServer, Registry};
 use mc::{Checker, CheckerConfig, Reduction, Strategy};
 use tso_model::MemoryModel;
 
 use crate::{
-    bounded_config, check_config_opts, conclude, print_table, report_json, save_record,
-    CheckReport, Run, Suite, Verdict,
+    bounded_config, check_config_opts, conclude, print_table, CheckReport, Run, Suite, Verdict,
 };
 
 const fn reduction(por: bool, symmetry: bool, sb_canon: bool) -> Reduction {
@@ -38,15 +37,6 @@ fn reduced(max_states: usize, reduction: Reduction, registry: &Arc<Registry>) ->
         .metrics(Arc::clone(registry))
 }
 
-/// A sweep row as a flat JSON object.
-fn row_json(label: &str, reduction: Reduction, report: &CheckReport) -> Json {
-    report_json(report)
-        .set("combo", label)
-        .set("por", reduction.por)
-        .set("symmetry", reduction.symmetry)
-        .set("sb_canon", reduction.sb_canon)
-}
-
 /// Checks `cfg` under every reduction combination and prints the table.
 /// Returns the reports in [`COMBOS`] order, or the refutation when a
 /// reduction changed the verdict or the counterexample.
@@ -55,7 +45,6 @@ fn sweep(
     cfg: &ModelConfig,
     max_states: usize,
     registry: &Arc<Registry>,
-    rows: &mut Vec<Json>,
 ) -> Result<Vec<CheckReport>, Verdict> {
     let reports: Vec<CheckReport> = COMBOS
         .iter()
@@ -70,9 +59,6 @@ fn sweep(
         })
         .collect();
     print_table(&reports);
-    for ((label, reduction), report) in COMBOS.iter().zip(&reports) {
-        rows.push(row_json(label, *reduction, report));
-    }
 
     let (baseline, all) = (&reports[0], &reports[COMBOS.len() - 1]);
     for report in &reports[1..] {
@@ -120,9 +106,8 @@ fn sweep(
 /// `mc_states_per_sec`, `mc_bfs_level`, `mc_frontier_len`), disk-spill
 /// counters (`mc_spill_bytes_written_total`, `mc_spill_bytes_read_total`,
 /// `mc_spill_frontier_bytes`) and per-technique
-/// `mc_reduction_hits_total{technique=...}` counters. The snapshot lands
-/// in `BENCH_reduction.json`'s `metrics` section; `--metrics-addr ADDR`
-/// additionally serves it live over HTTP (`/metrics`, `/metrics.json`,
+/// `mc_reduction_hits_total{technique=...}` counters. `--metrics-addr
+/// ADDR` serves it live over HTTP (`/metrics`, `/metrics.json`,
 /// `/healthz` keyed to `mc_states_total` progress). `--ci` trims the
 /// sweep to pull-request size.
 pub(crate) fn reduction_sweep(f: &mut Flags) -> Run {
@@ -132,8 +117,7 @@ pub(crate) fn reduction_sweep(f: &mut Flags) -> Run {
     f.finish()?;
 
     // One registry for every run: the checker's telemetry accumulates
-    // across the sweep, the scrape endpoint (if any) serves it live, and
-    // the final snapshot lands in the BENCH record.
+    // across the sweep and the scrape endpoint (if any) serves it live.
     let registry = Arc::new(Registry::new());
     let _server = match MetricsServer::for_flag(
         metrics_addr.as_deref(),
@@ -144,7 +128,6 @@ pub(crate) fn reduction_sweep(f: &mut Flags) -> Run {
         Ok(server) => server,
         Err(e) => return Ok(Verdict::Fails(e.to_string())),
     };
-    let mut rows = Vec::new();
 
     // The flagship symmetric instance: two mutators contending on one
     // shared object, with deep (6-entry) store buffers — the closest
@@ -166,7 +149,7 @@ pub(crate) fn reduction_sweep(f: &mut Flags) -> Run {
         "flagship: 2 mutators, shared object, no alloc, buffer_cap={}",
         flagship.buffer_cap
     );
-    let flagship_runs = match sweep("2mut shared", &flagship, max, &registry, &mut rows) {
+    let flagship_runs = match sweep("2mut shared", &flagship, max, &registry) {
         Ok(runs) => runs,
         Err(refuted) => return Ok(refuted),
     };
@@ -178,7 +161,7 @@ pub(crate) fn reduction_sweep(f: &mut Flags) -> Run {
     if !ci {
         println!("smallest faithful instance: 1 mutator, 2 slots, all ops");
         let one = ModelConfig::small(1, 2);
-        if let Err(refuted) = sweep("1mut all-ops", &one, max, &registry, &mut rows) {
+        if let Err(refuted) = sweep("1mut all-ops", &one, max, &registry) {
             return Ok(refuted);
         }
     }
@@ -198,7 +181,7 @@ pub(crate) fn reduction_sweep(f: &mut Flags) -> Run {
     heap_cfg.initial = InitialHeap::shared_object(2, 1);
     heap_cfg.ops.load = false;
     heap_cfg.ops.store = false;
-    let mut spilled = |label: &str, combo: &str, reduction: Reduction| {
+    let spilled = |label: &str, reduction: Reduction| {
         let mut config = reduced(max, reduction, &registry);
         config.spill_threshold = Some(20_000);
         let report = check_config_opts(
@@ -209,22 +192,19 @@ pub(crate) fn reduction_sweep(f: &mut Flags) -> Run {
             Strategy::default(),
         );
         print_table(std::slice::from_ref(&report));
-        rows.push(row_json(combo, reduction, &report).set("spill_threshold", 20_000u64));
         report
     };
-    let (combo, all) = COMBOS[COMBOS.len() - 1];
-    let heap_report = spilled("2mut 4-slot heap [all+spill]", combo, all);
+    let heap_report = spilled("2mut 4-slot heap [all+spill]", COMBOS[COMBOS.len() - 1].1);
     let mut verdict = conclude(
         std::slice::from_ref(&heap_report),
         heap_report.verified(),
         "the heap-gate instance must complete and verify",
     );
 
-    // The unreduced comparison row for the same instance (skipped in CI:
-    // the artifact diff wants the gate, not the control).
+    // The unreduced comparison row for the same instance (skipped in CI,
+    // which gates on the reduced run, not the control).
     if !ci && verdict == Verdict::Holds {
-        let (combo, none) = COMBOS[0];
-        let heap_none = spilled("2mut 4-slot heap [none+spill]", combo, none);
+        let heap_none = spilled("2mut 4-slot heap [none+spill]", COMBOS[0].1);
         if heap_none.outcome != heap_report.outcome {
             verdict = Verdict::Fails("reductions must not change the heap-gate verdict".into());
         }
@@ -232,16 +212,6 @@ pub(crate) fn reduction_sweep(f: &mut Flags) -> Run {
 
     println!("\nflagship reduction (all on vs none): {ratio:.1}x");
 
-    let record = gc_trace::bench_record(
-        "reduction",
-        &[("max_states", Json::from(max as u64))],
-        &[
-            ("runs", Json::from(rows)),
-            ("flagship_reduction_x", Json::from(ratio)),
-        ],
-        Some(&registry),
-    );
-    save_record("reduction", &record);
     Ok(verdict)
 }
 
@@ -308,8 +278,7 @@ pub(crate) fn parallel_speedup(f: &mut Flags) -> Run {
 
     let base = &reports[0];
     println!();
-    let mut rows: Vec<Json> = Vec::new();
-    for (r, &t) in reports.iter().zip(&threads) {
+    for r in &reports {
         if (r.states, r.transitions, r.depth, &r.outcome)
             != (base.states, base.transitions, base.depth, &base.outcome)
         {
@@ -320,11 +289,6 @@ pub(crate) fn parallel_speedup(f: &mut Flags) -> Run {
         }
         let speedup = base.elapsed.as_secs_f64() / r.elapsed.as_secs_f64();
         println!("{:<44} speedup vs sequential: {speedup:>5.2}x", r.label);
-        rows.push(
-            report_json(r)
-                .set("threads", Json::from(t))
-                .set("speedup", Json::from(speedup)),
-        );
     }
     println!("\nall thread counts agree on states, transitions, depth and verdict.");
 
@@ -339,23 +303,6 @@ pub(crate) fn parallel_speedup(f: &mut Flags) -> Run {
         )));
     }
 
-    let record = gc_trace::bench_record(
-        "parallel_speedup",
-        &[
-            ("max_states", Json::from(max)),
-            (
-                "threads",
-                Json::Arr(threads.iter().map(|&t| Json::from(t)).collect()),
-            ),
-            ("host_parallelism", Json::from(cores)),
-        ],
-        &[
-            ("runs", Json::Arr(rows)),
-            ("disabled_emit_ns_per_site", Json::from(per_site)),
-        ],
-        None,
-    );
-    save_record("parallel_speedup", &record);
     Ok(Verdict::Holds)
 }
 

@@ -6,52 +6,11 @@
 //! warm-up), good for the order-of-magnitude comparisons the experiment
 //! record needs; they are not a statistical benchmark suite.
 
-use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use gc_trace::Json;
-
 /// Target measurement window per benchmark.
 const WINDOW: Duration = Duration::from_millis(80);
-
-/// One calibrated measurement — the machine-readable record behind the
-/// row [`bench_function`] prints. Every measurement also lands in a
-/// thread-local session; [`write_session_record`] drains the session into
-/// a `BENCH_*.json` document so the micro-benchmarks leave the same
-/// evidence trail as the other experiments.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// The benchmark row's name.
-    pub name: String,
-    /// Iterations in the measured batch.
-    pub iters: u64,
-    /// Wall-clock time for the whole batch.
-    pub total: Duration,
-}
-
-impl Measurement {
-    /// Mean nanoseconds per iteration.
-    pub fn ns_per_iter(&self) -> f64 {
-        self.total.as_nanos() as f64 / self.iters as f64
-    }
-
-    /// The measurement as a flat JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("name", self.name.as_str())
-            .set("iters", self.iters)
-            .set("total_ns", self.total.as_nanos() as u64)
-            .set("ns_per_iter", self.ns_per_iter())
-    }
-}
-
-thread_local! {
-    /// Measurements taken on this thread since the last
-    /// [`write_session_record`] — benches are single-threaded drivers, so
-    /// thread-local is exactly session-local.
-    static SESSION: RefCell<Vec<Measurement>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Collects one calibrated measurement inside [`bench_function`].
 pub struct Bencher {
@@ -103,9 +62,8 @@ impl Bencher {
     }
 }
 
-/// Runs one benchmark, prints `name ... ns/iter`, and returns (and
-/// session-records) the [`Measurement`].
-pub fn bench_function(name: &str, mut f: impl FnMut(&mut Bencher)) -> Measurement {
+/// Runs one benchmark and prints `name ... ns/iter`.
+pub fn bench_function(name: &str, mut f: impl FnMut(&mut Bencher)) {
     let mut b = Bencher { measured: None };
     f(&mut b);
     let (n, elapsed) = b.measured.expect("the bench closure must call iter");
@@ -117,30 +75,4 @@ pub fn bench_function(name: &str, mut f: impl FnMut(&mut Bencher)) -> Measuremen
     } else {
         println!("{name:<48} {:>14.1} ns/iter ({n} iters)", per);
     }
-    let m = Measurement {
-        name: name.to_string(),
-        iters: n,
-        total: elapsed,
-    };
-    SESSION.with(|s| s.borrow_mut().push(m.clone()));
-    m
-}
-
-/// Drains every measurement this thread's [`bench_function`] calls have
-/// recorded into a `gc-bench/v1` record and writes it to
-/// `experiments_output/BENCH_<bench>.json` (via [`crate::save_record`]).
-pub fn write_session_record(bench: &str, params: &[(&str, Json)]) {
-    let measurements: Vec<Json> = SESSION.with(|s| {
-        s.borrow_mut()
-            .drain(..)
-            .map(|m| m.to_json())
-            .collect::<Vec<Json>>()
-    });
-    let record = gc_trace::bench_record(
-        bench,
-        params,
-        &[("measurements", Json::from(measurements))],
-        None,
-    );
-    crate::save_record(bench, &record);
 }

@@ -5,8 +5,7 @@
 //! workspace `EXPERIMENTS.md` for the index and the recorded results.
 //!
 //! This file holds what the entries share: the model-checking driver and
-//! its report table, the verdict an entry ends with, and the bench-record
-//! writer.
+//! its report table, and the verdict an entry ends with.
 
 mod ablations;
 mod checker;
@@ -221,28 +220,6 @@ pub fn print_trace(report: &CheckReport) {
     if let Some(trace) = &report.trace {
         println!("\ncounterexample for `{}`:", report.label);
         println!("{trace}");
-    }
-}
-
-/// A [`CheckReport`] as a flat JSON object for `BENCH_*.json` records.
-pub fn report_json(report: &CheckReport) -> gc_trace::Json {
-    gc_trace::Json::obj()
-        .set("label", report.label.as_str())
-        .set("outcome", report.outcome.as_str())
-        .set("states", report.states)
-        .set("transitions", report.transitions)
-        .set("depth", report.depth)
-        .set("elapsed_s", report.elapsed.as_secs_f64())
-}
-
-/// Writes `record` to `experiments_output/BENCH_<bench>.json` at the
-/// workspace root through [`gc_trace::write_bench_record`] (which rejects
-/// a record off the `gc-bench/v1` schema) and says where. A failure is a
-/// warning, not an error — the measurement already happened.
-pub fn save_record(bench: &str, record: &gc_trace::Json) {
-    match gc_trace::write_bench_record(bench, record) {
-        Ok(path) => println!("bench record -> {}", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_{bench}.json: {e}"),
     }
 }
 

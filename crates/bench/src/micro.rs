@@ -9,7 +9,7 @@ use mc::{Checker, Strategy, TransitionSystem};
 use otf_gc::{Collector, Gc, GcConfig, GcConfigBuilder, Mutator, Phase};
 use tso_model::{litmus, Machine, MemoryModel, ThreadId};
 
-use crate::harness::{bench_function, write_session_record, Bencher};
+use crate::harness::{bench_function, Bencher};
 use crate::{Run, Verdict};
 
 /// Times `m.store(a, 0, Some(b))` on two fresh objects of a collector
@@ -85,7 +85,6 @@ pub(crate) fn barriers(f: &mut Flags) -> Run {
     bench_function("store/idle + validation oracle", |b| {
         bench_store(b, GcConfig::builder(), |_| {})
     });
-    write_session_record("barriers", &[]);
     Ok(Verdict::Holds)
 }
 
@@ -252,7 +251,6 @@ pub(crate) fn runtime(f: &mut Flags) -> Run {
     }
     bench_trace_emit();
     bench_successor_expansion();
-    write_session_record("runtime", &[]);
     Ok(Verdict::Holds)
 }
 
@@ -308,6 +306,5 @@ pub(crate) fn substrates(f: &mut Flags) -> Run {
         "checker: 20k states, full suite, 4 threads",
         bench_checker_throughput(4),
     );
-    write_session_record("substrates", &[]);
     Ok(Verdict::Holds)
 }

@@ -6,10 +6,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gc_trace::{CommaList, Flags, Json, MetricsServer, Registry};
+use gc_trace::{CommaList, Flags, MetricsServer, Registry};
 use otf_gc::{churn_list, Collector, FaultPlan, GcConfig, Mutator};
 
-use crate::{save_record, Run, Verdict};
+use crate::{Run, Verdict};
 
 /// `mutators` threads churning one shared list (cut every 64 ops, walked
 /// every 16) while a bootstrap mutator keeps the anchor rooted and answers
@@ -45,10 +45,8 @@ fn churn(collector: &Collector, mutators: usize, ops: usize) {
 /// (quiescent `collect()` calls). This isolates the per-allocation path
 /// the §4 pool changes (pool pop vs global free-list lock) and the
 /// collector-side sweep (`sweep_ns` per cycle), instead of drowning both
-/// in emergency-cycle noise. Returns the JSON row for
-/// `BENCH_heap_alloc.json` plus the headline numbers.
+/// in emergency-cycle noise. Returns the headline numbers.
 struct AllocCell {
-    row: Json,
     allocs_per_sec: f64,
     mean_sweep_ns: f64,
 }
@@ -74,7 +72,7 @@ fn alloc_matrix_cell(
     // reclaimed between bursts, outside the timed windows: no mutators are
     // registered then, so the cycles complete without handshake partners.
     // Two cycles so even garbage floated by the final barrier snapshots is
-    // gone. Returns allocations per timed second and the timed seconds.
+    // gone. Returns allocations per timed second.
     let timed_bursts = |per_alloc: fn(&mut Mutator, otf_gc::Gc)| {
         let mut timed = Duration::ZERO;
         for _ in 0..bursts {
@@ -98,21 +96,21 @@ fn alloc_matrix_cell(
             assert!(collector.collect().is_completed());
         }
         let allocs = (bursts * burst_per_thread * threads) as f64;
-        (allocs / timed.as_secs_f64(), timed.as_secs_f64())
+        allocs / timed.as_secs_f64()
     };
 
     // Phase A — the pure allocation path: nothing in the loop but
     // `alloc` (objects stay rooted until the mutator unregisters at
     // burst end). This is the number the pool actually changes: pool
     // pop vs global free-list lock.
-    let (allocs_per_sec, alloc_timed_s) = timed_bursts(|_, _| {});
+    let allocs_per_sec = timed_bursts(|_, _| {});
 
     // Phase B — churn: one barrier-carrying store plus a discard per
     // allocation (the stress access pattern), for the barrier-cost and
     // steady-state columns. The self-link makes cyclic garbage — the
     // tracer reclaims it all the same.
     let barriers_before = collector.stats().barrier_checks();
-    let (churn_allocs_per_sec, churn_timed_s) = timed_bursts(|m, node| {
+    let churn_allocs_per_sec = timed_bursts(|m, node| {
         m.store(node, 0, Some(node));
         m.discard(node);
     });
@@ -134,24 +132,7 @@ fn alloc_matrix_cell(
         history.len(),
         st.tlab_refills(),
     );
-    let row = Json::obj()
-        .set("alloc_pool", alloc_pool)
-        .set("capacity", capacity)
-        .set("threads", threads)
-        .set("bursts", bursts)
-        .set("burst_per_thread", burst_per_thread)
-        .set("alloc_timed_s", alloc_timed_s)
-        .set("churn_timed_s", churn_timed_s)
-        .set("allocated", st.allocated())
-        .set("allocs_per_sec", allocs_per_sec)
-        .set("churn_allocs_per_sec", churn_allocs_per_sec)
-        .set("barrier_checks_per_alloc", barrier_per_alloc)
-        .set("cycles", history.len())
-        .set("mean_sweep_ns_per_cycle", mean_sweep_ns)
-        .set("freed", st.freed())
-        .set("pool_refills", st.tlab_refills());
     AllocCell {
-        row,
         allocs_per_sec,
         mean_sweep_ns,
     }
@@ -169,7 +150,7 @@ fn alloc_matrix_cell(
 /// discard loop with the §4 pool off and at 64 slots, at two capacities,
 /// reporting allocs/sec, barrier checks per allocation, and mean sweep ns
 /// per cycle: what the pool saves per allocation, and how the eager sweep
-/// scales with heap capacity. Written to `BENCH_heap_alloc.json`.
+/// scales with heap capacity.
 ///
 /// Part 3: the paper's §4 remark — "garbage is collected within two cycles
 /// of the collector's outer loop" — measured directly: objects made
@@ -196,36 +177,11 @@ pub(crate) fn stress(f: &mut Flags) -> Run {
     }
     println!("no use-after-free: the runtime safety oracle stayed quiet\n");
 
-    let record = gc_trace::bench_record(
-        "stress",
-        &[
-            ("mutators", Json::from(4u64)),
-            ("ops", Json::from(30_000u64)),
-            ("capacity", Json::from(4096u64)),
-        ],
-        &[
-            (
-                "gc_stats",
-                Json::parse(&s.to_json()).expect("GcStats::to_json is valid JSON"),
-            ),
-            (
-                "last_cycle",
-                s.history().last().map_or(Json::Null, |c| {
-                    Json::parse(&c.to_json()).expect("CycleStats::to_json is valid JSON")
-                }),
-            ),
-            ("live_objects", Json::from(collector.live_objects())),
-        ],
-        None,
-    );
-    save_record("stress", &record);
-
     println!("\n== allocation pools: alloc throughput and sweep cost, 4 threads ==");
     const THREADS: usize = 4;
     const TARGET_ALLOCS: usize = 400_000;
     const CAPACITIES: [usize; 2] = [4_096, 16_384];
     const POOLS: [usize; 2] = [0, 64];
-    let mut rows = Vec::new();
     let mut tput = [[0.0f64; 2]; 2]; // [pool][capacity]
     let mut sweep = [[0.0f64; 2]; 2];
     for (pi, &pool) in POOLS.iter().enumerate() {
@@ -233,7 +189,6 @@ pub(crate) fn stress(f: &mut Flags) -> Run {
             let cell = alloc_matrix_cell(pool, cap, THREADS, TARGET_ALLOCS);
             tput[pi][ci] = cell.allocs_per_sec;
             sweep[pi][ci] = cell.mean_sweep_ns;
-            rows.push(cell.row);
         }
     }
     let speedup = tput[1][0] / tput[0][0].max(1.0);
@@ -246,25 +201,6 @@ pub(crate) fn stress(f: &mut Flags) -> Run {
         "sweep ns/cycle growth, cap {}x: {sweep_growth:.2}x",
         CAPACITIES[1] / CAPACITIES[0]
     );
-    let record = gc_trace::bench_record(
-        "heap_alloc",
-        &[
-            ("threads", Json::from(THREADS)),
-            ("target_allocs", Json::from(TARGET_ALLOCS)),
-            (
-                "capacities",
-                Json::Arr(CAPACITIES.iter().map(|&c| Json::from(c)).collect()),
-            ),
-        ],
-        &[
-            ("cells", Json::Arr(rows)),
-            ("pooled_over_unpooled_allocs_per_sec", Json::from(speedup)),
-            ("sweep_growth", Json::from(sweep_growth)),
-        ],
-        None,
-    );
-    save_record("heap_alloc", &record);
-
     println!("\n== floating garbage: reclaimed within two cycles ==");
     let collector = Collector::new(GcConfig::builder().capacity(64).max_fields(1).build());
     let mut m = collector.register_mutator();
@@ -335,15 +271,9 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one seed, prints its table line, and returns its `per_seed` row
-/// and whether its verdict was OK. Odd seeds allocate from §4 pools.
-fn run_seed(
-    seed: u64,
-    mutators: usize,
-    ops: usize,
-    capacity: usize,
-    registry: &Registry,
-) -> (Json, bool) {
+/// Runs one seed, prints its table line, and returns whether its verdict
+/// was OK. Odd seeds allocate from §4 pools.
+fn run_seed(seed: u64, mutators: usize, ops: usize, capacity: usize, registry: &Registry) -> bool {
     let plan = FaultPlan::from_seed(seed);
     let pool = if seed.is_multiple_of(2) { 0 } else { 8 };
     let cfg = GcConfig::builder()
@@ -457,16 +387,7 @@ fn run_seed(
     println!(
         "{seed:>6} | {pool:>4} | {completed:>9} | {timed_out:>8} | {evictions:>7} | {panics:>6} | {fired:>6} | {word}"
     );
-    let row = Json::obj()
-        .set("seed", seed)
-        .set("alloc_pool", pool)
-        .set("completed", completed)
-        .set("timed_out", timed_out)
-        .set("evictions", evictions)
-        .set("chaos_panics", panics)
-        .set("faults_fired", fired)
-        .set("verdict", word.as_str());
-    (row, verdict.is_ok())
+    verdict.is_ok()
 }
 
 /// **Torture — the chaos-engine acceptance harness.**
@@ -511,8 +432,7 @@ pub(crate) fn torture(f: &mut Flags) -> Run {
         seeds.len()
     );
     // One registry across all seeds: collect-call and cycle counts
-    // accumulate, the optional scrape endpoint serves them live, and the
-    // snapshot lands in the BENCH record.
+    // accumulate, and the optional scrape endpoint serves them live.
     let registry = Arc::new(Registry::new());
     let _server = match MetricsServer::for_flag(
         metrics_addr.as_deref(),
@@ -528,27 +448,10 @@ pub(crate) fn torture(f: &mut Flags) -> Run {
         "seed", "pool", "completed", "timedout", "evicted", "panics", "faults"
     );
     let mut failures = 0u64;
-    let mut rows: Vec<Json> = Vec::new();
     for &seed in &seeds {
-        let (row, ok) = run_seed(seed, mutators, ops, capacity, &registry);
+        let ok = run_seed(seed, mutators, ops, capacity, &registry);
         failures += u64::from(!ok);
-        rows.push(row);
     }
-    let record = gc_trace::bench_record(
-        "torture",
-        &[
-            ("seeds", Json::from(seeds.len())),
-            ("mutators", Json::from(mutators)),
-            ("ops", Json::from(ops)),
-            ("capacity", Json::from(capacity)),
-        ],
-        &[
-            ("failures", Json::from(failures)),
-            ("per_seed", Json::Arr(rows)),
-        ],
-        Some(&registry),
-    );
-    save_record("torture", &record);
     if failures > 0 {
         return Ok(Verdict::Fails(format!(
             "torture: {failures} seed(s) FAILED"

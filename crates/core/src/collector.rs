@@ -798,6 +798,16 @@ mod tests {
     use crate::config::GcConfig;
     use std::time::Duration;
 
+    /// A `capacity`-slot, one-field heap with the handshake watchdog armed
+    /// at `ms` milliseconds.
+    fn watched(capacity: usize, ms: u64) -> GcConfig {
+        GcConfig::builder()
+            .capacity(capacity)
+            .max_fields(1)
+            .handshake_timeout(Duration::from_millis(ms))
+            .build()
+    }
+
     #[test]
     fn empty_heap_cycle_runs_with_no_mutators() {
         let c = Collector::new(GcConfig::new(8, 2));
@@ -907,8 +917,11 @@ mod tests {
 
     #[test]
     fn stop_swallows_worker_panic() {
-        let cfg =
-            GcConfig::new(8, 1).with_chaos(FaultPlan::new(1).with_collector_panic_at_cycle(0));
+        let cfg = GcConfig::builder()
+            .capacity(8)
+            .max_fields(1)
+            .chaos(FaultPlan::new(1).with_collector_panic_at_cycle(0))
+            .build();
         let c = Collector::new(cfg);
         c.start();
         // The worker dies at the start of its first cycle; wait for it.
@@ -924,7 +937,7 @@ mod tests {
 
     #[test]
     fn watchdog_times_out_on_a_stalled_live_mutator() {
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(25));
+        let cfg = watched(8, 25);
         let c = Collector::new(cfg);
         let m = c.register_mutator();
         let id = m.id();
@@ -1014,7 +1027,7 @@ mod tests {
 
     #[test]
     fn watchdog_evicts_a_beatless_mutator_and_completes() {
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(25));
+        let cfg = watched(8, 25);
         let c = Collector::new(cfg);
         let m = c.register_mutator();
         // Leak the handle: the mutator never beats, never acks, never
@@ -1036,7 +1049,7 @@ mod tests {
         // it while it holds roots would silently drop them from the
         // reachability snapshot: the watchdog must report it stalled
         // instead.
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(25));
+        let cfg = watched(8, 25);
         let c = Collector::new(cfg);
         let mut m = c.register_mutator();
         let _a = m.alloc(1).unwrap();
@@ -1058,7 +1071,7 @@ mod tests {
         // "dead" thread then wakes up, the first root-creating operation
         // through the revoked handle must fail stop — the collector no
         // longer scans it, so letting the root land would be unsound.
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(25));
+        let cfg = watched(8, 25);
         let c = Collector::new(cfg);
         let mut m = c.register_mutator();
         let done = AtomicBool::new(false);
@@ -1084,7 +1097,7 @@ mod tests {
         // first marker to win the CAS pushed one onto a second list, the
         // overwritten link closed a loop, and `take_all` never returned.
         const CHAIN: usize = 32;
-        let cfg = GcConfig::new(64, 1).with_handshake_timeout(Duration::from_millis(100));
+        let cfg = watched(64, 100);
         let c = Arc::new(Collector::new(cfg));
         let mut a = c.register_mutator();
         let mut b = c.register_mutator();
@@ -1184,7 +1197,7 @@ mod tests {
     fn timed_out_cycle_drops_staged_segments_safely() {
         // A cycle that aborts with grey work in the staged channel must not
         // leave dangling links for a later sweep to trip over.
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(20));
+        let cfg = watched(8, 20);
         let c = Collector::new(cfg);
         let mut m = c.register_mutator();
         let a = m.alloc(1).unwrap();

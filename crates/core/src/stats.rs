@@ -67,26 +67,6 @@ impl CycleStats {
     pub fn timing_consistent(&self) -> bool {
         self.handshake_ns + self.mark_ns + self.sweep_ns + self.chaos_ns <= self.duration_ns
     }
-
-    /// The cycle as a flat JSON object (stable keys, integer values).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"freed\":{},\"traced\":{},\"received\":{},\"work_rounds\":{},\
-             \"live_after\":{},\"duration_ns\":{},\"handshake_ns\":{},\
-             \"mark_ns\":{},\"sweep_ns\":{},\"chaos_ns\":{},\"backoff_ns\":{}}}",
-            self.freed,
-            self.traced,
-            self.received,
-            self.work_rounds,
-            self.live_after,
-            self.duration_ns,
-            self.handshake_ns,
-            self.mark_ns,
-            self.sweep_ns,
-            self.chaos_ns,
-            self.backoff_ns
-        )
-    }
 }
 
 impl fmt::Display for CycleStats {
@@ -249,7 +229,7 @@ impl GcStats {
     }
 
     /// Every counter as `(name, value)` rows, in a stable order — the one
-    /// source for [`GcStats::summary`] and [`GcStats::to_json`].
+    /// source for [`GcStats::summary`].
     fn rows(&self) -> Vec<(String, u64)> {
         let mut rows = vec![
             ("cycles".to_owned(), self.cycles()),
@@ -285,16 +265,6 @@ impl GcStats {
             let _ = writeln!(out, "  {name:<20} {value:>12}");
         }
         out
-    }
-
-    /// The global counters as a flat JSON object (no per-cycle history).
-    pub fn to_json(&self) -> String {
-        let fields: Vec<String> = self
-            .rows()
-            .iter()
-            .map(|(name, value)| format!("\"{name}\":{value}"))
-            .collect();
-        format!("{{{}}}", fields.join(","))
     }
 }
 
@@ -355,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn cycle_stats_display_and_json() {
+    fn cycle_stats_display() {
         let c = CycleStats {
             freed: 3,
             traced: 9,
@@ -372,17 +342,10 @@ mod tests {
         let text = c.to_string();
         assert!(text.contains("freed     3"));
         assert!(text.contains("traced     9"));
-        let json = c.to_json();
-        assert!(json.contains("\"freed\":3"));
-        assert!(json.contains("\"chaos_ns\":50"));
-        assert!(json.contains("\"backoff_ns\":25"));
-        // Braces balance; keys are quoted: crude but dependency-free shape
-        // checks (the real parser lives in gc-trace's integration tests).
-        assert!(json.starts_with('{') && json.ends_with('}'));
     }
 
     #[test]
-    fn gc_stats_summary_and_json_list_all_counters() {
+    fn gc_stats_summary_lists_all_counters() {
         let s = GcStats::default();
         s.cycles.store(5, Ordering::Relaxed);
         s.allocated.store(123, Ordering::Relaxed);
@@ -394,10 +357,6 @@ mod tests {
             !summary.contains("chaos_silence"),
             "zero chaos counters omitted"
         );
-        let json = s.to_json();
-        assert!(json.contains("\"cycles\":5"));
-        assert!(json.contains("\"allocated\":123"));
-        assert!(json.contains("\"chaos_cas_lost\":2"));
-        assert!(json.contains("\"backoff_ns\":0"));
+        assert!(summary.contains("backoff_ns"));
     }
 }

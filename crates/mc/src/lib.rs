@@ -165,4 +165,6 @@ pub trait TransitionSystem: Sync {
 }
 
 #[cfg(test)]
+mod reference;
+#[cfg(test)]
 mod tests;

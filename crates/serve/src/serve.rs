@@ -41,7 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use gc_trace::{Counter, EventKind, Gauge, Histogram, Json, Registry};
+use gc_trace::{Counter, EventKind, Gauge, Histogram, Registry};
 use otf_gc::{ChaosSite, Collector, Gc, Mutator};
 
 use crate::config::{PacingMode, ServeConfig};
@@ -249,46 +249,6 @@ impl ServeReport {
     /// Whether the oracle found nothing wrong.
     pub fn is_healthy(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// The report as a JSON object (the `results` block of
-    /// `BENCH_serve.json`).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("requests", self.requests)
-            .set("ok", self.ok)
-            .set("shed", self.shed)
-            .set("rejected", self.rejected)
-            .set("timeouts", self.timeouts)
-            .set("errors", self.errors)
-            .set("exhausted", self.exhausted)
-            .set("worker_panics", self.worker_panics)
-            .set("sessions_created", self.sessions_created)
-            .set("sessions_live", self.sessions_live)
-            .set("lost_sessions", self.lost_sessions)
-            .set("uaf_detected", self.uaf_detected)
-            .set("latency_p50_ns", self.latency_p50_ns)
-            .set("latency_p95_ns", self.latency_p95_ns)
-            .set("latency_p99_ns", self.latency_p99_ns)
-            .set(
-                "post_storm_p99_ns",
-                self.post_storm_p99_ns.map(Json::from).unwrap_or(Json::Null),
-            )
-            .set("slo_ns", self.slo_ns)
-            .set("alloc_stall_p99_ns", self.alloc_stall_p99_ns)
-            .set("cycles", self.cycles)
-            .set("final_occupancy_permille", self.final_occupancy_permille)
-            .set("wall_ns", self.wall_ns)
-            .set("throughput_rps", self.throughput_rps)
-            .set(
-                "violations",
-                Json::from(
-                    self.violations
-                        .iter()
-                        .map(|v| Json::from(v.clone()))
-                        .collect::<Vec<Json>>(),
-                ),
-            )
     }
 }
 
@@ -859,19 +819,5 @@ mod tests {
         // Degraded, not broken: the session oracle still holds.
         assert_eq!(report.lost_sessions, 0);
         assert!(!report.uaf_detected);
-    }
-
-    #[test]
-    fn serve_report_json_round_trips_through_the_shared_json_type() {
-        let cfg = ServeConfig::quick(HeapLayout::Slab);
-        let registry = Registry::new();
-        let report = run_serve(&cfg, &registry);
-        let text = report.to_json().to_string();
-        let parsed = Json::parse(&text).expect("report renders valid JSON");
-        assert_eq!(
-            parsed.get("requests").and_then(Json::as_f64),
-            Some(report.requests as f64)
-        );
-        assert!(parsed.get("violations").and_then(Json::as_arr).is_some());
     }
 }

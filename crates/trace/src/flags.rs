@@ -1,6 +1,5 @@
-//! The one command-line flag parser behind `experiments`, `gc-serve` and
-//! `gc-trace` (`gc-analyze` keeps `gc_analysis::cli`, which has the same
-//! contract).
+//! The one command-line flag parser behind `experiments`, `gc-analyze`,
+//! `gc-serve` and `gc-trace`.
 //!
 //! A driver asks for what it understands — [`Flags::command`] first if it
 //! has subcommands, [`Flags::switch`], [`Flags::opt`] / [`Flags::get`] for

@@ -10,16 +10,15 @@
 //!   runtime-disable fast path is one relaxed atomic load.
 //! * **Metrics** ([`metrics`]): named counters, gauges and log-linear
 //!   histograms with p50/p95/p99, a Prometheus-style text exposition, and
-//!   a JSON snapshot / `BENCH_*.json` record writer.
+//!   a JSON snapshot.
 //! * **Export** ([`chrome`], [`json`]): a Chrome trace-event document
 //!   (cycles as spans with handshake/mark/sweep nested under them, one
 //!   track per thread — loadable in Perfetto) plus a flat JSONL stream,
 //!   built on a small dependency-free JSON value.
-//! * **Live scrape & regression gate** ([`scrape`], [`diff`], [`bench`]):
+//! * **Live scrape & regression gate** ([`scrape`], [`diff`]):
 //!   a std-only Prometheus endpoint over a live [`Registry`]
-//!   (`/metrics`, `/metrics.json`, `/healthz`), a trace-shape differ
-//!   with configurable thresholds behind `gc-trace diff`, and the
-//!   schema-checked `BENCH_*.json` writer/validator (DESIGN.md §2.14).
+//!   (`/metrics`, `/metrics.json`, `/healthz`) and a trace-shape differ
+//!   with configurable thresholds behind `gc-trace diff`.
 //!
 //! The crate is deliberately leaf-level: `otf-gc`, `mc` and the bench
 //! rigs depend on it, never the reverse, so the event
@@ -46,7 +45,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod bench;
 pub mod chrome;
 pub mod diff;
 pub mod event;
@@ -58,17 +56,13 @@ pub mod scrape;
 pub mod sink;
 pub mod tracer;
 
-pub use bench::{
-    check_bench_file, validate_bench_record, write_bench_record, write_bench_record_at,
-    BENCH_SCHEMA,
-};
 pub use diff::{diff_shapes, DiffError, DiffReport, Finding, Summary, Thresholds, TraceShape};
 pub use event::{
     Event, EventKind, Record, Role, Span, COUNTER_NAMES, HANDSHAKE_NAMES, PHASE_NAMES,
 };
 pub use flags::{CommaList, FlagError, Flags};
 pub use json::{Json, JsonError};
-pub use metrics::{bench_record, escape_label_value, labeled, Counter, Gauge, Histogram, Registry};
+pub use metrics::{escape_label_value, labeled, Counter, Gauge, Histogram, Registry};
 pub use ring::Ring;
 pub use scrape::{Health, Liveness, MetricsServer, METRICS_CONTENT_TYPE};
 pub use sink::{SinkSummary, TraceSink};

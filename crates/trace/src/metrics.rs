@@ -453,38 +453,6 @@ impl Registry {
     }
 }
 
-/// A `BENCH_*.json`-compatible record: benchmark identity, free-form
-/// parameters, and a metrics snapshot. The schema every bench bin emits:
-///
-/// ```json
-/// {"bench": "<name>", "schema": "gc-bench/v1",
-///  "params": {...}, "results": {...}, "metrics": <Registry::snapshot>}
-/// ```
-pub fn bench_record(
-    bench: &str,
-    params: &[(&str, Json)],
-    results: &[(&str, Json)],
-    metrics: Option<&Registry>,
-) -> Json {
-    let mut p = Json::obj();
-    for (k, v) in params {
-        p = p.set(k, v.clone());
-    }
-    let mut r = Json::obj();
-    for (k, v) in results {
-        r = r.set(k, v.clone());
-    }
-    Json::obj()
-        .set("bench", bench)
-        .set("schema", "gc-bench/v1")
-        .set("params", p)
-        .set("results", r)
-        .set(
-            "metrics",
-            metrics.map(Registry::snapshot).unwrap_or(Json::Null),
-        )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,25 +632,5 @@ mod tests {
         assert!(text.contains("# TYPE stage_ns summary"));
         assert!(text.contains("stage_ns{stage=\"mark\",quantile=\"0.99\"}"));
         assert!(text.contains("stage_ns_count{stage=\"mark\"} 50"));
-    }
-
-    #[test]
-    fn bench_record_shape() {
-        let r = Registry::new();
-        r.counter("ops_total").add(5);
-        let rec = bench_record(
-            "demo",
-            &[("threads", Json::from(4u64))],
-            &[("elapsed_s", Json::Num(1.25))],
-            Some(&r),
-        );
-        assert_eq!(rec.get("bench").and_then(Json::as_str), Some("demo"));
-        assert_eq!(
-            rec.get("schema").and_then(Json::as_str),
-            Some("gc-bench/v1")
-        );
-        assert!(rec.get("metrics").unwrap().get("counters").is_some());
-        // The record is valid JSON end to end.
-        assert_eq!(Json::parse(&rec.to_string()).unwrap(), rec);
     }
 }

@@ -15,19 +15,18 @@
 //!
 //! Outputs:
 //!
-//! * `BENCH_serve.json` — a `gc-bench/v1` record with both arms' reports
-//!   and handshake p50/p95/p99 distilled from the trace stream;
 //! * `metrics.prom` — the robust arm's registry (throughput, shed/reject/
-//!   timeout counters, allocation-stall and handshake histograms) as
-//!   Prometheus text exposition;
+//!   timeout counters, allocation-stall histograms and handshake
+//!   histograms distilled from the trace stream) as Prometheus text
+//!   exposition;
 //! * `serve_trace.json` — a validated Chrome trace-event document of the
 //!   robust arm (occupancy and queue-depth counter tracks included).
 //!
 //! `--stream-trace` additionally streams events to `serve_trace.jsonl`
 //! *while serving* via the background sink; since draining is
 //! destructive, the in-process Chrome trace and handshake histograms then
-//! cover only the post-stream tail — use the default mode for the BENCH
-//! record, the streaming mode to watch a run live.
+//! cover only the post-stream tail — use the default mode for the
+//! histograms, the streaming mode to watch a run live.
 //!
 //! `--metrics-addr ADDR` (e.g. `127.0.0.1:9464`) serves the robust arm's
 //! registry over HTTP *while the run is in flight* — `/metrics`
@@ -49,7 +48,7 @@ use std::time::Duration;
 
 use gc_serve::{run_serve, ServeConfig, ServeReport};
 use gc_trace::chrome::{chrome_trace, validate_chrome_trace};
-use gc_trace::{FlagError, Flags, Json, MetricsServer, Registry, TraceShape, TraceSink, Tracer};
+use gc_trace::{FlagError, Flags, MetricsServer, Registry, TraceShape, TraceSink, Tracer};
 use otf_gc::{FaultPlan, HeapLayout};
 
 const USAGE: &str = "gc-serve [--out DIR] [--requests N] [--seed S] \
@@ -232,9 +231,9 @@ fn main() -> ExitCode {
     }
 
     // The ablation arm: identical seeded load, shedding and pacing off.
-    // Expected to degrade; its numbers go into the BENCH record but its
-    // registry is scratch (metrics.prom describes the robust arm).
-    let ablation = if args.ablation {
+    // Expected to degrade; its registry is scratch (metrics.prom
+    // describes the robust arm).
+    if args.ablation {
         let abl = run_serve(&base_config(&args).ablation(), &Registry::new());
         print_arm("ablation", &abl);
         let degraded = abl.exhausted > 0 || abl.timeouts > 0;
@@ -246,10 +245,7 @@ fn main() -> ExitCode {
                 "did NOT degrade — load too light for the comparison to bite"
             }
         );
-        Some((abl, degraded))
-    } else {
-        None
-    };
+    }
 
     gc_trace::disable();
     if let Some(sink) = sink {
@@ -262,7 +258,7 @@ fn main() -> ExitCode {
         }
     }
     let dumps = Tracer::global().drain();
-    // The handshake quantiles the BENCH record reports next to the
+    // The handshake histograms metrics.prom reports next to the
     // allocation-stall quantiles `run_serve` recorded come from the trace.
     TraceShape::publish(&dumps, &registry);
 
@@ -279,48 +275,6 @@ fn main() -> ExitCode {
         summary.events, summary.spans, summary.instants, summary.tracks
     );
 
-    let hs = registry.histogram("gc_handshake_latency_ns");
-    let record = gc_trace::bench_record(
-        "serve",
-        &[
-            ("capacity", Json::from(cfg.capacity)),
-            ("workers", Json::from(cfg.workers)),
-            ("requests", Json::from(cfg.requests)),
-            ("seed", Json::from(cfg.seed)),
-            ("queue_capacity", Json::from(cfg.queue_capacity)),
-            (
-                "shed_permille",
-                cfg.shed_permille.map(Json::from).unwrap_or(Json::Null),
-            ),
-            ("storm", Json::from(args.storm)),
-            ("chaos_seed", Json::from(args.chaos_seed)),
-            ("slo_ms", Json::from(cfg.slo.as_millis() as u64)),
-        ],
-        &[
-            ("healthy", Json::from(report.is_healthy())),
-            ("robust", report.to_json()),
-            (
-                "ablation",
-                ablation
-                    .as_ref()
-                    .map(|(r, _)| r.to_json())
-                    .unwrap_or(Json::Null),
-            ),
-            (
-                "ablation_degraded",
-                ablation
-                    .as_ref()
-                    .map(|&(_, d)| Json::from(d))
-                    .unwrap_or(Json::Null),
-            ),
-            ("handshake_p50_ns", Json::from(hs.quantile(0.50))),
-            ("handshake_p95_ns", Json::from(hs.quantile(0.95))),
-            ("handshake_p99_ns", Json::from(hs.quantile(0.99))),
-            ("handshakes_measured", Json::from(hs.count())),
-        ],
-        Some(&registry),
-    );
-
     let outputs: [(&str, String); 2] = [
         ("serve_trace.json", format!("{doc}\n")),
         ("metrics.prom", registry.render_text()),
@@ -332,13 +286,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         println!("wrote {}", path.display());
-    }
-    match gc_trace::write_bench_record_at(&args.out, "serve", &record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("gc-serve: cannot write BENCH_serve.json: {e}");
-            return ExitCode::from(2);
-        }
     }
 
     if report.is_healthy() {

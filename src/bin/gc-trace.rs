@@ -1,5 +1,5 @@
-//! `gc-trace`: the observability demo, trace validator, trace differ and
-//! bench-record checker (DESIGN.md §2.10, §2.14).
+//! `gc-trace`: the observability demo, trace validator and trace differ
+//! (DESIGN.md §2.10, §2.14).
 //!
 //! Default mode runs a short instrumented workload — the on-the-fly
 //! collector under a few churning mutators, then a bounded model-checker
@@ -11,8 +11,7 @@
 //!   handshake/mark/sweep nested under them, one track per thread;
 //! * `trace.jsonl` — the same events as flat JSON lines (one per event);
 //! * `metrics.prom` — the metrics registry as Prometheus text exposition;
-//! * `metrics.json` — the same registry as a JSON snapshot;
-//! * `BENCH_trace_demo.json` — a `gc-bench/v1`-schema record of the run.
+//! * `metrics.json` — the same registry as a JSON snapshot.
 //!
 //! With `--metrics-addr ADDR` the demo also serves the live registry over
 //! HTTP while the workload runs (`/metrics`, `/metrics.json`, `/healthz`;
@@ -27,8 +26,6 @@
 //!   compares them (see `gc_trace::diff`). Prints the human table,
 //!   optionally writes the machine-readable verdict, and exits 0 (clean) /
 //!   1 (regressed) / 2 (unreadable input, or a Chrome `trace.json`).
-//! * `gc-trace check-bench FILE...` — validates `BENCH_*.json` files
-//!   against the `gc-bench/v1` schema; exits nonzero on any violation.
 //!
 //! `--check <file>` parses and validates an existing Chrome trace document
 //! (required fields, begin/end balance per track) and exits nonzero on
@@ -54,10 +51,9 @@ use mc::{Checker, CheckerConfig, Strategy};
 use otf_gc::{churn_list, Collector, GcConfig};
 
 const USAGE: &str = "gc-trace [--out DIR] [--mutators K] [--ops N] [--check FILE] \
-                     [--metrics-addr ADDR]   (subcommands: diff, check-bench; each takes --help)";
+                     [--metrics-addr ADDR]   (subcommand: diff; takes --help)";
 const DIFF_USAGE: &str = "gc-trace diff BASE CURRENT [--json FILE] [--shape-only] \
                           [--latency-rel F] [--count-rel F] [--mix-abs F] [--min-count N]";
-const CHECK_BENCH_USAGE: &str = "gc-trace check-bench FILE...";
 
 struct Args {
     out: PathBuf,
@@ -177,36 +173,6 @@ fn run_diff(f: &mut Flags) -> ExitCode {
     }
 }
 
-/// `check-bench` subcommand: schema-validate `BENCH_*.json` files.
-fn run_check_bench(f: &mut Flags) -> ExitCode {
-    let mut files: Vec<PathBuf> = Vec::new();
-    while let Ok(Some(file)) = f.positional("FILE") {
-        files.push(file);
-    }
-    let listed = f.finish().and_then(|()| match files.is_empty() {
-        true => Err(FlagError::MissingValue("FILE".into())),
-        false => Ok(()),
-    });
-    if let Err(e) = listed {
-        return f.fail(&e);
-    }
-    let mut failed = false;
-    for path in &files {
-        match gc_trace::check_bench_file(path) {
-            Ok(()) => println!("{}: valid gc-bench/v1 record", path.display()),
-            Err(e) => {
-                eprintln!("gc-trace check-bench: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 /// Mutator ops between two collection cycles of the demo workload.
 const OPS_PER_CYCLE: usize = 256;
 
@@ -305,10 +271,6 @@ fn main() -> ExitCode {
             flags.set_usage(DIFF_USAGE);
             return run_diff(&mut flags);
         }
-        Some("check-bench") => {
-            flags.set_usage(CHECK_BENCH_USAGE);
-            return run_check_bench(&mut flags);
-        }
         Some(other) => return flags.fail(&FlagError::Unexpected(other.to_owned())),
         None => {}
     }
@@ -369,23 +331,6 @@ fn main() -> ExitCode {
         summary.events, summary.spans, summary.instants, summary.tracks
     );
 
-    let record = gc_trace::bench_record(
-        "trace_demo",
-        &[
-            ("mutators", Json::from(args.mutators)),
-            ("ops", Json::from(args.ops)),
-        ],
-        &[
-            ("gc_cycles", Json::from(cycles)),
-            ("live_objects", Json::from(live)),
-            ("checker_verdict", Json::from(verdict.as_str())),
-            ("checker_states", Json::from(states)),
-            ("trace_events", Json::from(summary.events)),
-            ("trace_tracks", Json::from(summary.tracks)),
-        ],
-        Some(&registry),
-    );
-
     if let Err(e) = std::fs::create_dir_all(&args.out) {
         eprintln!("gc-trace: cannot create {}: {e}", args.out.display());
         return ExitCode::from(2);
@@ -403,15 +348,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         println!("wrote {}", path.display());
-    }
-    // Schema-checked emission: a malformed record fails the run here,
-    // not a downstream consumer.
-    match gc_trace::write_bench_record_at(&args.out, "trace_demo", &record) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("gc-trace: cannot write bench record: {e}");
-            return ExitCode::from(2);
-        }
     }
     if let Some(server) = server {
         println!("metrics endpoint served {} request(s)", server.shutdown());

@@ -213,7 +213,13 @@ fn chaos_storms_leave_the_heap_coherent() {
         .with_handshake_delay(2_000)
         .with_cas_lost(2_000)
         .with_slow_transfer(2_000);
-    let collector = Collector::new(cfg(128, 2).with_chaos(plan));
+    let collector = Collector::new(
+        GcConfig::builder()
+            .capacity(128)
+            .max_fields(2)
+            .chaos(plan)
+            .build(),
+    );
     let mut m = collector.register_mutator();
     let anchor = m.alloc(2).unwrap();
     collector.start();
@@ -251,9 +257,12 @@ fn mutator_silent_for_three_generations_never_hangs_collection() {
     // outcome — TimedOut aborts while the silence lasts (the mutator keeps
     // beating, so it is never evicted), Completed once it lifts.
     let plan = FaultPlan::new(7).with_silence(10_000, 3); // every generation re-silences
-    let config = cfg(32, 1)
-        .with_handshake_timeout(Duration::from_millis(30))
-        .with_chaos(plan);
+    let config = GcConfig::builder()
+        .capacity(32)
+        .max_fields(1)
+        .handshake_timeout(Duration::from_millis(30))
+        .chaos(plan)
+        .build();
     let collector = Collector::new(config);
     let mut m = collector.register_mutator();
     let a = m.alloc(1).unwrap();

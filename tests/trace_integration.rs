@@ -204,18 +204,6 @@ fn metrics_registry_reflects_collector_counters() {
         .expect("snapshot carries gc_cycles");
     assert_eq!(cycles as u64, s.cycles());
 
-    // The GcStats JSON view round-trips through the gc-trace parser — the
-    // contract the bench records rely on.
-    let parsed = Json::parse(&s.to_json()).expect("GcStats::to_json is valid JSON");
-    assert_eq!(
-        parsed
-            .get("cycles")
-            .and_then(Json::as_f64)
-            .map(|v| v as u64),
-        Some(s.cycles())
-    );
     let last = s.history().last().copied().unwrap();
-    let parsed = Json::parse(&last.to_json()).expect("CycleStats::to_json is valid JSON");
-    assert!(parsed.get("chaos_ns").is_some());
     assert!(last.timing_consistent(), "completed cycle timings compose");
 }
