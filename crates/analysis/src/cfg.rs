@@ -13,7 +13,7 @@
 //! considered reachable: the graph over-approximates control flow, which is
 //! the right direction for the may-buffered-write analysis built on top.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use cimp::{Com, ComId, Label, MemEffect, Program};
@@ -55,37 +55,108 @@ pub struct Cfg {
     /// Display name of the process (`"gc"`, `"mutator-0"`, …).
     pub name: String,
     nodes: Vec<Node>,
-    succs: Vec<BTreeSet<NodeId>>,
-    preds: Vec<BTreeSet<NodeId>>,
+    succs: Adjacency,
+    preds: Adjacency,
     entry: NodeId,
     exit: NodeId,
-    by_com: HashMap<ComId, NodeId>,
+    /// The node of each arena command, by its index.
+    by_com: Vec<Option<NodeId>>,
+}
+
+/// A command's place in arena-indexed tables.
+fn slot(com: ComId) -> usize {
+    usize::from(com.raw())
+}
+
+/// Each node's neighbours in one direction, sorted and distinct: node
+/// `n`'s are `targets[starts[n]..starts[n + 1]]`.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    starts: Vec<usize>,
+    targets: Vec<NodeId>,
+}
+
+impl Adjacency {
+    /// The adjacency of `len` nodes with the edges `pairs`, each a
+    /// `(node, neighbour)` pair, in any order and possibly repeated.
+    fn new(len: usize, mut pairs: Vec<(NodeId, NodeId)>) -> Self {
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut starts = vec![0; len + 1];
+        for &(n, _) in &pairs {
+            starts[n + 1] += 1;
+        }
+        for n in 0..len {
+            starts[n + 1] += starts[n];
+        }
+        let targets = pairs.into_iter().map(|(_, m)| m).collect();
+        Adjacency { starts, targets }
+    }
+
+    fn of(&self, n: NodeId) -> &[NodeId] {
+        &self.targets[self.starts[n]..self.starts[n + 1]]
+    }
+}
+
+/// A run of node ids in [`Builder::lists`].
+#[derive(Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
 }
 
 struct Builder<'p, S, Req, Resp> {
     p: &'p Program<S, Req, Resp>,
     cfg: Cfg,
-    /// Memoised `(entry points, exit frontier)` per structural subtree, so
-    /// shared sub-programs are walked once.
-    shapes: HashMap<ComId, (Vec<NodeId>, Vec<NodeId>)>,
+    /// Memoised `(entry points, exit frontier)` per structural subtree, by
+    /// arena index, so shared sub-programs are walked once.
+    shapes: Vec<Option<(Span, Span)>>,
+    /// The node lists the shapes' spans point into; only ever appended to.
+    lists: Vec<NodeId>,
+    /// Every edge added, as a `(from, to)` pair.
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl<'p, S, Req, Resp> Builder<'p, S, Req, Resp> {
     fn add(&mut self, node: Node) -> NodeId {
         let id = self.cfg.nodes.len();
         self.cfg.nodes.push(node);
-        self.cfg.succs.push(BTreeSet::new());
-        self.cfg.preds.push(BTreeSet::new());
         id
     }
 
-    fn edge(&mut self, from: NodeId, to: NodeId) {
-        self.cfg.succs[from].insert(to);
-        self.cfg.preds[to].insert(from);
+    /// An edge from every node of `from` to every node of `to`.
+    fn edges(&mut self, from: Span, to: Span) {
+        for x in from.start..from.end {
+            for e in to.start..to.end {
+                self.edges.push((self.lists[x], self.lists[e]));
+            }
+        }
+    }
+
+    /// The nodes `nodes`, appended as a span.
+    fn span(&mut self, nodes: impl IntoIterator<Item = NodeId>) -> Span {
+        let start = self.lists.len();
+        self.lists.extend(nodes);
+        Span {
+            start,
+            end: self.lists.len(),
+        }
+    }
+
+    /// The nodes of `spans`, concatenated into one span.
+    fn join(&mut self, spans: &[Span]) -> Span {
+        let start = self.lists.len();
+        for s in spans {
+            self.lists.extend_from_within(s.start..s.end);
+        }
+        Span {
+            start,
+            end: self.lists.len(),
+        }
     }
 
     fn node_for(&mut self, com: ComId, kind: NodeKind, label: Label) -> NodeId {
-        if let Some(&n) = self.cfg.by_com.get(&com) {
+        if let Some(n) = self.cfg.by_com[slot(com)] {
             return n;
         }
         let n = self.add(Node {
@@ -94,16 +165,16 @@ impl<'p, S, Req, Resp> Builder<'p, S, Req, Resp> {
             label: Some(label),
             effect: self.p.effect(com),
         });
-        self.cfg.by_com.insert(com, n);
+        self.cfg.by_com[slot(com)] = Some(n);
         n
     }
 
     /// Computes the shape of the subtree rooted at `id`: the nodes an
     /// incoming edge should target, and the nodes control leaves through.
     /// An empty exit frontier means the subtree never terminates (`Loop`).
-    fn shape(&mut self, id: ComId) -> (Vec<NodeId>, Vec<NodeId>) {
-        if let Some(s) = self.shapes.get(&id) {
-            return s.clone();
+    fn shape(&mut self, id: ComId) -> (Span, Span) {
+        if let Some(s) = self.shapes[slot(id)] {
+            return s;
         }
         let result = match self.p.com(id) {
             Com::LocalOp { label, .. }
@@ -111,80 +182,65 @@ impl<'p, S, Req, Resp> Builder<'p, S, Req, Resp> {
             | Com::Response { label, .. } => {
                 let label = *label;
                 let n = self.node_for(id, NodeKind::Atomic, label);
-                (vec![n], vec![n])
+                let only = self.span([n]);
+                (only, only)
             }
             Com::Seq(a, b) => {
                 let (a, b) = (*a, *b);
                 let (ea, xa) = self.shape(a);
                 let (eb, xb) = self.shape(b);
-                for x in &xa {
-                    for e in &eb {
-                        self.edge(*x, *e);
-                    }
-                }
+                self.edges(xa, eb);
                 (ea, xb)
             }
             Com::If { then_c, else_c, .. } => {
                 let (then_c, else_c) = (*then_c, *else_c);
                 let n = self.node_for(id, NodeKind::Branch, "if");
+                let branch = self.span([n]);
                 let (et, xt) = self.shape(then_c);
-                for e in et {
-                    self.edge(n, e);
-                }
-                let mut exits = xt;
-                match else_c {
+                self.edges(branch, et);
+                let exits = match else_c {
                     Some(ec) => {
                         let (ee, xe) = self.shape(ec);
-                        for e in ee {
-                            self.edge(n, e);
-                        }
-                        exits.extend(xe);
+                        self.edges(branch, ee);
+                        self.join(&[xt, xe])
                     }
                     // A missing else-arm falls through structurally: the
                     // branch node itself is an exit of the subtree.
-                    None => exits.push(n),
-                }
-                (vec![n], exits)
+                    None => self.join(&[xt, branch]),
+                };
+                (branch, exits)
             }
             Com::While { body, .. } => {
                 let body = *body;
                 let n = self.node_for(id, NodeKind::Branch, "while");
+                let head = self.span([n]);
                 let (eb, xb) = self.shape(body);
-                for e in eb {
-                    self.edge(n, e);
-                }
-                for x in xb {
-                    self.edge(x, n); // back edge
-                }
-                (vec![n], vec![n])
+                self.edges(head, eb);
+                self.edges(xb, head); // back edge
+                (head, head)
             }
             Com::Loop(body) => {
                 let body = *body;
                 let n = self.node_for(id, NodeKind::Branch, "loop");
+                let head = self.span([n]);
                 let (eb, xb) = self.shape(body);
-                for e in eb {
-                    self.edge(n, e);
-                }
-                for x in xb {
-                    self.edge(x, n); // back edge
-                }
-                (vec![n], Vec::new()) // LOOP never terminates
+                self.edges(head, eb);
+                self.edges(xb, head); // back edge
+                (head, self.span([])) // LOOP never terminates
             }
             Com::Choose(branches) => {
-                let branches = branches.clone();
                 let n = self.node_for(id, NodeKind::Branch, "choose");
-                let mut exits = Vec::new();
-                for b in branches {
+                let head = self.span([n]);
+                let mut exits = Vec::with_capacity(branches.len());
+                for &b in branches {
                     let (eb, xb) = self.shape(b);
-                    for e in eb {
-                        self.edge(n, e);
-                    }
-                    exits.extend(xb);
+                    self.edges(head, eb);
+                    exits.push(xb);
                 }
-                (vec![n], exits)
+                (head, self.join(&exits))
             }
         };
-        self.shapes.insert(id, result.clone());
+        self.shapes[slot(id)] = Some(result);
         result
     }
 }
@@ -200,14 +256,16 @@ impl Cfg {
             p,
             cfg: Cfg {
                 name: name.into(),
-                nodes: Vec::new(),
-                succs: Vec::new(),
-                preds: Vec::new(),
+                nodes: Vec::with_capacity(p.len() + 2),
+                succs: Adjacency::new(0, Vec::new()),
+                preds: Adjacency::new(0, Vec::new()),
                 entry: 0,
                 exit: 0,
-                by_com: HashMap::new(),
+                by_com: vec![None; p.len()],
             },
-            shapes: HashMap::new(),
+            shapes: vec![None; p.len()],
+            lists: Vec::with_capacity(2 * p.len()),
+            edges: Vec::with_capacity(2 * p.len()),
         };
         let entry = b.add(Node {
             kind: NodeKind::Entry,
@@ -217,9 +275,8 @@ impl Cfg {
         });
         b.cfg.entry = entry;
         let (starts, exits) = b.shape(p.entry());
-        for s in starts {
-            b.edge(entry, s);
-        }
+        let entry = b.span([entry]);
+        b.edges(entry, starts);
         let exit = b.add(Node {
             kind: NodeKind::Exit,
             com: None,
@@ -227,9 +284,12 @@ impl Cfg {
             effect: None,
         });
         b.cfg.exit = exit;
-        for x in exits {
-            b.edge(x, exit);
-        }
+        let exit = b.span([exit]);
+        b.edges(exits, exit);
+        let len = b.cfg.nodes.len();
+        let reversed = b.edges.iter().map(|&(from, to)| (to, from)).collect();
+        b.cfg.preds = Adjacency::new(len, reversed);
+        b.cfg.succs = Adjacency::new(len, b.edges);
         b.cfg
     }
 
@@ -260,12 +320,12 @@ impl Cfg {
 
     /// Successors of `n`.
     pub fn succs(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.succs[n].iter().copied()
+        self.succs.of(n).iter().copied()
     }
 
     /// Predecessors of `n`.
     pub fn preds(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.preds[n].iter().copied()
+        self.preds.of(n).iter().copied()
     }
 
     /// All node ids.
@@ -275,7 +335,7 @@ impl Cfg {
 
     /// The node built for arena command `com`, if it is reachable.
     pub fn node_of_com(&self, com: ComId) -> Option<NodeId> {
-        self.by_com.get(&com).copied()
+        self.by_com.get(slot(com)).copied().flatten()
     }
 
     /// Nodes that execute (atomic commands), in id order.
@@ -307,13 +367,20 @@ impl Cfg {
         seen
     }
 
-    /// Dominator sets: `dom[n]` is the set of nodes on *every* path from
-    /// the entry to `n` (including `n`). Computed by the classic iterative
-    /// intersection, which is plenty for graphs of this size.
-    pub fn dominators(&self) -> Vec<BTreeSet<NodeId>> {
-        let all: BTreeSet<NodeId> = self.node_ids().collect();
-        let mut dom: Vec<BTreeSet<NodeId>> = self.node_ids().map(|_| all.clone()).collect();
-        dom[self.entry] = BTreeSet::from([self.entry]);
+    /// Dominator sets: [`Dominators::of`] `n` is the set of nodes on
+    /// *every* path from the entry to `n` (including `n`). Computed by the
+    /// classic iterative intersection over bitsets, which is plenty for
+    /// graphs of this size.
+    pub fn dominators(&self) -> Dominators {
+        let words = self.len().div_ceil(64);
+        let mut all = vec![0u64; words];
+        for n in self.node_ids() {
+            all[n / 64] |= 1 << (n % 64);
+        }
+        let mut bits = all.repeat(self.len());
+        let mut meet = vec![0u64; words];
+        meet[self.entry / 64] = 1 << (self.entry % 64);
+        bits[self.entry * words..][..words].copy_from_slice(&meet);
         let mut changed = true;
         while changed {
             changed = false;
@@ -321,22 +388,26 @@ impl Cfg {
                 if n == self.entry {
                     continue;
                 }
-                let mut meet: Option<BTreeSet<NodeId>> = None;
-                for p in self.preds(n) {
-                    meet = Some(match meet {
-                        None => dom[p].clone(),
-                        Some(m) => m.intersection(&dom[p]).copied().collect(),
-                    });
+                let preds = self.preds.of(n);
+                if preds.is_empty() {
+                    meet.fill(0);
+                } else {
+                    meet.copy_from_slice(&all);
                 }
-                let mut new = meet.unwrap_or_default();
-                new.insert(n);
-                if new != dom[n] {
-                    dom[n] = new;
+                for &p in preds {
+                    for (word, dom) in meet.iter_mut().zip(&bits[p * words..][..words]) {
+                        *word &= dom;
+                    }
+                }
+                meet[n / 64] |= 1 << (n % 64);
+                let dom = &mut bits[n * words..][..words];
+                if *dom != *meet {
+                    dom.copy_from_slice(&meet);
                     changed = true;
                 }
             }
         }
-        dom
+        Dominators { words, bits }
     }
 
     /// Whether `from` can reach `to` along edges whose *source* node
@@ -348,7 +419,7 @@ impl Cfg {
         to: NodeId,
         through: impl Fn(NodeId) -> bool,
     ) -> bool {
-        let mut seen = BTreeSet::new();
+        let mut seen = vec![false; self.len()];
         let mut stack: Vec<NodeId> = if through(from) {
             self.succs(from).collect()
         } else {
@@ -358,7 +429,7 @@ impl Cfg {
             if n == to {
                 return true;
             }
-            if seen.insert(n) && through(n) {
+            if !std::mem::replace(&mut seen[n], true) && through(n) {
                 stack.extend(self.succs(n));
             }
         }
@@ -394,6 +465,49 @@ impl Cfg {
         }
         out.push_str("}\n");
         out
+    }
+}
+
+/// Every node's dominator set, as bitsets: what [`Cfg::dominators`]
+/// gives.
+#[derive(Debug, Clone)]
+pub struct Dominators {
+    /// Words per set.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Dominators {
+    /// The nodes on every path from the entry to `n`, `n` included.
+    pub fn of(&self, n: NodeId) -> NodeSet<'_> {
+        NodeSet {
+            words: &self.bits[n * self.words..][..self.words],
+        }
+    }
+}
+
+/// A set of the nodes of one graph, as a bitset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeSet<'a> {
+    words: &'a [u64],
+}
+
+impl NodeSet<'_> {
+    /// Whether `n` is in the set.
+    pub fn contains(&self, n: NodeId) -> bool {
+        self.words
+            .get(n / 64)
+            .is_some_and(|word| word >> (n % 64) & 1 == 1)
+    }
+
+    /// The nodes in the set, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let words = self.words.iter().enumerate();
+        words.flat_map(|(w, &word)| {
+            (0..64)
+                .filter(move |b| word >> b & 1 == 1)
+                .map(move |b| w * 64 + b)
+        })
     }
 }
 
@@ -502,8 +616,9 @@ mod tests {
         let ni = cfg.node_of_com(i).unwrap();
         let nt = cfg.node_of_com(t).unwrap();
         let nj = cfg.node_of_com(join).unwrap();
-        assert!(dom[nj].contains(&ni), "branch dominates join");
-        assert!(!dom[nj].contains(&nt), "one arm does not dominate join");
+        assert!(dom.of(nj).contains(ni), "branch dominates join");
+        assert!(!dom.of(nj).contains(nt), "one arm does not dominate join");
+        assert_eq!(dom.of(nj).iter().collect::<Vec<_>>(), [cfg.entry(), ni, nj]);
     }
 
     #[test]

@@ -27,29 +27,34 @@ use crate::cfg::{Cfg, NodeId};
 /// May-buffered write-set at a program point: location → witness store node.
 pub type BufferSet = BTreeMap<AbsLoc, NodeId>;
 
-/// Applies node `n`'s transfer function to the incoming set.
-fn transfer(cfg: &Cfg, n: NodeId, mut set: BufferSet) -> BufferSet {
-    match cfg.node(n).effect {
-        Some(MemEffect::Store(x)) => {
-            set.entry(x).or_insert(n);
-        }
-        Some(MemEffect::Fence) | Some(MemEffect::LockedRmw(_)) => set.clear(),
-        Some(MemEffect::Load(_)) | Some(MemEffect::Pure) | None => {}
-    }
-    set
-}
-
 /// Computes, for every node, the may-buffered write-set *on entry to* the
 /// node (before its own effect applies). The entry node starts empty:
 /// threads begin with drained buffers.
 pub fn may_buffered(cfg: &Cfg) -> Vec<BufferSet> {
     let mut input: Vec<BufferSet> = cfg.node_ids().map(|_| BufferSet::new()).collect();
     let mut work: VecDeque<NodeId> = cfg.node_ids().collect();
+    let mut queued = vec![true; cfg.len()];
+    // The set on exit from the node being visited: its input with its own
+    // effect applied by the transfer function of the module doc; a fence
+    // drains it, so nothing flows on.
+    let mut out: Vec<(AbsLoc, NodeId)> = Vec::new();
     while let Some(n) = work.pop_front() {
-        let out = transfer(cfg, n, input[n].clone());
+        queued[n] = false;
+        out.clear();
+        match cfg.node(n).effect {
+            Some(MemEffect::Fence) | Some(MemEffect::LockedRmw(_)) => continue,
+            effect => {
+                out.extend(input[n].iter().map(|(&loc, &witness)| (loc, witness)));
+                if let Some(MemEffect::Store(x)) = effect {
+                    if !input[n].contains_key(x) {
+                        out.push((x, n));
+                    }
+                }
+            }
+        }
         for s in cfg.succs(n) {
             let mut changed = false;
-            for (&loc, &witness) in &out {
+            for &(loc, witness) in &out {
                 match input[s].get(&loc) {
                     Some(&w) if w <= witness => {}
                     _ => {
@@ -58,7 +63,7 @@ pub fn may_buffered(cfg: &Cfg) -> Vec<BufferSet> {
                     }
                 }
             }
-            if changed && !work.contains(&s) {
+            if changed && !std::mem::replace(&mut queued[s], true) {
                 work.push_back(s);
             }
         }

@@ -88,10 +88,7 @@ pub fn analyze_model_with(cfg: &ModelConfig, allow: &[String]) -> Vec<Diagnostic
     // The hazard search is cross-thread: the sys process mediates memory
     // via rendezvous and issues no TSO accesses of its own (all its
     // commands are Pure), so including it is harmless.
-    let threads: Vec<(String, Cfg)> = procs
-        .iter()
-        .map(|p| (p.name.clone(), p.cfg.clone()))
-        .collect();
+    let threads: Vec<(&str, &Cfg)> = procs.iter().map(|p| (p.name.as_str(), &p.cfg)).collect();
     diags.extend(sb_hazards(&threads));
     filter_and_sort(diags, allow)
 }

@@ -65,10 +65,10 @@ pub fn vulnerable_pairs(cfg: &Cfg) -> BTreeMap<(AbsLoc, AbsLoc), Vulnerability> 
 /// of distinct threads, a vulnerability `(x, y)` in one matched by `(y, x)`
 /// in the other. Returns one `A005` diagnostic per hazard, anchored at the
 /// first thread's load with a concrete fence suggestion.
-pub fn sb_hazards(threads: &[(String, Cfg)]) -> Vec<Diagnostic> {
+pub fn sb_hazards(threads: &[(&str, &Cfg)]) -> Vec<Diagnostic> {
     let pairs: Vec<_> = threads
         .iter()
-        .map(|(name, cfg)| (name, vulnerable_pairs(cfg)))
+        .map(|&(name, cfg)| (name, vulnerable_pairs(cfg)))
         .collect();
     let mut diags = Vec::new();
     for (i, (pname, pv)) in pairs.iter().enumerate() {
@@ -131,7 +131,7 @@ mod tests {
             ("st-y", MemEffect::Store("y")),
             ("ld-x", MemEffect::Load("x")),
         ]);
-        let diags = sb_hazards(&[("p0".into(), t0), ("p1".into(), t1)]);
+        let diags = sb_hazards(&[("p0", &t0), ("p1", &t1)]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, A005);
         assert!(diags[0]
@@ -147,7 +147,7 @@ mod tests {
             ("st-y", MemEffect::Store("y")),
             ("ld-x", MemEffect::Load("x")),
         ]);
-        assert!(sb_hazards(&[("p0".into(), t0f), ("p1".into(), t1)]).is_empty());
+        assert!(sb_hazards(&[("p0", &t0f), ("p1", &t1)]).is_empty());
     }
 
     #[test]
@@ -162,7 +162,7 @@ mod tests {
             ("ld-f", MemEffect::Load("flag")),
             ("ld-d", MemEffect::Load("data")),
         ]);
-        assert!(sb_hazards(&[("w".into(), w), ("r".into(), r)]).is_empty());
+        assert!(sb_hazards(&[("w", &w), ("r", &r)]).is_empty());
     }
 
     #[test]
@@ -175,7 +175,7 @@ mod tests {
             ("st-x2", MemEffect::Store("x")),
             ("ld-x2", MemEffect::Load("x")),
         ]);
-        assert!(sb_hazards(&[("p0".into(), t0), ("p1".into(), t1)]).is_empty());
+        assert!(sb_hazards(&[("p0", &t0), ("p1", &t1)]).is_empty());
     }
 
     #[test]
@@ -189,6 +189,6 @@ mod tests {
             ("ld-x", MemEffect::Load("x")),
             ("st-y", MemEffect::Store("y")),
         ]);
-        assert!(sb_hazards(&[("p0".into(), t0), ("p1".into(), t1)]).is_empty());
+        assert!(sb_hazards(&[("p0", &t0), ("p1", &t1)]).is_empty());
     }
 }

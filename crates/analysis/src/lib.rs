@@ -38,7 +38,7 @@ pub mod hazard;
 pub mod lint;
 pub mod litmus;
 
-pub use cfg::{Cfg, Node, NodeId, NodeKind};
+pub use cfg::{Cfg, Dominators, Node, NodeId, NodeKind, NodeSet};
 pub use diag::{Diagnostic, ALL_CODES};
 pub use gcmodel::{analyze_model, analyze_model_with, model_cfgs, precheck};
 pub use hazard::{sb_hazards, vulnerable_pairs};

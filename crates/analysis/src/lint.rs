@@ -87,9 +87,10 @@ pub fn store_barrier_dominance(cfg: &Cfg, heap: AbsLoc, barriers: &[Label]) -> V
             continue;
         }
         for &barrier in barriers {
-            let dominated = dom[n]
+            let dominated = dom
+                .of(n)
                 .iter()
-                .any(|&d| d != n && cfg.display_label(d) == barrier);
+                .any(|d| d != n && cfg.display_label(d) == barrier);
             if !dominated {
                 diags.push(Diagnostic::at(
                     A003,

@@ -69,7 +69,12 @@ pub fn litmus_cfgs(test: &LitmusTest) -> Vec<(String, Cfg)> {
 /// Runs the store-buffer hazard analysis over `test`. A non-empty result
 /// means the analyzer predicts TSO-only behaviour and suggests fences.
 pub fn analyze_litmus(test: &LitmusTest) -> Vec<Diagnostic> {
-    sb_hazards(&litmus_cfgs(test))
+    let cfgs = litmus_cfgs(test);
+    let threads: Vec<(&str, &Cfg)> = cfgs
+        .iter()
+        .map(|(name, cfg)| (name.as_str(), cfg))
+        .collect();
+    sb_hazards(&threads)
 }
 
 /// The exhaustive oracle: does `test` exhibit any final register valuation

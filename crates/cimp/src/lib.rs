@@ -59,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod memo;
 pub mod pretty;
 pub mod program;
 pub mod step;

@@ -28,7 +28,7 @@ impl ComId {
     /// Rebuilds a `ComId` from [`ComId::raw`]. The caller is responsible
     /// for only feeding back values obtained from `raw` on the *same*
     /// program; a stale or foreign index is not dereferenceable.
-    pub fn from_raw(raw: u16) -> ComId {
+    pub const fn from_raw(raw: u16) -> ComId {
         ComId(raw)
     }
 

@@ -192,48 +192,57 @@ pub fn enabled_steps<'p, S, Req, Resp>(
     state: &S,
 ) -> Vec<PendingStep<'p, S, Req, Resp>> {
     let mut out = Vec::new();
-    for_each_enabled_step(program, stack, state, &mut Vec::new(), |step| {
+    for_each_enabled_step(program, stack, state, &mut Vec::new(), |_, step| {
         out.push(step)
     });
     out
 }
 
-/// Hands each enabled atomic step of a process to `found`, in the order
-/// [`enabled_steps`] lists them. `work` is scratch space for the
-/// unfolding (left empty), so that a caller stepping many processes
-/// reuses one allocation.
+/// Hands each enabled atomic step of a process to `found`, with the atomic
+/// command it steps, in the order [`enabled_steps`] lists them. `work` is
+/// scratch space for the unfolding (left empty), so that a caller stepping
+/// many processes reuses one allocation.
 pub(crate) fn for_each_enabled_step<'p, S, Req, Resp>(
     program: &'p Program<S, Req, Resp>,
     stack: &Stack,
     state: &S,
     work: &mut Vec<Stack>,
-    mut found: impl FnMut(PendingStep<'p, S, Req, Resp>),
+    mut found: impl FnMut(ComId, PendingStep<'p, S, Req, Resp>),
 ) {
-    // Hands over the steps of `com` continuing with `stack`, if `com` is
-    // atomic; whether it was.
-    let mut offer = |com: &'p Com<S, Req, Resp>, stack: Stack| {
-        match com {
+    // Hands over the steps of command `id` continuing with `stack`, if it
+    // is atomic; whether it was.
+    let mut offer = |id: ComId, stack: Stack| {
+        match program.com(id) {
             Com::LocalOp { label, op } => op(state, &mut |state| {
-                found(PendingStep::Tau {
-                    label,
-                    stack,
-                    state,
-                })
+                found(
+                    id,
+                    PendingStep::Tau {
+                        label,
+                        stack,
+                        state,
+                    },
+                )
             }),
             Com::Request { label, act, recv } => act(state, &mut |req| {
-                found(PendingStep::Send {
+                found(
+                    id,
+                    PendingStep::Send {
+                        label,
+                        req,
+                        stack,
+                        recv,
+                    },
+                )
+            }),
+            Com::Response { label, kind, resp } => found(
+                id,
+                PendingStep::Recv {
                     label,
-                    req,
+                    kind: *kind,
                     stack,
-                    recv,
-                })
-            }),
-            Com::Response { label, kind, resp } => found(PendingStep::Recv {
-                label,
-                kind: *kind,
-                stack,
-                resp,
-            }),
+                    resp,
+                },
+            ),
             _ => return false,
         }
         true
@@ -249,11 +258,10 @@ pub(crate) fn for_each_enabled_step<'p, S, Req, Resp>(
         let Some(top) = stack.pop() else {
             continue; // terminated process: no steps
         };
-        let com = program.com(top);
-        if offer(com, stack) {
+        if offer(top, stack) {
             continue;
         }
-        match com {
+        match program.com(top) {
             Com::LocalOp { .. } | Com::Request { .. } | Com::Response { .. } => {
                 unreachable!("offered above")
             }
@@ -292,7 +300,7 @@ pub(crate) fn for_each_enabled_step<'p, S, Req, Resp>(
                 // that same order, instead of through a copy pushed and
                 // popped each; the rest go through the work stack.
                 let mut rest = branches.len();
-                while rest > 0 && offer(program.com(branches[rest - 1]), stack) {
+                while rest > 0 && offer(branches[rest - 1], stack) {
                     rest -= 1;
                 }
                 for &branch in &branches[..rest] {

@@ -17,7 +17,8 @@ use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crate::program::{Keyed, Label, Program};
+use crate::memo::{Entry, Memo, Offers, RecvOffer, SendOffer, Walked};
+use crate::program::{Com, Keyed, Label, Program, RecvFn, RespFn};
 use crate::step::{at_labels, for_each_enabled_step, PendingStep, Stack};
 
 /// Index of a process within a [`System`].
@@ -106,6 +107,17 @@ pub trait Locals: Copy {
     /// state where it lies overrides this to skip the copy `get` makes.
     fn hash_local<H: Hasher>(&self, p: usize, state: &mut H) {
         self.get(p).hash(state);
+    }
+
+    /// Whether the local state of process `p` equals `local`, exactly as
+    /// `self.get(p) == *local` would say. A layout that can read a
+    /// process's state where it lies overrides this to skip the copy `get`
+    /// makes.
+    fn local_eq(&self, p: usize, local: &Self::Local) -> bool
+    where
+        Self::Local: PartialEq,
+    {
+        self.get(p) == *local
     }
 }
 
@@ -231,6 +243,13 @@ impl<L: Locals> SystemState<L> {
         hasher.finish()
     }
 
+    /// Writes process `p`'s slot with the digest already known for it.
+    fn put(&mut self, p: usize, control: Stack, local: L::Local, digest: u64) {
+        self.controls[p] = control;
+        self.locals.set(p, local);
+        self.digests[p] = digest;
+    }
+
     fn refresh(&mut self, p: usize) {
         self.digests[p] = self.digest(p);
     }
@@ -344,10 +363,21 @@ impl<L: Locals> Hash for SystemState<L> {
     }
 }
 
+/// The digest process `p` has with control `stack` and local state `local`:
+/// the one [`SystemState`] keeps for it.
+fn slot_digest<S: Hash>(p: usize, stack: &Stack, local: &S) -> u64 {
+    let mut hasher = SlotHasher::slot(p);
+    stack.hash(&mut hasher);
+    local.hash(&mut hasher);
+    hasher.finish()
+}
+
 struct Process<S, Req, Resp> {
     name: &'static str,
     program: Arc<Program<S, Req, Resp>>,
     initial: S,
+    /// The steps of every slot of this process met so far.
+    memo: Memo<S, Req>,
 }
 
 /// A flat parallel composition of CIMP processes, whose states keep their
@@ -368,7 +398,7 @@ impl<S, Req, Resp, L> fmt::Debug for System<S, Req, Resp, L> {
     }
 }
 
-impl<S: Copy + Hash, Req: Clone + Keyed, Resp: Clone> System<S, Req, Resp> {
+impl<S: Copy + Eq + Hash, Req: Clone + PartialEq + Keyed, Resp: Clone> System<S, Req, Resp> {
     /// Creates a system from `(name, program, initial local state)` triples,
     /// with the uniform layout of local states.
     ///
@@ -384,8 +414,8 @@ impl<S: Copy + Hash, Req: Clone + Keyed, Resp: Clone> System<S, Req, Resp> {
 impl<S, Req, Resp, L> System<S, Req, Resp, L>
 where
     L: Locals<Local = S>,
-    S: Copy,
-    Req: Clone + Keyed,
+    S: Copy + Eq + Hash,
+    Req: Clone + PartialEq + Keyed,
     Resp: Clone,
 {
     /// Creates a system from `(name, program, initial local state)` triples
@@ -409,6 +439,7 @@ where
                         name,
                         program: Arc::new(program),
                         initial,
+                        memo: Memo::new(),
                     }
                 })
                 .collect(),
@@ -474,107 +505,216 @@ where
     /// buffer instead of allocating a fresh `Vec` — the hot path for the
     /// model checker's per-worker scratch buffers.
     ///
-    /// Each successor is one copy of `state` with the slots of the stepped
-    /// process(es) overwritten and their digests refreshed. τ successors
-    /// are appended while the processes' enabled steps are enumerated; the
-    /// offered requests and responses are kept aside and paired afterwards,
-    /// a request only with the responses of its [kind](Keyed).
+    /// Each process's enabled steps come from its memo, keyed by its exact
+    /// slot `(stack, local)`: the program is walked once per distinct slot
+    /// a system meets, not once per state. A τ successor is one copy of
+    /// `state` with the stepped process's slot and digest overwritten by
+    /// those the memo keeps for the slot the step leads to: no operation
+    /// runs and nothing is hashed. The offered requests and responses are
+    /// then paired, a request only with the responses of its
+    /// [kind](Keyed); a rendezvous runs both processes' relations and
+    /// rewrites, and rehashes, the slot of each party it changed.
     ///
     /// # Panics
     ///
     /// In debug builds, panics if a response answers a request of another
     /// kind than its own: release builds never offer it one, and would
-    /// silently lose that successor.
+    /// silently lose that successor. Debug builds also walk the program
+    /// again on every memo hit, and panic unless the walk yields exactly
+    /// what the memo holds: a step that read anything but its own slot.
     pub fn successors_into(
         &self,
         state: &SystemState<L>,
         out: &mut Vec<(Event<Req, Resp>, SystemState<L>)>,
     ) {
-        let mut push = |event, stepped: &[(usize, Stack, S)]| {
-            out.push((event, *state));
-            let next = &mut out.last_mut().expect("just pushed").1;
-            for &(p, control, local) in stepped {
-                next.set(p, control, local);
-            }
-        };
-        // Each process's local state, taken out of the layout once; the
-        // slots past the last process stay empty.
-        let mut locals: [Option<S>; MAX_PROCESSES] = [None; MAX_PROCESSES];
-        for (p, local) in locals[..state.len()].iter_mut().enumerate() {
-            *local = Some(state.locals.get(p));
-        }
-        let local_of = |p: usize| locals[p].as_ref().expect("a process's local state");
-
-        // Interleaved τ steps, and each process's offers.
-        let mut sends = Vec::with_capacity(16);
-        let mut recvs = Vec::with_capacity(16);
-        let mut work = Vec::with_capacity(16);
+        // Interleaved τ steps, and each process's entry and offers.
+        let mut slots: [Option<(&Entry<S>, &Offers<Req>)>; MAX_PROCESSES] = [None; MAX_PROCESSES];
         for (i, p) in self.procs.iter().enumerate() {
-            for_each_enabled_step(
-                &p.program,
-                state.control(i),
-                local_of(i),
-                &mut work,
-                |step| match step {
-                    PendingStep::Tau {
+            let entry = self.slot(i, state);
+            let steps = entry.steps().expect("an expanded entry");
+            for tau in steps.taus() {
+                let label = p.program.label(tau.com).expect("a LocalOp's label");
+                let target = p.memo.get(tau.target);
+                let stack = *p.memo.stack_of(target);
+                out.push((
+                    Event::Tau {
+                        proc: ProcId(i),
                         label,
-                        stack,
-                        state: local,
-                    } => {
-                        let proc = ProcId(i);
-                        push(Event::Tau { proc, label }, &[(i, stack, local)]);
-                    }
-                    PendingStep::Send {
-                        label,
-                        req,
-                        stack,
-                        recv,
-                    } => sends.push((i, label, req, stack, recv)),
-                    PendingStep::Recv {
-                        label,
-                        kind,
-                        stack,
-                        resp,
-                    } => recvs.push((i, label, kind, stack, resp)),
-                },
-            );
+                    },
+                    *state,
+                ));
+                let next = &mut out.last_mut().expect("just pushed").1;
+                next.put(i, stack, target.local, target.digest);
+            }
+            slots[i] = Some((entry, p.memo.offers(steps)));
         }
+        let slots = &slots[..self.procs.len()];
 
         // Rendezvous: sender i, receiver j, i ≠ j, of one kind.
-        for (i, send_label, req, send_stack, recv) in &sends {
-            let req_kind = req.kind();
-            for (j, recv_label, kind, recv_stack, resp) in &recvs {
-                if i == j {
-                    continue;
-                }
-                if *kind != req_kind {
-                    if cfg!(debug_assertions) {
-                        resp(req, local_of(*j), &mut |_, _| {
-                            panic!(
-                                "response {recv_label} is keyed {kind} but answers \
-                                 {send_label}'s request of kind {req_kind}"
-                            )
+        for (i, &(send_entry, send_offers)) in slots.iter().flatten().enumerate() {
+            for send in &send_offers.sends {
+                let (send_label, recv) = self.request(i, send);
+                let send_stack = *self.procs[i].memo.stack(send.stack);
+                let req = &send.req;
+                let req_kind = req.kind();
+                for (j, &(recv_entry, recv_offers)) in slots.iter().flatten().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    for offer in &recv_offers.recvs {
+                        if offer.kind != req_kind {
+                            if cfg!(debug_assertions) {
+                                let (recv_label, resp) = self.response(j, offer);
+                                resp(req, &recv_entry.local, &mut |_, _| {
+                                    panic!(
+                                        "response {recv_label} is keyed {} but answers \
+                                         {send_label}'s request of kind {req_kind}",
+                                        offer.kind
+                                    )
+                                });
+                            }
+                            continue;
+                        }
+                        let (recv_label, resp) = self.response(j, offer);
+                        let recv_stack = *self.procs[j].memo.stack(offer.stack);
+                        resp(req, &recv_entry.local, &mut |recv_local, beta| {
+                            recv(&send_entry.local, req, &beta, &mut |send_local| {
+                                let event = Event::Comm {
+                                    sender: ProcId(i),
+                                    receiver: ProcId(j),
+                                    send_label,
+                                    recv_label,
+                                    req: req.clone(),
+                                    resp: beta.clone(),
+                                };
+                                out.push((event, *state));
+                                let next = &mut out.last_mut().expect("just pushed").1;
+                                // A party the rendezvous leaves as it was (a
+                                // load answered from memory) keeps its slot
+                                // and digest: no copy, no rehash.
+                                if send.stack != send_entry.stack || send_local != send_entry.local
+                                {
+                                    next.set(i, send_stack, send_local);
+                                }
+                                if offer.stack != recv_entry.stack || recv_local != recv_entry.local
+                                {
+                                    next.set(j, recv_stack, recv_local);
+                                }
+                            });
                         });
                     }
-                    continue;
                 }
-                resp(req, local_of(*j), &mut |recv_local, beta| {
-                    recv(local_of(*i), req, &beta, &mut |send_local| {
-                        let event = Event::Comm {
-                            sender: ProcId(*i),
-                            receiver: ProcId(*j),
-                            send_label,
-                            recv_label,
-                            req: req.clone(),
-                            resp: beta.clone(),
-                        };
-                        let stepped =
-                            [(*i, *send_stack, send_local), (*j, *recv_stack, recv_local)];
-                        push(event, &stepped);
-                    });
-                });
             }
         }
+    }
+
+    /// Process `p`'s memo entry for its slot in `state`, expanded: found,
+    /// or walked and added.
+    fn slot(&self, p: usize, state: &SystemState<L>) -> &Entry<S> {
+        let (stack, digest) = (state.control(p), state.digests[p]);
+        let memo = &self.procs[p].memo;
+        let found = memo.find(stack, digest, |local| state.locals.local_eq(p, local));
+        if let Some(entry) = found.filter(|entry| entry.steps().is_some()) {
+            if cfg!(debug_assertions) {
+                self.check_hit(p, entry);
+            }
+            return entry;
+        }
+        let local = state.locals.get(p);
+        memo.fill(stack, &local, digest, self.walk(p, stack, &local))
+    }
+
+    /// Process `p`'s enabled steps from slot `(stack, local)`, walked.
+    fn walk(&self, p: usize, stack: &Stack, local: &S) -> Walked<S, Req> {
+        let mut walked = Walked {
+            taus: Vec::new(),
+            sends: Vec::new(),
+            recvs: Vec::new(),
+        };
+        let program = &self.procs[p].program;
+        for_each_enabled_step(
+            program,
+            stack,
+            local,
+            &mut Vec::new(),
+            |com, step| match step {
+                PendingStep::Tau { stack, state, .. } => {
+                    let digest = slot_digest(p, &stack, &state);
+                    walked.taus.push((com, stack, state, digest));
+                }
+                PendingStep::Send { req, stack, .. } => walked.sends.push((com, req, stack)),
+                PendingStep::Recv { kind, stack, .. } => walked.recvs.push((com, kind, stack)),
+            },
+        );
+        walked
+    }
+
+    /// The label and the receive relation of process `p`'s offered request.
+    fn request(&self, p: usize, send: &SendOffer<Req>) -> (Label, &RecvFn<S, Req, Resp>) {
+        match self.procs[p].program.com(send.com) {
+            Com::Request { label, recv, .. } => (label, recv),
+            _ => unreachable!("a send offer names a Request"),
+        }
+    }
+
+    /// The label and the response relation of process `p`'s offered
+    /// response.
+    fn response(&self, p: usize, offer: &RecvOffer) -> (Label, &RespFn<S, Req, Resp>) {
+        match self.procs[p].program.com(offer.com) {
+            Com::Response { label, resp, .. } => (label, resp),
+            _ => unreachable!("a receive offer names a Response"),
+        }
+    }
+
+    /// Walks the program again from the slot of a memo hit, and panics
+    /// unless the walk yields the entry's steps: the same commands, α
+    /// values, stacks, local states, digests and relations, in the same
+    /// order.
+    fn check_hit(&self, p: usize, entry: &Entry<S>) {
+        let memo = &self.procs[p].memo;
+        let steps = entry.steps().expect("an expanded entry");
+        let offers = memo.offers(steps);
+        let (mut taus, mut sends) = (steps.taus().iter(), offers.sends.iter());
+        let mut recvs = offers.recvs.iter();
+        let program = &self.procs[p].program;
+        let stack = memo.stack_of(entry);
+        thread_local! {
+            /// The re-walk's scratch: the guard allocates nothing either.
+            static WORK: std::cell::RefCell<Vec<Stack>> = const { std::cell::RefCell::new(Vec::new()) };
+        }
+        let mut work = WORK.take();
+        for_each_enabled_step(program, stack, &entry.local, &mut work, |com, step| {
+            let same = match step {
+                PendingStep::Tau { stack, state, .. } => taus.next().is_some_and(|tau| {
+                    let target = memo.get(tau.target);
+                    tau.com == com
+                        && *memo.stack_of(target) == stack
+                        && target.local == state
+                        && target.digest == slot_digest(p, &stack, &state)
+                }),
+                PendingStep::Send {
+                    req, stack, recv, ..
+                } => sends.next().is_some_and(|send| {
+                    send.com == com
+                        && send.req == req
+                        && *memo.stack(send.stack) == stack
+                        && Arc::ptr_eq(recv, self.request(p, send).1)
+                }),
+                PendingStep::Recv {
+                    kind, stack, resp, ..
+                } => recvs.next().is_some_and(|offer| {
+                    offer.com == com
+                        && offer.kind == kind
+                        && *memo.stack(offer.stack) == stack
+                        && Arc::ptr_eq(resp, self.response(p, offer).1)
+                }),
+            };
+            let label = program.label(com).expect("an atomic command's label");
+            assert!(same, "process {p}'s memo entry is stale at {label}");
+        });
+        WORK.set(work);
+        let rest = taus.len() + sends.len() + recvs.len();
+        assert_eq!(rest, 0, "process {p}'s memo entry is stale: steps vanished");
     }
 }
 
@@ -690,7 +830,7 @@ mod tests {
     }
 
     /// A request whose kind is its value.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     struct Tagged(u8);
 
     impl Keyed for Tagged {
@@ -782,6 +922,89 @@ mod tests {
             false
         });
         let _ = hash_of(&state);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "process 0's memo entry is stale at peek")]
+    fn a_step_that_reads_outside_its_slot_panics_in_debug_builds() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static OUTSIDE: AtomicU32 = AtomicU32::new(0);
+        let mut p = P::new();
+        let peek = p.local_op("peek", |s, emit| emit(*s + OUTSIDE.load(Ordering::Relaxed)));
+        p.set_entry(peek);
+        let sys = System::new(vec![("a", p, 0)]);
+        let init = sys.initial_state();
+        let _ = sys.successors(&init); // a miss: walked and kept
+        OUTSIDE.store(1, Ordering::Relaxed);
+        let _ = sys.successors(&init); // a hit, which the re-walk contradicts
+    }
+
+    /// Two clients asking a server under `If` and `While` control, the
+    /// server answering two ways or ticking two ways: rendezvous, response
+    /// and τ non-determinism, and slots that repeat across many states.
+    fn small_system() -> System<u32, u32, u32> {
+        let client = || {
+            let mut c = P::new();
+            let ask = c.request("ask", |s| *s % 3, |s, beta| (s + beta) % 6);
+            let reset = c.assign("reset", |s| *s = 0);
+            let test = c.if_else(|s| *s < 4, ask, reset);
+            let bump = c.assign("bump", |s| *s += 1);
+            let odd = c.while_do(|s| *s % 2 == 1 && *s < 5, bump);
+            let body = c.seq([test, odd]);
+            let entry = c.loop_forever(body);
+            c.set_entry(entry);
+            c
+        };
+        let mut server = P::new();
+        let answer = server.response_nd("answer", 0, |alpha, s, emit| {
+            emit((s + alpha) % 4, 1);
+            emit(*s, 2);
+        });
+        let tick = server.local_op("tick", |s, emit| {
+            emit((s + 1) % 4);
+            if *s == 0 {
+                emit(3);
+            }
+        });
+        let pick = server.choose([answer, tick]);
+        let entry = server.loop_forever(pick);
+        server.set_entry(entry);
+        System::new(vec![
+            ("c0", client(), 0),
+            ("c1", client(), 1),
+            ("srv", server, 0),
+        ])
+    }
+
+    #[test]
+    fn cold_and_warm_memos_and_a_fresh_system_step_alike() {
+        let sys = small_system();
+        // Breadth-first, each state's successors taken from a memo as cold
+        // as the search has left it.
+        let mut states = vec![sys.initial_state()];
+        let mut cold = Vec::new();
+        let mut seen: std::collections::HashSet<_> = states.iter().copied().collect();
+        while let Some(state) = states.get(cold.len()).copied() {
+            let succs = sys.successors(&state);
+            for (_, next) in &succs {
+                if seen.insert(*next) {
+                    states.push(*next);
+                }
+            }
+            cold.push(succs);
+        }
+        for (state, cold) in states.iter().zip(&cold) {
+            assert_eq!(sys.successors(state), *cold, "warm");
+            assert_eq!(small_system().successors(state), *cold, "fresh");
+        }
+        // One entry per distinct slot, however many states repeat it.
+        for (p, proc) in sys.procs.iter().enumerate() {
+            let slots: std::collections::HashSet<(Stack, u32)> =
+                states.iter().map(|s| (*s.control(p), s.local(p))).collect();
+            assert_eq!(proc.memo.len(), slots.len(), "process {p}");
+            assert!(slots.len() * 4 < states.len(), "process {p}");
+        }
     }
 
     #[test]

@@ -562,6 +562,17 @@ impl cimp::Locals for Roles {
             Some(_) => self.sys.hash(state),
         }
     }
+
+    /// Compares the role where it lies, as `get(p) == *local` would.
+    fn local_eq(&self, p: usize, local: &Local) -> bool {
+        let mutators = usize::from(self.mutators);
+        match (p.checked_sub(1), local) {
+            (None, Local::Gc(gc)) => self.gc == *gc,
+            (Some(m), Local::Mut(state)) if m < mutators => self.muts[m] == *state,
+            (Some(m), Local::Sys(sys)) if m >= mutators => self.sys == *sys,
+            _ => false,
+        }
+    }
 }
 
 /// The role's own words and nothing else: a process never changes role, so
@@ -737,6 +748,33 @@ mod tests {
     fn wrong_accessor_panics() {
         let l = Local::Gc(GcState::initial());
         let _ = l.mutator();
+    }
+
+    /// `Roles` compares a role where it lies exactly as comparing the
+    /// `Local` it hands out would, for every process against every
+    /// process's state along a random walk of three mutators.
+    #[test]
+    fn roles_compare_in_place_as_their_locals_do() {
+        use cimp::Locals;
+        use mc::TransitionSystem;
+        let model = crate::GcModel::new(crate::ModelConfig::small(3, 5));
+        let mut state = model.initial_states()[0];
+        let mut rng = 7u64;
+        for _ in 0..300 {
+            let n = state.len();
+            for p in 0..n {
+                for q in 0..n {
+                    let other = state.local(q);
+                    let same = state.local(p) == other;
+                    assert_eq!(state.locals().local_eq(p, &other), same, "{p} vs {q}");
+                }
+            }
+            let succs = model.successors(&state);
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state = succs[(rng >> 33) as usize % succs.len()].1;
+        }
     }
 
     #[test]
