@@ -5,9 +5,11 @@
 //! produce the same verdict, the same violated property, and a
 //! byte-identical counterexample trace as the unreduced baseline, at any
 //! worker-thread count. This suite pins that down across all 2³ reduction
-//! combinations × 1/2/4 BFS threads, on faithful (verifying) instances and
-//! on each paper ablation (violating instances), plus the TSO litmus
-//! suite for the buffer-canonicalization leg on its own.
+//! combinations × 1/2/4 BFS threads, and once more with every reduction at
+//! two threads and every level past a few dozen states spilled to disk, on
+//! faithful (verifying) instances and on each paper ablation (violating
+//! instances), plus the TSO litmus suite for the buffer-canonicalization
+//! leg on its own.
 
 use gc_bench::{check_config_opts, CheckReport, Suite};
 use gc_model::{InitialHeap, ModelConfig};
@@ -37,10 +39,20 @@ fn combos() -> Vec<Reduction> {
     out
 }
 
-fn run(name: &str, cfg: &ModelConfig, suite: Suite, r: Reduction, threads: usize) -> CheckReport {
+/// Levels past this many states spill in the spilled configuration.
+const SPILL_THRESHOLD: usize = 48;
+
+fn run(
+    name: &str,
+    cfg: &ModelConfig,
+    suite: Suite,
+    r: Reduction,
+    threads: usize,
+    spill_threshold: Option<usize>,
+) -> CheckReport {
     check_config_opts(
         format!(
-            "{name} por={} sym={} sb={} threads={threads}",
+            "{name} por={} sym={} sb={} threads={threads} spill={spill_threshold:?}",
             r.por, r.symmetry, r.sb_canon
         ),
         cfg,
@@ -48,6 +60,7 @@ fn run(name: &str, cfg: &ModelConfig, suite: Suite, r: Reduction, threads: usize
         CheckerConfig {
             max_states: MAX_STATES,
             hash_compact: true,
+            spill_threshold,
             ..CheckerConfig::default()
         }
         .reduction(r),
@@ -55,45 +68,48 @@ fn run(name: &str, cfg: &ModelConfig, suite: Suite, r: Reduction, threads: usize
     )
 }
 
-/// Checks `cfg` under every reduction combination at 1/2/4 worker threads
-/// and asserts verdict, violated-property, and trace equality against the
-/// unreduced single-threaded baseline.
+/// Checks `cfg` under every reduction combination at 1/2/4 worker threads,
+/// and spilled under all of them at two, and asserts verdict,
+/// violated-property, and trace equality against the unreduced
+/// single-threaded baseline.
 fn assert_equivalent(name: &str, cfg: &ModelConfig, suite: Suite) {
-    let baseline = run(name, cfg, suite, Reduction::default(), 1);
+    let baseline = run(name, cfg, suite, Reduction::default(), 1, None);
     assert!(
         !baseline.outcome.contains("BOUNDED"),
         "{name}: baseline must complete, got {}",
         baseline.outcome
     );
-    for r in combos() {
-        for threads in [1usize, 2, 4] {
-            if !r.any() && threads == 1 {
-                continue; // that is the baseline itself
-            }
-            let report = run(name, cfg, suite, r, threads);
-            assert_eq!(
-                report.outcome, baseline.outcome,
-                "{}: verdict differs from baseline",
-                report.label
-            );
-            assert_eq!(
-                report.violated, baseline.violated,
-                "{}: violated property differs from baseline",
-                report.label
-            );
-            assert_eq!(
-                report.trace, baseline.trace,
-                "{}: counterexample trace differs from baseline",
-                report.label
-            );
+    let runs = combos()
+        .into_iter()
+        .flat_map(|r| [1usize, 2, 4].map(|threads| (r, threads, None)));
+    let spilled = (Reduction::all(), 2, Some(SPILL_THRESHOLD));
+    for (r, threads, spill_threshold) in runs.chain([spilled]) {
+        if !r.any() && threads == 1 {
+            continue; // that is the baseline itself
         }
+        let report = run(name, cfg, suite, r, threads, spill_threshold);
+        assert_eq!(
+            report.outcome, baseline.outcome,
+            "{}: verdict differs from baseline",
+            report.label
+        );
+        assert_eq!(
+            report.violated, baseline.violated,
+            "{}: violated property differs from baseline",
+            report.label
+        );
+        assert_eq!(
+            report.trace, baseline.trace,
+            "{}: counterexample trace differs from baseline",
+            report.label
+        );
     }
 }
 
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "exhausts a verifying state space 23 times; run with --release (CI: reduction-bench)"
+    ignore = "exhausts a verifying state space 24 times; run with --release (CI: reduction-bench)"
 )]
 fn faithful_one_mutator_store_discard() {
     let mut cfg = ModelConfig::small(1, 2);
@@ -105,7 +121,7 @@ fn faithful_one_mutator_store_discard() {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "exhausts a verifying state space 23 times; run with --release (CI: reduction-bench)"
+    ignore = "exhausts a verifying state space 24 times; run with --release (CI: reduction-bench)"
 )]
 fn faithful_two_mutators_symmetric_store_only() {
     // Symmetric (identical root sets), so the symmetry leg actually

@@ -26,6 +26,10 @@
 //! never trusted. Only a miss takes the memo's lock, to add the slot and the
 //! slots its τ steps lead to.
 //!
+//! Since each slot is one entry, an entry's `u32` id names its slot: a
+//! [`SystemState`](crate::SystemState) carries the ids of its slots, and
+//! [`System::encode`](crate::System::encode) writes a state as them.
+//!
 //! [`for_each_enabled_step`]: crate::step::for_each_enabled_step
 
 use std::collections::hash_map::{DefaultHasher, HashMap};
@@ -41,6 +45,8 @@ const PAGE: usize = 16;
 /// Directory chunks of a [`Pages`]: chunk `k` holds `1 << k` pages, so
 /// together they hold every `u32` index.
 const CHUNKS: usize = 29;
+/// The id no entry has: [`Memo::add`] and [`Memo::fill`] never issue it.
+pub(crate) const NO_ID: u32 = u32::MAX;
 /// Slots of the index's first generation; each later one doubles it, and
 /// [`INDEXES`] of them hold every `u32` id at three quarters full.
 const FIRST_INDEX: usize = 64;
@@ -71,16 +77,19 @@ impl<T> Pages<T> {
         (chunk, page - (1 << chunk), i as usize % PAGE)
     }
 
+    /// Element `i`, if it has been set.
+    fn try_get(&self, i: u32) -> Option<&T> {
+        let (chunk, page, at) = Self::locate(i);
+        self.chunks[chunk].get()?[page].get()?[at].get()
+    }
+
     /// Element `i`.
     ///
     /// # Panics
     ///
     /// Panics if element `i` has not been set.
     fn get(&self, i: u32) -> &T {
-        let (chunk, page, at) = Self::locate(i);
-        let pages = self.chunks[chunk].get();
-        let element = pages.and_then(|pages| pages[page].get()?[at].get());
-        element.expect("an element that was set")
+        self.try_get(i).expect("an element that was set")
     }
 
     /// Sets element `i`, which must be unset.
@@ -233,7 +242,7 @@ fn word(id: u32, digest: u64) -> u64 {
 
 /// Puts `id` in the first empty slot of `index` from `digest`'s home. Only
 /// the lock holder writes an index, so its own loads need no ordering; the
-/// `Release` store pairs with [`Memo::lookup`]'s `Acquire` load, which so
+/// `Release` store pairs with [`Memo::find`]'s `Acquire` load, which so
 /// sees entry `id` set.
 fn place(index: &[AtomicU64], id: u32, digest: u64) {
     let mask = index.len() - 1;
@@ -261,6 +270,11 @@ impl<S: Copy + Eq, Req: PartialEq> Memo<S, Req> {
         self.entries.get(id)
     }
 
+    /// Entry `id`, if the memo has issued it.
+    pub(crate) fn try_get(&self, id: u32) -> Option<&Entry<S>> {
+        self.entries.try_get(id)
+    }
+
     /// Stack `id`.
     pub(crate) fn stack(&self, id: u32) -> &Stack {
         self.stacks.get(id)
@@ -276,17 +290,6 @@ impl<S: Copy + Eq, Req: PartialEq> Memo<S, Req> {
         self.offers.get(steps.offers)
     }
 
-    /// The entry of the slot with control `stack` and digest `digest` whose
-    /// local state `is_local` accepts, if the memo holds it.
-    pub(crate) fn find(
-        &self,
-        stack: &Stack,
-        digest: u64,
-        is_local: impl Fn(&S) -> bool,
-    ) -> Option<&Entry<S>> {
-        self.lookup(stack, digest, is_local).map(|(_, entry)| entry)
-    }
-
     /// The newest published generation of the index. The `Acquire` load
     /// pairs with the `Release` store that published it, after it was set
     /// and filled.
@@ -295,7 +298,9 @@ impl<S: Copy + Eq, Req: PartialEq> Memo<S, Req> {
         Some(self.indexes[generation].get().expect("a published index"))
     }
 
-    fn lookup(
+    /// The id and entry of the slot with control `stack` and digest
+    /// `digest` whose local state `is_local` accepts, if the memo holds it.
+    pub(crate) fn find(
         &self,
         stack: &Stack,
         digest: u64,
@@ -333,10 +338,11 @@ impl<S: Copy + Eq, Req: PartialEq> Memo<S, Req> {
     /// The id of slot `(stack, local)`, added if new. The caller holds the
     /// lock, so the newest index holds every entry.
     fn intern(&self, writer: &mut Writer, stack: Stack, local: S, digest: u64) -> u32 {
-        if let Some((id, _)) = self.lookup(&stack, digest, |other| *other == local) {
+        if let Some((id, _)) = self.find(&stack, digest, |other| *other == local) {
             return id;
         }
         let id = writer.entries;
+        assert!(id < NO_ID, "a memo issues fewer than {NO_ID} ids");
         let entry = Entry {
             local,
             digest,
@@ -386,19 +392,28 @@ impl<S: Copy + Eq, Req: PartialEq> Memo<S, Req> {
         id
     }
 
-    /// The entry of slot `(stack, local)` with its steps set to `walked`:
-    /// the slot and the slots its τ steps lead to are added if new. Should
-    /// another thread have filled the entry first, its steps stand.
+    /// The id of slot `(stack, local)`, whose digest is `digest`: added
+    /// unexpanded if new.
+    pub(crate) fn add(&self, stack: &Stack, local: &S, digest: u64) -> u32 {
+        let mut writer = self.writer.lock().expect("no panic mid-insert");
+        self.intern(&mut writer, *stack, *local, digest)
+    }
+
+    /// The id and entry of slot `(stack, local)` with its steps set to
+    /// `walked`: the slot and the slots its τ steps lead to are added if
+    /// new. Should another thread have filled the entry first, its steps
+    /// stand.
     pub(crate) fn fill(
         &self,
         stack: &Stack,
         local: &S,
         digest: u64,
         walked: Walked<S, Req>,
-    ) -> &Entry<S> {
+    ) -> (u32, &Entry<S>) {
         let mut writer = self.writer.lock().expect("no panic mid-insert");
         let writer = &mut *writer;
-        let entry = self.get(self.intern(writer, *stack, *local, digest));
+        let id = self.intern(writer, *stack, *local, digest);
+        let entry = self.get(id);
         if entry.steps.get().is_none() {
             let taus = walked.taus.into_iter().map(|(com, stack, local, digest)| {
                 let target = self.intern(writer, stack, local, digest);
@@ -419,7 +434,7 @@ impl<S: Copy + Eq, Req: PartialEq> Memo<S, Req> {
             let steps = Steps { taus, offers };
             assert!(entry.steps.set(steps).is_ok(), "only the lock holder fills");
         }
-        entry
+        (id, entry)
     }
 
     /// Entries held.
@@ -470,8 +485,8 @@ mod tests {
         }
         assert_eq!(memo.len(), 1000);
         for local in 0..1000 {
-            let entry = memo.find(&stack, 7, |l| *l == local).expect("interned");
-            assert_eq!(entry.local, local);
+            let (id, entry) = memo.find(&stack, 7, |l| *l == local).expect("interned");
+            assert_eq!((id, entry.local), (local, local));
         }
         assert!(memo.find(&stack, 7, |l| *l == 1000).is_none());
         assert!(memo.find(&stack, 8, |l| *l == 3).is_none());
@@ -488,7 +503,7 @@ mod tests {
             recvs: vec![(ComId::from_raw(2), 0, stack)],
         };
         let offers = |local: u32, alpha: u32| {
-            let entry = memo.fill(&stack, &local, u64::from(local), walked(alpha));
+            let (_, entry) = memo.fill(&stack, &local, u64::from(local), walked(alpha));
             entry.steps().expect("filled").offers
         };
         // Equal lists share an id whatever the slot; α tells them apart.

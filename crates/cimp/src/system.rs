@@ -14,10 +14,10 @@
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use crate::memo::{Entry, Memo, Offers, RecvOffer, SendOffer, Walked};
+use crate::memo::{Entry, Memo, Offers, RecvOffer, SendOffer, Walked, NO_ID};
 use crate::program::{Com, Keyed, Label, Program, RecvFn, RespFn};
 use crate::step::{at_labels, for_each_enabled_step, PendingStep, Stack};
 
@@ -196,12 +196,36 @@ impl Hasher for SlotHasher {
 /// the digests of the processes it writes and no others, so a successor
 /// pays for hashing what its step changed — most steps change one or two
 /// processes — and `Hash` feeds one word per process.
-#[derive(Debug, Clone, Copy)]
+///
+/// A state a [`System`] built also keeps, for each process, the *id* of
+/// the process's slot in that system's memo, and the system's tag. The ids
+/// are a cache, never the state's identity: `==`, `Hash` and `Debug` ignore
+/// them and the tag, and a system trusts them only under its own tag. A
+/// slot written from a memo entry takes that entry's id; any other write
+/// ([`set`](SystemState::set), an [`update_local`](SystemState::update_local)
+/// that changed it) forgets it.
+#[derive(Clone, Copy)]
 pub struct SystemState<L> {
     len: u8,
     controls: [Stack; MAX_PROCESSES],
     locals: L,
     digests: [u64; MAX_PROCESSES],
+    /// Each process's memo id, or `NO_ID` where none is known.
+    ids: [u32; MAX_PROCESSES],
+    /// The tag of the system that issued `ids`; `0` for none.
+    tag: u64,
+}
+
+/// Everything but the ids and the tag, as a derived `Debug` would print it.
+impl<L: fmt::Debug> fmt::Debug for SystemState<L> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SystemState")
+            .field("len", &self.len)
+            .field("controls", &self.controls)
+            .field("locals", &self.locals)
+            .field("digests", &self.digests)
+            .finish()
+    }
 }
 
 /// A global state in the uniform layout: what [`System::new`]'s systems
@@ -228,6 +252,8 @@ impl<L: Locals> SystemState<L> {
             controls: std::array::from_fn(|p| controls[p.min(controls.len() - 1)]),
             locals: L::new(locals),
             digests: [0; MAX_PROCESSES],
+            ids: [NO_ID; MAX_PROCESSES],
+            tag: 0,
         };
         for p in 0..state.len() {
             state.refresh(p);
@@ -243,15 +269,26 @@ impl<L: Locals> SystemState<L> {
         hasher.finish()
     }
 
-    /// Writes process `p`'s slot with the digest already known for it.
-    fn put(&mut self, p: usize, control: Stack, local: L::Local, digest: u64) {
+    /// Writes process `p`'s slot from memo entry `id`, whose digest is
+    /// `digest`.
+    fn put(&mut self, p: usize, control: Stack, local: L::Local, digest: u64, id: u32) {
         self.controls[p] = control;
         self.locals.set(p, local);
         self.digests[p] = digest;
+        self.ids[p] = id;
     }
 
+    /// Recomputes process `p`'s digest and forgets its id: its slot was
+    /// written from something other than a memo entry.
     fn refresh(&mut self, p: usize) {
         self.digests[p] = self.digest(p);
+        self.ids[p] = NO_ID;
+    }
+
+    /// Process `p`'s memo id, if the system tagged `tag` issued it.
+    fn id(&self, p: usize, tag: u64) -> Option<u32> {
+        let id = self.ids[p];
+        (self.tag == tag && id != NO_ID).then_some(id)
     }
 
     /// Number of processes.
@@ -281,14 +318,16 @@ impl<L: Locals> SystemState<L> {
 
     /// Edits the local states where they lie through `edit`, which may
     /// change process `p`'s and no other's and returns whether it did; `p`'s
-    /// digest is refreshed if so. For canonicalization and tests, which
-    /// rewrite part of a process's state in place.
+    /// digest is refreshed, and its id forgotten, if so. For
+    /// canonicalization and tests, which rewrite part of a process's state
+    /// in place.
     ///
     /// # Panics
     ///
     /// Panics if `p` is out of range. In debug builds, hashing the state
     /// panics if `edit` changed a process other than `p`, or changed `p`
-    /// and returned `false`.
+    /// and returned `false`; so does stepping or encoding it in the system
+    /// that issued its ids.
     pub fn update_local(&mut self, p: usize, edit: impl FnOnce(&mut L) -> bool) -> bool {
         assert!(p < self.len(), "process {p} out of range");
         let changed = edit(&mut self.locals);
@@ -317,7 +356,8 @@ impl<L: Locals> SystemState<L> {
         self.control(p).is_empty()
     }
 
-    /// Replaces process `p`'s control stack and local state.
+    /// Replaces process `p`'s control stack and local state, and forgets
+    /// its id.
     ///
     /// # Panics
     ///
@@ -380,11 +420,19 @@ struct Process<S, Req, Resp> {
     memo: Memo<S, Req>,
 }
 
+/// The tag the next [`System`] takes: no two systems of a process share
+/// one, and no system has tag `0`.
+static NEXT_TAG: AtomicU64 = AtomicU64::new(1);
+
 /// A flat parallel composition of CIMP processes, whose states keep their
 /// local states in the layout `L`.
 pub struct System<S, Req, Resp, L = [S; MAX_PROCESSES]> {
     procs: Vec<Process<S, Req, Resp>>,
-    layout: PhantomData<fn() -> L>,
+    /// What this system's states carry beside the ids it issued them.
+    tag: u64,
+    /// The initial local states, which [`decode`](System::decode)
+    /// overwrites: set on first use.
+    blank: OnceLock<L>,
 }
 
 impl<S, Req, Resp, L> fmt::Debug for System<S, Req, Resp, L> {
@@ -443,7 +491,8 @@ where
                     }
                 })
                 .collect(),
-            layout: PhantomData,
+            tag: NEXT_TAG.fetch_add(1, Ordering::Relaxed),
+            blank: OnceLock::new(),
         }
     }
 
@@ -507,13 +556,16 @@ where
     ///
     /// Each process's enabled steps come from its memo, keyed by its exact
     /// slot `(stack, local)`: the program is walked once per distinct slot
-    /// a system meets, not once per state. A τ successor is one copy of
-    /// `state` with the stepped process's slot and digest overwritten by
-    /// those the memo keeps for the slot the step leads to: no operation
-    /// runs and nothing is hashed. The offered requests and responses are
-    /// then paired, a request only with the responses of its
-    /// [kind](Keyed); a rendezvous runs both processes' relations and
-    /// rewrites, and rehashes, the slot of each party it changed.
+    /// a system meets, not once per state. A slot whose id this system
+    /// issued is its memo entry at once; any other is found by its digest
+    /// and compared in full. Every successor carries the ids of its slots
+    /// this system knows. A τ successor is one copy of `state` with the
+    /// stepped process's slot, digest and id overwritten by those of the
+    /// memo entry the step leads to: no operation runs and nothing is
+    /// hashed. The offered requests and responses are then paired, a
+    /// request only with the responses of its [kind](Keyed); a rendezvous
+    /// runs both processes' relations and rewrites, and rehashes, the slot
+    /// of each party it changed.
     ///
     /// # Panics
     ///
@@ -521,18 +573,32 @@ where
     /// kind than its own: release builds never offer it one, and would
     /// silently lose that successor. Debug builds also walk the program
     /// again on every memo hit, and panic unless the walk yields exactly
-    /// what the memo holds: a step that read anything but its own slot.
+    /// what the memo holds: a step that read anything but its own slot;
+    /// and they panic if an id `state` carries names a memo entry of
+    /// another slot: a write that skipped forgetting it.
     pub fn successors_into(
         &self,
         state: &SystemState<L>,
         out: &mut Vec<(Event<Req, Resp>, SystemState<L>)>,
     ) {
-        // Interleaved τ steps, and each process's entry and offers.
+        // Each process's entry and offers, and the copy every successor
+        // starts from: `state` with every id known.
         let mut slots: [Option<(&Entry<S>, &Offers<Req>)>; MAX_PROCESSES] = [None; MAX_PROCESSES];
+        let mut base = *state;
+        base.tag = self.tag;
         for (i, p) in self.procs.iter().enumerate() {
-            let entry = self.slot(i, state);
-            let steps = entry.steps().expect("an expanded entry");
-            for tau in steps.taus() {
+            let (id, entry) = self.slot(i, state);
+            base.ids[i] = id;
+            slots[i] = Some((
+                entry,
+                p.memo.offers(entry.steps().expect("an expanded entry")),
+            ));
+        }
+        let slots = &slots[..self.procs.len()];
+
+        // Interleaved τ steps.
+        for (i, (p, &(entry, _))) in self.procs.iter().zip(slots.iter().flatten()).enumerate() {
+            for tau in entry.steps().expect("an expanded entry").taus() {
                 let label = p.program.label(tau.com).expect("a LocalOp's label");
                 let target = p.memo.get(tau.target);
                 let stack = *p.memo.stack_of(target);
@@ -541,14 +607,12 @@ where
                         proc: ProcId(i),
                         label,
                     },
-                    *state,
+                    base,
                 ));
                 let next = &mut out.last_mut().expect("just pushed").1;
-                next.put(i, stack, target.local, target.digest);
+                next.put(i, stack, target.local, target.digest, tau.target);
             }
-            slots[i] = Some((entry, p.memo.offers(steps)));
         }
-        let slots = &slots[..self.procs.len()];
 
         // Rendezvous: sender i, receiver j, i ≠ j, of one kind.
         for (i, &(send_entry, send_offers)) in slots.iter().flatten().enumerate() {
@@ -587,7 +651,7 @@ where
                                     req: req.clone(),
                                     resp: beta.clone(),
                                 };
-                                out.push((event, *state));
+                                out.push((event, base));
                                 let next = &mut out.last_mut().expect("just pushed").1;
                                 // A party the rendezvous leaves as it was (a
                                 // load answered from memory) keeps its slot
@@ -608,20 +672,108 @@ where
         }
     }
 
-    /// Process `p`'s memo entry for its slot in `state`, expanded: found,
-    /// or walked and added.
-    fn slot(&self, p: usize, state: &SystemState<L>) -> &Entry<S> {
+    /// The id and memo entry of process `p`'s slot in `state`, expanded:
+    /// found, or walked and added.
+    fn slot(&self, p: usize, state: &SystemState<L>) -> (u32, &Entry<S>) {
         let (stack, digest) = (state.control(p), state.digests[p]);
         let memo = &self.procs[p].memo;
-        let found = memo.find(stack, digest, |local| state.locals.local_eq(p, local));
-        if let Some(entry) = found.filter(|entry| entry.steps().is_some()) {
+        let found = match state.id(p, self.tag) {
+            Some(id) => Some((id, self.trusted(p, state, id))),
+            None => memo.find(stack, digest, |local| state.locals.local_eq(p, local)),
+        };
+        if let Some((id, entry)) = found.filter(|(_, entry)| entry.steps().is_some()) {
             if cfg!(debug_assertions) {
                 self.check_hit(p, entry);
             }
-            return entry;
+            return (id, entry);
         }
         let local = state.locals.get(p);
         memo.fill(stack, &local, digest, self.walk(p, stack, &local))
+    }
+
+    /// Memo entry `id` of process `p`, which `state` carries for its slot
+    /// under this system's tag.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics unless the entry is `state`'s slot: its
+    /// digest, stack and local state.
+    fn trusted(&self, p: usize, state: &SystemState<L>, id: u32) -> &Entry<S> {
+        let memo = &self.procs[p].memo;
+        let entry = memo.get(id);
+        if cfg!(debug_assertions) {
+            let same = entry.digest == state.digests[p]
+                && memo.stack_of(entry) == state.control(p)
+                && state.locals.local_eq(p, &entry.local);
+            assert!(same, "process {p}'s slot id is stale");
+        }
+        entry
+    }
+
+    /// Appends `state` to `out` as its slot ids, one little-endian `u32`
+    /// per process: ids this system issued it are taken as they are, and
+    /// any other slot is looked up in its process's memo, and added
+    /// unexpanded if new. Each memo holds each slot once, so equal states
+    /// encode equally; but the ids are this system's own, and only its
+    /// [`decode`](System::decode) reads them back.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `state` has one process per process of the system. In
+    /// debug builds, panics as [`successors_into`](System::successors_into)
+    /// does on an id naming another slot.
+    pub fn encode(&self, state: &SystemState<L>, out: &mut Vec<u8>) {
+        assert_eq!(state.len(), self.len(), "a state of this system");
+        for p in 0..self.len() {
+            let id = match state.id(p, self.tag) {
+                Some(id) => {
+                    if cfg!(debug_assertions) {
+                        self.trusted(p, state, id);
+                    }
+                    id
+                }
+                None => {
+                    let memo = &self.procs[p].memo;
+                    let (stack, digest) = (state.control(p), state.digests[p]);
+                    match memo.find(stack, digest, |local| state.locals.local_eq(p, local)) {
+                        Some((id, _)) => id,
+                        None => memo.add(stack, &state.locals.get(p), digest),
+                    }
+                }
+            };
+            out.extend_from_slice(&id.to_le_bytes());
+        }
+    }
+
+    /// The state [`encode`](System::encode) wrote as `bytes`, carrying its
+    /// ids; `None` unless `bytes` holds one id per process, each issued by
+    /// its process's memo.
+    pub fn decode(&self, bytes: &[u8]) -> Option<SystemState<L>> {
+        if bytes.len() != 4 * self.len() {
+            return None;
+        }
+        let blank = self.blank.get_or_init(|| {
+            let initials: Vec<S> = self.procs.iter().map(|p| p.initial).collect();
+            L::new(&initials)
+        });
+        let mut state = SystemState {
+            len: self.len() as u8,
+            controls: [Stack::new(); MAX_PROCESSES],
+            locals: *blank,
+            digests: [0; MAX_PROCESSES],
+            ids: [NO_ID; MAX_PROCESSES],
+            tag: self.tag,
+        };
+        for (p, word) in bytes.chunks_exact(4).enumerate() {
+            let id = u32::from_le_bytes(word.try_into().expect("four bytes"));
+            let memo = &self.procs[p].memo;
+            let entry = memo.try_get(id)?;
+            state.put(p, *memo.stack_of(entry), entry.local, entry.digest, id);
+        }
+        // Slots past the last process are never read; they repeat it.
+        let last = state.controls[self.len() - 1];
+        state.controls[self.len()..].fill(last);
+        Some(state)
     }
 
     /// Process `p`'s enabled steps from slot `(stack, local)`, walked.
@@ -1005,6 +1157,94 @@ mod tests {
             assert_eq!(proc.memo.len(), slots.len(), "process {p}");
             assert!(slots.len() * 4 < states.len(), "process {p}");
         }
+    }
+
+    /// Every state `sys` reaches, breadth-first.
+    fn reachable(sys: &System<u32, u32, u32>) -> Vec<UniformState<u32>> {
+        let mut states = vec![sys.initial_state()];
+        let mut seen: std::collections::HashSet<_> = states.iter().copied().collect();
+        let mut at = 0;
+        while let Some(state) = states.get(at).copied() {
+            for (_, next) in sys.successors(&state) {
+                if seen.insert(next) {
+                    states.push(next);
+                }
+            }
+            at += 1;
+        }
+        states
+    }
+
+    fn encoded(sys: &System<u32, u32, u32>, state: &UniformState<u32>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        sys.encode(state, &mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn every_reachable_state_round_trips_through_its_slot_ids() {
+        let sys = small_system();
+        let other = small_system();
+        let states = reachable(&sys);
+        assert!(states.len() > 100, "{} states", states.len());
+        let mut distinct = std::collections::HashSet::new();
+        for state in &states {
+            let bytes = encoded(&sys, state);
+            assert_eq!(bytes.len(), 4 * sys.len());
+            let back = sys.decode(&bytes).expect("decodes");
+            assert_eq!(back, *state);
+            assert_eq!(hash_of(&back), hash_of(state));
+            assert_eq!(encoded(&sys, &back), bytes);
+            // Equal states encode equally, however they were built.
+            assert_eq!(encoded(&sys, &twin(state)), bytes);
+            assert!(distinct.insert(bytes), "distinct states share an encoding");
+            // A state another system built carries ids this one did not
+            // issue: it steps and encodes like the same state with none.
+            let foreign = other.decode(&encoded(&other, state)).expect("decodes");
+            assert_eq!(foreign, *state);
+            let (steps, twin_steps) = (sys.successors(&foreign), sys.successors(&twin(state)));
+            assert_eq!(steps, twin_steps);
+            for ((_, a), (_, b)) in steps.iter().zip(&twin_steps) {
+                assert_eq!(encoded(&sys, a), encoded(&sys, b));
+            }
+            assert_eq!(encoded(&sys, &foreign), encoded(&sys, &twin(state)));
+        }
+    }
+
+    #[test]
+    fn malformed_slot_ids_decode_to_none() {
+        let sys = small_system();
+        let states = reachable(&sys);
+        let bytes = encoded(&sys, &states[states.len() / 2]);
+        for cut in 0..bytes.len() {
+            assert!(sys.decode(&bytes[..cut]).is_none(), "cut at {cut}");
+        }
+        let mut padded = bytes.clone();
+        padded.extend_from_slice(&[0; 4]);
+        assert!(sys.decode(&padded).is_none());
+        for p in 0..sys.len() {
+            let issued = sys.procs[p].memo.len() as u32;
+            for id in [issued, issued + 1, NO_ID] {
+                let mut wrong = bytes.clone();
+                wrong[4 * p..4 * p + 4].copy_from_slice(&id.to_le_bytes());
+                assert!(sys.decode(&wrong).is_none(), "process {p}, id {id}");
+            }
+        }
+        // Ids are per system: a fresh one has issued none.
+        assert!(small_system().decode(&bytes).is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "process 2's slot id is stale")]
+    fn stepping_a_state_whose_write_kept_its_slot_id_panics_in_debug_builds() {
+        let sys = three_counters();
+        let (_, mut state) = sys.successors(&sys.initial_state()).swap_remove(0);
+        state.update_local(2, |locals| {
+            locals[2] += 1;
+            false
+        });
+        let _ = sys.successors(&state);
     }
 
     #[test]

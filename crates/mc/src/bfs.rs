@@ -44,14 +44,16 @@
 //! Determinism is unaffected: reductions are pure functions of the state,
 //! applied before the (already deterministic) claim protocol.
 //!
-//! # Disk spill
+//! # Encoded levels and disk spill
 //!
-//! With [`CheckerConfig::spill_threshold`] set and a state codec
-//! implemented, frontier levels larger than the threshold are written to a
-//! temporary file of length-prefixed encoded states during the drain (in
-//! deterministic order) and read back block-by-block by the workers of the
-//! next level, each through its own file handle. Ids within a level are
-//! consecutive, so the file stores only states.
+//! For a system with a state codec, a level is its states' *records* — a
+//! `u32` length, then the encoded state — in id order, written during the
+//! drain and read back block-by-block by the workers of the next level,
+//! each through a reader of its own, which decodes a state just before it
+//! is expanded. The records lie in one buffer, or, with
+//! [`CheckerConfig::spill_threshold`] set and the level larger than it, in
+//! a temporary file: one format and one reader for both. Ids within a
+//! level are consecutive, so a level stores only states.
 //!
 //! # Counterexamples
 //!
@@ -66,21 +68,26 @@
 //! # Arenas
 //!
 //! A state may be a few words or a few kilobytes of inline data. A claimed
-//! state is copied once, into its worker's [`Arena`] of fixed blocks of
-//! [`ARENA_BLOCK`] states, and never moves again: the claim tables and the
-//! drain's sort handle its 8-byte position, and the next level is the
-//! arenas plus the drain's id-ordered list of positions. Blocks come from a
-//! [`Pool`] the engine owns and go back to it once their level has been
-//! expanded and the next one drained (or, for a level that spills, as soon
-//! as it is written), so a run holds the blocks of at most two adjacent
-//! levels, and allocates none once it has that many.
+//! state is stored once, in its worker's [`Arena`], and never moves again:
+//! the claim tables and the drain's sort handle its 8-byte position. With
+//! a codec it is encoded as soon as it is claimed, its properties already
+//! evaluated, into the arena's buffer of records, which the drain copies
+//! into the next level in id order. Without one it is copied into the
+//! arena's fixed blocks of [`ARENA_BLOCK`] states, and the next level is
+//! the arenas plus the drain's id-ordered list of positions. Blocks come
+//! from a [`Pool`] the engine owns and go back to it once their level has
+//! been expanded and the next one drained, so a run holds the blocks of at
+//! most two adjacent levels, and allocates none once it has that many.
+//! Buffers of records are not pooled: an arena's is freed once it is
+//! drained, and a level's — allocated at its exact size by the drain —
+//! once the level is expanded. Pooled, they made the next run in the same
+//! process slower after a two-thread one (DESIGN §2.5).
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::hash::{BuildHasher, Hash};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::io::{BufReader, BufWriter, Cursor, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -247,23 +254,30 @@ impl Pending {
     }
 }
 
-/// Where a claimed state lies: `worker << 32 | index` in the arena of the
-/// worker that claimed it.
+/// Where a claimed state lies in the arena of the worker that claimed it:
+/// `worker << 40 | place`, the place being the state's index among the
+/// arena's states, or the byte offset of its record among the arena's
+/// records.
 #[derive(Clone, Copy)]
 struct At(u64);
 
 impl At {
-    /// Arena indices are below the state count, which fits 32 bits.
-    fn new(worker: usize, index: usize) -> At {
-        At((worker as u64) << 32 | index as u64)
+    const PLACE_BITS: u32 = 40;
+
+    fn new(worker: usize, place: usize) -> At {
+        assert!(
+            place >> At::PLACE_BITS == 0,
+            "an arena holds under a terabyte"
+        );
+        At((worker as u64) << At::PLACE_BITS | place as u64)
     }
 
     fn worker(self) -> usize {
-        (self.0 >> 32) as usize
+        (self.0 >> At::PLACE_BITS) as usize
     }
 
-    fn index(self) -> usize {
-        self.0 as u32 as usize
+    fn place(self) -> usize {
+        (self.0 & ((1 << At::PLACE_BITS) - 1)) as usize
     }
 }
 
@@ -308,12 +322,15 @@ impl<S> Pool<S> {
     }
 }
 
-/// The states one worker claimed during one level, in claim order, in
-/// blocks from the [`Pool`]: a state is copied in once and never moves.
+/// The states one worker claimed during one level, in claim order, each
+/// stored once where it never moves: for a system without a codec, copied
+/// into blocks from the [`Pool`]; for one with a codec, encoded as a
+/// record (a `u32` length, then the bytes) into the arena's buffer.
 struct Arena<S> {
     blocks: Vec<Vec<S>>,
-    /// `(index, property)` for each state here that violates a property,
-    /// by index.
+    records: Vec<u8>,
+    /// `(place, property)` for each state here that violates a property,
+    /// by place.
     violations: Vec<(usize, &'static str)>,
 }
 
@@ -321,17 +338,23 @@ impl<S: Clone> Arena<S> {
     fn new() -> Self {
         Arena {
             blocks: Vec::new(),
+            records: Vec::new(),
             violations: Vec::new(),
         }
     }
 
-    fn len(&self) -> usize {
+    /// Where the next state will lie: its index among the states, or its
+    /// record's offset among the records.
+    fn next_place(&self, encoded: bool) -> usize {
+        if encoded {
+            return self.records.len();
+        }
         self.blocks
             .last()
             .map_or(0, |last| (self.blocks.len() - 1) * ARENA_BLOCK + last.len())
     }
 
-    /// Copies `state` in at index `len()`.
+    /// Copies `state` in at index `next_place(false)`.
     fn push(&mut self, pool: &Pool<S>, state: &S) {
         if self.blocks.last().is_none_or(|b| b.len() == ARENA_BLOCK) {
             self.blocks.push(pool.take());
@@ -342,15 +365,59 @@ impl<S: Clone> Arena<S> {
             .push(state.clone());
     }
 
+    /// Encodes `state` in at offset `next_place(true)`.
+    fn push_encoded<TS>(&mut self, ts: &TS, state: &S)
+    where
+        TS: TransitionSystem<State = S>,
+    {
+        put_record(ts, state, &mut self.records);
+    }
+
     fn get(&self, index: usize) -> &S {
         &self.blocks[index / ARENA_BLOCK][index % ARENA_BLOCK]
     }
 
-    /// The property the state at `index` violates, if any.
-    fn violation(&self, index: usize) -> Option<&'static str> {
-        let found = self.violations.binary_search_by_key(&index, |&(i, _)| i);
+    /// The record at `offset`, its length included.
+    fn record(&self, offset: usize) -> &[u8] {
+        let len = u32::from_le_bytes(
+            self.records[offset..offset + 4]
+                .try_into()
+                .expect("a length"),
+        );
+        &self.records[offset..offset + 4 + len as usize]
+    }
+
+    /// The state at `place`, decoded if encoded.
+    fn state<TS>(&self, ts: &TS, place: usize, encoded: bool) -> S
+    where
+        TS: TransitionSystem<State = S>,
+    {
+        if encoded {
+            let record = &self.record(place)[4..];
+            ts.decode_state(record).expect("decode a claimed state")
+        } else {
+            self.get(place).clone()
+        }
+    }
+
+    /// The property the state at `place` violates, if any.
+    fn violation(&self, place: usize) -> Option<&'static str> {
+        let found = self.violations.binary_search_by_key(&place, |&(i, _)| i);
         found.ok().map(|k| self.violations[k].1)
     }
+}
+
+/// Appends `state`'s record to `out`: its encoding's length as a
+/// little-endian `u32`, then the encoding.
+fn put_record<TS: TransitionSystem>(ts: &TS, state: &TS::State, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    assert!(
+        ts.encode_state(state, out),
+        "encode_state failed mid-search"
+    );
+    let len = u32::try_from(out.len() - start - 4).expect("state encoding fits u32");
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// A BFS level in memory: the arenas its states were claimed into, one per
@@ -363,7 +430,7 @@ struct Level<S> {
 impl<S: Clone> Level<S> {
     fn get(&self, pos: usize) -> &S {
         let at = self.ids[pos];
-        self.arenas[at.worker()].get(at.index())
+        self.arenas[at.worker()].get(at.place())
     }
 
     /// Gives the level's blocks back to `pool`.
@@ -480,21 +547,20 @@ fn canonical<TS: TransitionSystem>(ts: &TS, reduction: &Reduction, state: TS::St
     }
 }
 
-/// Distinguishes concurrently created spill files within one process.
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
 /// One BFS level, in id order. Ids within a level are consecutive, so a
 /// level stores only states; the engine keeps the id of position 0.
-enum Frontier<TS: TransitionSystem> {
-    Mem(Level<TS::State>),
-    Disk(DiskLevel),
+enum Frontier<S> {
+    /// A system without a codec: the states, where they were claimed.
+    States(Level<S>),
+    /// A system with a codec: the states' records.
+    Encoded(EncodedLevel),
 }
 
-impl<TS: TransitionSystem> Frontier<TS> {
+impl<S: Clone> Frontier<S> {
     fn len(&self) -> usize {
         match self {
-            Frontier::Mem(level) => level.ids.len(),
-            Frontier::Disk(d) => d.len,
+            Frontier::States(level) => level.ids.len(),
+            Frontier::Encoded(level) => level.len,
         }
     }
 
@@ -504,156 +570,204 @@ impl<TS: TransitionSystem> Frontier<TS> {
 
     /// Retrieves one state by position — used only for trace
     /// reconstruction (deadlocks), never on the hot path.
-    fn fetch(&self, ts: &TS, pos: usize) -> TS::State {
+    fn fetch<TS: TransitionSystem<State = S>>(&self, ts: &TS, pos: usize) -> S {
         match self {
-            Frontier::Mem(level) => level.get(pos).clone(),
-            Frontier::Disk(d) => {
-                let mut buf = Vec::new();
+            Frontier::States(level) => level.get(pos).clone(),
+            Frontier::Encoded(level) => {
+                let mut reader = level.reader();
                 let block = pos / BLOCK * BLOCK;
-                d.reader().read_block(ts, d, block, pos + 1, &mut buf);
-                buf.pop().expect("spilled entry")
+                reader.seek_block(level, block);
+                (block..pos).for_each(|_| drop(reader.next(ts)));
+                reader.next(ts).0
             }
+        }
+    }
+
+    /// The capacity of the level's buffer, if it holds one.
+    fn buffer_bytes(&self) -> usize {
+        match self {
+            Frontier::Encoded(EncodedLevel {
+                store: Store::Mem(bytes),
+                ..
+            }) => bytes.capacity(),
+            _ => 0,
+        }
+    }
+
+    /// Gives the level's blocks back to `pool`; a buffer is freed.
+    fn retire(self, pool: &Pool<S>) {
+        if let Frontier::States(level) = self {
+            level.retire(pool);
         }
     }
 }
 
-/// A frontier level spilled to a temporary file of `u32`-length-prefixed
-/// encoded states, with a byte offset recorded per [`BLOCK`] so workers
-/// can seek straight to a claimed block through independent file handles.
-struct DiskLevel {
-    path: PathBuf,
+/// A level of records, in one buffer or spilled to a temporary file, with
+/// the byte offset of every [`BLOCK`]-th record, so that workers can seek
+/// straight to a claimed block, each through a reader of its own.
+struct EncodedLevel {
     len: usize,
     block_offsets: Vec<u64>,
+    store: Store,
 }
 
-impl DiskLevel {
-    /// A handle of its own on the level's file: one per worker per level.
-    fn reader(&self) -> DiskReader {
-        DiskReader::open(&self.path)
-    }
+enum Store {
+    Mem(Vec<u8>),
+    Disk(SpillFile),
 }
 
-/// One worker's handle on a spilled level: the open file behind a buffer,
-/// and the scratch an encoded state is read into, both kept across blocks.
-struct DiskReader {
-    file: BufReader<File>,
-    bytes: Vec<u8>,
-}
-
-impl DiskReader {
-    fn open(path: &Path) -> DiskReader {
-        DiskReader {
-            file: BufReader::new(File::open(path).expect("open spill file")),
+impl EncodedLevel {
+    /// A reader of its own on the level: one per worker per level.
+    fn reader(&self) -> LevelReader<'_> {
+        let source: Box<dyn ReadSeek + '_> = match &self.store {
+            Store::Mem(bytes) => Box::new(Cursor::new(&bytes[..])),
+            Store::Disk(file) => Box::new(BufReader::new(
+                File::open(&file.0).expect("open spill file"),
+            )),
+        };
+        LevelReader {
+            source,
             bytes: Vec::new(),
         }
     }
 
-    /// Decodes entries `[start, end)` of `level` into `out`; `start` must
-    /// be block-aligned (it is the offset granularity). Returns the bytes
-    /// read back from disk (for the spill-read telemetry counter).
-    fn read_block<TS: TransitionSystem>(
-        &mut self,
-        ts: &TS,
-        level: &DiskLevel,
-        start: usize,
-        end: usize,
-        out: &mut Vec<TS::State>,
-    ) -> u64 {
+    fn on_disk(&self) -> bool {
+        matches!(self.store, Store::Disk(_))
+    }
+}
+
+trait ReadSeek: Read + Seek {}
+
+impl<T: Read + Seek> ReadSeek for T {}
+
+/// A spill file, removed when dropped.
+struct SpillFile(PathBuf);
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// Distinguishes concurrently created spill files within one process.
+static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// One worker's reader of an encoded level, and the scratch a record is
+/// read into, both kept across blocks.
+struct LevelReader<'a> {
+    source: Box<dyn ReadSeek + 'a>,
+    bytes: Vec<u8>,
+}
+
+impl LevelReader<'_> {
+    /// Places the reader at record `start` of `level`, which must be
+    /// block-aligned (it is the offset granularity).
+    fn seek_block(&mut self, level: &EncodedLevel, start: usize) {
         debug_assert_eq!(start % BLOCK, 0);
         // A worker mostly claims consecutive blocks: seek (and drop what is
         // buffered) only when the next one is elsewhere.
         let offset = level.block_offsets[start / BLOCK];
-        if self.file.stream_position().expect("spill file position") != offset {
-            self.file
+        if self.source.stream_position().expect("level position") != offset {
+            self.source
                 .seek(SeekFrom::Start(offset))
-                .expect("seek spill file");
+                .expect("seek level");
         }
-        let mut len_buf = [0u8; 4];
-        let mut read = 0u64;
-        for _ in start..end {
-            self.file
-                .read_exact(&mut len_buf)
-                .expect("read spill length");
-            let n = u32::from_le_bytes(len_buf) as usize;
-            self.bytes.resize(n, 0);
-            self.file
-                .read_exact(&mut self.bytes)
-                .expect("read spill state");
-            read += 4 + n as u64;
-            out.push(ts.decode_state(&self.bytes).expect("decode spilled state"));
-        }
-        read
+    }
+
+    /// Decodes the next record's state. Returns it with the bytes read
+    /// (for the spill-read telemetry counter).
+    fn next<TS: TransitionSystem>(&mut self, ts: &TS) -> (TS::State, u64) {
+        let mut len = [0u8; 4];
+        self.source
+            .read_exact(&mut len)
+            .expect("read record length");
+        let n = u32::from_le_bytes(len) as usize;
+        self.bytes.resize(n, 0);
+        self.source
+            .read_exact(&mut self.bytes)
+            .expect("read record");
+        let state = ts.decode_state(&self.bytes);
+        (state.expect("decode a frontier state"), 4 + n as u64)
     }
 }
 
-impl Drop for DiskLevel {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Streams a level's states to a spill file during the drain.
-struct DiskWriter {
-    writer: BufWriter<File>,
-    path: PathBuf,
+/// Writes a level's records, in id order, during the drain: into a buffer,
+/// or into a spill file.
+struct LevelWriter {
+    sink: Sink,
     len: usize,
     block_offsets: Vec<u64>,
     bytes: u64,
-    scratch: Vec<u8>,
 }
 
-impl DiskWriter {
-    fn create() -> std::io::Result<DiskWriter> {
+enum Sink {
+    Mem(Vec<u8>),
+    Disk(BufWriter<File>, SpillFile),
+}
+
+impl LevelWriter {
+    fn new(sink: Sink) -> LevelWriter {
+        LevelWriter {
+            sink,
+            len: 0,
+            block_offsets: Vec::new(),
+            bytes: 0,
+        }
+    }
+
+    /// A writer into a new buffer of `capacity` bytes.
+    fn memory(capacity: usize) -> LevelWriter {
+        LevelWriter::new(Sink::Mem(Vec::with_capacity(capacity)))
+    }
+
+    /// A writer into a new spill file. A writer abandoned mid-drain
+    /// (verdict reached before the level completed) removes its file.
+    fn spill() -> std::io::Result<LevelWriter> {
         let path = std::env::temp_dir().join(format!(
             "mc-spill-{}-{}.bin",
             std::process::id(),
             SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let file = File::create(&path)?;
-        Ok(DiskWriter {
-            writer: BufWriter::new(file),
-            path,
-            len: 0,
-            block_offsets: Vec::new(),
-            bytes: 0,
-            scratch: Vec::new(),
-        })
+        Ok(LevelWriter::new(Sink::Disk(
+            BufWriter::new(file),
+            SpillFile(path),
+        )))
     }
 
-    fn push<TS: TransitionSystem>(&mut self, ts: &TS, state: &TS::State) {
+    /// Appends `record`, as [`put_record`] wrote it.
+    fn push(&mut self, record: &[u8]) {
         if self.len.is_multiple_of(BLOCK) {
             self.block_offsets.push(self.bytes);
         }
-        self.scratch.clear();
-        assert!(
-            ts.encode_state(state, &mut self.scratch),
-            "encode_state failed mid-spill"
-        );
-        let n = u32::try_from(self.scratch.len()).expect("state encoding fits u32");
-        self.writer
-            .write_all(&n.to_le_bytes())
-            .and_then(|()| self.writer.write_all(&self.scratch))
-            .expect("write spill file");
-        self.bytes += 4 + u64::from(n);
+        match &mut self.sink {
+            Sink::Mem(bytes) => bytes.extend_from_slice(record),
+            Sink::Disk(writer, _) => writer.write_all(record).expect("write spill file"),
+        }
+        self.bytes += record.len() as u64;
         self.len += 1;
     }
 
-    fn finish(mut self) -> DiskLevel {
-        self.writer.flush().expect("flush spill file");
-        DiskLevel {
-            path: std::mem::take(&mut self.path),
-            len: self.len,
-            block_offsets: std::mem::take(&mut self.block_offsets),
+    /// Bytes written to disk.
+    fn spilled(&self) -> u64 {
+        match self.sink {
+            Sink::Mem(_) => 0,
+            Sink::Disk(..) => self.bytes,
         }
     }
-}
 
-impl Drop for DiskWriter {
-    /// A writer abandoned mid-drain (verdict reached before the level
-    /// completed) removes its file; `finish` empties the path first.
-    fn drop(&mut self) {
-        if !self.path.as_os_str().is_empty() {
-            let _ = std::fs::remove_file(&self.path);
+    fn finish(self) -> EncodedLevel {
+        let store = match self.sink {
+            Sink::Mem(bytes) => Store::Mem(bytes),
+            Sink::Disk(mut writer, file) => {
+                writer.flush().expect("flush spill file");
+                Store::Disk(file)
+            }
+        };
+        EncodedLevel {
+            len: self.len,
+            block_offsets: self.block_offsets,
+            store,
         }
     }
 }
@@ -684,6 +798,8 @@ struct ExpandCtx<'a, TS: TransitionSystem, M: Mode<TS>> {
     seen: &'a [HashSet<M::Key, FxBuild>],
     claims: &'a [Mutex<HashMap<M::Key, Pending, FxBuild>>],
     pool: &'a Pool<TS::State>,
+    /// Whether claimed states are kept encoded: the system has a codec.
+    encoded: bool,
     reduction: Reduction,
     expanding: bool,
     forbid_deadlock: bool,
@@ -808,12 +924,12 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
             if self.seen(probe, succ) {
                 continue;
             }
-            let index = out.arena.len();
+            let place = out.arena.next_place(self.encoded);
             let pending = Pending {
                 // Frontier positions are below the state count, which fits
                 // 32 bits.
                 order: Link::new(pos as u32, ample, ord).0,
-                at: At::new(out.worker, index),
+                at: At::new(out.worker, place),
             };
             let claimed = {
                 let shard = &self.claims[shard_of(M::route(probe))];
@@ -825,11 +941,15 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
                 )
             };
             if claimed {
-                // The first discovery (so far) of this state: keep it, and
-                // evaluate the properties on it outside the lock.
-                out.arena.push(self.pool, succ);
+                // The first discovery (so far) of this state: evaluate the
+                // properties on it outside the lock, and keep it.
                 if let Some(name) = first_violation(self.properties, succ) {
-                    out.arena.violations.push((index, name));
+                    out.arena.violations.push((place, name));
+                }
+                if self.encoded {
+                    out.arena.push_encoded(self.ts, succ);
+                } else {
+                    out.arena.push(self.pool, succ);
                 }
             }
         }
@@ -842,7 +962,7 @@ impl<TS: TransitionSystem, M: Mode<TS>> ExpandCtx<'_, TS, M> {
 /// buffer serves every state this worker expands.
 fn expand_blocks<TS, M>(
     ctx: &ExpandCtx<'_, TS, M>,
-    frontier: &Frontier<TS>,
+    frontier: &Frontier<TS::State>,
     cursor: &AtomicUsize,
     worker: usize,
 ) -> WorkerOut<TS::State>
@@ -858,10 +978,9 @@ where
         cutoff: None,
     };
     let mut scratch: Vec<(TS::Action, TS::State)> = Vec::new();
-    let mut disk_buf: Vec<TS::State> = Vec::new();
-    let mut disk = match frontier {
-        Frontier::Mem(_) => None,
-        Frontier::Disk(d) => Some(d.reader()),
+    let mut reader = match frontier {
+        Frontier::States(_) => None,
+        Frontier::Encoded(level) => Some(level.reader()),
     };
     'grab: loop {
         let start = cursor.fetch_add(BLOCK, Ordering::Relaxed);
@@ -870,22 +989,30 @@ where
         }
         let end = (start + BLOCK).min(frontier.len());
         match frontier {
-            Frontier::Mem(level) => {
+            Frontier::States(level) => {
                 for pos in start..end {
                     if !ctx.expand_one(pos, level.get(pos), &mut scratch, &mut out) {
                         break 'grab;
                     }
                 }
             }
-            Frontier::Disk(d) => {
-                disk_buf.clear();
-                let reader = disk.as_mut().expect("opened for a spilled level");
-                let read = reader.read_block(ctx.ts, d, start, end, &mut disk_buf);
-                ctx.telemetry.spill_read(read);
-                for (i, state) in disk_buf.iter().enumerate() {
-                    if !ctx.expand_one(start + i, state, &mut scratch, &mut out) {
-                        break 'grab;
+            Frontier::Encoded(level) => {
+                let reader = reader.as_mut().expect("opened for an encoded level");
+                reader.seek_block(level, start);
+                let (mut read, mut expanded) = (0, true);
+                for pos in start..end {
+                    let (state, bytes) = reader.next(ctx.ts);
+                    read += bytes;
+                    expanded = ctx.expand_one(pos, &state, &mut scratch, &mut out);
+                    if !expanded {
+                        break;
                     }
+                }
+                if level.on_disk() {
+                    ctx.telemetry.spill_read(read);
+                }
+                if !expanded {
+                    break 'grab;
                 }
             }
         }
@@ -920,7 +1047,7 @@ where
     let mut transitions: usize = 0;
 
     // Seed level 0 with the deduplicated (canonical) initial states.
-    let mut seed: Arena<TS::State> = Arena::new();
+    let mut seed: Vec<TS::State> = Vec::new();
     let inits = ts.initial_states();
     assert!(inits.len() as u64 <= Link::AMPLE, "ordinals fit 31 bits");
     for (ord, init) in inits.into_iter().enumerate() {
@@ -933,23 +1060,19 @@ where
         shard.insert(M::key(probe, &init));
         parents.push(Link::new(Link::ROOT, false, ord));
         states_count += 1;
-        seed.push(&pool, &init);
+        seed.push(init);
     }
-    let seed = Level {
-        ids: (0..seed.len()).map(|index| At::new(0, index)).collect(),
-        arenas: vec![seed],
-    };
-    // Levels can only spill if the system has a codec; ask once.
-    let can_spill = config.spill_threshold.is_some()
-        && !seed.ids.is_empty()
-        && ts.encode_state(seed.get(0), &mut Vec::new());
+    // Whether the system has a codec, asked once: if so every level is
+    // kept encoded, and may spill.
+    let encoded = seed
+        .first()
+        .is_some_and(|init| ts.encode_state(init, &mut Vec::new()));
     let trace = |links: &Links, at: u32, state: TS::State| {
         rebuild_trace(ts, &config.reduction, links, at, state)
     };
 
     // Check properties on initial states.
-    for id in 0..seed.ids.len() {
-        let state = seed.get(id);
+    for (id, state) in seed.iter().enumerate() {
         if let Some(property) = first_violation(properties, state) {
             return Outcome::Violated {
                 property,
@@ -962,7 +1085,23 @@ where
             };
         }
     }
-    let mut frontier: Frontier<TS> = Frontier::Mem(seed);
+    let mut frontier = if encoded {
+        let mut writer = LevelWriter::memory(0);
+        let mut record = Vec::new();
+        for init in &seed {
+            record.clear();
+            put_record(ts, init, &mut record);
+            writer.push(&record);
+        }
+        Frontier::Encoded(writer.finish())
+    } else {
+        let mut arena = Arena::new();
+        seed.iter().for_each(|init| arena.push(&pool, init));
+        Frontier::States(Level {
+            ids: (0..seed.len()).map(|index| At::new(0, index)).collect(),
+            arenas: vec![arena],
+        })
+    };
     // Id of the frontier's position 0.
     let mut first_id: u32 = 0;
     telemetry.seeded(states_count);
@@ -995,6 +1134,7 @@ where
             seen: &seen,
             claims: &claims,
             pool: &pool,
+            encoded,
             reduction: config.reduction,
             expanding,
             forbid_deadlock: config.forbid_deadlock,
@@ -1053,15 +1193,17 @@ where
         }
         entries.sort_unstable_by_key(|(_, _, p)| p.order);
 
-        // Spill the next level when it exceeds the threshold (systems
-        // without a codec keep frontiers in memory).
-        let spill = can_spill && config.spill_threshold.is_some_and(|t| entries.len() > t);
+        // An encoded level spills when it exceeds the threshold; a system
+        // without a codec keeps its states where they were claimed.
         let mut ids: Vec<At> = Vec::new();
-        let mut next_disk: Option<DiskWriter> = if spill {
-            Some(DiskWriter::create().expect("create spill file"))
-        } else {
+        let mut writer = if !encoded {
             ids.reserve(entries.len());
             None
+        } else if config.spill_threshold.is_some_and(|t| entries.len() > t) {
+            Some(LevelWriter::spill().expect("create spill file"))
+        } else {
+            let bytes = arenas.iter().map(|arena| arena.records.len()).sum();
+            Some(LevelWriter::memory(bytes))
         };
         for (shard_idx, key, pending) in entries {
             // Sequential semantics: a deadlocked state is reported when the
@@ -1094,11 +1236,11 @@ where
             // The discovery order, rebased from frontier position to parent id.
             parents.push(Link(pending.order + (u64::from(first_id) << 32)));
             states_count += 1;
-            let (arena, index) = (&arenas[pending.at.worker()], pending.at.index());
-            if let Some(property) = arena.violation(index) {
+            let (arena, place) = (&arenas[pending.at.worker()], pending.at.place());
+            if let Some(property) = arena.violation(place) {
                 return Outcome::Violated {
                     property,
-                    trace: trace(&parents, id, arena.get(index).clone()),
+                    trace: trace(&parents, id, arena.state(ts, place, encoded)),
                     stats: Stats {
                         states: states_count,
                         transitions,
@@ -1107,8 +1249,8 @@ where
                 };
             }
             seen[shard_idx].insert(key);
-            match &mut next_disk {
-                Some(w) => w.push(ts, arena.get(index)),
+            match &mut writer {
+                Some(w) => w.push(arena.record(place)),
                 None => ids.push(pending.at),
             }
         }
@@ -1142,24 +1284,22 @@ where
         // Level completed without a verdict: report its shape. Tracing and
         // telemetry are observation only — they never influence exploration
         // order, so the deterministic-drain guarantee is untouched.
-        let discovered = next_disk.as_ref().map_or(ids.len(), |w| w.len) as u64;
+        let discovered = writer.as_ref().map_or(ids.len(), |w| w.len) as u64;
         gc_trace::emit(gc_trace::EventKind::LevelEnd {
             level: level as u32,
             discovered,
             states_total: states_count as u64,
         });
-        let spilled_bytes = next_disk.as_ref().map_or(0, |w| w.bytes);
-        let next = match next_disk {
+        let spilled_bytes = writer.as_ref().map_or(0, LevelWriter::spilled);
+        let next = match writer {
             Some(w) => {
                 arenas.into_iter().for_each(|arena| pool.give(arena));
-                Frontier::Disk(w.finish())
+                Frontier::Encoded(w.finish())
             }
-            None => Frontier::Mem(Level { arenas, ids }),
+            None => Frontier::States(Level { arenas, ids }),
         };
         first_id += frontier.len() as u32;
-        if let Frontier::Mem(expanded) = std::mem::replace(&mut frontier, next) {
-            expanded.retire(&pool);
-        }
+        std::mem::replace(&mut frontier, next).retire(&pool);
 
         let mut occ_max = 0u64;
         let mut occ_total = 0u64;
@@ -1177,7 +1317,7 @@ where
                 links: parents.blocks.len() * Links::BLOCK * size_of::<Link>(),
                 // A bucket is the key and one control byte.
                 seen_set: seen_buckets * (size_of::<M::Key>() + 1),
-                frontier: pool.bytes(),
+                frontier: pool.bytes() + frontier.buffer_bytes(),
             },
         );
         gc_trace::emit(gc_trace::EventKind::ShardOccupancy {

@@ -129,13 +129,13 @@ pub struct CheckerConfig {
     /// (see [`Reduction`]). Defaults to none.
     pub reduction: Reduction,
     /// Spill BFS frontier levels larger than this many states to
-    /// length-prefixed temporary files instead of holding them in memory,
-    /// so level queues stop being memory-bound. Requires the transition
-    /// system to implement
+    /// temporary files of length-prefixed encoded states instead of
+    /// holding them in memory, so level queues stop being memory-bound.
+    /// Requires the transition system to implement
     /// [`encode_state`](crate::TransitionSystem::encode_state) /
-    /// [`decode_state`](crate::TransitionSystem::decode_state); systems
-    /// without a codec keep frontiers in memory regardless. `None`
-    /// (default) never spills.
+    /// [`decode_state`](crate::TransitionSystem::decode_state), with which
+    /// the levels kept in memory are encoded too; systems without a codec
+    /// keep frontiers in memory regardless. `None` (default) never spills.
     pub spill_threshold: Option<usize>,
     /// A metrics registry the BFS publishes live telemetry into:
     /// states/sec, frontier length, spill bytes and per-reduction-technique

@@ -144,20 +144,23 @@ pub trait TransitionSystem: Sync {
         state.clone()
     }
 
-    /// Serializes `state` into `bytes`, returning `true` on success. A
-    /// working codec (with [`decode_state`](TransitionSystem::decode_state))
-    /// lets the BFS spill oversized frontier levels to disk
-    /// ([`CheckerConfig::spill_threshold`]). Encoding must be
-    /// deterministic: equal states produce equal bytes. The default
-    /// supports no codec and returns `false`.
+    /// Appends `state`'s encoding to `bytes`, returning `true` on success.
+    /// With a working codec (and [`decode_state`](TransitionSystem::decode_state))
+    /// the BFS keeps every frontier level encoded, and spills oversized
+    /// ones to disk ([`CheckerConfig::spill_threshold`]). Equal states must
+    /// produce equal bytes. The bytes belong to the instance that wrote
+    /// them: they may name what only it holds (an id in its tables), so
+    /// only the same instance's `decode_state` need read them back. The
+    /// default supports no codec and returns `false`.
     fn encode_state(&self, state: &Self::State, bytes: &mut Vec<u8>) -> bool {
         let _ = (state, bytes);
         false
     }
 
-    /// Deserializes a state previously produced by
-    /// [`encode_state`](TransitionSystem::encode_state). Returns `None` on
-    /// malformed input. The default supports no codec.
+    /// Deserializes a state this instance's
+    /// [`encode_state`](TransitionSystem::encode_state) produced. Returns
+    /// `None` on malformed input, never panicking. The default supports no
+    /// codec.
     fn decode_state(&self, bytes: &[u8]) -> Option<Self::State> {
         let _ = bytes;
         None

@@ -162,6 +162,9 @@ struct RandomSystem {
     succs: Vec<Vec<u32>>,
     /// Each state's orbit representative: `rep[rep[s]] == rep[s]`.
     rep: Vec<u32>,
+    /// Whether the system has a codec, so that the engine keeps its
+    /// levels encoded and may spill them.
+    codec: bool,
 }
 
 impl TransitionSystem for RandomSystem {
@@ -183,6 +186,24 @@ impl TransitionSystem for RandomSystem {
 
     fn canonicalize(&self, s: &u32, _: &Reduction) -> u32 {
         self.rep[*s as usize]
+    }
+
+    /// A state is its index, in as many bytes as it needs: records of
+    /// one or two bytes.
+    fn encode_state(&self, s: &u32, bytes: &mut Vec<u8>) -> bool {
+        let significant = (u32::BITS - s.leading_zeros()).div_ceil(8).max(1);
+        if self.codec {
+            bytes.extend_from_slice(&s.to_le_bytes()[..significant as usize]);
+        }
+        self.codec
+    }
+
+    fn decode_state(&self, bytes: &[u8]) -> Option<u32> {
+        let mut word = [0; 4];
+        word.get_mut(..bytes.len())?.copy_from_slice(bytes);
+        let s = u32::from_le_bytes(word);
+        let known = self.codec && !bytes.is_empty() && (s as usize) < self.succs.len();
+        known.then_some(s)
     }
 }
 
@@ -237,7 +258,12 @@ fn random_system(seed: u64) -> (RandomSystem, Vec<Property<u32>>, Reduction, boo
     };
     let forbid_deadlock = below(2) == 0;
     (
-        RandomSystem { roots, succs, rep },
+        RandomSystem {
+            roots,
+            succs,
+            rep,
+            codec: false,
+        },
         properties,
         reduction,
         forbid_deadlock,
@@ -250,13 +276,19 @@ struct Coverage {
     verdicts: HashSet<&'static str>,
     widest_level: usize,
     most_states: usize,
+    /// Seeds whose system had a codec, and those that set a spill
+    /// threshold.
+    encoded: usize,
+    spilled: usize,
 }
 
 /// Checks the engine against the reference on `seed`'s system: unbounded,
 /// under a state bound and under a depth bound, each at 1/2/4 threads in
-/// exact and hash-compact mode.
+/// exact and hash-compact mode. On half the seeds the system has a codec,
+/// so the engine keeps its levels encoded, and spills every level, those
+/// past a small threshold, or none.
 fn agree_on(seed: u64, coverage: &mut Coverage) {
-    let (ts, properties, reduction, forbid_deadlock) = random_system(seed);
+    let (mut ts, properties, reduction, forbid_deadlock) = random_system(seed);
     let n = ts.succs.len();
     let mut rng = SplitMix64::new(!seed);
     let bounds = [
@@ -264,11 +296,21 @@ fn agree_on(seed: u64, coverage: &mut Coverage) {
         (1 + rng.next_u64() as usize % n, usize::MAX),
         (usize::MAX, rng.next_u64() as usize % 12),
     ];
+    ts.codec = rng.next_u64().is_multiple_of(2);
+    let spill_threshold = match rng.next_u64() % 3 {
+        _ if !ts.codec => None,
+        0 => None,
+        1 => Some(1),
+        _ => Some(2 + rng.next_u64() as usize % 64),
+    };
+    coverage.encoded += usize::from(ts.codec);
+    coverage.spilled += usize::from(spill_threshold.is_some());
     for (max_states, max_depth) in bounds {
         let config = CheckerConfig {
             max_states,
             max_depth,
             forbid_deadlock,
+            spill_threshold,
             ..CheckerConfig::default()
         }
         .reduction(reduction);
@@ -297,7 +339,9 @@ fn agree_on(seed: u64, coverage: &mut Coverage) {
                     format!("{got:?}"),
                     expected,
                     "seed {seed}, {max_states} states / depth {max_depth}, \
-                     {threads} thread(s), hash-compact {hash_compact}"
+                     {threads} thread(s), hash-compact {hash_compact}, \
+                     codec {}, spill threshold {spill_threshold:?}",
+                    ts.codec
                 );
             }
         }
@@ -306,9 +350,9 @@ fn agree_on(seed: u64, coverage: &mut Coverage) {
 
 #[test]
 fn the_engine_agrees_with_the_reference_on_random_systems() {
-    let seeds = if cfg!(debug_assertions) { 200 } else { 1_000 };
+    let seeds: usize = if cfg!(debug_assertions) { 200 } else { 1_000 };
     let mut coverage = Coverage::default();
-    for seed in 0..seeds {
+    for seed in 0..seeds as u64 {
         agree_on(seed, &mut coverage);
     }
     for verdict in [
@@ -323,4 +367,7 @@ fn the_engine_agrees_with_the_reference_on_random_systems() {
     // Past the engine's arena block (128) and link block (4,096).
     assert!(coverage.widest_level > 128, "{}", coverage.widest_level);
     assert!(coverage.most_states > 4_096, "{}", coverage.most_states);
+    // About half the seeds keep levels encoded, two thirds of those spill.
+    assert!(4 * coverage.encoded > seeds && 4 * coverage.encoded < 3 * seeds);
+    assert!(2 * coverage.spilled > coverage.encoded);
 }

@@ -17,7 +17,8 @@
 //!   the links' blocks, Σ seen-set shard `capacity()` × bucket size, and
 //!   the capacity of the arena blocks — the in-memory next level's and the
 //!   spare ones in the engine's pool (all of them spare when the level
-//!   spilled);
+//!   spilled) — or, for a system with a codec, of the in-memory next
+//!   level's buffer of records;
 //! * `mc_reduction_hits_total{technique=...}` — labelled counters for
 //!   `por_ample` (ample set accepted), `por_fallback` (C3 proviso forced
 //!   a full expansion), `symmetry_merge` and `sb_canon_coalesce`
@@ -84,7 +85,7 @@ impl Telemetry {
             registry.describe("mc_seen_set_bytes", "Bytes of seen-set buckets");
             registry.describe(
                 "mc_frontier_bytes",
-                "Bytes of arena blocks: the in-memory next level's and the spare ones",
+                "Bytes of arena blocks (the in-memory next level's and the spare ones) or of the in-memory next level's records",
             );
             registry.describe(
                 "mc_reduction_hits_total",

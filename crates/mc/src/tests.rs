@@ -1029,14 +1029,14 @@ fn telemetry_registry_observes_without_perturbing() {
 
     // Retained memory, as of the last completed level of a depth-bounded
     // run (a run to the end leaves an empty next level behind).
-    let retained = |spill_threshold| {
+    fn retained<TS: TransitionSystem>(ts: &TS, spill_threshold: Option<usize>) -> [i64; 3] {
         let registry = Arc::new(gc_trace::Registry::new());
         let config = CheckerConfig {
             max_depth: 6,
             spill_threshold,
             ..CheckerConfig::default().metrics(Arc::clone(&registry))
         };
-        let states = Checker::with_config(config).run(&mesh).stats().states;
+        let states = Checker::with_config(config).run(ts).stats().states;
         assert!(states < 4096, "one block of links");
         [
             "mc_parent_link_bytes",
@@ -1044,21 +1044,23 @@ fn telemetry_registry_observes_without_perturbing() {
             "mc_frontier_bytes",
         ]
         .map(|name| registry.value_of(name).unwrap())
-    };
+    }
     let block_bytes = (bfs::ARENA_BLOCK * size_of::<(u16, u16)>()) as i64;
-    let [links, seen_set, frontier] = retained(None);
+    let [links, seen_set, frontier] = retained(&mesh.0, None);
     assert_eq!(links, 4096 * 8);
     assert!(seen_set > 0);
     assert!(
         frontier > 0 && frontier % block_bytes == 0,
         "whole blocks of `(u16, u16)` states"
     );
-    let [spilled_links, spilled_seen_set, pooled] = retained(Some(8));
+    // With a codec, an in-memory level is one buffer of records, and a
+    // spilled one leaves nothing in memory.
+    let [encoded_links, encoded_seen_set, records] = retained(&mesh, None);
+    assert_eq!([encoded_links, encoded_seen_set], [links, seen_set]);
+    assert!(records > 0);
+    let [spilled_links, spilled_seen_set, spilled] = retained(&mesh, Some(8));
     assert_eq!([spilled_links, spilled_seen_set], [links, seen_set]);
-    assert!(
-        pooled > 0 && pooled % block_bytes == 0,
-        "a spilled level's blocks wait in the pool"
-    );
+    assert_eq!(spilled, 0);
 }
 
 // --- Claims and arenas --------------------------------------------------

@@ -1,12 +1,15 @@
-//! A byte view of a [`ModelState`], for spilling BFS frontier levels to disk
-//! ([`mc::CheckerConfig::spill_threshold`]).
+//! A self-contained byte view of a [`ModelState`]: bytes that name the
+//! state without the model that reached it, where the checker's own
+//! encoding ([`GcModel::encode_state`](mc::TransitionSystem::encode_state))
+//! is the state's slot ids in one model's memos. Tests digest it to pin
+//! successor order across builds.
 //!
 //! The state is already a handful of words and byte tables (see
 //! [`state`](crate::state)), so there is nothing to derive: per process the
 //! control stack's frames, then the local state's words with their leading
 //! zero bytes dropped, then — for the system process — the TSO machine's own
-//! encoding. Equal states give equal bytes; spill files never outlive the
-//! process that wrote them, so the layout is versioned only by this code.
+//! encoding. Equal states give equal bytes; the layout is versioned only by
+//! this code.
 
 use cimp::{ComId, Stack, SystemState, MAX_PROCESSES};
 use tso_model::Machine;
@@ -198,18 +201,32 @@ mod tests {
         );
     }
 
+    /// Truncations, trailing garbage and ids no memo issued all fail
+    /// cleanly: in the model's slot ids and in the self-contained view.
     #[test]
     fn decode_rejects_malformed_input() {
-        assert!(decode(&[]).is_none());
-        assert!(decode(&[7]).is_none());
         let model = GcModel::new(ModelConfig::default());
-        let bytes = encoded(&model.initial_states()[0]);
-        // Truncations and trailing garbage both fail cleanly.
-        for cut in 0..bytes.len() {
-            assert!(decode(&bytes[..cut]).is_none(), "cut at {cut}");
+        let (_, state) = model.successors(&model.initial_states()[0]).swap_remove(0);
+        let mut ids = Vec::new();
+        assert!(model.encode_state(&state, &mut ids));
+        assert_eq!(model.decode_state(&ids), Some(state));
+        type Decode<'a> = &'a dyn Fn(&[u8]) -> Option<ModelState>;
+        let view = encoded(&state);
+        let decoders: [(&[u8], Decode); 2] =
+            [(&ids, &|bytes| model.decode_state(bytes)), (&view, &decode)];
+        for (bytes, decode) in decoders {
+            assert!(decode(&[7]).is_none());
+            for cut in 0..bytes.len() {
+                assert!(decode(&bytes[..cut]).is_none(), "cut at {cut}");
+            }
+            let mut padded = bytes.to_vec();
+            padded.push(0);
+            assert!(decode(&padded).is_none());
         }
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(decode(&padded).is_none());
+        for p in 0..state.len() {
+            let mut wrong = ids.clone();
+            wrong[4 * p..4 * p + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(model.decode_state(&wrong).is_none(), "process {p}");
+        }
     }
 }

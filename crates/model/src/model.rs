@@ -7,10 +7,10 @@ use mc::{Reduction, TransitionSystem};
 use crate::config::ModelConfig;
 use crate::gc::gc_program;
 use crate::mutator::{initial_mut_state, mutator_program};
+use crate::reduction;
 use crate::state::{GcState, Local, Roles};
 use crate::sys::{initial_sys_state, sys_program};
 use crate::vocab::{Req, Resp};
-use crate::{codec, reduction};
 
 /// The process names in index order: `gc`, `mut0`, …, `sys`.
 pub const GC_PROC: usize = 0;
@@ -176,13 +176,15 @@ impl TransitionSystem for GcModel {
         state
     }
 
+    /// A state as its slot ids in this model's memos
+    /// ([`cimp::System::encode`]): four bytes per process.
     fn encode_state(&self, state: &Self::State, bytes: &mut Vec<u8>) -> bool {
-        codec::encode(state, bytes);
+        self.system.encode(state, bytes);
         true
     }
 
     fn decode_state(&self, bytes: &[u8]) -> Option<Self::State> {
-        codec::decode(bytes)
+        self.system.decode(bytes)
     }
 }
 

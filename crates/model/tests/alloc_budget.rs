@@ -19,11 +19,15 @@
 //! whole `Checker::run` made about three allocations per visited state —
 //! those three scratch vectors, once per expansion — once claimed states
 //! went into recycled arena blocks instead of one `Box` each (4.01 per
-//! state then); with the memo it makes 0.12. And the same allocator tracks
+//! state then); with the memo it makes 0.13. And the same allocator tracks
 //! live bytes, to pin what the run retains per visited state at its peak:
-//! the 8-byte parent link, the seen-set bucket, the state's share of the
-//! two levels in flight, and the memo's share. With a 92-byte action in
-//! every link that was 96 bytes per state more.
+//! the 8-byte parent link, the seen-set bucket, the memo's share, and the
+//! state's share of the levels in flight — the level being expanded, the
+//! one being claimed and the one being drained, each a buffer of 20-byte
+//! records (the state's four slot ids behind a length) since levels are
+//! kept encoded; while they were arena blocks of 1,160-byte states, two
+//! levels of those were most of the peak. With a 92-byte action in every
+//! link that was 96 bytes per state more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -189,7 +193,8 @@ fn a_run_makes_a_fraction_of_an_allocation_per_visited_state() {
     let (n, ()) = allocations(run_to_the_bound());
     let per_state = n as f64 / STATES as f64;
     println!("{n} allocations in a {STATES}-state run: {per_state:.2} per visited state");
-    // Measured 0.12: memo misses, the engine's arena blocks and levels.
+    // Measured 0.13: memo misses, the engine's buffers of records (0.12
+    // while they were pooled) and levels.
     // Three scratch vectors per expansion made it 2.98.
     assert!(per_state <= 0.25, "{per_state} allocations per state");
 }
@@ -199,10 +204,10 @@ fn a_run_retains_a_bounded_number_of_bytes_per_visited_state() {
     let (peak, ()) = peak_bytes(run_to_the_bound());
     let per_state = peak as f64 / STATES as f64;
     println!("{peak} bytes at the peak of a {STATES}-state run: {per_state:.1} per visited state");
-    // Measured 146.3 with each process's memo of its slots, 140.1 before
-    // it, with the levels in flight in arena blocks of 1,160-byte states;
-    // 133.5-135.5 with one `Box` per 1,088-byte state
-    // (the seen-set's shard sizes follow the run's random fingerprint
-    // keys); 237 with the action stored in every link.
-    assert!(per_state <= 170.0, "{per_state} bytes retained per state");
+    // Measured 44.8 with the levels in flight encoded as slot ids; 146.3
+    // with them in arena blocks of 1,160-byte states and each process's
+    // memo of its slots, 140.1 before the memo; 133.5-135.5 with one `Box`
+    // per 1,088-byte state (the seen-set's shard sizes follow the run's
+    // random fingerprint keys); 237 with the action stored in every link.
+    assert!(per_state <= 60.0, "{per_state} bytes retained per state");
 }

@@ -17,7 +17,7 @@ use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
 
 use cimp::ProcId;
-use gc_model::{GcModel, InitialHeap, ModelConfig, ModelState};
+use gc_model::{codec, GcModel, InitialHeap, ModelConfig, ModelState};
 use mc::TransitionSystem;
 
 const EXPANSIONS: usize = 20_000;
@@ -64,14 +64,16 @@ impl Fnv {
     }
 }
 
-/// One expansion: each successor's action as displayed, its encoding and
-/// itself, in the order the model lists them.
+/// One expansion: each successor's action as displayed, its
+/// self-contained encoding ([`codec::encode`]: the model's own encoding is
+/// slot ids, which name states only within one model) and itself, in the
+/// order the model lists them.
 fn expansion(model: &GcModel, state: &ModelState) -> Vec<(String, Vec<u8>, ModelState)> {
     let mut succs = Vec::new();
     model.successors_into(state, &mut succs);
     let listed = succs.into_iter().map(|(action, succ)| {
         let mut bytes = Vec::new();
-        assert!(model.encode_state(&succ, &mut bytes));
+        codec::encode(&succ, &mut bytes);
         (action.to_string(), bytes, succ)
     });
     listed.collect()
@@ -84,7 +86,7 @@ fn digests(cfg: ModelConfig) -> (Vec<u64>, Vec<ModelState>) {
     let init = model.initial_states()[0];
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
     let mut bytes = Vec::new();
-    assert!(model.encode_state(&init, &mut bytes));
+    codec::encode(&init, &mut bytes);
     seen.insert(bytes);
     let mut frontier = VecDeque::from([init]);
     let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
