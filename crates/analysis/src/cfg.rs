@@ -4,7 +4,7 @@
 //! (`Seq`, `If`, `While`, `Loop`, `Choose`) without producing transitions,
 //! so the CFG gives each *atomic* command (`LocalOp`, `Request`,
 //! `Response`) a node of its own, carrying its label and
-//! [`MemEffect`](cimp::MemEffect) annotation. Structural branch/join points
+//! [`MemEffect`] annotation. Structural branch/join points
 //! (`If`/`While`/`Loop`/`Choose`) get lightweight `Branch` nodes: they
 //! never execute, but they keep the edge relation small and make loops and
 //! dominators easy to read in the dot dump.

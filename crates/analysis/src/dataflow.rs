@@ -7,7 +7,7 @@
 //! could have put the write there — so fence suggestions can point at a
 //! concrete command.
 //!
-//! Transfer function over [`MemEffect`](cimp::MemEffect):
+//! Transfer function over [`MemEffect`]:
 //!
 //! * `Store(x)`   — adds `x` (the write is enqueued, not yet visible);
 //! * `Fence` / `LockedRmw(_)` — clears the set (the buffer drains);

@@ -12,7 +12,7 @@
 //!
 //! The pieces:
 //!
-//! * [`cfg`] — control-flow graphs over the CIMP `Com` arena, with a
+//! * [`cfg`](mod@cfg) — control-flow graphs over the CIMP `Com` arena, with a
 //!   Graphviz dot dump;
 //! * [`dataflow`] — the "dirty store buffer" forward analysis: which
 //!   abstract locations may still be buffered at each program point;

@@ -1,8 +1,8 @@
 //! The experiments of the reproduction: every figure, ablation and
 //! observation of *Relaxing Safely* (PLDI 2015), plus the runtime and
-//! checker rigs and the micro-benchmarks, as entries of one table
-//! ([`table::EXPERIMENTS`]) behind one binary, `experiments`. See the
-//! workspace `EXPERIMENTS.md` for the index and the recorded results.
+//! checker rigs, as entries of one table ([`table::EXPERIMENTS`]) behind
+//! one binary, `experiments`. See the workspace `EXPERIMENTS.md` for the
+//! index and the recorded results.
 //!
 //! This file holds what the entries share: the model-checking driver and
 //! its report table, and the verdict an entry ends with.
@@ -10,8 +10,6 @@
 mod ablations;
 mod checker;
 mod figures;
-pub mod harness;
-mod micro;
 mod runtime;
 pub mod table;
 

@@ -1,5 +1,5 @@
-//! `experiments`: every figure, ablation, observation, rig and
-//! micro-benchmark of the reproduction behind one binary — see
+//! `experiments`: every figure, ablation, observation and rig of the
+//! reproduction behind one binary — see
 //! [`gc_bench::table`].
 
 use std::process::ExitCode;

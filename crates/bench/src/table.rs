@@ -5,7 +5,7 @@ use std::process::ExitCode;
 
 use gc_trace::{FlagError, Flags};
 
-use crate::{ablations, checker, figures, micro, runtime, Run, Verdict};
+use crate::{ablations, checker, figures, runtime, Run, Verdict};
 
 /// One experiment: what it regenerates, what it claims, how to run it.
 pub struct Entry {
@@ -14,15 +14,16 @@ pub struct Entry {
     /// The paper artifact it regenerates (`Fig. 1` … `Fig. 10`, `T` the
     /// headline theorem, `A1`–`A6` the ablations and the §4 observation)
     /// or, for what is this repository's own, `S` static analysis, `R` a
-    /// runtime rig, `M` a checker rig, `B` a micro-benchmark set.
+    /// runtime rig, `M` a checker rig.
     pub artifact: &'static str,
     /// The claim it checks, in one line.
     pub claim: &'static str,
     /// The flags and positionals it takes (empty: none).
     pub flags: &'static str,
     /// Whether `experiments all` runs it: the entries that decide a claim
-    /// at their default bounds in CI time. The rigs and micro-benchmarks
-    /// run under their own CI jobs and flags.
+    /// at their default bounds in CI time. Of the rigs, `stress`,
+    /// `torture` and `reduction` run under CI jobs of their own with their
+    /// own flags; `parallel-speedup` and `probe` are run by hand.
     pub in_all: bool,
     /// Parses its flags, runs, and reports how the claim fared.
     pub run: fn(&mut Flags) -> Run,
@@ -81,12 +82,6 @@ pub const EXPERIMENTS: &[Entry] = &[
     Entry { name: "probe", artifact: "M3", in_all: false, run: checker::probe,
         flags: "[--max-states N] [MUTS] [CAP] [faithful|nodel|noins|nofence|nocas|prem|sc|skip23] [full|safety] [THREADS]",
         claim: "one parameterized instance: counts, verdict, counterexample" },
-    Entry { name: "micro-barriers", artifact: "B1", in_all: false, flags: "", run: micro::barriers,
-        claim: "the write barrier costs two loads unless it must mark (Fig. 5's design point)" },
-    Entry { name: "micro-runtime", artifact: "B2", in_all: false, flags: "", run: micro::runtime,
-        claim: "allocation, cycle, handshake, trace-emit and successor-expansion costs" },
-    Entry { name: "micro-substrates", artifact: "B3", in_all: false, flags: "", run: micro::substrates,
-        claim: "TSO machine, litmus, CIMP successor and checker throughput costs" },
 ];
 
 /// The usage line of the driver itself.

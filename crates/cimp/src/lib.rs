@@ -12,7 +12,7 @@
 //! * **control and data non-determinism**: [`Choose`](program::Com::Choose)
 //!   between branches, and local operations that emit *sets* of successor
 //!   states;
-//! * **flat parallel composition**: a [`System`](system::System) interleaves
+//! * **flat parallel composition**: a [`System`] interleaves
 //!   the steps of its processes at the top level, with no action hiding.
 //!
 //! Each process has purely local control and data state — there is *no*

@@ -1,7 +1,7 @@
 //! CIMP system semantics: top-level interleaving and rendezvous (Figure 8).
 //!
 //! A [`System`] is a flat parallel composition of named processes, each with
-//! its own [`Program`](crate::Program) and local state. The global
+//! its own [`Program`] and local state. The global
 //! transition relation `⇒` has two rules:
 //!
 //! * **interleaving**: any process with an enabled `τ` step takes it alone;
@@ -233,8 +233,8 @@ impl<L: fmt::Debug> fmt::Debug for SystemState<L> {
 pub type UniformState<S> = SystemState<[S; MAX_PROCESSES]>;
 
 impl<L: Locals> SystemState<L> {
-    /// Builds a state directly from parts (for decoding, tests and
-    /// invariant satisfiability witnesses).
+    /// Builds a state directly from parts (for the initial state, tests
+    /// and invariant satisfiability witnesses).
     ///
     /// # Panics
     ///

@@ -21,7 +21,7 @@
 //!
 //! * [`ChaosSite::HandshakeDelay`] — yield storms in the mutator's
 //!   handshake ack path (the raggedness of Fig. 3/4's soft handshakes);
-//! * [`ChaosSite::CasLost`] — spurious [`MarkOutcome::Lost`] first
+//! * [`ChaosSite::CasLost`] — spurious `MarkOutcome::Lost` first
 //!   attempts in the Fig. 5 marking CAS (contention on the mark bit);
 //! * [`ChaosSite::Silence`] — a mutator ignores handshake requests for
 //!   [`FaultPlan::silence_generations`] generations (a stalled thread, the
@@ -46,7 +46,6 @@
 //!   ([`Collector::chaos_fires`](crate::Collector::chaos_fires)); the
 //!   panic itself is the harness's job.
 //!
-//! [`MarkOutcome::Lost`]: crate::heap::MarkOutcome
 //! [`Collector::stop`]: crate::Collector::stop
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

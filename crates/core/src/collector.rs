@@ -4,7 +4,7 @@
 use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::sync::{Backoff, Mutex};
 
@@ -15,6 +15,16 @@ use crate::heap::{Heap, MarkOutcome, Phase};
 use crate::mutator::Mutator;
 use crate::stats::{CycleStats, GcStats};
 use crate::worklist::{LocalList, Staged};
+
+/// How often the paced collector polls occupancy while below the trigger
+/// watermark.
+const PACING_POLL: Duration = Duration::from_micros(200);
+
+/// Cap on the exponential backoff between consecutive paced cycles that
+/// fail to move occupancy below the high watermark — the live set simply
+/// doesn't fit below it, and re-running cycles back-to-back would
+/// degenerate into a stop-the-mutators storm.
+const PACING_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Identifier of a registered mutator, assigned at
 /// [`Collector::register_mutator`] and reported by
@@ -146,7 +156,7 @@ impl Shared {
             // retries. The retry below keeps marking sound.
             self.stats.barrier_cas_lost.fetch_add(1, Ordering::Relaxed);
         }
-        match self.heap.try_mark(g, fm, self.cfg.mark_cas) {
+        match self.heap.try_mark(g, fm) {
             MarkOutcome::Won => {
                 self.stats.barrier_cas_won.fetch_add(1, Ordering::Relaxed);
                 trace_event!(MarkCas { won: true });
@@ -169,11 +179,9 @@ impl Shared {
     /// answer its own handshake instead of deadlocking on it.
     fn handshake(&self, ty: HsTy, self_serve: &mut dyn FnMut()) -> HsOutcome {
         self.stats.handshakes.fetch_add(1, Ordering::Relaxed);
-        if self.cfg.handshake_fences {
-            // The collector's store fence: its control-variable writes are
-            // globally visible before any mutator sees the request.
-            fence(Ordering::SeqCst);
-        }
+        // The collector's store fence: its control-variable writes are
+        // globally visible before any mutator sees the request.
+        fence(Ordering::SeqCst);
         let gen = self.gen.fetch_add(1, Ordering::Relaxed) + 1;
         trace_event!(HandshakeBegin {
             generation: gen,
@@ -219,10 +227,7 @@ impl Shared {
                         {
                             continue;
                         }
-                        if self.cfg.evict_dead
-                            && m.beat.load(Ordering::Acquire) == beat0
-                            && self.try_evict(m)
-                        {
+                        if m.beat.load(Ordering::Acquire) == beat0 && self.try_evict(m) {
                             evicted = true;
                         } else {
                             stalled.push(m.id);
@@ -248,10 +253,8 @@ impl Shared {
             self_serve();
             backoff.wait();
         }
-        if self.cfg.handshake_fences {
-            // The collector's load fence after the round completes.
-            fence(Ordering::SeqCst);
-        }
+        // The collector's load fence after the round completes.
+        fence(Ordering::SeqCst);
         trace_event!(HandshakeEnd {
             generation: gen,
             ty: ty as u8,
@@ -590,7 +593,7 @@ impl Collector {
     /// Creates a collector with the given configuration. The heap starts
     /// empty and the collector idle.
     pub fn new(cfg: GcConfig) -> Self {
-        let heap = Heap::new(cfg.capacity, cfg.max_fields, cfg.validate);
+        let heap = Heap::new(cfg.capacity, cfg.max_fields);
         Collector {
             shared: Arc::new(Shared {
                 cfg,
@@ -664,13 +667,12 @@ impl Collector {
     /// Without [`GcConfig::pacing_high`](crate::GcConfig::pacing_high) the
     /// worker runs cycles back-to-back (the legacy behaviour). With it, the
     /// worker *paces* itself off the occupancy signal: it idles (polling
-    /// every [`pacing_poll`](crate::GcConfig::pacing_poll)) while occupancy
-    /// is below the high watermark, then cycles until occupancy drops below
-    /// the low watermark — and when consecutive cycles fail to get back
-    /// under the high watermark (the live set simply doesn't fit), it backs
-    /// off exponentially up to
-    /// [`pacing_backoff`](crate::GcConfig::pacing_backoff) instead of
-    /// hammering the mutators with back-to-back handshake storms.
+    /// every 200 µs) while occupancy is below the high watermark, then
+    /// cycles until occupancy drops below the low watermark — and when
+    /// consecutive cycles fail to get back under the high watermark (the
+    /// live set simply doesn't fit), it backs off exponentially up to 5 ms
+    /// instead of hammering the mutators with back-to-back handshake
+    /// storms.
     ///
     /// # Panics
     ///
@@ -693,8 +695,7 @@ impl Collector {
                     Some(high_pm) => {
                         let high = high_pm as f64 / 1000.0;
                         let low = shared.cfg.pacing_low as f64 / 1000.0;
-                        let poll = shared.cfg.pacing_poll;
-                        let mut backoff = Backoff::with_max_sleep(shared.cfg.pacing_backoff);
+                        let mut backoff = Backoff::with_max_sleep(PACING_BACKOFF);
                         while !shared.stop.load(Ordering::Acquire) {
                             let occ = shared.heap.occupancy();
                             trace_event!(Counter {
@@ -703,7 +704,7 @@ impl Collector {
                             });
                             if occ < high {
                                 backoff.reset();
-                                std::thread::sleep(poll);
+                                std::thread::sleep(PACING_POLL);
                                 continue;
                             }
                             // Triggered: cycle down to the hysteresis floor.
@@ -763,7 +764,7 @@ impl Collector {
         self.shared.chaos.suppressed.store(on, Ordering::Release);
     }
 
-    /// Internal access for the white-box debug hooks.
+    /// Internal access for the white-box integrity check.
     pub(crate) fn shared_for_debug(&self) -> &Shared {
         &self.shared
     }
@@ -893,7 +894,6 @@ mod tests {
             .capacity(8)
             .max_fields(1)
             .occupancy_pacing(500, 250)
-            .pacing_poll(Duration::from_micros(50))
             .build();
         let c = Collector::new(cfg);
         let mut m = c.register_mutator();

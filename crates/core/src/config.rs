@@ -86,9 +86,11 @@ impl Error for ConfigError {}
 /// Configuration for a [`Collector`](crate::Collector).
 ///
 /// Build one with [`GcConfig::builder`] (preferred) or [`GcConfig::new`].
-/// The ablation switches mirror the model's (`gc-model::ModelConfig`) so
-/// that the stress tests can reproduce on real threads exactly the failures
-/// the model checker exhibits as traces.
+/// The two barrier switches mirror the model's (`gc-model::ModelConfig`)
+/// so that the stress tests can reproduce on real threads the failures the
+/// model checker exhibits as traces. The marking CAS, the handshake fences
+/// and the use-after-free check have no switch: the runtime always runs the
+/// configuration the model verifies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GcConfig {
     /// Number of object slots in the heap.
@@ -96,20 +98,11 @@ pub struct GcConfig {
     /// Maximum reference fields per object (per-object counts are chosen at
     /// allocation, up to this bound).
     pub max_fields: usize,
-    /// Validate every heap access against the slot epoch (use-after-free
-    /// detection — the runtime oracle for the safety property). Costs two
-    /// relaxed loads per access; on for all tests.
-    pub validate: bool,
     /// **Ablation** — `false` removes the deletion barrier from
     /// [`Mutator::store`](crate::Mutator::store).
     pub deletion_barrier: bool,
     /// **Ablation** — `false` removes the insertion barrier.
     pub insertion_barrier: bool,
-    /// **Ablation** — `false` replaces the marking CAS by an
-    /// unsynchronised read-modify-write (racing markers may both "win").
-    pub mark_cas: bool,
-    /// **Ablation** — `false` removes the handshake fences.
-    pub handshake_fences: bool,
     /// Per-mutator allocation pool size (the §4 extension): each mutator
     /// reserves this many slots from the global free list at a time and
     /// allocates from them without synchronisation. `0` disables pooling
@@ -117,19 +110,16 @@ pub struct GcConfig {
     /// model).
     pub alloc_pool: usize,
     /// Handshake watchdog: how long a soft-handshake round may wait for
-    /// stragglers before the watchdog acts (evicting beat-less mutators
-    /// and/or aborting the cycle with
-    /// [`CycleOutcome::TimedOut`](crate::CycleOutcome::TimedOut)). `None`
+    /// stragglers before the watchdog acts. When it fires, it evicts the
+    /// mutators whose liveness beat never moved during the whole timeout
+    /// window — the signature of a thread that died (or was leaked)
+    /// without deregistering. Mutators that are beating but not
+    /// acknowledging are never evicted (they may still hold live roots);
+    /// they time the cycle out instead, with
+    /// [`CycleOutcome::TimedOut`](crate::CycleOutcome::TimedOut). `None`
     /// (the default) waits forever, as the verified model assumes every
     /// mutator eventually reaches a safe point.
     pub handshake_timeout: Option<Duration>,
-    /// When the watchdog fires, evict mutators whose liveness beat never
-    /// moved during the whole timeout window — the signature of a thread
-    /// that died (or was leaked) without deregistering. Mutators that are
-    /// beating but not acknowledging are never evicted (they may still hold
-    /// live roots); they time the cycle out instead. Only meaningful with
-    /// [`handshake_timeout`](GcConfig::handshake_timeout) set.
-    pub evict_dead: bool,
     /// Graceful degradation: how many emergency collection cycles
     /// [`Mutator::alloc`](crate::Mutator::alloc) attempts (with backoff)
     /// when the heap is full before surfacing
@@ -156,14 +146,6 @@ pub struct GcConfig {
     /// progress stalls, at which point the bounded pacing backoff takes
     /// over). Only meaningful with [`pacing_high`](GcConfig::pacing_high).
     pub pacing_low: u32,
-    /// Cap on the exponential backoff between consecutive paced cycles
-    /// that fail to move occupancy below the high watermark — the live
-    /// set simply doesn't fit below it, and re-running cycles
-    /// back-to-back would degenerate into a stop-the-mutators storm.
-    pub pacing_backoff: Duration,
-    /// How often the paced collector polls occupancy while below the
-    /// trigger watermark.
-    pub pacing_poll: Duration,
     /// Deterministic fault injection (see [`FaultPlan`]). The default
     /// [`FaultPlan::none`] is zero-cost on the hot paths.
     pub chaos: FaultPlan,
@@ -171,7 +153,7 @@ pub struct GcConfig {
 
 impl GcConfig {
     /// A builder seeded with the defaults of [`GcConfig::new(1024, 2)`]:
-    /// everything faithful, validation on.
+    /// both barriers on.
     ///
     /// [`GcConfig::new(1024, 2)`]: GcConfig::new
     pub fn builder() -> GcConfigBuilder {
@@ -181,7 +163,7 @@ impl GcConfig {
     }
 
     /// A configuration with the given heap capacity and per-object field
-    /// bound, everything faithful, validation on.
+    /// bound, both barriers on.
     ///
     /// # Panics
     ///
@@ -197,20 +179,14 @@ impl GcConfig {
         GcConfig {
             capacity,
             max_fields,
-            validate: true,
             deletion_barrier: true,
             insertion_barrier: true,
-            mark_cas: true,
-            handshake_fences: true,
             alloc_pool: 0,
             handshake_timeout: None,
-            evict_dead: true,
             alloc_retries: 2,
             emergency_backoff: Duration::from_millis(1),
             pacing_high: None,
             pacing_low: 500,
-            pacing_backoff: Duration::from_millis(5),
-            pacing_poll: Duration::from_micros(200),
             chaos: FaultPlan::none(),
         }
     }
@@ -265,13 +241,6 @@ impl GcConfigBuilder {
         self
     }
 
-    /// Switches the use-after-free validation oracle on or off.
-    #[must_use]
-    pub fn validate(mut self, on: bool) -> Self {
-        self.cfg.validate = on;
-        self
-    }
-
     /// **Ablation** — removes the deletion barrier when `false`.
     #[must_use]
     pub fn deletion_barrier(mut self, on: bool) -> Self {
@@ -283,21 +252,6 @@ impl GcConfigBuilder {
     #[must_use]
     pub fn insertion_barrier(mut self, on: bool) -> Self {
         self.cfg.insertion_barrier = on;
-        self
-    }
-
-    /// **Ablation** — replaces the marking CAS by an unsynchronised
-    /// read-modify-write when `false`.
-    #[must_use]
-    pub fn mark_cas(mut self, on: bool) -> Self {
-        self.cfg.mark_cas = on;
-        self
-    }
-
-    /// **Ablation** — removes the handshake fences when `false`.
-    #[must_use]
-    pub fn handshake_fences(mut self, on: bool) -> Self {
-        self.cfg.handshake_fences = on;
         self
     }
 
@@ -319,13 +273,6 @@ impl GcConfigBuilder {
     #[must_use]
     pub fn no_handshake_timeout(mut self) -> Self {
         self.cfg.handshake_timeout = None;
-        self
-    }
-
-    /// Whether the armed watchdog may evict beat-less mutators.
-    #[must_use]
-    pub fn evict_dead(mut self, on: bool) -> Self {
-        self.cfg.evict_dead = on;
         self
     }
 
@@ -368,22 +315,6 @@ impl GcConfigBuilder {
         self
     }
 
-    /// Caps the exponential backoff between consecutive paced cycles that
-    /// fail to bring occupancy below the high watermark.
-    #[must_use]
-    pub fn pacing_backoff(mut self, cap: Duration) -> Self {
-        self.cfg.pacing_backoff = cap;
-        self
-    }
-
-    /// Sets the occupancy poll interval for the paced collector while it
-    /// idles below the trigger watermark.
-    #[must_use]
-    pub fn pacing_poll(mut self, interval: Duration) -> Self {
-        self.cfg.pacing_poll = interval;
-        self
-    }
-
     /// Installs a fault-injection plan.
     #[must_use]
     pub fn chaos(mut self, plan: FaultPlan) -> Self {
@@ -419,8 +350,7 @@ mod tests {
     #[test]
     fn defaults_are_faithful() {
         let c = GcConfig::new(16, 2);
-        assert!(c.validate && c.deletion_barrier && c.insertion_barrier);
-        assert!(c.mark_cas && c.handshake_fences);
+        assert!(c.deletion_barrier && c.insertion_barrier);
         assert_eq!(c.alloc_pool, 0);
     }
 
@@ -436,33 +366,24 @@ mod tests {
         let c = GcConfig::builder()
             .capacity(512)
             .max_fields(3)
-            .validate(false)
             .deletion_barrier(false)
             .insertion_barrier(false)
-            .mark_cas(false)
-            .handshake_fences(false)
             .alloc_pool(7)
             .handshake_timeout(Duration::from_millis(9))
-            .evict_dead(false)
             .emergency_retries(5)
             .emergency_backoff(Duration::from_micros(200))
             .occupancy_pacing(900, 600)
-            .pacing_backoff(Duration::from_millis(7))
-            .pacing_poll(Duration::from_micros(50))
             .chaos(plan.clone())
             .build();
         assert_eq!(c.capacity, 512);
         assert_eq!(c.max_fields, 3);
-        assert!(!c.validate && !c.deletion_barrier && !c.insertion_barrier);
-        assert!(!c.mark_cas && !c.handshake_fences && !c.evict_dead);
+        assert!(!c.deletion_barrier && !c.insertion_barrier);
         assert_eq!(c.alloc_pool, 7);
         assert_eq!(c.handshake_timeout, Some(Duration::from_millis(9)));
         assert_eq!(c.alloc_retries, 5);
         assert_eq!(c.emergency_backoff, Duration::from_micros(200));
         assert_eq!(c.pacing_high, Some(900));
         assert_eq!(c.pacing_low, 600);
-        assert_eq!(c.pacing_backoff, Duration::from_millis(7));
-        assert_eq!(c.pacing_poll, Duration::from_micros(50));
         assert_eq!(c.chaos, plan);
         let c = GcConfig::builder()
             .occupancy_pacing(900, 600)

@@ -1,10 +1,5 @@
-//! White-box hooks for benchmarks and targeted tests.
-//!
-//! These setters bypass the collector's own cycle to place the control
-//! variables in a chosen state, so that benchmarks can measure an
-//! individual barrier path (Figure 5's fast path vs its CAS slow path) in
-//! isolation. They are **not** part of the supported API: calling them
-//! while a collection cycle runs voids the safety guarantee.
+//! A white-box consistency check for the torture harness and targeted
+//! tests. It is **not** part of the supported API.
 
 use std::sync::atomic::Ordering;
 
@@ -12,26 +7,6 @@ use crate::collector::Collector;
 use crate::heap::Phase;
 
 impl Collector {
-    /// Sets the collector phase directly (benchmarks/tests only).
-    #[doc(hidden)]
-    pub fn debug_set_phase(&self, phase: Phase) {
-        self.shared_for_debug()
-            .phase
-            .store(phase as u8, Ordering::Relaxed);
-    }
-
-    /// Sets the mark sense `f_M` directly (benchmarks/tests only).
-    #[doc(hidden)]
-    pub fn debug_set_fm(&self, fm: bool) {
-        self.shared_for_debug().fm.store(fm, Ordering::Relaxed);
-    }
-
-    /// Sets the allocation sense `f_A` directly (benchmarks/tests only).
-    #[doc(hidden)]
-    pub fn debug_set_fa(&self, fa: bool) {
-        self.shared_for_debug().fa.store(fa, Ordering::Relaxed);
-    }
-
     /// Exhaustive consistency check of collector and heap state — the
     /// oracle the torture harness runs between cycles. Blocks until no
     /// collection cycle is in flight, then verifies:
@@ -64,23 +39,7 @@ impl Collector {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Collector, GcConfig, Phase};
-
-    #[test]
-    fn debug_hooks_flip_control_state() {
-        let c = Collector::new(GcConfig::new(4, 1));
-        assert_eq!(c.phase(), Phase::Idle);
-        c.debug_set_phase(Phase::Mark);
-        assert_eq!(c.phase(), Phase::Mark);
-        c.debug_set_fm(true);
-        c.debug_set_fa(true);
-        let mut m = c.register_mutator();
-        // Allocation uses the forced f_A: the object is born "marked".
-        let a = m.alloc(1).unwrap();
-        let b = m.alloc(1).unwrap();
-        m.store(a, 0, Some(b)); // fast path: b already marked
-        assert_eq!(c.stats().barrier_cas_won(), 0);
-    }
+    use crate::{Collector, GcConfig};
 
     #[test]
     fn integrity_check_passes_on_a_quiesced_collector() {

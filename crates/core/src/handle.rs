@@ -7,9 +7,8 @@ use std::fmt;
 ///
 /// The epoch is bumped every time a slot is freed, so a stale handle — one
 /// that survived the collection of its object — can never be confused with
-/// a handle to the slot's next tenant. With validation enabled (the
-/// default; see [`GcConfig::validate`](crate::GcConfig)), every heap access
-/// through a stale handle panics immediately: this is the runtime oracle
+/// a handle to the slot's next tenant. Every heap access through a stale
+/// handle panics immediately: this is the runtime oracle
 /// for the paper's safety property, and it is what the barrier-ablation
 /// stress tests trip.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

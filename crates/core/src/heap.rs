@@ -186,11 +186,10 @@ pub(crate) struct Heap {
     fields: Box<[AtomicU64]>,
     free: FreeList,
     max_fields: usize,
-    validate: bool,
 }
 
 impl Heap {
-    pub(crate) fn new(capacity: usize, max_fields: usize, validate: bool) -> Self {
+    pub(crate) fn new(capacity: usize, max_fields: usize) -> Self {
         let slots = (0..capacity)
             .map(|_| Slot {
                 header: AtomicU64::new(pack(false, false, 0, 0)),
@@ -205,7 +204,6 @@ impl Heap {
             // Lowest-index-first allocation, matching the model.
             free: FreeList(Mutex::new((0..capacity as u32).rev().collect())),
             max_fields,
-            validate,
         }
     }
 
@@ -223,16 +221,12 @@ impl Heap {
     }
 
     /// Panics if `g` no longer refers to a live object — the
-    /// use-after-free oracle.
+    /// use-after-free oracle, run on every heap access.
     ///
     /// # Panics
     ///
-    /// Panics when validation is enabled and the slot is unallocated or
-    /// from a different epoch.
+    /// Panics when the slot is unallocated or from a different epoch.
     pub(crate) fn check(&self, g: Gc) {
-        if !self.validate {
-            return;
-        }
         let h = self.slot(g).header.load(Ordering::Acquire);
         assert!(
             hdr_alloc(h) && hdr_epoch(h) == g.epoch(),
@@ -335,9 +329,8 @@ impl Heap {
     }
 
     /// The marking CAS (Figure 5 lines 5–11): try to take the flag from
-    /// `!fm` to `fm` atomically. With `cas = false` (ablation) the update
-    /// is an unsynchronised read-then-write and always claims victory.
-    pub(crate) fn try_mark(&self, g: Gc, fm: bool, cas: bool) -> MarkOutcome {
+    /// `!fm` to `fm` atomically.
+    pub(crate) fn try_mark(&self, g: Gc, fm: bool) -> MarkOutcome {
         self.check(g);
         let slot = self.slot(g);
         let h = slot.header.load(Ordering::Acquire);
@@ -348,19 +341,12 @@ impl Heap {
             return MarkOutcome::AlreadyMarked;
         }
         let marked = (h & !FLAG_BIT) | u64::from(fm);
-        if cas {
-            match slot
-                .header
-                .compare_exchange(h, marked, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => MarkOutcome::Won,
-                Err(_) => MarkOutcome::Lost, // some other thread marked it
-            }
-        } else {
-            // Ablation: racy read-modify-write; concurrent markers can
-            // both observe unmarked and both claim the win.
-            slot.header.store(marked, Ordering::Relaxed);
-            MarkOutcome::Won
+        match slot
+            .header
+            .compare_exchange(h, marked, Ordering::SeqCst, Ordering::SeqCst)
+        {
+            Ok(_) => MarkOutcome::Won,
+            Err(_) => MarkOutcome::Lost, // some other thread marked it
         }
     }
 
@@ -468,7 +454,7 @@ mod tests {
     use super::*;
 
     fn heap() -> Heap {
-        Heap::new(4, 2, true)
+        Heap::new(4, 2)
     }
 
     #[test]
@@ -519,12 +505,12 @@ mod tests {
     fn mark_cas_has_unique_winner() {
         let h = heap();
         let a = h.alloc(0, false).unwrap(); // flag = false
-        assert_eq!(h.try_mark(a, true, true), MarkOutcome::Won);
-        assert_eq!(h.try_mark(a, true, true), MarkOutcome::AlreadyMarked);
+        assert_eq!(h.try_mark(a, true), MarkOutcome::Won);
+        assert_eq!(h.try_mark(a, true), MarkOutcome::AlreadyMarked);
         assert!(h.flag_equals(a, true));
         // Flipping the sense makes it "unmarked" again without a write.
         assert!(!h.flag_equals(a, false));
-        assert_eq!(h.try_mark(a, false, true), MarkOutcome::Won);
+        assert_eq!(h.try_mark(a, false), MarkOutcome::Won);
     }
 
     #[test]

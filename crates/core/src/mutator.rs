@@ -482,10 +482,7 @@ impl Mutator {
     /// `Drop` (a deregistering mutator answers unconditionally: silence is
     /// a fault of running threads, not an excuse to wedge a clean exit).
     fn answer(&mut self, req: u32) {
-        let fences = self.shared.cfg.handshake_fences;
-        if fences {
-            fence(Ordering::SeqCst); // accepting load fence
-        }
+        fence(Ordering::SeqCst); // accepting load fence
         match req & 3 {
             2 => {
                 // GetRoots: mark and transfer the roots.
@@ -507,9 +504,7 @@ impl Mutator {
                 }
             }
         }
-        if fences {
-            fence(Ordering::SeqCst); // completing store fence
-        }
+        fence(Ordering::SeqCst); // completing store fence
         self.me.ack.store(req, Ordering::Release);
         self.last_acked = req;
     }
@@ -591,9 +586,7 @@ impl Drop for Mutator {
         }
         self.transfer();
         self.return_reserve();
-        if self.shared.cfg.handshake_fences {
-            fence(Ordering::SeqCst);
-        }
+        fence(Ordering::SeqCst);
         self.me.active.store(false, Ordering::Release);
         let mut reg = self.shared.registry.lock();
         reg.retain(|m| !Arc::ptr_eq(m, &self.me));
@@ -659,6 +652,10 @@ mod tests {
             .store(crate::Phase::Mark as u8, Ordering::Relaxed);
         m.store(a, 0, Some(b)); // insertion barrier must grey b
         assert!(m.shared.heap.flag_equals(b, true));
+        assert_eq!(m.wl.len(), 1);
+        assert_eq!(c.stats().barrier_cas_won(), 1);
+        // Both barriers now meet a marked target: the fast path, no CAS.
+        m.store(a, 0, Some(b));
         assert_eq!(m.wl.len(), 1);
         assert_eq!(c.stats().barrier_cas_won(), 1);
     }

@@ -141,7 +141,7 @@ mod tests {
     use super::*;
 
     fn heap() -> Heap {
-        Heap::new(8, 1, true)
+        Heap::new(8, 1)
     }
 
     #[test]
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn concurrent_transfers_preserve_every_entry() {
         use std::sync::Arc;
-        let h = Arc::new(Heap::new(64, 0, true));
+        let h = Arc::new(Heap::new(64, 0));
         let staged = Arc::new(Staged::new());
         let handles: Vec<_> = (0..4)
             .map(|t| {

@@ -11,8 +11,8 @@ type CheckFn<S> = Box<dyn Fn(&S) -> Option<&'static str> + Send + Sync>;
 /// violated sub-check otherwise. Bundling lets expensive shared analysis
 /// (e.g. a heap reconstruction) happen once per state.
 ///
-/// Checking closures must be `Send + Sync`: with [`Strategy::Bfs`]
-/// (crate::Strategy::Bfs) at more than one thread, properties are evaluated
+/// Checking closures must be `Send + Sync`: with
+/// [`Strategy::Bfs`](crate::Strategy::Bfs) at more than one thread, properties are evaluated
 /// concurrently on newly discovered states. Observer properties that
 /// accumulate statistics should guard their state with a `Mutex` (and be
 /// run single-threaded when exact per-state visit counts matter).

@@ -2,7 +2,7 @@
 //!
 //! Both the collector (mark loop) and the mutators (write barriers, root
 //! marking) execute this sequence. The caller primes the thread's
-//! [`MarkScratch`](crate::state::MarkScratch) `target` register with the
+//! [`MarkScratch`] `target` register with the
 //! reference to mark (or `None` for a `mark(NULL)`, which is skipped
 //! structurally with zero steps); on completion the scratch is reset.
 //!
@@ -36,7 +36,7 @@ use crate::Prog;
 
 /// Abstract shared-memory regions of the model, used for the static
 /// [`MemEffect`] annotations consumed by `gc-analysis`. One region per
-/// [`Addr`](crate::vocab::Addr) constructor: the analysis does not track
+/// [`Addr`] constructor: the analysis does not track
 /// individual objects or fields.
 pub mod regions {
     use cimp::AbsLoc;

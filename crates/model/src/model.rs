@@ -190,7 +190,11 @@ impl TransitionSystem for GcModel {
 
 #[cfg(test)]
 mod tests {
+    use std::hash::{BuildHasher, BuildHasherDefault};
+
     use super::*;
+    use crate::config::InitialHeap;
+    use crate::ModelState;
 
     #[test]
     fn model_builds_and_has_initial_state() {
@@ -219,5 +223,108 @@ mod tests {
         assert_eq!(model.system().len(), 4);
         let init = &model.initial_states()[0];
         assert!(!model.successors(init).is_empty());
+    }
+
+    fn hashed(s: &ModelState) -> u64 {
+        BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(s)
+    }
+
+    /// `s` built afresh from its control stacks and local states: a state
+    /// that has never popped a stack frame or committed a store, whose
+    /// digests are all computed anew and which carries no slot ids.
+    fn twin(s: &ModelState) -> ModelState {
+        let locals: Vec<Local> = (0..s.len()).map(|p| s.local(p)).collect();
+        SystemState::from_parts(s.controls(), &locals)
+    }
+
+    /// Along seeded random walks of three configurations — deep buffers
+    /// with every canonicalization applied, two fields with allocation, and
+    /// three mutators — every state and each of its canonical forms
+    /// (symmetry-permuted, buffer-coalesced, both) is `==` to its fresh
+    /// twin and hashes like it, and for each pair of a state with a recent
+    /// one, with its twin and with its canonical forms, `a == b` and
+    /// `hash(a) == hash(b)` agree. A slot left behind in an inline stack,
+    /// buffer or memory table would break one of these, and so would a
+    /// canonicalization that left a process's digest stale: release builds
+    /// do not check digests on `hash`, so this is where that shows.
+    #[test]
+    fn equality_and_hash_agree_along_random_walks() {
+        let only = |symmetry, sb_canon| Reduction {
+            por: false,
+            symmetry,
+            sb_canon,
+        };
+        let canonicalizations = [Reduction::all(), only(true, false), only(false, true)];
+        let mut changed = [0usize; 3];
+        let mut deep = ModelConfig::small(2, 2);
+        deep.initial = InitialHeap::shared_object(2, 1);
+        deep.buffer_cap = 6;
+        let mut wide = ModelConfig::small(2, 3);
+        wide.fields = 2;
+        wide.initial = InitialHeap::shared_object(2, 2);
+        let mut compared = 0usize;
+        for cfg in [deep, wide, ModelConfig::small(3, 5)] {
+            let model = GcModel::new(cfg);
+            for seed in 0..4u64 {
+                let mut rng = seed;
+                let mut state = model.initial_states()[0];
+                let mut recent: Vec<ModelState> = Vec::new();
+                for _ in 0..1_500 {
+                    let fresh = twin(&state);
+                    let canonical = canonicalizations.map(|r| model.canonicalize(&state, &r));
+                    for (c, count) in canonical.iter().zip(&mut changed) {
+                        let c_twin = twin(c);
+                        assert_eq!(c_twin, *c);
+                        assert_eq!(hashed(&c_twin), hashed(c));
+                        *count += usize::from(*c != state);
+                    }
+                    for other in recent.iter().chain([&fresh]).chain(&canonical) {
+                        // Distinct states may share a 64-bit hash, but not
+                        // among the few thousand pairs compared here.
+                        assert_eq!(state == *other, hashed(&state) == hashed(other));
+                        compared += 1;
+                    }
+                    assert_eq!(fresh, state, "fresh twin");
+                    recent.push(state);
+                    if recent.len() > 8 {
+                        recent.remove(0);
+                    }
+                    let succs = model.successors(&state);
+                    rng = rng
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    state = succs[(rng >> 33) as usize % succs.len()].1;
+                }
+            }
+        }
+        assert!(compared > 100_000);
+        // Measured [1160, 1153, 7]: adjacent duplicate stores are rare.
+        assert!(
+            changed.iter().all(|&n| n > 0),
+            "a canonicalization changed no state: {changed:?}"
+        );
+    }
+
+    /// Truncations, trailing garbage and ids no memo issued all fail to
+    /// decode cleanly.
+    #[test]
+    fn decode_rejects_malformed_input() {
+        let model = GcModel::new(ModelConfig::default());
+        let (_, state) = model.successors(&model.initial_states()[0]).swap_remove(0);
+        let mut ids = Vec::new();
+        assert!(model.encode_state(&state, &mut ids));
+        assert_eq!(model.decode_state(&ids), Some(state));
+        assert!(model.decode_state(&[7]).is_none());
+        for cut in 0..ids.len() {
+            assert!(model.decode_state(&ids[..cut]).is_none(), "cut at {cut}");
+        }
+        let mut padded = ids.clone();
+        padded.push(0);
+        assert!(model.decode_state(&padded).is_none());
+        for p in 0..state.len() {
+            let mut wrong = ids.clone();
+            wrong[4 * p..4 * p + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(model.decode_state(&wrong).is_none(), "process {p}");
+        }
     }
 }

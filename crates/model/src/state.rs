@@ -6,9 +6,8 @@
 //! inline — so a global state is cloned with a `memcpy`. Each role's state
 //! also folds into a few words (`words`): sets as they are, every scalar
 //! field bit-packed into one more. Those words are what `Hash` feeds the
-//! hasher and what [`codec`](crate::codec) writes: a process's digest in the
-//! global state (`cimp::SystemState`) and its spilled form are two readings
-//! of one thing, and a fingerprint is a hash of the digests.
+//! hasher: a process's digest in the global state (`cimp::SystemState`) is
+//! a hash of them, and a fingerprint is a hash of the digests.
 
 use std::hash::{Hash, Hasher};
 
@@ -52,7 +51,7 @@ impl Pack {
     /// # Panics
     ///
     /// Panics if a field outgrew its width (or the fields the word): that
-    /// would make distinct states hash and encode alike.
+    /// would make distinct states hash alike.
     /// [`ModelConfig::validate`](crate::ModelConfig::validate) keeps every
     /// counter within its bits.
     fn word(self) -> u64 {
@@ -83,54 +82,6 @@ impl Pack {
             .opt_flag(m.flag)
             .flag(m.phase_ok)
             .flag(m.winner)
-    }
-}
-
-/// Reads back what [`Pack`] wrote, in the same order. Each reader returns
-/// `None` on a bit pattern no field value packs to.
-struct Unpack(u64);
-
-impl Unpack {
-    fn bits(&mut self, width: u32) -> u64 {
-        let value = self.0 & ((1 << width) - 1);
-        self.0 >>= width;
-        value
-    }
-
-    fn flag(&mut self) -> bool {
-        self.bits(1) == 1
-    }
-
-    fn opt_ref(&mut self) -> Option<Option<Ref>> {
-        match self.bits(7) {
-            0 => Some(None),
-            n if n <= RefSet::CAPACITY as u64 => Some(Some(Ref::new(n as u8 - 1))),
-            _ => None,
-        }
-    }
-
-    fn opt_flag(&mut self) -> Option<Option<bool>> {
-        match self.bits(2) {
-            0 => Some(None),
-            n @ (1 | 2) => Some(Some(n == 2)),
-            _ => None,
-        }
-    }
-
-    fn mark(&mut self) -> Option<MarkScratch> {
-        Some(MarkScratch {
-            target: self.opt_ref()?,
-            fm: self.flag(),
-            expected: self.flag(),
-            flag: self.opt_flag()?,
-            phase_ok: self.flag(),
-            winner: self.flag(),
-        })
-    }
-
-    /// All bits read: nothing but zeroes may be left.
-    fn done(self) -> Option<()> {
-        (self.0 == 0).then_some(())
     }
 }
 
@@ -216,25 +167,6 @@ impl GcState {
             self.sweep_refs.bits(),
             scalars.word(),
         ]
-    }
-
-    /// The state [`words`](GcState::words) made `words` from.
-    pub(crate) fn from_words([wl, sweep_refs, scalars]: [u64; 3]) -> Option<Self> {
-        let mut u = Unpack(scalars);
-        let state = GcState {
-            fm: u.flag(),
-            wl: RefSet::from_bits(wl).into(),
-            ghost_honorary_grey: u.opt_ref()?,
-            mark: u.mark()?,
-            hs_idx: u.bits(3) as u8,
-            scan_src: u.opt_ref()?,
-            scan_fld: u.bits(3) as u8,
-            sweep_refs: RefSet::from_bits(sweep_refs),
-            sweep_cur: u.opt_ref()?,
-            sweep_flag: u.opt_flag()?,
-        };
-        u.done()?;
-        Some(state)
     }
 }
 
@@ -334,29 +266,6 @@ impl MutState {
             scalars.word(),
         ]
     }
-
-    /// The state [`words`](MutState::words) made `words` from.
-    pub(crate) fn from_words([roots, wl, roots_to_mark, scalars]: [u64; 4]) -> Option<Self> {
-        let mut u = Unpack(scalars);
-        let state = MutState {
-            idx: u.bits(3) as u8,
-            roots: RefSet::from_bits(roots),
-            wl: RefSet::from_bits(wl).into(),
-            ghost_honorary_grey: u.opt_ref()?,
-            ghost_hs_phase: HsPhase::ALL[u.bits(2) as usize],
-            ghost_roots_done: u.flag(),
-            mark: u.mark()?,
-            st_dst: u.opt_ref()?,
-            st_src: u.opt_ref()?,
-            st_fld: u.bits(3) as u8,
-            st_deleted: u.opt_ref()?,
-            st_active: u.flag(),
-            hs_type: u.bits(2).checked_sub(1).map(|ty| HsType::ALL[ty as usize]),
-            roots_to_mark: RefSet::from_bits(roots_to_mark),
-        };
-        u.done()?;
-        Some(state)
-    }
 }
 
 impl Hash for MutState {
@@ -417,28 +326,6 @@ impl SysState {
             self.w_staged.as_set().bits(),
             scalars.word(),
         ]
-    }
-
-    /// The state [`words`](SysState::words) made `words` from, around
-    /// `mem`.
-    pub(crate) fn from_words(
-        [heap, w_staged, scalars]: [u64; 3],
-        mem: Machine<Addr, Val>,
-    ) -> Option<Self> {
-        let mut u = Unpack(scalars);
-        let state = SysState {
-            mem,
-            heap: RefSet::from_bits(heap),
-            hs_type: *HsType::ALL.get(u.bits(2) as usize)?,
-            hs_pending: u.bits(8) as u8,
-            ghost_hs_flagged: u.bits(8) as u8,
-            w_staged: RefSet::from_bits(w_staged).into(),
-            ghost_gc_phase: HsPhase::ALL[u.bits(2) as usize],
-            ghost_gc_prev_phase: HsPhase::ALL[u.bits(2) as usize],
-            ghost_roots_phase: u.flag(),
-        };
-        u.done()?;
-        Some(state)
     }
 
     /// Whether hardware thread `tid` may read memory / commit stores.

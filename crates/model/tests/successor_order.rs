@@ -7,17 +7,23 @@
 //! renumbers every link, which the recorded counterexamples catch only by
 //! chance. So for the benchmark's three instances the first 20,000 states
 //! are expanded breadth-first, and each expansion's ordered list of
-//! (action as displayed, encoded successor) is folded into a running
+//! (action as displayed, successor as displayed) is folded into a running
 //! digest, compared at expansions 1, 2, 4, …, 16,384 and 20,000 with the
 //! digests the model produced before its successor computation was last
 //! rewritten. On a mismatch the test names the first checkpoint that
 //! differs and prints the first state of the expansions before it.
+//!
+//! A successor is displayed as each process's control stack and local
+//! state in `Debug` form: text that names the state without the model
+//! that reached it (the model's own encoding is slot ids, which name
+//! states only within one model's memos), and that no change to how states
+//! hash can move (the whole state's `Debug` also prints its digests).
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
 
 use cimp::ProcId;
-use gc_model::{codec, GcModel, InitialHeap, ModelConfig, ModelState};
+use gc_model::{GcModel, InitialHeap, ModelConfig, ModelState};
 use mc::TransitionSystem;
 
 const EXPANSIONS: usize = 20_000;
@@ -64,19 +70,25 @@ impl Fnv {
     }
 }
 
-/// One expansion: each successor's action as displayed, its
-/// self-contained encoding ([`codec::encode`]: the model's own encoding is
-/// slot ids, which name states only within one model) and itself, in the
+/// `state` as each process's control stack and local state in `Debug`
+/// form, one line each.
+fn display(state: &ModelState) -> String {
+    let mut text = String::new();
+    for p in 0..state.len() {
+        let _ = writeln!(text, "{:?} {:?}", state.control(p), state.local(p));
+    }
+    text
+}
+
+/// One expansion: each successor's action as displayed and itself, in the
 /// order the model lists them.
-fn expansion(model: &GcModel, state: &ModelState) -> Vec<(String, Vec<u8>, ModelState)> {
+fn expansion(model: &GcModel, state: &ModelState) -> Vec<(String, ModelState)> {
     let mut succs = Vec::new();
     model.successors_into(state, &mut succs);
-    let listed = succs.into_iter().map(|(action, succ)| {
-        let mut bytes = Vec::new();
-        codec::encode(&succ, &mut bytes);
-        (action.to_string(), bytes, succ)
-    });
-    listed.collect()
+    succs
+        .into_iter()
+        .map(|(action, succ)| (action.to_string(), succ))
+        .collect()
 }
 
 /// The running digest at each checkpoint, and the state expanded first
@@ -84,10 +96,7 @@ fn expansion(model: &GcModel, state: &ModelState) -> Vec<(String, Vec<u8>, Model
 fn digests(cfg: ModelConfig) -> (Vec<u64>, Vec<ModelState>) {
     let model = GcModel::new(cfg);
     let init = model.initial_states()[0];
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
-    let mut bytes = Vec::new();
-    codec::encode(&init, &mut bytes);
-    seen.insert(bytes);
+    let mut seen: HashSet<ModelState> = HashSet::from([init]);
     let mut frontier = VecDeque::from([init]);
     let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
     let (mut at, mut firsts) = (Vec::new(), vec![init]);
@@ -96,10 +105,10 @@ fn digests(cfg: ModelConfig) -> (Vec<u64>, Vec<ModelState>) {
         let state = frontier.pop_front().expect("the instance has more states");
         let listed = expansion(&model, &state);
         digest.eat(&(listed.len() as u64).to_le_bytes());
-        for (action, bytes, succ) in listed {
+        for (action, succ) in listed {
             digest.field(action.as_bytes());
-            digest.field(&bytes);
-            if seen.insert(bytes) {
+            digest.field(display(&succ).as_bytes());
+            if seen.insert(succ) {
                 frontier.push_back(succ);
             }
         }
@@ -121,13 +130,11 @@ fn check(name: &str, cfg: ModelConfig, recorded: [u64; 16]) {
     let from = if k == 0 { 1 } else { stops[k - 1] + 1 };
     let first = &firsts[k];
     let mut shown = String::new();
-    for p in 0..first.len() {
-        let name = model.system().name(ProcId(p));
-        let (control, local) = (first.control(p), first.local(p));
-        let _ = writeln!(shown, "  {name}: {control:?} {local:?}");
+    for (p, line) in display(first).lines().enumerate() {
+        let _ = writeln!(shown, "  {}: {line}", model.system().name(ProcId(p)));
     }
     shown += "into, in order:\n";
-    for (action, ..) in expansion(&model, first) {
+    for (action, _) in expansion(&model, first) {
         let _ = writeln!(shown, "  {action}");
     }
     panic!(
@@ -144,22 +151,22 @@ fn check_raw_lists_successors_in_the_recorded_order() {
         "check-raw",
         flagship(2),
         [
-            0x423a_310e_7556_7ec8,
-            0x4f15_4bad_0f70_2a5d,
-            0x2bac_8060_8566_54bc,
-            0xdf4a_7d00_8662_83fd,
-            0x0a86_f42e_1848_fd35,
-            0xc2eb_f6f8_62ad_3b3f,
-            0x1d6d_bb3c_c5fe_b9a7,
-            0x974f_d3e7_e829_3b85,
-            0xaebd_ca3a_54b0_cbfa,
-            0x906d_a614_3039_2d2c,
-            0xf86d_c4db_252b_48c8,
-            0x3f77_ce41_5943_49cc,
-            0x7fc7_b59c_e8c9_0f8f,
-            0x319f_5e04_60a9_72dd,
-            0x02be_dca5_96d0_051e,
-            0x32d4_242b_ff77_c6fb,
+            0x35ef_7f85_270a_e705,
+            0xfa56_736d_9bda_5424,
+            0xbb70_cf10_283b_e075,
+            0x7985_d11d_d1a1_fd97,
+            0x9b13_b185_69aa_cd0d,
+            0x88b5_0a3b_04b0_767b,
+            0xd4a5_d749_2ad9_ef5d,
+            0xcfd0_cb66_0419_8f6e,
+            0xffb5_1152_5c58_6c34,
+            0xb582_89cd_0d82_e6df,
+            0x9402_197f_1009_b11b,
+            0x6d05_9706_b0bd_df04,
+            0x563d_a6aa_b4cd_45a9,
+            0xa356_6701_83b0_8f3c,
+            0x1aa6_a933_3009_e4e7,
+            0xbaba_f5ac_b4c5_8c61,
         ],
     );
 }
@@ -170,22 +177,22 @@ fn check_reduced_lists_successors_in_the_recorded_order() {
         "check-reduced",
         flagship(6),
         [
-            0x423a_310e_7556_7ec8,
-            0x4f15_4bad_0f70_2a5d,
-            0x2bac_8060_8566_54bc,
-            0xdf4a_7d00_8662_83fd,
-            0x0a86_f42e_1848_fd35,
-            0xc2eb_f6f8_62ad_3b3f,
-            0x1d6d_bb3c_c5fe_b9a7,
-            0x974f_d3e7_e829_3b85,
-            0xaebd_ca3a_54b0_cbfa,
-            0x906d_a614_3039_2d2c,
-            0xf86d_c4db_252b_48c8,
-            0x3f77_ce41_5943_49cc,
-            0x7876_28ff_a1d5_d5d9,
-            0x20db_0892_3467_2f38,
-            0xe5c1_ea4d_158d_c478,
-            0x3eec_a0a0_58f8_1340,
+            0x35ef_7f85_270a_e705,
+            0xfa56_736d_9bda_5424,
+            0xbb70_cf10_283b_e075,
+            0x7985_d11d_d1a1_fd97,
+            0x9b13_b185_69aa_cd0d,
+            0x88b5_0a3b_04b0_767b,
+            0xd4a5_d749_2ad9_ef5d,
+            0xcfd0_cb66_0419_8f6e,
+            0xffb5_1152_5c58_6c34,
+            0xb582_89cd_0d82_e6df,
+            0x9402_197f_1009_b11b,
+            0x6d05_9706_b0bd_df04,
+            0xbff1_b784_fbf2_cddd,
+            0x9ad1_9832_484b_c645,
+            0xb57f_62c9_3825_b713,
+            0x1a8a_79e7_daa3_97eb,
         ],
     );
 }
@@ -196,22 +203,22 @@ fn check_heap_par_lists_successors_in_the_recorded_order() {
         "check-heap-par",
         heap_churn(),
         [
-            0x0949_d715_35e4_1ebe,
-            0xb1be_9605_ef30_68c1,
-            0x89d6_d7c5_dc5e_74b6,
-            0x0c72_6619_0fdc_1e3e,
-            0x74c4_7e25_de7b_2906,
-            0xa108_be3e_efd6_ac5b,
-            0xc406_23ce_c5f4_ece1,
-            0xa67d_bfa8_a920_b5ec,
-            0x4d40_d5ef_5b92_1e19,
-            0x781f_bf61_f621_a014,
-            0xc08b_b1c1_119a_9bdd,
-            0x55e5_7def_1c37_b5e4,
-            0x6e03_3748_44d0_a9a7,
-            0x5416_b380_a2a8_d7c6,
-            0x7bea_44bb_8673_7d3f,
-            0x0854_7b1b_2240_5e2e,
+            0xb359_c9db_9f3e_1885,
+            0x1b79_bb90_f3fe_1f5e,
+            0xdf4d_d94c_db18_2e73,
+            0xf316_7327_acb9_e09c,
+            0x087a_db9e_a46a_02d8,
+            0x853d_4b34_1d8d_9c94,
+            0x01dc_7c29_a521_dfb3,
+            0x4837_47f8_c2c4_2926,
+            0xbf5d_cd83_39be_d599,
+            0xaaf2_a139_89e1_339b,
+            0x53f0_cf7e_ee6a_a579,
+            0xa6d5_0fa7_163d_b6f3,
+            0xc104_1487_5c75_b047,
+            0x4f76_9a43_9d6b_4cad,
+            0xc515_d0c3_05ac_4be6,
+            0xad89_9e22_efa1_4eab,
         ],
     );
 }

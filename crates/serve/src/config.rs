@@ -147,7 +147,6 @@ impl ServeConfig {
             .capacity(self.capacity)
             .max_fields(2)
             .handshake_timeout(self.handshake_timeout)
-            .evict_dead(true)
             .emergency_retries(self.alloc_retries)
             .emergency_backoff(self.emergency_backoff)
             .chaos(self.chaos.clone());

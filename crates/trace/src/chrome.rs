@@ -1,7 +1,7 @@
 //! Exporters: Chrome trace-event JSON (loadable in Perfetto / `chrome://
 //! tracing`) and a flat JSONL stream.
 //!
-//! Both render an event's [`Record`](crate::event::Record) — its name,
+//! Both render an event's [`Record`] — its name,
 //! category, role and fields — so the two views cannot disagree. Each
 //! [`TrackDump`] becomes one Chrome thread track (`tid` = track id, named
 //! via `thread_name` metadata). Events that open and close spans become

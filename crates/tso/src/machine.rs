@@ -137,17 +137,12 @@ pub const MAX_THREADS: usize = 8;
 pub const BUFFER_CAPACITY: usize = 8;
 /// Mapped locations the shared memory of a [`Machine`] can hold.
 pub const MEMORY_CELLS: usize = 32;
-/// The longest a machine's contents get: the header, a full memory and
-/// every buffer full, rounded up to whole words.
-const CONTENTS_MAX: usize =
-    (4 + MAX_THREADS + 2 * MEMORY_CELLS + MAX_THREADS * 2 * BUFFER_CAPACITY).next_multiple_of(8);
-
 /// An address or a value the machine keeps in its inline tables: anything
 /// that round-trips through one byte.
 ///
 /// The machine stores bytes, never `A` or `V` themselves, so a whole
 /// machine is a few dozen bytes of plain data: copying one is a `memcpy`
-/// and [`Machine::encode`] is a view of what is already there. Shared
+/// and hashing one reads what is already there. Shared
 /// memory is kept in ascending order of the addresses' bytes, which is the
 /// order [`Machine::memory_iter`] yields.
 pub trait Cell: Copy {
@@ -302,8 +297,8 @@ impl<A: Cell + fmt::Debug, V: Cell + fmt::Debug> fmt::Debug for StoreBuffer<A, V
 /// The whole machine is inline and `Copy`: shared memory is a table of at
 /// most [`MEMORY_CELLS`] `(address, value)` byte pairs sorted by address,
 /// and each of at most [`MAX_THREADS`] threads has a [`StoreBuffer`] of
-/// [`BUFFER_CAPACITY`]. Equality, hashing and [`encode`](Machine::encode)
-/// read the live prefix of each table and nothing else, so two machines are
+/// [`BUFFER_CAPACITY`]. Equality and hashing read the live prefix of each
+/// table and nothing else, so two machines are
 /// equal exactly when they were driven to the same contents, whatever was
 /// written and popped on the way.
 ///
@@ -416,76 +411,6 @@ impl<A, V> Machine<A, V> {
                 self.cells += 1;
             }
         }
-    }
-
-    /// The machine's contents — a header carrying every table length, then
-    /// the live prefix of each table — at the front of a zeroed buffer, and
-    /// their length: what [`Machine::encode`] writes.
-    fn contents(&self) -> ([u8; CONTENTS_MAX], usize) {
-        let mut bytes = [0u8; CONTENTS_MAX];
-        let mut len = 0;
-        let mut put = |part: &[u8]| {
-            bytes[len..len + part.len()].copy_from_slice(part);
-            len += part.len();
-        };
-        let lock = self.lock.map_or(0, |t| 1 + t.0 as u8);
-        put(&[self.model as u8, self.threads, lock, self.cells]);
-        let buffers = &self.buffers[..self.threads()];
-        buffers.iter().for_each(|buffer| put(&[buffer.len]));
-        put(self.live_memory());
-        buffers.iter().for_each(|buffer| put(buffer.live()));
-        (bytes, len)
-    }
-
-    /// Appends the machine's contents to `out`: [`Machine::decode`] reads
-    /// them back into an equal machine. Equal machines encode equally.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        let (bytes, len) = self.contents();
-        out.extend_from_slice(&bytes[..len]);
-    }
-
-    /// Reads a machine written by [`Machine::encode`] off the front of
-    /// `bytes`, returning it with the bytes that follow. `None` if `bytes`
-    /// is not such an encoding.
-    pub fn decode(bytes: &[u8]) -> Option<(Self, &[u8])> {
-        let (&[model, threads, lock, cells], mut rest) = bytes.split_first_chunk::<4>()?;
-        let model = match model {
-            0 => MemoryModel::Tso,
-            1 => MemoryModel::Sc,
-            _ => return None,
-        };
-        let n = usize::from(threads);
-        if n > MAX_THREADS || usize::from(lock) > n || usize::from(cells) > MEMORY_CELLS {
-            return None;
-        }
-        let mut take = |len: usize| {
-            let (front, back) = rest.split_at_checked(len)?;
-            rest = back;
-            Some(front)
-        };
-        let lens = take(n)?;
-        let mut machine = Machine {
-            model,
-            threads,
-            lock: lock.checked_sub(1).map(|t| ThreadId(usize::from(t))),
-            cells,
-            memory: [0; 2 * MEMORY_CELLS],
-            buffers: [StoreBuffer::new(); MAX_THREADS],
-        };
-        let memory = take(2 * usize::from(cells))?;
-        machine.memory[..memory.len()].copy_from_slice(memory);
-        if !memory.chunks_exact(2).is_sorted_by(|a, b| a[0] < b[0]) {
-            return None;
-        }
-        for (buffer, &len) in machine.buffers.iter_mut().zip(lens) {
-            if usize::from(len) > BUFFER_CAPACITY {
-                return None;
-            }
-            let pairs = take(2 * usize::from(len))?;
-            buffer.pairs[..pairs.len()].copy_from_slice(pairs);
-            buffer.len = len;
-        }
-        Some((machine, rest))
     }
 
     fn check_thread(&self, thread: ThreadId) -> Result<(), TsoError> {
@@ -1187,7 +1112,7 @@ mod tests {
 
     /// The inline machine and the reference agree on what they hold; a
     /// machine built afresh with the same contents is equal to the driven
-    /// one, hashes and encodes like it, and decodes back from it.
+    /// one and hashes like it.
     fn assert_same(m: &Machine<u8, u8>, r: &reference::Machine) {
         assert!(m.memory_iter().eq(r.memory.iter().map(|(&a, &v)| (a, v))));
         assert_eq!(m.lock_holder(), r.lock);
@@ -1204,13 +1129,6 @@ mod tests {
         fresh.lock = r.lock;
         assert_eq!(m, &fresh, "a popped or overwritten slot leaked into ==");
         assert_eq!(hash_of(m), hash_of(&fresh));
-        let (mut bytes, mut fresh_bytes) = (Vec::new(), vec![7]);
-        m.encode(&mut bytes);
-        fresh.encode(&mut fresh_bytes);
-        assert_eq!(bytes, fresh_bytes[1..]);
-        bytes.push(9);
-        let (back, rest) = Machine::<u8, u8>::decode(&bytes).expect("decodes");
-        assert_eq!((&back, rest), (m, &[9u8][..]));
     }
 
     #[test]
@@ -1274,21 +1192,5 @@ mod tests {
         m.commit(t(0)).unwrap();
         m.write(t(0), X, 99).unwrap();
         assert_eq!(m.read(t(0), &X).unwrap(), Some(99));
-    }
-
-    #[test]
-    fn decode_rejects_what_encode_cannot_have_written() {
-        let mut bytes = Vec::new();
-        machine(MemoryModel::Tso).encode(&mut bytes);
-        assert!(Machine::<u8, u8>::decode(&bytes[..bytes.len() - 1]).is_none());
-        for (at, bad) in [(0, 2), (1, 9), (2, 3), (3, 33), (4, 9)] {
-            let mut broken = bytes.clone();
-            broken[at] = bad;
-            assert!(Machine::<u8, u8>::decode(&broken).is_none(), "byte {at}");
-        }
-        // Memory must be sorted by address.
-        let mut unsorted = bytes.clone();
-        unsorted.swap(6, 8);
-        assert!(Machine::<u8, u8>::decode(&unsorted).is_none());
     }
 }
